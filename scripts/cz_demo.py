@@ -8,12 +8,12 @@ empirical weak-(1,1) ratios of a compactly supported kernel.
 
 import numpy as np
 
-from nilharm import catalog as cat, czdecomp as cz, funcs, twist as tw
+from nilharm import catalog as cat, czdecomp as cz, funcs, orbits as ob, twist as tw
 from nilharm.grids import Grid
 
 
 def main():
-    orbit = cat.flat_orbits()["h3"]
+    orbit = ob.standard_orbit(cat.heisenberg3())
     twist = tw.from_orbit(orbit)
     grid = Grid(2, 8.0, 128)
     pdist = cz.calibrate(cz.default_pseudo_distance(twist), twist, seed=0)

@@ -22,7 +22,7 @@ from . import pedersen as pe
 from . import symplectic as sp
 from . import twist as tw
 from . import verify
-from .grids import Grid, SampledSymbol, lp_norm
+from .grids import Grid, GridMismatch, SampledSymbol, lp_norm
 from .rationals import format_rational, parse_rational, parse_vector
 from .reports import Report
 from .seeds import master_seed
@@ -234,6 +234,9 @@ def cmd_cz(args) -> int:
     else:
         orbit = ob.standard_orbit(L)
     twist = tw.from_orbit(orbit)
+    if twist.dim != 2:
+        raise pe.DimensionNot2(f"cz {args.action} needs a 2-dimensional orbit "
+                               f"predual; {args.algebra} gives dimension {twist.dim}")
     grid = _parse_grid(args.grid)
     pdist = cz.calibrate(cz.default_pseudo_distance(twist), twist, seed=seed)
     rep = Report(command=f"cz {args.action} --grid {args.grid}"
@@ -383,8 +386,8 @@ def main(argv=None) -> int:
         sys.stdout.write(rep.to_json(timings=args.timings))
         return 1
     except (ValueError, KeyError, sp.NotACocycle, sp.ZeroParameter,
-            ob.PairingNotOne, ob.NotFlat, cz.AlphaNonPositive,
-            cz.C2TooSmall) as exc:
+            ob.PairingNotOne, ob.NotFlat, pe.DimensionNot2, GridMismatch,
+            cz.AlphaNonPositive, cz.C2TooSmall) as exc:
         print(f"nilharm: error: {exc}", file=sys.stderr)
         return 2
 

@@ -88,7 +88,11 @@ class SampledSymbol:
     @classmethod
     def from_evaluator(cls, grid: Grid, evaluator) -> "SampledSymbol":
         vals = np.asarray(evaluator(grid.nodes()), dtype=complex).reshape(grid.shape)
-        return cls(grid=grid, values=vals, evaluator=evaluator)
+        # The values are the evaluator's own, so the node-agreement pass of
+        # __post_init__ would only call it a second time; attach it afterwards.
+        sym = cls(grid=grid, values=vals)
+        object.__setattr__(sym, "evaluator", evaluator)
+        return sym
 
     def at_origin(self) -> complex:
         return complex(self.values[self.grid.origin_index])

@@ -6,10 +6,22 @@ The convolution of two symbols is
 
 by trapezoid quadrature on the grid, where a is the exact additive cocycle
 and x . y the reduced group product, both compiled from their rational
-polynomial closed forms.  For abelian preduals (step <= 2 algebras) the
-cocycle is a skew bilinear form and the product is addition, which factors
-the kernel into per-axis modulations; the convolution then reduces to a batch
-of 1-d FFT correlations instead of an O(G^2) double sum.
+polynomial closed forms.  The direct path evaluates this O(G^2) double sum
+for any twist.
+
+For abelian d=2 preduals with a bilinear cocycle (zero diagonal) the kernel
+phase is c1 x0 y1 + c2 x1 y0, and the same trapezoid sum is computed by FFT.
+The polarized gauge (Folland, Harmonic Analysis in Phase Space, ch. 1)
+rewrites it with u = x - y as
+
+    c1 x0 y1 + c2 x1 y0 = c2 x0 x1 + c1 y0 y1 - c2 u0 u1 + (c1 - c2) u0 y1.
+
+The first three terms are pointwise factors on the output, on b2 and on the
+offset table of b1; the last depends on u0 and on the column y1 only.  So for
+each y1 the y0-sum is a 1-d convolution along axis 0, and the sum over y1 is
+taken on the spectra before one inverse FFT.  FFT length 2n is alias-free
+for the kept output rows.  The cost is n^2 FFTs of length 2n plus n inverse
+FFTs, against O(n^4) for the direct sum.
 """
 
 from __future__ import annotations
@@ -20,11 +32,8 @@ import numpy as np
 
 from . import orbits as ob
 from .grids import Grid, GridMismatch, SampledSymbol, evaluate_symbol
+from .orbits import NotFlat
 from .polymap import Poly
-
-
-class NotFlat(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -103,7 +112,9 @@ def _check_grids(b1: SampledSymbol, b2: SampledSymbol, d: int):
     if b1.grid.dim != d or b2.grid.dim != d:
         raise GridMismatch("symbol grid dimension does not match the twist")
     if not b1.grid.same_box(b2.grid):
-        raise GridMismatch("symbols must share one grid")
+        raise GridMismatch(
+            f"symbols must share one grid, got L,N = {b1.grid.half_width:g},"
+            f"{b1.grid.points} and {b2.grid.half_width:g},{b2.grid.points}")
 
 
 def twisted_convolve(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
@@ -147,9 +158,26 @@ def _convolve_direct(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
 
 def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
                      density: float) -> np.ndarray:
-    """Abelian d=2 path: for a skew bilinear cocycle the kernel factors as
-    exp(i a(x, y)) = exp(i c1 x_0 y_1) exp(i c2 x_1 y_0), giving a 1-d FFT
-    correlation along axis 0 for every (x_1, y_1) pair."""
+    """Abelian d=2 path in the polarized gauge.
+
+    With c1 = A[0, 1], c2 = A[1, 0] the kernel phase is c1 x0 y1 + c2 x1 y0.
+    Substituting u = x - y gives
+
+        c1 x0 y1 + c2 x1 y0 = c2 x0 x1 + c1 y0 y1 - c2 u0 u1 + (c1 - c2) u0 y1,
+
+    so out(x) = cell e^{i c2 x0 x1} sum_y D(x - y) B(y) e^{i (c1 - c2) u0 y1}
+    with D = b1(u) e^{-i c2 u0 u1} on the (2n-1)^2 offset table and
+    B = b2 e^{i c1 y0 y1}.  For a fixed column y1 the leftover phase depends
+    on u0 only, so the y0-sum is a 1-d linear convolution of a modulated
+    D-column block with B[:, y1], and the y1-sum is taken on the spectra
+    before a single inverse FFT.  The linear convolution has indices
+    0..3n-3 and only n-1..2n-2 are kept; with FFT length M = 2n their
+    aliases sit at 3n-1 and beyond, so M = 2n is exact.
+
+    Cost: n^2 forward FFTs of length 2n (one n x 2n block per y1), n for B,
+    and n inverse FFTs.  Arrays are held transposed, index [axis 1, axis 0],
+    so every FFT runs along the contiguous last axis.
+    """
     grid = b1.grid
     n = grid.points
     ax = grid.axis
@@ -159,9 +187,9 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
 
     # b1 at all lattice differences: offset m in [-(n-1), n-1] per axis.
     offs = np.arange(-(n - 1), n)
+    u = offs * grid.h
     if b1.evaluator is not None:
-        coords = offs * grid.h
-        pts = np.stack(np.meshgrid(coords, coords, indexing="ij"), axis=-1)
+        pts = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1)
         d1 = np.asarray(b1.evaluator(pts), dtype=complex)
     else:
         half = n // 2
@@ -171,20 +199,21 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
         take = np.clip(src, 0, n - 1)
         d1[np.ix_(valid, valid)] = b1.values[np.ix_(take[valid], take[valid])]
 
-    m_fft = 4 * n
-    fd1 = np.fft.fft(d1, n=m_fft, axis=0)              # (m_fft, 2n-1)
-    e1 = np.exp(1j * c1 * np.outer(ax, ax))            # [x0 index, y1 index]
-    out = np.empty((n, n), dtype=complex)
-    col_gather = np.empty((n, n), dtype=np.int64)
-    for ixp in range(n):
-        col_gather[ixp] = (ixp - np.arange(n)) + (n - 1)
-    for ixp in range(n):
-        g = b2.values * np.exp(1j * c2 * ax[ixp] * ax)[:, None]   # (y0, y1)
-        fg = np.fft.fft(g, n=m_fft, axis=0)
-        prod = fd1[:, col_gather[ixp]] * fg
-        conv = np.fft.ifft(prod, axis=0)[n - 1:2 * n - 1, :]      # (x0, y1)
-        out[:, ixp] = cell * np.sum(conv * e1, axis=1)
-    return out
+    m_fft = 2 * n
+    d_t = np.ascontiguousarray((d1 * np.exp(-1j * c2 * np.outer(u, u))).T)   # [u1, u0]
+    b_t = (b2.values * np.exp(1j * c1 * np.outer(ax, ax))).T                  # [y1, y0]
+    fb = np.fft.fft(b_t, n=m_fft, axis=-1)                                    # [y1, freq]
+    spec = np.zeros((n, m_fft), dtype=complex)                                # [x1, freq]
+    block = np.zeros((n, m_fft), dtype=complex)    # last column stays the zero pad
+    for j in range(n):
+        # Columns x1 - y1 for x1 = 0..n-1, modulated by e^{i (c1 - c2) u0 y1}.
+        np.multiply(d_t[n - 1 - j:2 * n - 1 - j], np.exp(1j * (c1 - c2) * ax[j] * u),
+                    out=block[:, :-1])
+        fblock = np.fft.fft(block, axis=-1)
+        fblock *= fb[j]
+        spec += fblock
+    conv = np.fft.ifft(spec, axis=-1)[:, n - 1:2 * n - 1]                     # [x1, x0]
+    return cell * np.exp(1j * c2 * np.outer(ax, ax)) * conv.T
 
 
 def delta_action(twist: TwistData, phi: SampledSymbol, v, grid: Grid | None = None) -> SampledSymbol:

@@ -196,7 +196,7 @@ def examples_suite(seed: int = 0) -> Report:
 
 
 def _h3_engine(half_width: float, points: int) -> pe.HeisenbergRealization:
-    orbit = cat.flat_orbits()["h3"]
+    orbit = ob.standard_orbit(cat.heisenberg3())
     twist = tw.from_orbit(orbit)
     grid = Grid(2, half_width, points)
     return pe.HeisenbergRealization(twist, grid)
@@ -310,7 +310,7 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
 
 
 def _cz_setup(half_width: float, points: int):
-    orbit = cat.flat_orbits()["h3"]
+    orbit = ob.standard_orbit(cat.heisenberg3())
     twist = tw.from_orbit(orbit)
     grid = Grid(2, half_width, points)
     pdist = cz.calibrate(cz.default_pseudo_distance(twist), twist, seed=0)

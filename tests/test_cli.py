@@ -194,3 +194,28 @@ def test_cz_decompose_small_grid():
     doc = json.loads(out.stdout)
     statuses = {c["name"]: c["status"] for c in doc["checks"]}
     assert statuses["twisted_mean_zero_rel"] == "pass"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("cz", "cover", "--algebra", "abelian4"), "flat orbit"),
+    (("cz", "decompose", "--algebra", "ext_g0st"), "2-dimensional"),
+    (("twist", "conv", "--catalog", "ext_g0st"), "2-dimensional"),
+])
+def test_unsuitable_orbit_exits_2(args, message):
+    out = run_cli(*args, "--grid", "8,16")
+    assert out.returncode == 2
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_twist_conv_symbol_on_other_grid_exits_2(tmp_path):
+    from nilharm import fileio, funcs
+    from nilharm.grids import Grid
+
+    sym = funcs.sample(Grid(2, 8.0, 16), funcs.gaussian())
+    sym_path = tmp_path / "sym16.json"
+    sym_path.write_text(json.dumps(fileio.symbol_to_dict(sym)))
+    out = run_cli("twist", "conv", "--grid", "8,32", "--symbol", str(sym_path))
+    assert out.returncode == 2
+    assert "share one grid" in out.stderr
+    assert "Traceback" not in out.stderr

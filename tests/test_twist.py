@@ -24,12 +24,28 @@ def test_twist_requires_flat_orbit():
         tw.from_orbit(orbit)
 
 
+def _bilinear_twist(A) -> tw.TwistData:
+    """Abelian d=2 twist with cocycle a(x, y) = x^T A y."""
+    A = np.asarray(A, dtype=float)
+    return tw.TwistData(
+        dim=2,
+        alpha_fn=lambda X, Y: np.einsum("...i,ij,...j->...", X, A, Y),
+        combine_fn=lambda X, Y: X + Y,
+        abelian=True, alpha_matrix=A, weights=(1, 1))
+
+
+# Not skew (c1 = 0.3, c2 = 0.7, so c1 != -c2): the polarized-gauge identity
+# uses c1 and c2 separately, which the skew h3 cocycle does not exercise.
+NON_SKEW = [[0.0, 0.3], [0.7, 0.0]]
+
+
 def test_fast_path_matches_direct_with_evaluators(h3_twist, grid32):
     a = funcs.sample(grid32, funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1)))
     b = funcs.sample(grid32, funcs.gaussian((-0.2, 0.8), 0.9, (-0.3, 0.2)))
-    fast = tw.twisted_convolve(h3_twist, a, b, density=RHO)
-    direct = tw.twisted_convolve(h3_twist, a, b, density=RHO, force_direct=True)
-    assert np.max(np.abs(fast.values - direct.values)) <= 1e-13
+    for twist in (h3_twist, _bilinear_twist(NON_SKEW)):
+        fast = tw.twisted_convolve(twist, a, b, density=RHO)
+        direct = tw.twisted_convolve(twist, a, b, density=RHO, force_direct=True)
+        assert np.max(np.abs(fast.values - direct.values)) <= 1e-13
 
 
 def test_fast_path_matches_direct_without_evaluators(h3_twist, grid32):
@@ -38,10 +54,24 @@ def test_fast_path_matches_direct_without_evaluators(h3_twist, grid32):
                       + 1j * gen.standard_normal(grid32.shape))
     b = SampledSymbol(grid32, gen.standard_normal(grid32.shape)
                       + 1j * gen.standard_normal(grid32.shape))
-    fast = tw.twisted_convolve(h3_twist, a, b, density=RHO)
-    direct = tw.twisted_convolve(h3_twist, a, b, density=RHO, force_direct=True)
-    scale = np.max(np.abs(direct.values))
-    assert np.max(np.abs(fast.values - direct.values)) <= 1e-12 * scale
+    for twist in (h3_twist, _bilinear_twist(NON_SKEW)):
+        fast = tw.twisted_convolve(twist, a, b, density=RHO)
+        direct = tw.twisted_convolve(twist, a, b, density=RHO, force_direct=True)
+        scale = np.max(np.abs(direct.values))
+        assert np.max(np.abs(fast.values - direct.values)) <= 1e-12 * scale
+
+
+def test_fast_path_is_exactly_homogeneous_in_b2(h3_twist, grid32):
+    # Doubling is exact in floating point and the FFT path is linear in b2,
+    # so the output doubles bit for bit (the weak-(1,1) homogeneity check
+    # relies on this).
+    a = funcs.sample(grid32, funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1)))
+    b = funcs.sample(grid32, funcs.smooth_bump((-1.0, 0.5), 2.0, 3.0))
+    for twist in (h3_twist, _bilinear_twist(NON_SKEW)):
+        once = tw.twisted_convolve(twist, a, b, density=RHO)
+        twice = tw.twisted_convolve(twist, a, SampledSymbol(grid32, 2.0 * b.values),
+                                    density=RHO)
+        assert np.array_equal(twice.values, 2.0 * once.values)
 
 
 def test_grid_mismatch_rejected(h3_twist, grid32):
