@@ -2,54 +2,45 @@
 """Run the acceptance suites at full scale and print one line per criterion.
 
 Exit code 0 iff every criterion passes.  Equivalent to
-`pytest tests/test_acceptance.py -v -s` but without pytest in the loop.
+`pytest tests/test_acceptance.py -v -s` but without pytest in the loop; both
+read the criteria from `verify.ACCEPTANCE_CRITERIA`.
 """
 
+import io
 import sys
 import time
+from contextlib import redirect_stdout
 
-from nilharm import verify
+from nilharm import cli, verify
 from nilharm.seeds import master_seed
 
 
 def main() -> int:
     seed = master_seed()
-    criteria = [
-        ("1 exact-algebra suite", 5.0, lambda: verify.exact_suite(seed)),
-        ("2 example families", 10.0, lambda: verify.examples_suite(seed)),
-        ("3 operator transform / twisted convolution (N=128, L=8)", 60.0,
-         lambda: verify.twist_suite(seed)),
-        ("4 twisted Calderon-Zygmund (N=128, L=8)", 60.0,
-         lambda: verify.cz_suite(seed)),
-        ("5 multiplier and transference maps (N=128, L=8)", 30.0,
-         lambda: verify.multiplier_suite(seed)),
-    ]
     all_ok = True
-    for label, budget, fn in criteria:
+    for label, budget, suite, kwargs in verify.ACCEPTANCE_CRITERIA:
         t0 = time.time()
-        rep = fn()
+        rep = suite(seed=seed, **kwargs)
         elapsed = time.time() - t0
         failed = [c for c in rep.checks if c.status == "fail"]
         ok = not failed and elapsed <= budget
         all_ok &= ok
-        print(f"[{'PASS' if ok else 'FAIL'}] criterion {label}: "
+        print(f"[{'PASS' if ok else 'FAIL'}] {label}: "
               f"{len(rep.checks)} checks in {elapsed:.1f}s (budget {budget}s)")
         for c in failed:
             print(f"        failed: {c.name} value={c.value} tol={c.tolerance}")
 
     # Criterion 6: byte-identical reports under one seed.
-    import io
-    from contextlib import redirect_stdout
-    from nilharm import cli
-
     def capture(argv):
         buf = io.StringIO()
         with redirect_stdout(buf):
-            cli.main(argv)
-        return buf.getvalue()
+            code = cli.main(argv)
+        return code, buf.getvalue()
 
     argv = ["cz", "decompose", "--grid", "8,32", "--seed", str(seed)]
-    ok = capture(argv) == capture(argv)
+    code_a, out_a = capture(argv)
+    code_b, out_b = capture(argv)
+    ok = code_a == code_b == 0 and out_a == out_b and len(out_a) > 0
     all_ok &= ok
     print(f"[{'PASS' if ok else 'FAIL'}] criterion 6 reproducibility: "
           f"byte-identical reports for identical seed/inputs")

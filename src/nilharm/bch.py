@@ -6,18 +6,22 @@ two-letter alphabet to rational coefficients:
     x * y = sum_w  c_w * [w_1, [w_2, [... [w_{m-1}, w_m] ...]]]
 
 where w ranges over words in {x, y} of length <= nilpotency step.  The table
-is algebra-independent and cached per truncation degree; evaluating a product
-then costs one right-nested bracket per word, shared across words through
-their common suffixes.  Bracket evaluation runs on integer numerator vectors
-with a single running denominator, which is much faster than Fraction
-arithmetic at every step.
+is algebra-independent and cached per truncation degree; one walk over it
+costs one right-nested bracket per word, shared across words through their
+common suffixes.
+
+The walk runs over any commutative ring.  With polynomial coordinates it
+compiles an algebra's group law (and a flat orbit's reduced product and
+cocycle) into exact polynomials once, which ``polymap.ExactMap`` then
+evaluates in integer arithmetic; with Fraction coordinates it is the
+independent reference for those compiled maps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 
 Word = tuple[int, ...]  # letters: 0 -> x, 1 -> y
 
@@ -74,105 +78,12 @@ def _words_by_length(max_degree: int) -> list[Word]:
 
 
 # ---------------------------------------------------------------------------
-# Integer-kernel evaluation
-# ---------------------------------------------------------------------------
-
-IntVec = tuple[list[int], int]  # (numerators, positive denominator)
-
-
-def _reduce(nums: list[int], den: int) -> IntVec:
-    g = den
-    for a in nums:
-        g = gcd(g, a)
-        if g == 1:
-            return nums, den
-    if g > 1:
-        nums = [a // g for a in nums]
-        den //= g
-    return nums, den
-
-
-def to_intvec(coords) -> IntVec:
-    """Fraction coordinates -> (int numerators, common denominator)."""
-    den = 1
-    for a in coords:
-        den = den * a.denominator // gcd(den, a.denominator)
-    return [int(a * den) for a in coords], den
-
-
-def from_intvec(v: IntVec) -> tuple[Fraction, ...]:
-    nums, den = v
-    return tuple(Fraction(a, den) for a in nums)
-
-
-def bracket_int(entries, dim: int, u: list[int], v: list[int]) -> list[int] | None:
-    """Numerator part of [u, v]; None when the bracket vanishes.
-
-    ``entries`` lists (i, j, ((k, c), ...)) with integer c for the scaled
-    structure table; the caller accounts for the table denominator.
-    """
-    w = [0] * dim
-    hit = False
-    for i, j, terms in entries:
-        cross = u[i] * v[j] - u[j] * v[i]
-        if cross:
-            hit = True
-            for k, c in terms:
-                w[k] += cross * c
-    if not hit or not any(w):
-        return None
-    return w
-
-
-def bch_apply(entries, dim: int, table_den: int, step: int,
-              x: IntVec, y: IntVec) -> tuple[Fraction, ...]:
-    """x * y truncated at the nilpotency step, exact.
-
-    The sum is accumulated as integer numerators over one running common
-    denominator and converted to Fractions once at the end.
-    """
-    coeffs = word_coefficients(step)
-    letters = {0: x, 1: y}
-    vals: dict[Word, IntVec | None] = {(0,): x, (1,): y}
-    acc = [a * y[1] for a in x[0]]
-    common = x[1] * y[1]
-    for k, b in enumerate(y[0]):
-        acc[k] += b * x[1]
-    for w in _words_by_length(step):
-        tail = vals[w[1:]]
-        if tail is None:
-            vals[w] = None
-            continue
-        head_nums, head_den = letters[w[0]]
-        nums = bracket_int(entries, dim, head_nums, tail[0])
-        if nums is None:
-            vals[w] = None
-            continue
-        vals[w] = _reduce(nums, head_den * tail[1] * table_den)
-        c = coeffs.get(w)
-        if c is not None:
-            nums, den = vals[w]
-            term_den = den * c.denominator
-            g = gcd(common, term_den)
-            lift_acc = term_den // g
-            lift_term = common // g
-            if lift_acc != 1:
-                acc = [a * lift_acc for a in acc]
-                common *= lift_acc
-            cn = c.numerator * lift_term
-            for k, a in enumerate(nums):
-                if a:
-                    acc[k] += a * cn
-    return tuple(Fraction(a, common) for a in acc)
-
-
-# ---------------------------------------------------------------------------
-# Generic-ring evaluation (e.g. polynomial coordinates)
+# Evaluation over a commutative ring
 # ---------------------------------------------------------------------------
 
 
 def bch_apply_generic(fraction_entries, dim: int, step: int, x, y, zero):
-    """Same series with coordinates in any commutative ring.
+    """x * y truncated at the nilpotency step, coordinates in any commutative ring.
 
     Ring elements must support +, -, * between themselves, * by Fraction,
     and truthiness as a zero test.  ``fraction_entries`` carries exact

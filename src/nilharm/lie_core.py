@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from functools import cached_property, lru_cache
 
 from . import bch as _bch
 from . import exactlinalg as ela
+from .polymap import ExactMap, Poly
 from .rationals import Vector, is_zero_vector, vec_add, zero_vector
 
 Terms = tuple[tuple[int, Fraction], ...]
@@ -64,16 +64,8 @@ class LieAlgebra:
         return out
 
     @cached_property
-    def _int_table(self) -> tuple[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...], int]:
-        den = 1
-        for _, _, terms in self.entries:
-            for _, c in terms:
-                den = lcm(den, c.denominator)
-        scaled = tuple(
-            (i, j, tuple((k, int(c * den)) for k, c in terms))
-            for i, j, terms in self.entries
-        )
-        return scaled, den
+    def _group_law(self) -> ExactMap:
+        return _compile_group_law(self)
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[X_i, X_j], any index order."""
@@ -314,13 +306,22 @@ def jordan_holder_flag(L: LieAlgebra, preferred_first: Vector | None = None) -> 
     return FlagSequence(algebra=L, vectors=tuple(chosen))
 
 
+@lru_cache(maxsize=64)
+def _compile_group_law(L: LieAlgebra) -> ExactMap:
+    """The truncated Dynkin series as one exact polynomial map of (x, y),
+    compiled once per algebra value."""
+    n = L.dim
+    xy = [Poly.variable(2 * n, v) for v in range(2 * n)]
+    law = _bch.bch_apply_generic(L.entries, n, max(L.step, 1), xy[:n], xy[n:],
+                                 Poly.zero(2 * n))
+    return ExactMap(law, n)
+
+
 def bch_product(L: LieAlgebra, x: Vector, y: Vector) -> Vector:
     """Group product in exponential coordinates: Dynkin series truncated at the step."""
     if len(x) != L.dim or len(y) != L.dim:
         raise ValueError("vector dimension does not match the algebra")
-    entries, den = L._int_table
-    return _bch.bch_apply(entries, L.dim, den, max(L.step, 1),
-                          _bch.to_intvec(x), _bch.to_intvec(y))
+    return L._group_law(x, y)
 
 
 Matrix = tuple[tuple[Fraction, ...], ...]

@@ -11,12 +11,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import bch as _bch
 from . import exactlinalg as ela
 from . import lie_core as lc
-from .polymap import Poly
+from .polymap import ExactMap, Poly
 from .rationals import Vector, dot, vec_neg
 
 
@@ -96,6 +96,10 @@ class OrbitData:
             cols.append(sol)
         return cols
 
+    @cached_property
+    def _law(self) -> ExactMap:
+        return _compile_law(self)
+
     def embed(self, x: Vector) -> Vector:
         """Predual coordinates -> ambient coordinates."""
         n = self.algebra.dim
@@ -149,29 +153,28 @@ def jump_indices(L: lc.LieAlgebra, flag: lc.FlagSequence, xi0: Functional) -> Or
                      jump_set=tuple(jump), predual_basis=predual, flat=flat)
 
 
+def _evaluate(orbit: OrbitData, x: Vector, y: Vector) -> tuple[Fraction, ...]:
+    """The orbit's compiled map at (x, y): reduced product, then cocycle."""
+    if not orbit.flat:
+        raise NotFlat("the reduced product and the cocycle require a flat orbit")
+    if len(x) != orbit.d or len(y) != orbit.d:
+        raise ValueError("vector dimension does not match the predual")
+    return orbit._law(x, y)
+
+
 def product_e(orbit: OrbitData, x: Vector, y: Vector) -> Vector:
     """Projection of the BCH product of predual elements back onto the predual."""
-    if not orbit.flat:
-        raise NotFlat("the reduced product requires a flat orbit")
-    w = lc.bch_product(orbit.algebra, orbit.embed(x), orbit.embed(y))
-    return orbit.split(w)[0]
+    return _evaluate(orbit, x, y)[:-1]
 
 
 def alpha(orbit: OrbitData, x: Vector, y: Vector) -> Fraction:
     """Central pairing of the BCH product: the additive group cocycle."""
-    if not orbit.flat:
-        raise NotFlat("the cocycle requires a flat orbit")
-    w = lc.bch_product(orbit.algebra, orbit.embed(x), orbit.embed(y))
-    c = orbit.split(w)[1]
-    return c * orbit.xi0.pair(orbit.flag.vectors[0])
+    return _evaluate(orbit, x, y)[-1]
 
 
 def product_and_alpha(orbit: OrbitData, x: Vector, y: Vector) -> tuple[Vector, Fraction]:
-    if not orbit.flat:
-        raise NotFlat("the reduced product requires a flat orbit")
-    w = lc.bch_product(orbit.algebra, orbit.embed(x), orbit.embed(y))
-    xy, c = orbit.split(w)
-    return xy, c * orbit.xi0.pair(orbit.flag.vectors[0])
+    out = _evaluate(orbit, x, y)
+    return out[:-1], out[-1]
 
 
 def verify_cocycle_identity(orbit: OrbitData, x: Vector, y: Vector, z: Vector) -> bool:
@@ -224,9 +227,10 @@ def gamma_identities(orbit: OrbitData, x: Vector, y: Vector, z: Vector) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _bch_polynomial_split(orbit: OrbitData) -> tuple[list[Poly], Poly]:
+@lru_cache(maxsize=64)
+def _bch_polynomial_split(orbit: OrbitData) -> tuple[tuple[Poly, ...], Poly]:
     """Exact polynomials for the reduced product (d components) and the cocycle,
-    as functions of (x_1..x_d, y_1..y_d)."""
+    as functions of (x_1..x_d, y_1..y_d); computed once per orbit value."""
     if not orbit.flat:
         raise NotFlat("polynomial twist data requires a flat orbit")
     L = orbit.algebra
@@ -264,14 +268,21 @@ def _bch_polynomial_split(orbit: OrbitData) -> tuple[list[Poly], Poly]:
         if coeff and w[t]:
             central = central + w[t] * coeff
     alpha_poly = central * orbit.xi0.pair(orbit.flag.vectors[0])
-    return product_polys, alpha_poly
+    return tuple(product_polys), alpha_poly
+
+
+@lru_cache(maxsize=64)
+def _compile_law(orbit: OrbitData) -> ExactMap:
+    """Reduced product and cocycle of a flat orbit as one exact map."""
+    product_polys, alpha_poly = _bch_polynomial_split(orbit)
+    return ExactMap(product_polys + (alpha_poly,), orbit.d)
 
 
 def alpha_polynomial(orbit: OrbitData) -> Poly:
     return _bch_polynomial_split(orbit)[1]
 
 
-def product_polynomials(orbit: OrbitData) -> list[Poly]:
+def product_polynomials(orbit: OrbitData) -> tuple[Poly, ...]:
     return _bch_polynomial_split(orbit)[0]
 
 

@@ -2,13 +2,16 @@
 
 Just enough ring structure to push coordinate variables through the BCH
 series, producing exact closed forms for the group cocycle and the reduced
-product, plus compilation to vectorized numpy evaluators for grid work.
+product, plus compilation to vectorized numpy evaluators for grid work and
+to exact integer-kernel evaluators (``ExactMap``) for the group laws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -130,3 +133,84 @@ class Poly:
                 return None
             A[left[0], right[0] - d] = float(c)
         return A
+
+
+def _power_schedule(exponents, nvars: int) -> tuple[dict[Monomial, int], list[tuple[int, int]]]:
+    """Evaluation order for monomials with one multiplication each.
+
+    Node 0 is the constant 1 and node k > 0 is node steps[k-1][0] times
+    variable steps[k-1][1].  A monomial's parent lowers its last nonzero
+    exponent, so monomials share their common prefixes.  Returns the node of
+    every monomial reached, the requested ones included, and the steps.
+    """
+    nodes: dict[Monomial, int] = {(0,) * nvars: 0}
+    steps: list[tuple[int, int]] = []
+
+    def node(e: Monomial) -> int:
+        k = nodes.get(e)
+        if k is None:
+            v = max(i for i, a in enumerate(e) if a)
+            steps.append((node(e[:v] + (e[v] - 1,) + e[v + 1:]), v))
+            k = nodes[e] = len(steps)
+        return k
+
+    for e in sorted(exponents):
+        node(e)
+    return nodes, steps
+
+
+class ExactMap:
+    """Exact evaluator of polynomials in 2n variables at rational points (x, y).
+
+    x fills variables 0..n-1 and y variables n..2n-1.  A call puts x over the
+    common denominator dx of its coordinates and y over dy, so that x = X/dx
+    and y = Y/dy with integer X, Y.  With A and B the largest degrees in x and
+    in y, a monomial x^a y^b is X^a dx^(A-|a|) Y^b dy^(B-|b|) over dx^A dy^B.
+    Each distinct lifted x-part and y-part costs one integer multiplication
+    per call; each component sums its coefficients, made integers by their
+    common denominator D, against products of parts and becomes one Fraction
+    over D dx^A dy^B.
+    """
+
+    def __init__(self, polys, n: int):
+        terms = [m for p in polys for m, _ in p.terms]
+        self._A = max((sum(m[:n]) for m in terms), default=0)
+        self._B = max((sum(m[n:]) for m in terms), default=0)
+        # A lifted part lists the homogenizing exponent first, so the powers
+        # of dx (of dy) are prefixes shared by all parts.
+        def x_part(m):
+            return (self._A - sum(m[:n]),) + m[:n]
+
+        def y_part(m):
+            return (self._B - sum(m[n:]),) + m[n:]
+
+        x_node, self._x_steps = _power_schedule({x_part(m) for m in terms}, n + 1)
+        y_node, self._y_steps = _power_schedule({y_part(m) for m in terms}, n + 1)
+        self._components = []
+        for p in polys:
+            den = lcm(*(c.denominator for _, c in p.terms))
+            self._components.append((
+                den,
+                tuple(c.numerator * (den // c.denominator) for _, c in p.terms),
+                tuple(x_node[x_part(m)] for m, _ in p.terms),
+                tuple(y_node[y_part(m)] for m, _ in p.terms)))
+
+    @staticmethod
+    def _parts(coords, steps) -> tuple[int, list[int]]:
+        """Common denominator of coords and the values of every schedule node."""
+        d = lcm(*(a.denominator for a in coords))
+        variables = [d] + [a.numerator * (d // a.denominator) for a in coords]
+        vals = [1]
+        for parent, v in steps:
+            vals.append(vals[parent] * variables[v])
+        return d, vals
+
+    def __call__(self, x, y) -> tuple[Fraction, ...]:
+        dx, xv = self._parts(x, self._x_steps)
+        dy, yv = self._parts(y, self._y_steps)
+        lift = dx ** self._A * dy ** self._B
+        return tuple(
+            Fraction(sum(map(mul, coeffs, map(mul, map(xv.__getitem__, xs),
+                                              map(yv.__getitem__, ys)))),
+                     den * lift)
+            for den, coeffs, xs, ys in self._components)

@@ -2,12 +2,15 @@
 
 Reports are deterministic given (inputs, flags, seed, version): keys are
 sorted, floats use shortest round-trip repr, and wall-clock timings are
-omitted unless explicitly requested (they would break byte-identity).
+omitted unless explicitly requested (they would break byte-identity).  The
+output is strict JSON: non-finite floats are written as the strings "inf",
+"-inf" and "nan".
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 VERSION = "0.1.0"
@@ -80,7 +83,13 @@ class Report:
 
     def to_json(self, timings: bool = False) -> str:
         return json.dumps(self.to_dict(timings=timings), sort_keys=True,
-                          indent=2) + "\n"
+                          indent=2, allow_nan=False) + "\n"
+
+
+def _float(x: float):
+    if math.isfinite(x):
+        return x
+    return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
 
 
 def _jsonable(obj):
@@ -90,18 +99,14 @@ def _jsonable(obj):
 
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
+    if isinstance(obj, (float, np.floating)):
+        return _float(float(obj))
     if isinstance(obj, Fraction):
         return format_rational(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": _float(float(obj.real)), "im": _float(float(obj.imag))}
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.complexfloating):
-        return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set)):

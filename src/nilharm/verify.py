@@ -503,6 +503,25 @@ def multiplier_suite(seed: int = 0, half_width: float = 8.0,
 # ---------------------------------------------------------------------------
 
 
+# The acceptance gate, criteria 1-5: (label, wall-clock budget in seconds,
+# suite, keyword arguments besides the seed).  Criterion 6, byte-identical
+# CLI reports, is checked by its callers.
+ACCEPTANCE_CRITERIA = (
+    ("criterion 1: exact-algebra suite (Jacobi, BCH associativity, flags, "
+     "jump indices, cocycle identities)",
+     5.0, exact_suite, {"samples": 100}),
+    ("criterion 2: example families (two-parameter family, extensions, "
+     "graphs, non-dilatable algebra)",
+     10.0, examples_suite, {}),
+    ("criterion 3: operator transform / twisted convolution, N=128, L=8",
+     60.0, twist_suite, {"half_width": 8.0, "points": 128}),
+    ("criterion 4: twisted Calderon-Zygmund suite, N=128, L=8",
+     60.0, cz_suite, {"half_width": 8.0, "points": 128}),
+    ("criterion 5: multiplier and transference-map suite, N=128, L=8",
+     30.0, multiplier_suite, {"half_width": 8.0, "points": 128}),
+)
+
+
 def full_report(seed: int = 0, quick: bool = False) -> Report:
     points = 32 if quick else 128
     samples = 25 if quick else 100

@@ -2,7 +2,8 @@
 
 Each criterion runs its suite at the stated grid sizes and sample counts,
 prints one pass/fail line (run with -s to see them on success), and asserts
-both the checks and the stated wall-clock budget.
+both the checks and the stated wall-clock budget.  Criteria 1-5 come from
+`verify.ACCEPTANCE_CRITERIA`, which `scripts/run_acceptance.py` also reads.
 """
 
 import io
@@ -12,9 +13,10 @@ from contextlib import redirect_stdout
 from nilharm import cli, verify
 
 
-def _run_criterion(label, budget_seconds, suite_fn, **kw):
+def _run_criterion(number):
+    label, budget_seconds, suite_fn, kw = verify.ACCEPTANCE_CRITERIA[number - 1]
     t0 = time.time()
-    rep = suite_fn(**kw)
+    rep = suite_fn(seed=0, **kw)
     elapsed = time.time() - t0
     failed = [c for c in rep.checks if c.status == "fail"]
     ok = not failed and elapsed <= budget_seconds
@@ -28,35 +30,23 @@ def _run_criterion(label, budget_seconds, suite_fn, **kw):
 
 
 def test_criterion_1_exact_algebra_suite():
-    _run_criterion(
-        "criterion 1: exact-algebra suite (Jacobi, BCH associativity, flags, "
-        "jump indices, cocycle identities)",
-        5.0, verify.exact_suite, seed=0, samples=100)
+    _run_criterion(1)
 
 
 def test_criterion_2_example_families_suite():
-    _run_criterion(
-        "criterion 2: example families (two-parameter family, extensions, "
-        "graphs, non-dilatable algebra)",
-        10.0, verify.examples_suite, seed=0)
+    _run_criterion(2)
 
 
 def test_criterion_3_operator_transform_suite():
-    _run_criterion(
-        "criterion 3: operator transform / twisted convolution, N=128, L=8",
-        60.0, verify.twist_suite, seed=0, half_width=8.0, points=128)
+    _run_criterion(3)
 
 
 def test_criterion_4_cz_suite():
-    _run_criterion(
-        "criterion 4: twisted Calderon-Zygmund suite, N=128, L=8",
-        60.0, verify.cz_suite, seed=0, half_width=8.0, points=128)
+    _run_criterion(4)
 
 
 def test_criterion_5_multiplier_transference_suite():
-    _run_criterion(
-        "criterion 5: multiplier and transference-map suite, N=128, L=8",
-        30.0, verify.multiplier_suite, seed=0, half_width=8.0, points=128)
+    _run_criterion(5)
 
 
 def test_criterion_6_reproducibility():

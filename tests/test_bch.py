@@ -4,9 +4,15 @@ The authoritative oracle is the free 2-generator nilpotent algebra of step 4,
 where the product of the generators has the textbook closed form
 
     x + y + 1/2 [x,y] + 1/12 [x,[x,y]] + 1/12 [y,[y,x]] - 1/24 [y,[x,[x,y]]].
+
+On random algebras the compiled law is checked against one walk of the
+series in plain Fraction arithmetic.
 """
 
 from fractions import Fraction
+
+import random_algebras
+from hypothesis import given, settings, strategies as st
 
 from nilharm import bch, catalog as cat, lie_core as lc, seeds
 from nilharm.polymap import Poly
@@ -94,6 +100,10 @@ def test_generic_ring_path_matches_int_path():
     assert as_fractions == lc.bch_product(L, x, y)
 
 
-def test_intvec_round_trip():
-    coords = (Fraction(3, 4), Fraction(-1, 6), Fraction(0))
-    assert bch.from_intvec(bch.to_intvec(coords)) == coords
+@settings(max_examples=10, deadline=None)
+@given(random_algebras.algebras, st.data())
+def test_compiled_law_matches_fraction_walk(L, data):
+    for _ in range(3):
+        x = data.draw(random_algebras.points(L.dim))
+        y = data.draw(random_algebras.points(L.dim))
+        assert lc.bch_product(L, x, y) == random_algebras.fraction_bch(L, x, y)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+import random_algebras
+from hypothesis import given, settings, strategies as st
 
 from nilharm import catalog as cat, exactlinalg as ela, lie_core as lc
 from nilharm import orbits as ob, seeds
@@ -109,6 +111,33 @@ def test_non_flat_orbit_refuses_product():
         ob.product_e(orbit, (), ())
     with pytest.raises(ob.NotFlat):
         ob.alpha(orbit, (), ())
+
+
+def test_orbit_maps_reject_wrong_length(h3_orbit):
+    short, ok, long = (F(1),), (F(0), F(1)), (F(0), F(1), F(2))
+    for orbit_map in (ob.alpha, ob.product_e, ob.product_and_alpha):
+        with pytest.raises(ValueError):
+            orbit_map(h3_orbit, short, ok)
+        with pytest.raises(ValueError):
+            orbit_map(h3_orbit, ok, long)
+
+
+@settings(max_examples=8, deadline=None)
+@given(random_algebras.algebras, st.data())
+def test_compiled_orbit_map_matches_fraction_walk(L, data):
+    # Reference: embed, one Fraction walk of the series, split.
+    orbit = ob.standard_orbit(L)
+    if not orbit.flat:
+        with pytest.raises(ob.NotFlat):
+            ob.product_and_alpha(orbit, (), ())
+        return
+    for _ in range(3):
+        x = data.draw(random_algebras.points(orbit.d))
+        y = data.draw(random_algebras.points(orbit.d))
+        w = random_algebras.fraction_bch(L, orbit.embed(x), orbit.embed(y))
+        xy, c = orbit.split(w)
+        expected = (xy, c * orbit.xi0.pair(orbit.flag.vectors[0]))
+        assert ob.product_and_alpha(orbit, x, y) == expected
 
 
 def test_cocycle_identity_h3(h3_orbit):

@@ -5,21 +5,21 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from nilharm.polymap import Poly
+from nilharm.polymap import ExactMap, Poly
 
 NVARS = 3
 
 fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
-monomials = st.tuples(*([st.integers(0, 3)] * NVARS))
 
 
 @st.composite
-def polys(draw):
+def polys(draw, nvars=NVARS):
+    monomials = st.tuples(*([st.integers(0, 3)] * nvars))
     n_terms = draw(st.integers(0, 5))
     data = {}
     for _ in range(n_terms):
         data[draw(monomials)] = draw(fractions)
-    return Poly._make(NVARS, data)
+    return Poly._make(nvars, data)
 
 
 points = st.tuples(*([fractions] * NVARS))
@@ -53,6 +53,14 @@ def test_compiled_evaluator_matches_exact(p, x):
     expected = float(p.evaluate_exact(x))
     assert abs(float(np.asarray(got).reshape(-1)[0]) - expected) \
         <= 1e-9 * (1.0 + abs(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(polys(nvars=4), max_size=3), st.tuples(*([fractions] * 4)))
+def test_exact_map_matches_exact_evaluation(ps, point):
+    # Variables 0, 1 are x and 2, 3 are y; zero and constant polynomials included.
+    expected = tuple(p.evaluate_exact(point) for p in ps)
+    assert ExactMap(ps, 2)(point[:2], point[2:]) == expected
 
 
 def test_bilinear_matrix_detection():

@@ -65,3 +65,18 @@ def test_random_fraction_respects_bounds():
         q = seeds.random_fraction(rnd, max_num=5, max_den=3, nonzero=True)
         assert q != 0
         assert abs(q.numerator) <= 5 * 3
+
+
+def test_non_finite_values_are_strict_json():
+    import numpy as np
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    rep = Report(command="demo", seed=0)
+    rep.measure("s", float("inf"))
+    rep.measure("t", np.float64("-inf"))
+    rep.data["u"] = [float("nan"), complex(float("inf"), 1.0)]
+    doc = json.loads(rep.to_json(), parse_constant=reject)
+    assert [c["value"] for c in doc["checks"]] == ["inf", "-inf"]
+    assert doc["data"]["u"] == ["nan", {"re": "inf", "im": 1.0}]
