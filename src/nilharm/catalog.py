@@ -86,7 +86,9 @@ def get_algebra(name: str, **params) -> lc.LieAlgebra:
     """Resolve a catalog name (CLI entry point)."""
     name = name.lower()
     if name.startswith("abelian"):
-        n = params.get("n") or int(name.removeprefix("abelian") or 4)
+        n = params.get("n")
+        if n is None:
+            n = int(name.removeprefix("abelian") or 4)
         return abelian(int(n))
     if name == "h3":
         return heisenberg3()

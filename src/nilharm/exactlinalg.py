@@ -11,7 +11,8 @@ nullspace basis, reduced span basis) is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+
+from .rationals import over_common_denominator
 
 Vector = tuple[Fraction, ...]
 
@@ -20,10 +21,8 @@ def _integerize(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]
     """Scale each row by the lcm of its denominators; return rows and scales."""
     out, scales = [], []
     for row in rows:
-        mult = 1
-        for a in row:
-            mult = lcm(mult, a.denominator)
-        out.append([int(a * mult) for a in row])
+        mult, ints = over_common_denominator(row)
+        out.append(ints)
         scales.append(mult)
     return out, scales
 

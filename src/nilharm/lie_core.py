@@ -5,6 +5,13 @@ by antisymmetry), validated once against the Jacobi identity and nilpotency,
 and then shared immutably by everything downstream: central series, flags
 adapted to chains of ideals, truncated BCH products, derivation algebras and
 characteristic-nilpotency certificates.
+
+The bilinear layer (bracket, Jacobi check, series, flags) runs on one
+integer form of the structure constants per algebra, cached on first use:
+a common denominator D, the constants times D, and per basis vector X_i the
+integer columns of D ad(X_i).  A bracket puts each argument over its own
+common denominator, works in Python integers and builds one Fraction per
+component at the end.
 """
 
 from __future__ import annotations
@@ -12,14 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from . import bch as _bch
 from . import exactlinalg as ela
 from .polymap import ExactMap, Poly
-from .rationals import Vector, is_zero_vector, vec_add, zero_vector
+from .rationals import Vector, over_common_denominator, zero_vector
 
 Terms = tuple[tuple[int, Fraction], ...]
 Entry = tuple[int, int, Terms]
+IntTerms = tuple[tuple[int, int], ...]
+
+_ZERO = Fraction(0)
 
 
 class JacobiViolation(Exception):
@@ -54,13 +65,35 @@ class LieAlgebra:
     step: int                            # nilpotency step
 
     @cached_property
+    def _integer_form(self) -> tuple[int, tuple[tuple[int, int, IntTerms], ...]]:
+        """(D, entries times D): D is the least common denominator of the
+        structure constants, so every constant is an integer over D."""
+        D = lcm(*(c.denominator for _, _, terms in self.entries for _, c in terms))
+        return D, tuple((i, j, tuple((k, c.numerator * (D // c.denominator))
+                                     for k, c in terms))
+                        for i, j, terms in self.entries)
+
+    @cached_property
+    def _ad_columns(self) -> tuple[dict[int, IntTerms], ...]:
+        """Per basis index i: s -> D [X_i, X_s] as sparse (k, C) terms,
+        for every s with a nonzero bracket."""
+        _, table = self._integer_form
+        cols: list[dict[int, IntTerms]] = [{} for _ in range(self.dim)]
+        for i, j, terms in table:
+            cols[i][j] = terms
+            cols[j][i] = tuple((k, -c) for k, c in terms)
+        return tuple(cols)
+
+    @cached_property
     def _basis_brackets(self) -> dict[tuple[int, int], Vector]:
+        """[X_i, X_j] for both orders of every pair with a nonzero bracket."""
         out: dict[tuple[int, int], Vector] = {}
         for i, j, terms in self.entries:
-            v = [Fraction(0)] * self.dim
+            v = [_ZERO] * self.dim
             for k, c in terms:
                 v[k] = c
             out[(i, j)] = tuple(v)
+            out[(j, i)] = tuple(-a for a in v)
         return out
 
     @cached_property
@@ -69,14 +102,8 @@ class LieAlgebra:
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[X_i, X_j], any index order."""
-        if i == j:
-            return zero_vector(self.dim)
-        if i < j:
-            return self._basis_brackets.get((i, j), zero_vector(self.dim))
-        v = self._basis_brackets.get((j, i))
-        if v is None:
-            return zero_vector(self.dim)
-        return tuple(-a for a in v)
+        v = self._basis_brackets.get((i, j))
+        return zero_vector(self.dim) if v is None else v
 
     def label(self, i: int) -> str:
         return self.labels[i]
@@ -110,45 +137,66 @@ def _normalize_entries(dim: int, brackets) -> tuple[Entry, ...]:
     return tuple(sorted(entries))
 
 
+def _fractions(numerators: list[int], den: int) -> Vector:
+    return tuple(Fraction(a, den) if a else _ZERO for a in numerators)
+
+
 def bracket(L: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """[x, y]: bilinear, antisymmetric, exact."""
+    """[x, y]: bilinear, antisymmetric, exact.
+
+    x = X/dx and y = Y/dy over their common denominators, so D [x, y] is
+    the integer cross products of X and Y against the integer constants,
+    over dx dy."""
     if len(x) != L.dim or len(y) != L.dim:
         raise ValueError("vector dimension does not match the algebra")
-    out = [Fraction(0)] * L.dim
-    for i, j, terms in L.entries:
-        cross = x[i] * y[j] - x[j] * y[i]
+    D, table = L._integer_form
+    if not table:
+        return zero_vector(L.dim)
+    dx, X = over_common_denominator(x)
+    dy, Y = over_common_denominator(y)
+    out = [0] * L.dim
+    for i, j, terms in table:
+        cross = X[i] * Y[j] - X[j] * Y[i]
         if cross:
             for k, c in terms:
                 out[k] += cross * c
-    return tuple(out)
+    return _fractions(out, D * dx * dy)
 
 
-def _series_from_entries(dim: int, entries: tuple[Entry, ...]) -> list[list[Vector]]:
+def _ad_integers(L: LieAlgebra, i: int, w) -> list[int]:
+    """D [X_i, w] for w = sum of V X_s over integer pairs (s, V), read from
+    the integer ad-columns of X_i."""
+    cols = L._ad_columns[i]
+    out = [0] * L.dim
+    for s, v in w:
+        col = cols.get(s)
+        if v and col:
+            for k, c in col:
+                out[k] += v * c
+    return out
+
+
+def _ad_direction(L: LieAlgebra, i: int, v: Vector) -> list[int]:
+    """An integer vector on the ray of [X_i, v]: enough for span and zero tests."""
+    return _ad_integers(L, i, enumerate(over_common_denominator(v)[1]))
+
+
+def _ad(L: LieAlgebra, i: int, v: Vector) -> Vector:
+    """[X_i, v], exact."""
+    dv, V = over_common_denominator(v)
+    return _fractions(_ad_integers(L, i, enumerate(V)), L._integer_form[0] * dv)
+
+
+def _series(L: LieAlgebra) -> list[list[Vector]]:
     """Lower central series as rref bases; final element is the empty basis iff nilpotent."""
-    basis_brackets: list[tuple[int, Vector]] = []
-    for i, j, terms in entries:
-        v = [Fraction(0)] * dim
-        for k, c in terms:
-            v[k] = c
-        basis_brackets.append(((i, j), tuple(v)))
-
-    def bracket_with_basis(i: int, v: Vector) -> Vector:
-        out = [Fraction(0)] * dim
-        for (a, b), w in basis_brackets:
-            if v[b] != 0 and a == i:
-                for k in range(dim):
-                    out[k] += v[b] * w[k]
-            if v[a] != 0 and b == i:
-                for k in range(dim):
-                    out[k] -= v[a] * w[k]
-        return tuple(out)
-
+    dim = L.dim
     full = [tuple(Fraction(1) if t == s else Fraction(0) for t in range(dim)) for s in range(dim)]
     series = [full]
     current = full
     while True:
+        # Spans ignore scale, so the brackets enter as integer directions.
         generated = [
-            bracket_with_basis(i, v)
+            _ad_direction(L, i, v)
             for i in range(dim)
             for v in current
         ]
@@ -173,21 +221,22 @@ def validate(dim: int, brackets, labels: tuple[str, ...] | None = None) -> LieAl
         raise ValueError("labels length must equal dim")
 
     probe = LieAlgebra(dim=dim, entries=entries, labels=labels, step=0)
-    basis = [tuple(Fraction(1) if t == s else Fraction(0) for t in range(dim)) for s in range(dim)]
+    D, _ = probe._integer_form
+    cols = probe._ad_columns
+
+    def double(a: int, b: int, c: int) -> list[int]:
+        """D^2 [X_a, [X_b, X_c]]."""
+        return _ad_integers(probe, a, cols[b].get(c, ()))
+
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                res = vec_add(
-                    vec_add(
-                        bracket(probe, basis[i], probe.basis_bracket(j, k)),
-                        bracket(probe, basis[j], probe.basis_bracket(k, i)),
-                    ),
-                    bracket(probe, basis[k], probe.basis_bracket(i, j)),
-                )
-                if not is_zero_vector(res):
-                    raise JacobiViolation(i + 1, j + 1, k + 1, res)
+                res = [p + q + r for p, q, r in zip(double(i, j, k), double(j, k, i),
+                                                    double(k, i, j))]
+                if any(res):
+                    raise JacobiViolation(i + 1, j + 1, k + 1, _fractions(res, D * D))
 
-    series = _series_from_entries(dim, entries)
+    series = _series(probe)
     if series[-1]:
         raise NotNilpotent(len(series[-1]))
     step = len(series) - 1
@@ -196,7 +245,7 @@ def validate(dim: int, brackets, labels: tuple[str, ...] | None = None) -> LieAl
 
 def lower_central_series(L: LieAlgebra) -> list[list[Vector]]:
     """[g^0, g^1, ..., 0] as exact rref bases, g^k = [g, g^{k-1}]."""
-    return _series_from_entries(L.dim, L.entries)
+    return _series(L)
 
 
 def nilpotency_step(L: LieAlgebra) -> int:
@@ -240,6 +289,8 @@ def flag_violations(L: LieAlgebra, vectors: tuple[Vector, ...]) -> list[str]:
     out = []
     if len(vectors) != L.dim:
         return [f"expected {L.dim} vectors, got {len(vectors)}"]
+    if any(len(v) != L.dim for v in vectors):
+        raise ValueError("vector dimension does not match the algebra")
     for j in range(1, L.dim + 1):
         if ela.rank(list(vectors[:j])) != j:
             out.append(f"leading {j} vectors are dependent")
@@ -247,9 +298,7 @@ def flag_violations(L: LieAlgebra, vectors: tuple[Vector, ...]) -> list[str]:
     for j in range(1, L.dim + 1):
         lower = ela.span_basis(list(vectors[:j - 1]))
         for i in range(L.dim):
-            basis_i = tuple(Fraction(1) if t == i else Fraction(0) for t in range(L.dim))
-            w = bracket(L, basis_i, vectors[j - 1])
-            if not ela.in_span(lower, w):
+            if not ela.in_span(lower, _ad_direction(L, i, vectors[j - 1])):
                 out.append(f"[X{i + 1}, flag_{j}] escapes the lower ideal")
     return out
 
@@ -265,8 +314,10 @@ def jordan_holder_flag(L: LieAlgebra, preferred_first: Vector | None = None) -> 
     basis = [tuple(Fraction(1) if t == s else Fraction(0) for t in range(n)) for s in range(n)]
     chosen: list[Vector] = []
     if preferred_first is not None:
+        if len(preferred_first) != n:
+            raise ValueError("vector dimension does not match the algebra")
         for i in range(n):
-            if not is_zero_vector(bracket(L, basis[i], preferred_first)):
+            if any(_ad_direction(L, i, preferred_first)):
                 raise PreferredVectorNotCentral(
                     "requested first flag vector is not central")
         chosen.append(preferred_first)
@@ -286,8 +337,7 @@ def jordan_holder_flag(L: LieAlgebra, preferred_first: Vector | None = None) -> 
         # Preimage of the center of g / span(chosen): [X_i, v] inside span(chosen).
         rows: list[list[Fraction]] = []
         for i in range(n):
-            reduced_cols = [reduce_mod_span(bracket(L, basis[i], basis[s]))
-                            for s in range(n)]
+            reduced_cols = [reduce_mod_span(L.basis_bracket(i, s)) for s in range(n)]
             for k in range(n):
                 if k in piv:
                     continue
@@ -371,12 +421,11 @@ def leibniz_residual(L: LieAlgebra, D: Matrix, i: int, j: int) -> Vector:
     """D[Xi,Xj] - [D Xi, Xj] - [Xi, D Xj], exact."""
     n = L.dim
     bij = L.basis_bracket(i, j)
-    lhs = tuple(sum((D[m][k] * bij[k] for k in range(n)), Fraction(0)) for m in range(n))
+    lhs = tuple(sum((D[m][k] * b for k, b in enumerate(bij) if b), _ZERO) for m in range(n))
     dxi = tuple(D[k][i] for k in range(n))
     dxj = tuple(D[k][j] for k in range(n))
-    basis_i = tuple(Fraction(1) if t == i else Fraction(0) for t in range(n))
-    basis_j = tuple(Fraction(1) if t == j else Fraction(0) for t in range(n))
-    rhs = vec_add(bracket(L, dxi, basis_j), bracket(L, basis_i, dxj))
+    # [D Xi, Xj] + [Xi, D Xj] = [Xi, D Xj] - [Xj, D Xi]
+    rhs = tuple(a - b for a, b in zip(_ad(L, i, dxj), _ad(L, j, dxi)))
     return tuple(a - b for a, b in zip(lhs, rhs))
 
 
@@ -387,11 +436,6 @@ class EngelCertificate:
     success: bool
     flag: tuple[Vector, ...] | None = None
     failed_stage: int | None = None
-
-
-def _mat_vec(M, v):
-    return tuple(sum((M[r][c] * v[c] for c in range(len(v))), Fraction(0))
-                 for r in range(len(M)))
 
 
 def is_characteristically_nilpotent(derivs: DerivationSpace) -> EngelCertificate:

@@ -131,6 +131,9 @@ class OrbitData:
 def jump_indices(L: lc.LieAlgebra, flag: lc.FlagSequence, xi0: Functional) -> OrbitData:
     """Jump indices e = {j : X_j escapes g_{j-1} + isotropy}, with the
     direct-sum and flatness invariants verified exactly."""
+    if len(xi0.coords) != L.dim:
+        raise ValueError(f"the functional needs {L.dim} coordinates, one per "
+                         f"basis vector; got {len(xi0.coords)}")
     if xi0.pair(flag.vectors[0]) != 1:
         raise PairingNotOne("the functional must pair to 1 with the first flag vector")
     iso = isotropy_algebra(L, xi0)
@@ -290,13 +293,11 @@ def predual_algebra(orbit: OrbitData) -> lc.LieAlgebra:
     """The quotient Lie algebra structure carried by predual coordinates."""
     if not orbit.flat:
         raise NotFlat("the predual group structure requires a flat orbit")
-    d = orbit.d
+    d, P = orbit.d, orbit.predual_basis
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a in range(d):
         for b in range(a + 1, d):
-            ea = tuple(Fraction(1) if t == a else Fraction(0) for t in range(d))
-            eb = tuple(Fraction(1) if t == b else Fraction(0) for t in range(d))
-            w = lc.bracket(orbit.algebra, orbit.embed(ea), orbit.embed(eb))
+            w = lc.bracket(orbit.algebra, P[a], P[b])
             coords, _ = orbit.split(w)
             terms = {k: c for k, c in enumerate(coords) if c != 0}
             if terms:

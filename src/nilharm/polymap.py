@@ -15,6 +15,8 @@ from operator import mul
 
 import numpy as np
 
+from .rationals import over_common_denominator
+
 Monomial = tuple[int, ...]  # exponents per variable
 
 
@@ -198,8 +200,8 @@ class ExactMap:
     @staticmethod
     def _parts(coords, steps) -> tuple[int, list[int]]:
         """Common denominator of coords and the values of every schedule node."""
-        d = lcm(*(a.denominator for a in coords))
-        variables = [d] + [a.numerator * (d // a.denominator) for a in coords]
+        d, numerators = over_common_denominator(coords)
+        variables = [d] + numerators
         vals = [1]
         for parent, v in steps:
             vals.append(vals[parent] * variables[v])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 Vector = tuple[Fraction, ...]
 
@@ -64,3 +65,14 @@ def is_zero_vector(x: Vector) -> bool:
 
 def dot(x: Vector, y: Vector) -> Fraction:
     return sum((a * b for a, b in zip(x, y, strict=True)), Fraction(0))
+
+
+def over_common_denominator(x) -> tuple[int, list[int]]:
+    """(d, X) with x = X / d: d is the least common denominator of the
+    entries of x and X the integer numerators over it."""
+    # A loop rather than lcm(*...): the argument tuple built on every call
+    # raised the peak memory of the grid workloads measurably.
+    d = 1
+    for a in x:
+        d = lcm(d, a.denominator)
+    return d, [a.numerator * (d // a.denominator) for a in x]

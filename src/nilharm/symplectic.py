@@ -76,13 +76,17 @@ def is_two_cocycle(L0: lc.LieAlgebra, omega: SymplecticForm) -> tuple[bool, tupl
     if omega.dim != L0.dim:
         raise ValueError("form dimension does not match the algebra")
     n = L0.dim
-    basis = [tuple(Fraction(1) if t == s else Fraction(0) for t in range(n)) for s in range(n)]
+
+    def pair(i: int, w: Vector) -> Fraction:
+        """omega(e_i, w): row i of the matrix dotted with w."""
+        row = omega.matrix[i]
+        return sum((row[t] * a for t, a in enumerate(w) if a), Fraction(0))
+
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                s = (omega(basis[i], L0.basis_bracket(j, k))
-                     + omega(basis[j], L0.basis_bracket(k, i))
-                     + omega(basis[k], L0.basis_bracket(i, j)))
+                s = (pair(i, L0.basis_bracket(j, k)) + pair(j, L0.basis_bracket(k, i))
+                     + pair(k, L0.basis_bracket(i, j)))
                 if s != 0:
                     return False, (i + 1, j + 1, k + 1)
     return True, None

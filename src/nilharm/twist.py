@@ -223,6 +223,9 @@ def delta_action(twist: TwistData, phi: SampledSymbol, v, grid: Grid | None = No
     if grid.dim != twist.dim:
         raise GridMismatch("grid dimension does not match the twist")
     v = np.asarray(v, dtype=float)
+    if v.shape != (twist.dim,):
+        raise ValueError(f"the shift needs {twist.dim} components, one per "
+                         f"predual coordinate; got {v.size}")
     nodes = grid.nodes()
     V = np.broadcast_to(v, nodes.shape)
     shifted = twist.combine(nodes, -V)

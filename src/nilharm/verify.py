@@ -21,7 +21,7 @@ from . import pedersen as pe
 from . import symplectic as sp
 from . import twist as tw
 from .grids import Grid, SampledSymbol, lp_norm
-from .rationals import is_zero_vector, vec_add, vec_scale
+from .rationals import is_zero_vector, over_common_denominator, vec_add, vec_scale
 from .reports import Report
 from .seeds import random_fraction, random_fraction_vector, stream
 
@@ -151,11 +151,14 @@ def examples_suite(seed: int = 0) -> Report:
         n = g.dim
         all_nilpotent = True
         for D in ders.basis:
-            power = [list(row) for row in D]
+            # (cD)^n = 0 exactly when D^n = 0; c clears D's denominators.
+            _, flat = over_common_denominator([a for row in D for a in row])
+            M = [flat[r * n:(r + 1) * n] for r in range(n)]
+            power = M
             for _ in range(n - 1):
-                power = [[sum((power[r][m] * D[m][c] for m in range(n)),
-                              Fraction(0)) for c in range(n)] for r in range(n)]
-            if any(power[r][c] != 0 for r in range(n) for c in range(n)):
+                power = [[sum(power[r][m] * M[m][c] for m in range(n))
+                          for c in range(n)] for r in range(n)]
+            if any(any(row) for row in power):
                 all_nilpotent = False
         rep.check_true("nonhomog_derivations_nilpotent_posthoc", all_nilpotent)
     rep.check_true("nonhomog_derivations_zero_diagonal",

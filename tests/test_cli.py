@@ -219,3 +219,21 @@ def test_twist_conv_symbol_on_other_grid_exits_2(tmp_path):
     assert out.returncode == 2
     assert "share one grid" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("orbit", "--algebra", "h3", "--xi0", "1,2"),
+     "the functional needs 3 coordinates, one per basis vector; got 2"),
+    (("cz", "cover", "--algebra", "h3", "--xi0", "1,2", "--grid", "8,16"),
+     "the functional needs 3 coordinates, one per basis vector; got 2"),
+    (("twist", "delta", "--v", "1", "--grid", "8,16"),
+     "the shift needs 2 components, one per predual coordinate; got 1"),
+    (("catalog", "abelian", "--n", "0"), "dimension must be positive"),
+    (("catalog", "abelian0"), "dimension must be positive"),
+])
+def test_wrong_sizes_exit_2(args, message):
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert message in out.stderr
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr

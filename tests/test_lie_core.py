@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+import random_algebras
+from hypothesis import given, settings, strategies as st
 
 from nilharm import catalog as cat, lie_core as lc, seeds
-from nilharm.rationals import is_zero_vector, zero_vector
+from nilharm.rationals import is_zero_vector, vec_add, zero_vector
 
 F = Fraction
 
@@ -43,6 +45,14 @@ def test_validate_reports_first_jacobi_violation():
     assert err.value.residual == (F(0), F(0), F(1))
 
 
+def test_jacobi_residual_with_fractional_constants():
+    # [X1,X2] = X3/2, [X1,X3] = X1/3: the cyclic sum leaves [X2, -X1/3] = X3/6.
+    with pytest.raises(lc.JacobiViolation) as err:
+        lc.validate(3, {(0, 1): {2: F(1, 2)}, (0, 2): {0: F(1, 3)}})
+    assert err.value.triple == (1, 2, 3)
+    assert err.value.residual == (F(0), F(0), F(1, 6))
+
+
 def test_validate_rejects_duplicates_and_bad_indices():
     with pytest.raises(ValueError):
         lc.validate(3, [(0, 1, {2: F(1)}), (0, 1, {2: F(2)})])
@@ -77,6 +87,31 @@ def test_bracket_nonhomog_example():
 def test_bracket_dimension_mismatch(h3):
     with pytest.raises(ValueError):
         lc.bracket(h3, (F(1),), (F(0), F(0), F(0)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_algebras.algebras, st.data())
+def test_bracket_matches_fraction_reference(L, data):
+    for _ in range(3):
+        x = data.draw(random_algebras.points(L.dim))
+        y = data.draw(random_algebras.points(L.dim))
+        assert lc.bracket(L, x, y) == random_algebras.fraction_bracket(L, x, y)
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_algebras.algebras, st.data())
+def test_jacobi_on_random_points(L, data):
+    x, y, z = (data.draw(random_algebras.points(L.dim)) for _ in range(3))
+    res = vec_add(vec_add(lc.bracket(L, x, lc.bracket(L, y, z)),
+                          lc.bracket(L, y, lc.bracket(L, z, x))),
+                  lc.bracket(L, z, lc.bracket(L, x, y)))
+    assert is_zero_vector(res)
+
+
+@settings(max_examples=10, deadline=None)
+@given(random_algebras.algebras)
+def test_jordan_holder_flag_has_no_violations(L):
+    assert lc.flag_violations(L, lc.jordan_holder_flag(L).vectors) == []
 
 
 # -- series / center ---------------------------------------------------------
@@ -130,6 +165,13 @@ def test_preferred_vector_must_be_central(h3):
 def test_flag_violations_detects_bad_order(h3):
     vectors = (basis_vec(3, 1), basis_vec(3, 2), basis_vec(3, 0))
     assert lc.flag_violations(h3, vectors)
+
+
+def test_flag_vectors_of_wrong_length_rejected(h3):
+    with pytest.raises(ValueError):
+        lc.jordan_holder_flag(h3, preferred_first=(F(1), F(0)))
+    with pytest.raises(ValueError):
+        lc.flag_violations(h3, ((F(1),), (F(0),), (F(0),)))
 
 
 # -- bch ---------------------------------------------------------------------

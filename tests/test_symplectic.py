@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+import random_algebras
+from hypothesis import given, settings, strategies as st
 
 from nilharm import catalog as cat, lie_core as lc, seeds, symplectic as sp
 
@@ -41,6 +43,20 @@ def test_elementary_skew_matrix_fails_with_reported_triple():
                   for i in range(6) for j in range(i + 1, 6)
                   for k in range(j + 1, 6) if cyclic(i, j, k) != 0]
     assert triple == violations[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_algebras.extension_bases, st.data())
+def test_is_two_cocycle_matches_cyclic_sum(base, data):
+    # The family's own form is a cocycle; a random skew form mostly is not.
+    L0, omega = base
+    n = L0.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    values = data.draw(st.lists(random_algebras.fractions, min_size=len(pairs),
+                                max_size=len(pairs)))
+    random_form = sp.form_from_pairs(n, dict(zip(pairs, values)))
+    for form in (omega, random_form):
+        assert sp.is_two_cocycle(L0, form) == random_algebras.fraction_cocycle_check(L0, form)
 
 
 def test_form_must_be_skew():
