@@ -58,50 +58,50 @@ def extended_nonhomog(a=1, b=1) -> lc.LieAlgebra:
     return sp.central_extension(nonhomog(), sp.nonhomog_form(Fraction(a), Fraction(b)))
 
 
+# The fixed catalog entries, in report order: the exact-identity sweeps run
+# over all of them, and every name resolves through get_algebra.
+CORE = {
+    "abelian4": lambda: abelian(4),
+    "h3": heisenberg3,
+    "g0st_1_1": lambda: g0st(1, 1)[0],
+    "triangle": triangle_graph_algebra,
+    "nonhomog": nonhomog,
+    "ext_g0st_1_1": lambda: extended_g0st(1, 1),
+    "ext_triangle": extended_triangle,
+    "ext_nonhomog": extended_nonhomog,
+}
+
+
 def core_algebras() -> dict[str, lc.LieAlgebra]:
     """Catalog used by the exact-identity sweeps."""
-    return {
-        "abelian4": abelian(4),
-        "h3": heisenberg3(),
-        "g0st_1_1": g0st(1, 1)[0],
-        "triangle": triangle_graph_algebra(),
-        "nonhomog": nonhomog(),
-        "ext_g0st_1_1": extended_g0st(1, 1),
-        "ext_triangle": extended_triangle(),
-        "ext_nonhomog": extended_nonhomog(),
-    }
+    return {name: build() for name, build in CORE.items()}
 
 
 def flat_orbits() -> dict[str, ob.OrbitData]:
     """Catalog entries with flat generic orbits, with their standard orbit data."""
-    return {
-        "h3": ob.standard_orbit(heisenberg3()),
-        "ext_g0st_1_1": ob.standard_orbit(extended_g0st(1, 1)),
-        "ext_triangle": ob.standard_orbit(extended_triangle()),
-        "ext_nonhomog": ob.standard_orbit(extended_nonhomog()),
-    }
+    return {name: ob.standard_orbit(CORE[name]())
+            for name in ("h3", "ext_g0st_1_1", "ext_triangle", "ext_nonhomog")}
 
 
 def get_algebra(name: str, **params) -> lc.LieAlgebra:
-    """Resolve a catalog name (CLI entry point)."""
+    """Resolve a catalog name (CLI entry point).
+
+    The parametrized families (``abelian<n>``/``--n``, ``g0st`` and
+    ``ext_g0st`` with s, t, ``ext_nonhomog`` with a, b) come first; any other
+    name is looked up in ``CORE``.
+    """
     name = name.lower()
     if name.startswith("abelian"):
         n = params.get("n")
         if n is None:
             n = int(name.removeprefix("abelian") or 4)
         return abelian(int(n))
-    if name == "h3":
-        return heisenberg3()
     if name == "g0st":
         return g0st(params.get("s", 1), params.get("t", 1))[0]
-    if name == "triangle":
-        return triangle_graph_algebra()
-    if name == "nonhomog":
-        return nonhomog()
     if name == "ext_g0st":
         return extended_g0st(params.get("s", 1), params.get("t", 1))
-    if name == "ext_triangle":
-        return extended_triangle()
     if name == "ext_nonhomog":
         return extended_nonhomog(params.get("a", 1), params.get("b", 1))
+    if name in CORE:
+        return CORE[name]()
     raise KeyError(f"unknown catalog algebra: {name}")

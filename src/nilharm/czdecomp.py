@@ -68,15 +68,9 @@ class PseudoDistance:
         return float(np.prod(2.0 * self.ball_halfwidths(r)))
 
 
-def default_pseudo_distance(twist_or_orbit) -> PseudoDistance:
-    """Anisotropic gauge with weights from the predual's lower central series.
-
-    Accepts either compiled twist data or flat orbit data.
-    """
-    if isinstance(twist_or_orbit, TwistData):
-        return PseudoDistance(weights=twist_or_orbit.weights)
-    from .twist import from_orbit
-    return PseudoDistance(weights=from_orbit(twist_or_orbit).weights)
+def default_pseudo_distance(twist: TwistData) -> PseudoDistance:
+    """Anisotropic gauge with weights from the predual's lower central series."""
+    return PseudoDistance(weights=twist.weights)
 
 
 def calibrate(pd: PseudoDistance, twist: TwistData, sample_count: int = 2000,

@@ -68,17 +68,6 @@ def truncated_power(exponent: float = 3.0, inner: float = 1.0, outer: float = 4.
     return ev
 
 
-def indicator_box(halfwidths, height: float = 1.0):
-    halfwidths = np.asarray(halfwidths, dtype=float)
-
-    def ev(pts):
-        pts = np.asarray(pts, dtype=float)
-        inside = np.all(np.abs(pts) < halfwidths, axis=-1)
-        return np.where(inside, height, 0.0).astype(complex)
-
-    return ev
-
-
 def indicator_sup_annulus(inner: float, outer: float, height: float = 1.0):
     """Constant on the sup-norm annulus inner < max|x_j| < outer."""
 

@@ -143,12 +143,6 @@ def lp_norm(sym: SampledSymbol, p: float, density: float = 1.0) -> float:
     return float((cell * np.sum(np.abs(sym.values) ** p)) ** (1.0 / p))
 
 
-def l2_inner(a: SampledSymbol, b: SampledSymbol, density: float = 1.0) -> complex:
-    if not a.grid.same_box(b.grid) or a.grid.dim != b.grid.dim:
-        raise GridMismatch("inner product needs matching grids")
-    return complex(density * a.grid.cell_volume * np.sum(a.values * np.conj(b.values)))
-
-
 def symbol_check_involution(sym: SampledSymbol) -> SampledSymbol:
     """The involution b -> conj(b(-x)).
 

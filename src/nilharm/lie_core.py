@@ -248,10 +248,6 @@ def lower_central_series(L: LieAlgebra) -> list[list[Vector]]:
     return _series(L)
 
 
-def nilpotency_step(L: LieAlgebra) -> int:
-    return L.step
-
-
 def center(L: LieAlgebra) -> list[Vector]:
     """{X : [X, g] = 0} via exact nullspace of the stacked adjoint maps."""
     rows: list[list[Fraction]] = []
@@ -274,9 +270,6 @@ class FlagSequence:
 
     algebra: LieAlgebra
     vectors: tuple[Vector, ...]
-
-    def ideal_basis(self, j: int) -> list[Vector]:
-        return list(self.vectors[:j])
 
     def __post_init__(self):
         violations = flag_violations(self.algebra, self.vectors)

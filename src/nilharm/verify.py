@@ -1,7 +1,12 @@
 """Verification suites: every invariant battery behind one Report interface.
 
 Each suite draws its randomness from named seed streams, so identical
-(seed, inputs) produce byte-identical reports; all tolerances are fixed here.
+(seed, inputs) produce byte-identical reports.
+
+Every numeric bound handed to ``Report.check_bound`` -- here and in the CLI --
+is an entry of ``TOLERANCES``, keyed by the identity being checked.  A bound
+that a suite and a CLI command share is one entry, so the two cannot drift
+apart, and tightening a bound is a one-line change to this table.
 """
 
 from __future__ import annotations
@@ -24,6 +29,52 @@ from .grids import Grid, SampledSymbol, lp_norm
 from .rationals import is_zero_vector, over_common_denominator, vec_add, vec_scale
 from .reports import Report
 from .seeds import random_fraction, random_fraction_vector, stream
+
+
+# Bounds may be tightened, never loosened; CHANGES.md records every change.
+TOLERANCES: dict[str, float] = {
+    # Operator transform and twisted convolution (twist suite, `twist ...`).
+    "density_matches_power_of_2pi": 1e-6,  # grids with N >= 64
+    "density_matches_power_of_2pi_coarse": 1e-4,  # grids with N < 64
+    "trace_identity": 1e-3,
+    "adjoint_identity_hs": 1e-8,
+    "hs_isometry_rel": 1e-3,
+    "inversion_roundtrip_rel": 1e-3,
+    "homomorphism_rel": 1e-3,
+    "trace_pairing_rel": 1e-3,
+    "zero_symbol_zero_operator": 0.0,
+    "ccr_phase_residual": 1e-10,
+    "rep_isometry_residual": 1e-10,
+    "l2_submultiplicativity_slack": 1.0 + 1e-6,
+    "twisted_convolution_associativity": 1e-2,
+    "approximate_identity_rel_l2": 0.02,
+    "delta_action_norm_preservation": 1e-10,
+    "delta_action_at_zero": 0.0,
+    "untwisted_gaussian_closed_form_rel_l2": 1e-6,
+    # Twisted Calderon-Zygmund toolbox (CZ suite, `cz ...`).
+    "quasi_triangle_finite": 4.0,
+    "gauge_vanishes_at_origin": 0.0,
+    "gauge_symmetric_under_negation": 0.0,
+    "reconstruction_machine_exact": 1e-14,
+    "twisted_mean_zero_rel": 1e-12,
+    "bounded_overlap": 64.0,
+    "weak11_stability_factor": 4.0,
+    "weak11_homogeneity_exact": 1e-12,
+    "hormander_refinement_drift": 0.10,
+    "hormander_zero_kernel": 0.0,
+    # Multipliers and circle-extension maps (multiplier suite).
+    "approx_identity_intertwining_hs": 1e-2,
+    "approx_identity_right_commutation": 1e-2,
+    "approx_identity_companion_gap": 1e-2,
+    "zero_multiplier_intertwining": 1e-10,
+    "zero_multiplier_right_commutation": 1e-10,
+    "integrable_kernel_intertwining": 1e-2,
+    "multiplier_vs_transform_residual_agreement": 1e-10,
+    "sharp_flat_roundtrip": 1e-12,
+    "flat_sharp_equals_projection": 1e-12,
+    "projection_idempotent": 1e-12,
+    "sharp_isometric_lp": 1e-12,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -210,25 +261,32 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     eng = _h3_engine(half_width, points)
     grid = eng.symbol_grid
     rep.measure("calibrated_density", eng.density)
-    density_tol = 1e-6 if points >= 64 else 1e-4
     rep.check_bound("density_matches_power_of_2pi",
                     abs(eng.density - (2 * np.pi) ** -1.0) / ((2 * np.pi) ** -1.0),
-                    density_tol)
+                    TOLERANCES["density_matches_power_of_2pi"] if points >= 64
+                    else TOLERANCES["density_matches_power_of_2pi_coarse"])
 
     symbols = funcs.hermite_family(grid, 5)
     gsyms = funcs.gaussian_family(grid, 5)
     pairs = list(zip(gsyms, funcs.hermite_family(grid, 5)))
     idrep = eng.identity_report(symbols, pairs)
-    rep.check_bound("trace_identity_max", max(idrep["trace"]), 1e-3)
-    rep.check_bound("adjoint_identity_hs_max", max(idrep["adjoint"]), 1e-8)
-    rep.check_bound("hs_isometry_rel_max", max(idrep["hs_isometry"]), 1e-3)
-    rep.check_bound("inversion_roundtrip_rel_max", max(idrep["inversion"]), 1e-3)
-    rep.check_bound("homomorphism_rel_max", max(idrep["homomorphism"]), 1e-3)
-    rep.check_bound("trace_pairing_rel_max", max(idrep["pairing"]), 1e-3)
+    rep.check_bound("trace_identity_max", max(idrep["trace"]),
+                    TOLERANCES["trace_identity"])
+    rep.check_bound("adjoint_identity_hs_max", max(idrep["adjoint"]),
+                    TOLERANCES["adjoint_identity_hs"])
+    rep.check_bound("hs_isometry_rel_max", max(idrep["hs_isometry"]),
+                    TOLERANCES["hs_isometry_rel"])
+    rep.check_bound("inversion_roundtrip_rel_max", max(idrep["inversion"]),
+                    TOLERANCES["inversion_roundtrip_rel"])
+    rep.check_bound("homomorphism_rel_max", max(idrep["homomorphism"]),
+                    TOLERANCES["homomorphism_rel"])
+    rep.check_bound("trace_pairing_rel_max", max(idrep["pairing"]),
+                    TOLERANCES["trace_pairing_rel"])
 
     zero = SampledSymbol(grid, np.zeros(grid.shape))
     rep.check_bound("zero_symbol_zero_operator",
-                    eng.transform(zero).hs_norm(), 0.0)
+                    eng.transform(zero).hs_norm(),
+                    TOLERANCES["zero_symbol_zero_operator"])
 
     h = grid.h
 
@@ -245,14 +303,16 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     vectors = [np.exp(-0.5 * (x1 - 0.4) ** 2), np.exp(-(x1 + 1.2) ** 2),
                np.exp(-0.5 * x1 ** 2) * x1]
     worst = max(eng.ccr_phase_residual(u, v, vectors) for u, v in shifts)
-    rep.check_bound("ccr_phase_residual_max", worst, 1e-10)
+    rep.check_bound("ccr_phase_residual_max", worst,
+                    TOLERANCES["ccr_phase_residual"])
 
     iso_worst = 0.0
     for q, p in [(0.8, snap(1.0)), (-1.3, snap(-2.0)), (2.0, 0.0)]:
         for f in vectors:
             iso_worst = max(iso_worst, abs(
                 np.linalg.norm(eng.rep_apply(q, p, f)) / np.linalg.norm(f) - 1.0))
-    rep.check_bound("rep_isometry_residual_max", iso_worst, 1e-10)
+    rep.check_bound("rep_isometry_residual_max", iso_worst,
+                    TOLERANCES["rep_isometry_residual"])
 
     slack = 0.0
     sub_pairs = list(zip(funcs.gaussian_family(grid, 5) + funcs.hermite_family(grid, 5),
@@ -261,7 +321,8 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
         conv = eng.convolve(a, b)
         slack = max(slack, eng.symbol_norm(conv)
                     / (eng.symbol_norm(a) * eng.symbol_norm(b)))
-    rep.check_bound("l2_submultiplicativity_slack", slack, 1.0 + 1e-6)
+    rep.check_bound("l2_submultiplicativity_slack", slack,
+                    TOLERANCES["l2_submultiplicativity_slack"])
 
     assoc_worst = 0.0
     triples = [(gsyms[0], gsyms[1], gsyms[2]), (gsyms[3], symbols[1], gsyms[4])]
@@ -272,23 +333,25 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
                       density=eng.density)
         den = (eng.symbol_norm(a) * eng.symbol_norm(b) * eng.symbol_norm(c))
         assoc_worst = max(assoc_worst, num / den)
-    rep.check_bound("twisted_convolution_associativity", assoc_worst, 1e-2)
+    rep.check_bound("twisted_convolution_associativity", assoc_worst,
+                    TOLERANCES["twisted_convolution_associativity"])
 
     delta = funcs.discrete_delta(grid, eng.density)
     out = eng.convolve(gsyms[0], delta)
     rep.check_bound(
         "approximate_identity_rel_l2",
         lp_norm(SampledSymbol(grid, out.values - gsyms[0].values), 2)
-        / lp_norm(gsyms[0], 2), 0.02)
+        / lp_norm(gsyms[0], 2), TOLERANCES["approximate_identity_rel_l2"])
 
     v = (1.0, 0.0)
     da = tw.delta_action(eng.twist, gsyms[0], v)
     rep.check_bound("delta_action_norm_preservation",
-                    abs(lp_norm(da, 2) / lp_norm(gsyms[0], 2) - 1.0), 1e-10)
+                    abs(lp_norm(da, 2) / lp_norm(gsyms[0], 2) - 1.0),
+                    TOLERANCES["delta_action_norm_preservation"])
     rep.check_bound("delta_action_at_zero",
                     float(np.max(np.abs(
                         tw.delta_action(eng.twist, gsyms[0], (0.0, 0.0)).values
-                        - gsyms[0].values))), 0.0)
+                        - gsyms[0].values))), TOLERANCES["delta_action_at_zero"])
 
     untwisted = tw.zero_twist(2)
     sig1, sig2 = 1.0, 0.7
@@ -303,7 +366,7 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     rep.check_bound(
         "untwisted_gaussian_closed_form_rel_l2",
         lp_norm(SampledSymbol(grid, plain.values - closed.values), 2)
-        / lp_norm(closed, 2), 1e-6)
+        / lp_norm(closed, 2), TOLERANCES["untwisted_gaussian_closed_form_rel_l2"])
     return rep
 
 
@@ -341,14 +404,16 @@ def cz_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Repor
     twist, grid, pdist = _cz_setup(half_width, points)
     rep.measure("quasi_triangle_constant", pdist.quasi_constant)
     rep.measure("doubling_constant", pdist.doubling_constant)
-    rep.check_bound("quasi_triangle_finite", pdist.quasi_constant, 4.0)
+    rep.check_bound("quasi_triangle_finite", pdist.quasi_constant,
+                    TOLERANCES["quasi_triangle_finite"])
 
     zero_pts = np.zeros((1, 2))
-    rep.check_bound("gauge_vanishes_at_origin", float(pdist.value(zero_pts)[0]), 0.0)
+    rep.check_bound("gauge_vanishes_at_origin", float(pdist.value(zero_pts)[0]),
+                    TOLERANCES["gauge_vanishes_at_origin"])
     probe = np.array([[0.7, -1.3], [2.0, 0.4], [-0.1, 3.3]])
     rep.check_bound("gauge_symmetric_under_negation",
                     float(np.max(np.abs(pdist.value(probe) - pdist.value(-probe)))),
-                    0.0)
+                    TOLERANCES["gauge_symmetric_under_negation"])
 
     worst = {"overlap": 0, "c_prime": 0.0, "c_dp": 0.0, "mz": 0.0, "recon": 0.0}
     n_balls_total = 0
@@ -373,9 +438,12 @@ def cz_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Repor
                     rep.check_true(f"bad_support_containment[f{fi},l{li}]", False)
     # The identity f = g + sum b_i holds by construction; re-evaluating it in
     # doubles costs one rounding per node, so "exact" is certified at eps level.
-    rep.check_bound("reconstruction_machine_exact", worst["recon"], 1e-14)
-    rep.check_bound("twisted_mean_zero_rel", worst["mz"], 1e-12)
-    rep.check_bound("bounded_overlap_max", float(worst["overlap"]), 64.0)
+    rep.check_bound("reconstruction_machine_exact", worst["recon"],
+                    TOLERANCES["reconstruction_machine_exact"])
+    rep.check_bound("twisted_mean_zero_rel", worst["mz"],
+                    TOLERANCES["twisted_mean_zero_rel"])
+    rep.check_bound("bounded_overlap_max", float(worst["overlap"]),
+                    TOLERANCES["bounded_overlap"])
     rep.measure("covering_c_prime_max", worst["c_prime"])
     rep.measure("good_bad_c_doubleprime_max", worst["c_dp"])
     rep.measure("n_balls_total", n_balls_total)
@@ -394,14 +462,16 @@ def cz_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Repor
     levels = [kf_sup_probe / 2 ** j for j in range(1, 5)]
     w11 = cz.weak11_empirical(twist, kernel, fsrc, levels)
     rep.measure("weak11_empirical_a1", w11["empirical_a1"])
-    rep.check_bound("weak11_stability_factor", w11["stability_factor"], 4.0)
+    rep.check_bound("weak11_stability_factor", w11["stability_factor"],
+                    TOLERANCES["weak11_stability_factor"])
 
     scale2 = cz.weak11_empirical(
         twist, kernel, SampledSymbol(grid, 2.0 * fsrc.values),
         [2.0 * lv for lv in levels])
     drift = max(abs(a - b) / max(abs(a), 1e-300)
                 for a, b in zip(w11["ratios"].values(), scale2["ratios"].values()))
-    rep.check_bound("weak11_homogeneity_exact", drift, 1e-12)
+    rep.check_bound("weak11_homogeneity_exact", drift,
+                    TOLERANCES["weak11_homogeneity_exact"])
 
     u_grid = Grid(2, half_width, 32)
     k_eval = funcs.truncated_power(3.0, 1.0, 5.0)
@@ -415,11 +485,12 @@ def cz_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Repor
     rep.check_bound(
         "hormander_refinement_drift",
         abs(fine["estimate"] - coarse["estimate"]) / max(fine["estimate"], 1e-300),
-        0.10)
+        TOLERANCES["hormander_refinement_drift"])
     zero_est = cz.hormander_twist_estimate(
         lambda pts: np.zeros(np.asarray(pts).shape[:-1], dtype=complex),
         pdist, twist, c2, Grid(2, half_width, 32), u_grid=u_grid)
-    rep.check_bound("hormander_zero_kernel", zero_est["estimate"], 0.0)
+    rep.check_bound("hormander_zero_kernel", zero_est["estimate"],
+                    TOLERANCES["hormander_zero_kernel"])
     return rep
 
 
@@ -439,21 +510,26 @@ def multiplier_suite(seed: int = 0, half_width: float = 8.0,
     delta = funcs.discrete_delta(grid, eng.density)
     approx = mult.multiplier_check(eng, delta, phis, psis)
     rep.check_bound("approx_identity_intertwining_hs",
-                    max(approx["intertwining_hs"]), 1e-2)
+                    max(approx["intertwining_hs"]),
+                    TOLERANCES["approx_identity_intertwining_hs"])
     rep.check_bound("approx_identity_right_commutation",
-                    max(approx["right_commutation_l2"]), 1e-2)
+                    max(approx["right_commutation_l2"]),
+                    TOLERANCES["approx_identity_right_commutation"])
     ident_gap = max(
         eng.symbol_norm(SampledSymbol(grid, eng.convolve(delta, phi).values
                                       - phi.values)) / eng.symbol_norm(phi)
         for phi in phis)
-    rep.check_bound("approx_identity_companion_gap", ident_gap, 1e-2)
+    rep.check_bound("approx_identity_companion_gap", ident_gap,
+                    TOLERANCES["approx_identity_companion_gap"])
 
     zero_u = SampledSymbol(grid, np.zeros(grid.shape))
     zrep = mult.multiplier_check(eng, zero_u, phis, psis)
     rep.check_bound("zero_multiplier_intertwining",
-                    max(zrep["intertwining_hs"]), 1e-10)
+                    max(zrep["intertwining_hs"]),
+                    TOLERANCES["zero_multiplier_intertwining"])
     rep.check_bound("zero_multiplier_right_commutation",
-                    max(zrep["right_commutation_l2"]), 1e-10)
+                    max(zrep["right_commutation_l2"]),
+                    TOLERANCES["zero_multiplier_right_commutation"])
 
     power_u = funcs.sample(grid, funcs.truncated_power(1.5, 0.25, 6.0))
     prep = mult.multiplier_check(eng, power_u, phis, psis)
@@ -461,7 +537,8 @@ def multiplier_suite(seed: int = 0, half_width: float = 8.0,
     rep.measure("integrable_kernel_lp_ratio_max", ratio_max)
     rep.check_true("integrable_kernel_lp_ratio_finite", np.isfinite(ratio_max))
     rep.check_bound("integrable_kernel_intertwining",
-                    max(prep["intertwining_hs"]), 1e-2)
+                    max(prep["intertwining_hs"]),
+                    TOLERANCES["integrable_kernel_intertwining"])
 
     # The multiplier route and the transform-identity route measure the same
     # residual through independent code paths; they must agree.
@@ -470,14 +547,16 @@ def multiplier_suite(seed: int = 0, half_width: float = 8.0,
         r * eng.symbol_norm(power_u) * eng.symbol_norm(phi)
         for r, phi in zip(idrep["homomorphism"], phis)]
     gap = max(abs(a - b) for a, b in zip(prep["intertwining_hs"], via_identity))
-    rep.check_bound("multiplier_vs_transform_residual_agreement", gap, 1e-10)
+    rep.check_bound("multiplier_vs_transform_residual_agreement", gap,
+                    TOLERANCES["multiplier_vs_transform_residual_agreement"])
 
     angles = 64
     psi = phis[0]
     lifted = mult.sharp_map(psi, angles)
     back = mult.flat_map(lifted)
     rep.check_bound("sharp_flat_roundtrip",
-                    float(np.max(np.abs(back.values - psi.values))), 1e-12)
+                    float(np.max(np.abs(back.values - psi.values))),
+                    TOLERANCES["sharp_flat_roundtrip"])
 
     from .grids import TorusGridFunction, torus_lp_norm
     gen = np.random.default_rng(seed + 7)
@@ -488,16 +567,17 @@ def multiplier_suite(seed: int = 0, half_width: float = 8.0,
     flat_then_sharp = mult.sharp_map(mult.flat_map(phi_t), angles)
     rep.check_bound("flat_sharp_equals_projection",
                     float(np.max(np.abs(flat_then_sharp.values - proj.values))),
-                    1e-12)
+                    TOLERANCES["flat_sharp_equals_projection"])
     twice = mult.proj_p(proj)
     rep.check_bound("projection_idempotent",
-                    float(np.max(np.abs(twice.values - proj.values))), 1e-12)
+                    float(np.max(np.abs(twice.values - proj.values))),
+                    TOLERANCES["projection_idempotent"])
 
     for p in (1.0, 1.5, 2.0, 4.0):
         lhs = torus_lp_norm(mult.sharp_map(psi, angles), p)
         rhs = lp_norm(psi, p)
         rep.check_bound(f"sharp_isometric_lp[p={p}]",
-                        abs(lhs - rhs) / rhs, 1e-12)
+                        abs(lhs - rhs) / rhs, TOLERANCES["sharp_isometric_lp"])
     return rep
 
 

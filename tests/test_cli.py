@@ -79,6 +79,19 @@ def test_invalid_algebra_exits_1(tmp_path):
 def test_missing_file_exits_3():
     out = run_cli("algebra", "validate", "/nonexistent/void.json")
     assert out.returncode == 3
+    out = run_cli("algebra", "flag", "no_such_algebra")
+    assert out.returncode == 3
+    assert "no such file or catalog entry" in out.stderr
+
+
+def test_every_core_catalog_name_resolves(capsys):
+    from nilharm import catalog as cat
+    from nilharm import cli
+
+    for name in cat.core_algebras():
+        assert cli.main(["algebra", "flag", name]) == 0, name
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == f"algebra flag {name}"
 
 
 def test_usage_error_exits_2():
@@ -186,6 +199,23 @@ def test_twist_conv_symbol_files_roundtrip(tmp_path):
     back = fileio.load_symbol(str(out_path))
     assert back.grid.same_box(grid)
     assert np.max(np.abs(back.values)) > 0
+
+
+@pytest.mark.parametrize("action", ["conv", "delta", "pedersen"])
+def test_twist_on_zero_symbol_exits_0(tmp_path, action):
+    import numpy as np
+    from nilharm import fileio
+    from nilharm.grids import Grid, SampledSymbol
+
+    grid = Grid(2, 8.0, 32)
+    sym_path = tmp_path / "zero32.json"
+    sym_path.write_text(json.dumps(fileio.symbol_to_dict(
+        SampledSymbol(grid, np.zeros(grid.shape, dtype=complex)))))
+    out = run_cli("twist", action, "--grid", "8,32", "--symbol", str(sym_path))
+    assert out.returncode == 0
+    assert "Traceback" not in out.stderr
+    doc = json.loads(out.stdout)
+    assert all(c["status"] != "fail" for c in doc["checks"])
 
 
 def test_cz_decompose_small_grid():
