@@ -129,6 +129,13 @@ def cmd_catalog(args) -> int:
         params["b"] = parse_rational(args.b)
     if args.n is not None:
         params["n"] = args.n
+    if args.check == "cocycle":
+        # g0st_1_1 is g0st(1, 1); no other catalog entry is defined by a 2-form.
+        if args.name.lower() == "g0st_1_1":
+            params.update(s=1, t=1)
+        elif args.name.lower() != "g0st":
+            raise ValueError(f"--check cocycle needs an algebra with a defining "
+                             f"2-form (g0st, g0st_1_1); {args.name} has none")
     L = cat.get_algebra(args.name, **params)
     rep.measure("dim", L.dim)
     rep.measure("step", L.step)
@@ -137,7 +144,7 @@ def cmd_catalog(args) -> int:
     if args.check == "charnilp":
         cert = lc.is_characteristically_nilpotent(lc.derivation_space(L))
         rep.check_true("characteristically_nilpotent", cert.success)
-    elif args.check == "cocycle" and args.name == "g0st":
+    elif args.check == "cocycle":
         L0, omega = cat.g0st(params.get("s", 1), params.get("t", 1))
         ok, triple = sp.is_two_cocycle(L0, omega)
         rep.check_true("two_cocycle", ok, value=triple)

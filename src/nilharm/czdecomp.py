@@ -12,8 +12,12 @@ implements the phase-corrected bad parts
              - (avg over B_i of f eta_i gamma(z_i, .^-1)) chi_i(z) / gamma(z_i, z^-1)
 
 whose twisted mean against gamma(z_i, z^-1) vanishes on the grid by
-construction.  Haar measure in exponential coordinates is Lebesgue; each node
-carries cell volume h^d, and the group inverse is coordinate negation.
+construction.  The Hormander estimate needs an abelian twist, where
+z u^-1 = z - u: on grids of one half-width and power-of-two sizes every such
+difference is an offset of the finer lattice, so the kernel is evaluated once
+on the table of those offsets and read back by integer index.  Haar measure
+in exponential coordinates is Lebesgue; each node carries cell volume h^d,
+and the group inverse is coordinate negation.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import Grid, SampledSymbol
+from .grids import Grid, GridMismatch, SampledSymbol
 from .seeds import rng as seeded_rng
 from .twist import TwistData, twisted_convolve
 
@@ -172,7 +176,8 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance,
 
     Stopping radius per node: the largest ladder radius whose ball average
     still exceeds the level; selection is greedy in decreasing maximal value
-    with the selected radius expanded by the Vitali factor.
+    (ties by row-major index) over the level-set nodes only, with the
+    selected radius expanded by the Vitali factor.
     """
     if not level > 0:
         raise AlphaNonPositive("the level must be positive")
@@ -199,8 +204,10 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance,
         return Covering(grid=grid, level=level, balls=(), mean_bound=0.0,
                         mass_ratio=0.0, overlap=0, expansion=expansion)
 
-    flat_order = np.argsort(
-        -maximal.reshape(-1), kind="stable")
+    # Only level-set nodes can be selected: keep their part of the stable
+    # decreasing order and unravel it in one call.
+    order = np.argsort(-maximal.reshape(-1), kind="stable")
+    order = order[omega.reshape(-1)[order]]
     covered = np.zeros(grid.shape, dtype=bool)
     axes = grid.axis
     balls = []
@@ -208,9 +215,8 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance,
     multiplicity = np.zeros(grid.shape, dtype=np.int32)
     total_ball_measure = 0.0
     mean_bound = 0.0
-    for flat in flat_order:
-        idx = np.unravel_index(flat, grid.shape)
-        if not omega[idx] or covered[idx]:
+    for idx in zip(*(c.tolist() for c in np.unravel_index(order, grid.shape))):
+        if covered[idx]:
             continue
         r_sel = expansion * stop_radius[idx]
         steps = _window_steps(pd, grid, r_sel)
@@ -224,9 +230,7 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance,
         measure = count * cell
         total_ball_measure += measure
         mean_bound = max(mean_bound, float(np.sum(vals[sel]) * cell / measure) / level)
-        balls.append((tuple(int(i) for i in idx),
-                      tuple(float(axes[i]) for i in idx),
-                      float(r_sel)))
+        balls.append((idx, tuple(float(axes[i]) for i in idx), float(r_sel)))
     f_mass = float(np.sum(vals) * cell)
     mass_ratio = total_ball_measure * level / f_mass if f_mass > 0 else 0.0
     return Covering(grid=grid, level=level, balls=tuple(balls),
@@ -325,6 +329,13 @@ def cz_decompose(f: SampledSymbol, level: float, pd: PseudoDistance,
 # ---------------------------------------------------------------------------
 
 
+def _lattice_index(grid: Grid, stride: int, shift: int, span: int) -> np.ndarray:
+    """Row-major flat index of every node of ``grid`` in a table with ``span``
+    entries per axis, node index k on an axis landing at stride * k + shift."""
+    idx = np.indices(grid.shape).reshape(grid.dim, -1).T * stride + shift
+    return idx @ (span ** np.arange(grid.dim - 1, -1, -1))
+
+
 def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
                              c2: float, grid: Grid,
                              u_grid: Grid | None = None) -> dict:
@@ -333,21 +344,46 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
 
     The u set is the punctured node set of ``u_grid`` (defaults to the z-grid),
     kept fixed under z-grid refinement so that refinement studies compare the
-    same supremum.
+    same supremum.  The twist must be abelian, so that z u^-1 = z - u, and
+    ``u_grid`` must share the z-grid's dimension and half-width.  Both grids
+    then lie on the lattice of the finer one, with P = max(N_z, N_u) points
+    and step h = 2L/P, so every z - u is a lattice offset m h with
+    |m_j| < P: the kernel is evaluated once on that (2P-1)^d offset table
+    and k(z - u) is read from it by integer index.
     """
+    if not twist.abelian:
+        raise ValueError("the Hormander estimate needs an abelian twist "
+                         "(z u^-1 = z - u)")
+    u_grid = u_grid or grid
+    if u_grid.dim != grid.dim or u_grid.half_width != grid.half_width:
+        raise GridMismatch(
+            f"the u-grid must share the z-grid's dimension and half-width, got "
+            f"d,L = {u_grid.dim},{u_grid.half_width:g} and "
+            f"{grid.dim},{grid.half_width:g}")
     if pd.quasi_constant is None:
         raise ValueError("pseudo-distance must be calibrated first")
     if not c2 > 2.0 * pd.quasi_constant:
         raise C2TooSmall(f"need c2 > {2.0 * pd.quasi_constant}")
-    u_grid = u_grid or grid
     z_pts = grid.nodes()
     m_z = pd.value(z_pts)
     k_z = np.asarray(kernel_eval(z_pts), dtype=complex)
     cell = grid.cell_volume
+
+    fine = grid if grid.points >= u_grid.points else u_grid
+    P = fine.points
+    span = 2 * P - 1
+    offsets = np.arange(-(P - 1), P) * fine.h
+    table = np.stack([m.ravel() for m in np.meshgrid(*([offsets] * grid.dim),
+                                                      indexing="ij")], axis=-1)
+    k_table = np.asarray(kernel_eval(table), dtype=complex)
+    # k(z - u) = k_table[z_index - u_index], offset m at table index m + P - 1.
+    z_index = _lattice_index(grid, P // grid.points, P - 1, span)
+    u_index = _lattice_index(u_grid, P // u_grid.points, 0, span)
+
     u_all = u_grid.nodes()
     m_u = pd.value(u_all)
     keep = m_u > 0
-    u_all, m_u = u_all[keep], m_u[keep]
+    u_all, m_u, u_index = u_all[keep], m_u[keep], u_index[keep]
     best = 0.0
     argmax = None
     chunk = max(1, (1 << 21) // z_pts.shape[0])
@@ -356,9 +392,8 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
         MU = m_u[start:start + chunk][:, None]
         Z = z_pts[None, :, :]
         mask = m_z[None, :] > c2 * MU
-        shifted = twist.combine(Z, -U)
         phase = np.exp(1j * twist.alpha(Z, -U))
-        k_shift = np.asarray(kernel_eval(shifted), dtype=complex)
+        k_shift = k_table[z_index[None, :] - u_index[start:start + chunk][:, None]]
         integrand = np.abs(phase * k_shift - k_z[None, :]) * mask
         vals = np.sum(integrand, axis=1) * cell
         i = int(np.argmax(vals))

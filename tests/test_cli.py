@@ -137,6 +137,23 @@ def test_catalog_g0st_with_parameters():
     assert out.returncode == 0
 
 
+def test_catalog_g0st_1_1_runs_cocycle_check():
+    out = run_cli("catalog", "g0st_1_1", "--check", "cocycle")
+    assert out.returncode == 0
+    statuses = {c["name"]: c["status"] for c in json.loads(out.stdout)["checks"]}
+    assert statuses["two_cocycle"] == "pass"
+    assert statuses["nondegenerate"] == "pass"
+
+
+@pytest.mark.parametrize("name", ["h3", "ext_g0st", "ext_g0st_1_1"])
+def test_catalog_cocycle_check_without_form_exits_2(name):
+    out = run_cli("catalog", name, "--check", "cocycle")
+    assert out.returncode == 2
+    assert f"{name} has none" in out.stderr
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
 def test_orbit_with_explicit_functional(h3_file):
     out = run_cli("orbit", "--algebra", h3_file, "--xi0", "1,0,0")
     assert out.returncode == 0

@@ -5,12 +5,117 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nilharm import czdecomp as cz, funcs, twist as tw
-from nilharm.grids import Grid, SampledSymbol
+from nilharm.grids import Grid, GridMismatch, SampledSymbol
 
 
 @pytest.fixture(scope="module")
 def pd_h3(h3_twist):
     return cz.calibrate(cz.default_pseudo_distance(h3_twist), h3_twist, seed=0)
+
+
+@pytest.fixture(scope="module")
+def ext7_twist(ext7_orbit):
+    return tw.from_orbit(ext7_orbit)
+
+
+# -- references ------------------------------------------------------------------
+
+
+def full_scan_cover(f, level, pd):
+    """cz_cover with the greedy selection scanning every node in decreasing
+    maximal value and skipping those outside the level set."""
+    vals = f.values.real
+    grid = f.grid
+    c_m = pd.quasi_constant if pd.quasi_constant is not None else 2.0
+    expansion = max(3.0, c_m * c_m)
+    ones = np.ones(grid.shape)
+    maximal = np.zeros(grid.shape)
+    stop_radius = np.full(grid.shape, -1.0)
+    for r in cz._radius_ladder(pd, grid):
+        steps = cz._window_steps(pd, grid, r)
+        avg = cz._window_sum(vals, steps) / cz._window_sum(ones, steps)
+        maximal = np.maximum(maximal, avg)
+        stop_radius = np.where(avg > level, r, stop_radius)
+    omega = maximal > level
+    if not np.any(omega):
+        return cz.Covering(grid=grid, level=level, balls=(), mean_bound=0.0,
+                           mass_ratio=0.0, overlap=0, expansion=expansion)
+    covered = np.zeros(grid.shape, dtype=bool)
+    multiplicity = np.zeros(grid.shape, dtype=np.int32)
+    balls = []
+    cell = grid.cell_volume
+    total_ball_measure = 0.0
+    mean_bound = 0.0
+    for flat in np.argsort(-maximal.reshape(-1), kind="stable"):
+        idx = np.unravel_index(flat, grid.shape)
+        if not omega[idx] or covered[idx]:
+            continue
+        r_sel = expansion * stop_radius[idx]
+        steps = cz._window_steps(pd, grid, r_sel)
+        sel = tuple(
+            slice(max(0, idx[a] - steps[a]), min(grid.points, idx[a] + steps[a] + 1))
+            for a in range(grid.dim))
+        covered[sel] = True
+        multiplicity[sel] += 1
+        measure = int(np.prod([s.stop - s.start for s in sel])) * cell
+        total_ball_measure += measure
+        mean_bound = max(mean_bound, float(np.sum(vals[sel]) * cell / measure) / level)
+        balls.append((tuple(int(i) for i in idx),
+                      tuple(float(grid.axis[i]) for i in idx), float(r_sel)))
+    f_mass = float(np.sum(vals) * cell)
+    return cz.Covering(grid=grid, level=level, balls=tuple(balls),
+                       mean_bound=mean_bound,
+                       mass_ratio=total_ball_measure * level / f_mass if f_mass > 0 else 0.0,
+                       overlap=int(multiplicity.max()), expansion=expansion)
+
+
+def pointwise_hormander(kernel_eval, pd, twist, c2, grid, u_grid):
+    """hormander_twist_estimate with the kernel evaluated at every product
+    z u^-1, one pair at a time through the compiled group law."""
+    z_pts = grid.nodes()
+    m_z = pd.value(z_pts)
+    k_z = np.asarray(kernel_eval(z_pts), dtype=complex)
+    cell = grid.cell_volume
+    u_all = u_grid.nodes()
+    m_u = pd.value(u_all)
+    keep = m_u > 0
+    u_all, m_u = u_all[keep], m_u[keep]
+    best = 0.0
+    argmax = None
+    chunk = max(1, (1 << 21) // z_pts.shape[0])
+    for start in range(0, u_all.shape[0], chunk):
+        U = u_all[start:start + chunk][:, None, :]
+        MU = m_u[start:start + chunk][:, None]
+        Z = z_pts[None, :, :]
+        mask = m_z[None, :] > c2 * MU
+        shifted = twist.combine(Z, -U)
+        phase = np.exp(1j * twist.alpha(Z, -U))
+        k_shift = np.asarray(kernel_eval(shifted), dtype=complex)
+        integrand = np.abs(phase * k_shift - k_z[None, :]) * mask
+        vals = np.sum(integrand, axis=1) * cell
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            argmax = tuple(float(c) for c in u_all[start + i])
+    return {"estimate": best, "argmax_u": argmax, "c2": c2,
+            "n_u": int(u_all.shape[0])}
+
+
+def zero_kernel(pts):
+    return np.zeros(np.asarray(pts).shape[:-1], dtype=complex)
+
+
+def many_bumps(grid, count=12, seed=7):
+    """Seeded sum of separated narrow bumps of distinct heights."""
+    gen = np.random.default_rng(seed)
+    centers = []
+    while len(centers) < count:
+        c = gen.uniform(-0.8, 0.8, size=2) * grid.half_width
+        if all(np.max(np.abs(c - o)) > 2.0 for o in centers):
+            centers.append(c)
+    vals = sum(funcs.sample(grid, funcs.smooth_bump(tuple(c), 0.8, h)).values
+               for c, h in zip(centers, gen.uniform(0.5, 2.0, size=count)))
+    return SampledSymbol(grid, vals)
 
 
 # -- pseudo-distance -------------------------------------------------------------
@@ -55,8 +160,8 @@ def test_gauge_ball_membership_matches_halfwidths(x, r):
     assert (m < r) == by_box
 
 
-def test_anisotropic_gauge_on_extension(ext7_orbit):
-    twist = tw.from_orbit(ext7_orbit)
+def test_anisotropic_gauge_on_extension(ext7_twist):
+    twist = ext7_twist
     pdist = cz.calibrate(cz.default_pseudo_distance(twist), twist,
                          sample_count=400, seed=0)
     assert sorted(pdist.weights) == [1, 1, 1, 2, 2, 2]
@@ -116,6 +221,16 @@ def test_cover_rejects_signed_input(pd_h3, grid32):
     f = SampledSymbol(grid32, -np.ones(grid32.shape))
     with pytest.raises(ValueError):
         cz.cz_cover(f, 1.0, pd_h3)
+
+
+@pytest.mark.parametrize("fraction", [0.05, 0.15, 0.4])
+def test_cover_matches_full_scan(pd_h3, fraction):
+    grid = Grid(2, 8.0, 64)
+    f = many_bumps(grid)
+    level = fraction * float(np.max(f.values.real))
+    covering = cz.cz_cover(f, level, pd_h3)
+    assert len(covering.balls) >= 4
+    assert covering == full_scan_cover(f, level, pd_h3)
 
 
 # -- decomposition -----------------------------------------------------------------
@@ -199,6 +314,46 @@ def test_hormander_rejects_small_c2(h3_twist, pd_h3):
     with pytest.raises(cz.C2TooSmall):
         cz.hormander_twist_estimate(funcs.truncated_power(), pd_h3, h3_twist,
                                     1.0, Grid(2, 8.0, 32))
+
+
+def test_hormander_rejects_non_abelian_twist(ext7_twist, pd_h3):
+    with pytest.raises(ValueError, match="abelian"):
+        cz.hormander_twist_estimate(funcs.truncated_power(), pd_h3, ext7_twist,
+                                    8.0, Grid(6, 8.0, 8))
+
+
+@pytest.mark.parametrize("u_grid", [Grid(3, 8.0, 32), Grid(2, 4.0, 32)])
+def test_hormander_rejects_foreign_u_grid(h3_twist, pd_h3, u_grid):
+    with pytest.raises(GridMismatch):
+        cz.hormander_twist_estimate(funcs.truncated_power(), pd_h3, h3_twist,
+                                    8.0, Grid(2, 8.0, 32), u_grid=u_grid)
+
+
+# The u-grid is coarser than, as fine as, or finer than the z-grid.
+@pytest.mark.parametrize("kernel, z_points, u_points", [
+    pytest.param(funcs.truncated_power(3.0, 1.0, 5.0), z, u, id=f"truncated_power-{z}-{u}")
+    for z, u in [(32, 32), (64, 32), (128, 32), (32, 16), (16, 32)]
+] + [
+    pytest.param(zero_kernel, z, u, id=f"zero-{z}-{u}") for z, u in [(32, 32), (16, 32)]
+])
+@pytest.mark.parametrize("twist_name", ["h3", "zero"])
+def test_hormander_offset_table_matches_pointwise(h3_twist, pd_h3, twist_name,
+                                                  kernel, z_points, u_points):
+    twist = h3_twist if twist_name == "h3" else tw.zero_twist(2)
+    args = (kernel, pd_h3, twist, 4.0 * pd_h3.quasi_constant,
+            Grid(2, 8.0, z_points), Grid(2, 8.0, u_points))
+    assert cz.hormander_twist_estimate(*args) == pointwise_hormander(*args)
+
+
+def test_hormander_offset_table_on_non_dyadic_box(h3_twist, pd_h3):
+    # With L = 5.3 the node differences z - u are not exactly the lattice
+    # offsets m h, so the two evaluations agree to round-off only.
+    args = (funcs.truncated_power(3.0, 1.0, 5.0), pd_h3, h3_twist,
+            4.0 * pd_h3.quasi_constant, Grid(2, 5.3, 16), Grid(2, 5.3, 32))
+    out, ref = cz.hormander_twist_estimate(*args), pointwise_hormander(*args)
+    assert ref["estimate"] > 0
+    assert abs(out["estimate"] - ref["estimate"]) <= 1e-13 * ref["estimate"]
+    assert (out["c2"], out["n_u"]) == (ref["c2"], ref["n_u"])
 
 
 def test_hormander_constant_annulus_untwisted(pd_h3):
