@@ -35,9 +35,7 @@ def main():
               f"twisted mean-zero {r['mean_zero_max_residual']:.2e}")
 
     kernel = funcs.sample(grid, funcs.smooth_bump((0.5, 0.0), 1.2, 2.0))
-    probe = cz.weak11_empirical(twist, kernel, f, [1.0])["kf_sup"]
-    levels = [probe / 2 ** j for j in range(1, 5)]
-    w11 = cz.weak11_empirical(twist, kernel, f, levels)
+    w11 = cz.weak11_ladder(twist, kernel, f)
     print("weak-(1,1) ratios per level:")
     for lv, ratio in w11["ratios"].items():
         print(f"  level {lv:9.5f}  ratio {ratio:.4f}")

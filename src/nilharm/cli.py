@@ -281,9 +281,7 @@ def cmd_cz(args) -> int:
         rep.check_true("finite", np.isfinite(est["estimate"]))
     elif args.action == "weak11":
         kernel = funcs.sample(grid, funcs.smooth_bump((0.5, 0.0), 1.2, 2.0))
-        probe = cz.weak11_empirical(twist, kernel, f, [1.0])["kf_sup"]
-        levels = [probe / 2 ** j for j in range(1, 5)]
-        w11 = cz.weak11_empirical(twist, kernel, f, levels)
+        w11 = cz.weak11_ladder(twist, kernel, f)
         rep.measure("empirical_a1", w11["empirical_a1"])
         rep.check_bound("stability_factor", w11["stability_factor"],
                         verify.TOLERANCES["weak11_stability_factor"])

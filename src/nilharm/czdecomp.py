@@ -15,7 +15,10 @@ whose twisted mean against gamma(z_i, z^-1) vanishes on the grid by
 construction.  The Hormander estimate needs an abelian twist, where
 z u^-1 = z - u: on grids of one half-width and power-of-two sizes every such
 difference is an offset of the finer lattice, so the kernel is evaluated once
-on the table of those offsets and read back by integer index.  Haar measure
+on the table of those offsets and read back by integer index.  Only live
+test points u, those with max m(z) > c2 m(u), are integrated: the mask of any
+other u is empty, so with a finite kernel its integral is exactly 0.0 and
+cannot be the supremum, and skipping it changes no returned bit.  Haar measure
 in exponential coordinates is Lebesgue; each node carries cell volume h^d,
 and the group inverse is coordinate negation.
 """
@@ -350,6 +353,14 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
     and step h = 2L/P, so every z - u is a lattice offset m h with
     |m_j| < P: the kernel is evaluated once on that (2P-1)^d offset table
     and k(z - u) is read from it by integer index.
+
+    Only the live test points, where the mask m(z) > c2 m(u) is not empty, are
+    evaluated.  Every other u integrates to exactly 0.0 and cannot beat a
+    running best of at least 0.0, and the live rows keep their order, so the
+    result (including the first u to reach the maximum) is the one the full
+    u set gives; ``n_u`` still counts the whole punctured set.  The kernel
+    must be finite on the grid and on the offset table (``ValueError``
+    otherwise): a NaN would make a sum unorderable and drop a real maximum.
     """
     if not twist.abelian:
         raise ValueError("the Hormander estimate needs an abelian twist "
@@ -380,9 +391,16 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
     z_index = _lattice_index(grid, P // grid.points, P - 1, span)
     u_index = _lattice_index(u_grid, P // u_grid.points, 0, span)
 
+    if not (np.all(np.isfinite(k_z)) and np.all(np.isfinite(k_table))):
+        raise ValueError("the kernel must be finite on the grid and on every "
+                         "offset z - u")
+
     u_all = u_grid.nodes()
     m_u = pd.value(u_all)
     keep = m_u > 0
+    n_u = int(np.count_nonzero(keep))
+    # A row whose mask is empty sums to exactly 0.0 and never wins.
+    keep &= np.max(m_z) > c2 * m_u
     u_all, m_u, u_index = u_all[keep], m_u[keep], u_index[keep]
     best = 0.0
     argmax = None
@@ -400,17 +418,27 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
         if vals[i] > best:
             best = float(vals[i])
             argmax = tuple(float(c) for c in u_all[start + i])
-    return {"estimate": best, "argmax_u": argmax, "c2": c2,
-            "n_u": int(u_all.shape[0])}
+    return {"estimate": best, "argmax_u": argmax, "c2": c2, "n_u": n_u}
 
 
 def weak11_empirical(twist: TwistData, kernel: SampledSymbol, f: SampledSymbol,
                      levels, density: float = 1.0) -> dict:
     """Empirical weak-(1,1) ratios  level * |{|Kf| > level}| / ||f||_1."""
     Kf = twisted_convolve(twist, kernel, f, density=density)
+    return _weak11_ratios(np.abs(Kf.values), f, levels)
+
+
+def weak11_ladder(twist: TwistData, kernel: SampledSymbol, f: SampledSymbol) -> dict:
+    """weak11_empirical at the levels sup|Kf| / 2**j, j = 1..4, from one
+    convolution; the levels are returned under "levels"."""
+    mag = np.abs(twisted_convolve(twist, kernel, f).values)
+    levels = [float(np.max(mag)) / 2 ** j for j in range(1, 5)]
+    return {**_weak11_ratios(mag, f, levels), "levels": levels}
+
+
+def _weak11_ratios(mag: np.ndarray, f: SampledSymbol, levels) -> dict:
     cell = f.grid.cell_volume
     f_l1 = float(np.sum(np.abs(f.values)) * cell)
-    mag = np.abs(Kf.values)
     ratios = {}
     for lv in levels:
         measure = float(np.sum(mag > lv) * cell)

@@ -24,15 +24,22 @@ def multiplier_check(engine: HeisenbergRealization, u: SampledSymbol,
                      phis: list[SampledSymbol],
                      psis: list[SampledSymbol] | None = None,
                      ps: tuple[float, ...] = (1.25, 1.5, 2.0)) -> dict:
-    """Residual report for the multiplier defined by the symbol u."""
+    """Residual report for the multiplier defined by the symbol u.
+
+    "identity_gap" holds ||u * phi - phi|| / ||phi|| per phi, the distance of
+    the companion from the identity, which is small when u is an
+    approximate identity."""
     M = engine.transform(u)
     psis = psis if psis is not None else phis
     report: dict = {"intertwining_hs": [], "right_commutation_l2": [],
-                    "lp_ratios": {p: [] for p in ps}}
+                    "identity_gap": [], "lp_ratios": {p: [] for p in ps}}
     cphis = [engine.convolve(u, phi) for phi in phis]
     for phi, cphi in zip(phis, cphis):
         resid = (engine.transform(cphi) - M.compose(engine.transform(phi))).hs_norm()
         report["intertwining_hs"].append(resid)
+        report["identity_gap"].append(
+            engine.symbol_norm(SampledSymbol(cphi.grid, cphi.values - phi.values))
+            / engine.symbol_norm(phi))
         for p in ps:
             denom = lp_norm(phi, p, density=engine.density)
             report["lp_ratios"][p].append(

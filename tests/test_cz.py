@@ -1,5 +1,7 @@
 """Pseudo-distances, coverings, twisted decompositions, kernel estimates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -345,6 +347,66 @@ def test_hormander_offset_table_matches_pointwise(h3_twist, pd_h3, twist_name,
     assert cz.hormander_twist_estimate(*args) == pointwise_hormander(*args)
 
 
+# c2 = 2.01 * quasi is the smallest accepted c2, so it leaves the most u-rows live.
+@pytest.mark.parametrize("z_points, u_points", [(32, 32), (16, 32)])
+def test_hormander_most_live_rows_matches_pointwise(h3_twist, pd_h3, z_points, u_points):
+    args = (funcs.truncated_power(3.0, 1.0, 5.0), pd_h3, h3_twist,
+            2.01 * pd_h3.quasi_constant, Grid(2, 8.0, z_points), Grid(2, 8.0, u_points))
+    out = cz.hormander_twist_estimate(*args)
+    assert out["estimate"] > 0
+    assert out == pointwise_hormander(*args)
+
+
+def test_hormander_no_live_rows_matches_pointwise(h3_twist, pd_h3):
+    # max m(z) = 8 and the smallest punctured m(u) is 0.5, so no mask is true.
+    args = (funcs.truncated_power(3.0, 1.0, 5.0), pd_h3, h3_twist, 100.0,
+            Grid(2, 8.0, 32), Grid(2, 8.0, 32))
+    out = cz.hormander_twist_estimate(*args)
+    assert (out["estimate"], out["argmax_u"]) == (0.0, None)
+    assert out == pointwise_hormander(*args)
+
+
+def live_rows(pd, c2, grid, u_grid):
+    m_u = pd.value(u_grid.nodes())
+    return int(np.count_nonzero((m_u > 0) & (np.max(pd.value(grid.nodes())) > c2 * m_u)))
+
+
+@pytest.mark.parametrize("z_points, c2_factor", [(64, 4.0), (32, 2.01)])
+def test_hormander_evaluates_live_rows_only(h3_twist, pd_h3, z_points, c2_factor):
+    seen = []
+
+    def counting_alpha(X, Y):
+        out = h3_twist.alpha_fn(X, Y)
+        seen.append(out.size)
+        return out
+
+    counting = dataclasses.replace(h3_twist, alpha_fn=counting_alpha)
+    grid, u_grid = Grid(2, 8.0, z_points), Grid(2, 8.0, 32)
+    c2 = c2_factor * pd_h3.quasi_constant
+    args = (funcs.truncated_power(3.0, 1.0, 5.0), pd_h3, counting, c2, grid, u_grid)
+    live = live_rows(pd_h3, c2, grid, u_grid)
+    assert 0 < live < u_grid.points ** 2 - 1
+    out = cz.hormander_twist_estimate(*args)
+    assert sum(seen) <= live * grid.points ** 2
+    assert out == pointwise_hormander(*args[:2], h3_twist, *args[3:])
+
+
+def test_hormander_rejects_non_finite_kernel(h3_twist, pd_h3):
+    # NaN only where |x| > 20: the corners of the offset table, never inside
+    # the mask. A NaN row would win np.argmax in its chunk and then lose
+    # `> best`, silently dropping that chunk's maximum.
+    k = funcs.truncated_power(3.0, 1.0, 5.0)
+
+    def nan_far(pts):
+        return np.where(np.linalg.norm(pts, axis=-1) > 20.0, np.nan, k(pts))
+
+    grid, u_grid = Grid(2, 8.0, 64), Grid(2, 8.0, 32)
+    c2 = 4.0 * pd_h3.quasi_constant
+    assert cz.hormander_twist_estimate(k, pd_h3, h3_twist, c2, grid, u_grid)["estimate"] > 0
+    with pytest.raises(ValueError, match="finite"):
+        cz.hormander_twist_estimate(nan_far, pd_h3, h3_twist, c2, grid, u_grid)
+
+
 def test_hormander_offset_table_on_non_dyadic_box(h3_twist, pd_h3):
     # With L = 5.3 the node differences z - u are not exactly the lattice
     # offsets m h, so the two evaluations agree to round-off only.
@@ -413,3 +475,13 @@ def test_weak11_stability(h3_twist):
     levels = [probe / 2 ** j for j in range(1, 5)]
     out = cz.weak11_empirical(h3_twist, k, f, levels)
     assert out["stability_factor"] <= 4.0
+
+
+def test_weak11_ladder_is_probe_then_levels(h3_twist, grid32):
+    k = funcs.sample(grid32, funcs.smooth_bump((0.5, 0.0), 1.2, 2.0))
+    f = funcs.sample(grid32, funcs.smooth_bump((-1.0, 1.0), 1.5, 3.0))
+    probe = cz.weak11_empirical(h3_twist, k, f, [1.0])["kf_sup"]
+    levels = [probe / 2 ** j for j in range(1, 5)]
+    ladder = cz.weak11_ladder(h3_twist, k, f)
+    assert ladder.pop("levels") == levels
+    assert ladder == cz.weak11_empirical(h3_twist, k, f, levels)

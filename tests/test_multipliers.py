@@ -17,6 +17,10 @@ def test_approximate_identity_multiplier(engine64):
         gap = engine64.symbol_norm(SampledSymbol(
             grid, engine64.convolve(delta, phi).values - phi.values))
         assert gap / engine64.symbol_norm(phi) <= 1e-2
+    assert out["identity_gap"] == [
+        engine64.symbol_norm(SampledSymbol(
+            grid, engine64.convolve(delta, phi).values - phi.values))
+        / engine64.symbol_norm(phi) for phi in phis]
 
 
 def test_zero_multiplier(engine64):
@@ -26,6 +30,7 @@ def test_zero_multiplier(engine64):
     out = mult.multiplier_check(engine64, zero, phis)
     assert max(out["intertwining_hs"]) == 0.0
     assert max(out["right_commutation_l2"]) == 0.0
+    assert out["identity_gap"] == [1.0] * len(phis)
     assert all(r == 0.0 for rs in out["lp_ratios"].values() for r in rs)
 
 
