@@ -20,36 +20,53 @@ from .grids import SampledSymbol, TorusGridFunction, lp_norm
 from .pedersen import HeisenbergRealization
 
 
+def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
+                      phis: list[SampledSymbol],
+                      psis: list[SampledSymbol] | None = None,
+                      ps: tuple[float, ...] = (1.25, 1.5, 2.0)) -> list[dict]:
+    """Residual report for the multiplier defined by each symbol u in us.
+
+    "identity_gap" holds ||u * phi - phi|| / ||phi|| per phi, the distance of
+    the companion from the identity, which is small when u is an
+    approximate identity.  transform(phi) and phi * psi do not depend on u;
+    they are computed once for all multipliers."""
+    psis = psis if psis is not None else phis
+    if len(psis) != len(phis):
+        raise ValueError(f"need one psi per phi, got {len(psis)} psis "
+                         f"for {len(phis)} phis")
+    t_phis = [engine.transform(phi) for phi in phis]
+    phi_psis = [engine.convolve(phi, psi) for phi, psi in zip(phis, psis)]
+    reports = []
+    for u in us:
+        M = engine.transform(u)
+        report: dict = {"intertwining_hs": [], "right_commutation_l2": [],
+                        "identity_gap": [], "lp_ratios": {p: [] for p in ps}}
+        cphis = [engine.convolve(u, phi) for phi in phis]
+        for phi, cphi, t_phi in zip(phis, cphis, t_phis):
+            resid = (engine.transform(cphi) - M.compose(t_phi)).hs_norm()
+            report["intertwining_hs"].append(resid)
+            report["identity_gap"].append(
+                engine.symbol_norm(SampledSymbol(cphi.grid, cphi.values - phi.values))
+                / engine.symbol_norm(phi))
+            for p in ps:
+                denom = lp_norm(phi, p, density=engine.density)
+                report["lp_ratios"][p].append(
+                    lp_norm(cphi, p, density=engine.density) / denom if denom else 0.0)
+        for cphi, phi_psi, psi in zip(cphis, phi_psis, psis):
+            lhs = engine.convolve(u, phi_psi)
+            rhs = engine.convolve(cphi, psi)
+            diff = SampledSymbol(lhs.grid, lhs.values - rhs.values)
+            report["right_commutation_l2"].append(engine.symbol_norm(diff))
+        reports.append(report)
+    return reports
+
+
 def multiplier_check(engine: HeisenbergRealization, u: SampledSymbol,
                      phis: list[SampledSymbol],
                      psis: list[SampledSymbol] | None = None,
                      ps: tuple[float, ...] = (1.25, 1.5, 2.0)) -> dict:
-    """Residual report for the multiplier defined by the symbol u.
-
-    "identity_gap" holds ||u * phi - phi|| / ||phi|| per phi, the distance of
-    the companion from the identity, which is small when u is an
-    approximate identity."""
-    M = engine.transform(u)
-    psis = psis if psis is not None else phis
-    report: dict = {"intertwining_hs": [], "right_commutation_l2": [],
-                    "identity_gap": [], "lp_ratios": {p: [] for p in ps}}
-    cphis = [engine.convolve(u, phi) for phi in phis]
-    for phi, cphi in zip(phis, cphis):
-        resid = (engine.transform(cphi) - M.compose(engine.transform(phi))).hs_norm()
-        report["intertwining_hs"].append(resid)
-        report["identity_gap"].append(
-            engine.symbol_norm(SampledSymbol(cphi.grid, cphi.values - phi.values))
-            / engine.symbol_norm(phi))
-        for p in ps:
-            denom = lp_norm(phi, p, density=engine.density)
-            report["lp_ratios"][p].append(
-                lp_norm(cphi, p, density=engine.density) / denom if denom else 0.0)
-    for (phi, cphi), psi in zip(zip(phis, cphis), psis):
-        lhs = engine.convolve(u, engine.convolve(phi, psi))
-        rhs = engine.convolve(cphi, psi)
-        diff = SampledSymbol(lhs.grid, lhs.values - rhs.values)
-        report["right_commutation_l2"].append(engine.symbol_norm(diff))
-    return report
+    """multiplier_checks for the single multiplier u."""
+    return multiplier_checks(engine, [u], phis, psis, ps)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -211,10 +211,13 @@ class HeisenbergRealization:
     def identity_report(self, symbols: list[SampledSymbol],
                         pairs: list[tuple[SampledSymbol, SampledSymbol]]) -> dict:
         """Residuals of the trace, adjoint, isometry, pairing, inversion and
-        homomorphism identities on the given test family."""
+        homomorphism identities on the given test family.
+
+        "submultiplicativity" holds ||a * b|| / (||a|| ||b||) per pair, read
+        from the same convolution as the homomorphism residual."""
         report: dict = {"density": self.density, "trace": [], "adjoint": [],
                         "hs_isometry": [], "pairing": [], "inversion": [],
-                        "homomorphism": []}
+                        "homomorphism": [], "submultiplicativity": []}
         for b in symbols:
             T = self.transform(b)
             b0 = b.at_origin()
@@ -235,6 +238,7 @@ class HeisenbergRealization:
             if scale == 0.0:
                 scale = 1.0
             report["homomorphism"].append(resid / scale)
+            report["submultiplicativity"].append(self.symbol_norm(conv) / scale)
             lhs = Ta.hs_inner(Tb)
             rhs = self.density * a.grid.cell_volume * np.sum(a.values * b.values.conj())
             report["pairing"].append(abs(lhs - rhs) / scale)

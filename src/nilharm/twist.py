@@ -20,8 +20,11 @@ The first three terms are pointwise factors on the output, on b2 and on the
 offset table of b1; the last depends on u0 and on the column y1 only.  So for
 each y1 the y0-sum is a 1-d convolution along axis 0, and the sum over y1 is
 taken on the spectra before one inverse FFT.  FFT length 2n is alias-free
-for the kept output rows.  The cost is n^2 FFTs of length 2n plus n inverse
-FFTs, against O(n^4) for the direct sum.
+for the kept output rows.  Terms that are exactly zero are skipped: a column
+y1 where b2 vanishes adds nothing, and neither does an output row whose
+offset rows fall outside the support of b1.  The cost is (nonzero b2
+columns) x (output rows inside b1's offset support) FFTs of length 2n, at
+most n^2, plus n inverse FFTs, against O(n^4) for the direct sum.
 """
 
 from __future__ import annotations
@@ -174,9 +177,16 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
     0..3n-3 and only n-1..2n-2 are kept; with FFT length M = 2n their
     aliases sit at 3n-1 and beyond, so M = 2n is exact.
 
-    Cost: n^2 forward FFTs of length 2n (one n x 2n block per y1), n for B,
-    and n inverse FFTs.  Arrays are held transposed, index [axis 1, axis 0],
-    so every FFT runs along the contiguous last axis.
+    Only the terms that can be nonzero are transformed: the columns y1 where
+    B has a nonzero entry, and in each of their blocks the rows x1 whose
+    offset x1 - y1 lies in the bounding interval of D's nonzero rows.  The
+    skipped terms are exact zeros and the accumulated spectrum never holds a
+    negative zero, so the result is the full sum bit for bit.
+
+    Cost: (nonzero b2 columns) x (output rows inside b1's offset support)
+    forward FFTs of length 2n, at most n^2, plus n for B and n inverse FFTs.
+    Arrays are held transposed, index [axis 1, axis 0], so every FFT runs
+    along the contiguous last axis.
     """
     grid = b1.grid
     n = grid.points
@@ -205,13 +215,23 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
     fb = np.fft.fft(b_t, n=m_fft, axis=-1)                                    # [y1, freq]
     spec = np.zeros((n, m_fft), dtype=complex)                                # [x1, freq]
     block = np.zeros((n, m_fft), dtype=complex)    # last column stays the zero pad
-    for j in range(n):
-        # Columns x1 - y1 for x1 = 0..n-1, modulated by e^{i (c1 - c2) u0 y1}.
-        np.multiply(d_t[n - 1 - j:2 * n - 1 - j], np.exp(1j * (c1 - c2) * ax[j] * u),
-                    out=block[:, :-1])
-        fblock = np.fft.fft(block, axis=-1)
+    # One output buffer for the block FFTs: blocks of varying height, each
+    # allocated afresh, fragment the heap and raise the peak RSS.
+    fbuf = np.empty((n, m_fft), dtype=complex)
+    support = np.flatnonzero(d_t.any(axis=1))      # offset rows where b1 is nonzero
+    live = np.flatnonzero(b_t.any(axis=1)) if support.size else []   # y1 with b2 != 0
+    for j in live:
+        # Rows x1 whose offset row x1 - y1 + n - 1 lies in the support interval.
+        lo = max(0, support[0] - (n - 1) + j)
+        hi = min(n, support[-1] - (n - 1) + j + 1)
+        if lo >= hi:
+            continue
+        # Columns x1 - y1, modulated by e^{i (c1 - c2) u0 y1}.
+        np.multiply(d_t[lo + n - 1 - j:hi + n - 1 - j],
+                    np.exp(1j * (c1 - c2) * ax[j] * u), out=block[lo:hi, :-1])
+        fblock = np.fft.fft(block[lo:hi], axis=-1, out=fbuf[lo:hi])
         fblock *= fb[j]
-        spec += fblock
+        spec[lo:hi] += fblock
     conv = np.fft.ifft(spec, axis=-1)[:, n - 1:2 * n - 1]                     # [x1, x0]
     return cell * np.exp(1j * c2 * np.outer(ax, ax)) * conv.T
 

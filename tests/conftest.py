@@ -40,3 +40,18 @@ def engine64(h3_twist, grid64):
 @pytest.fixture(scope="session")
 def grid32():
     return Grid(2, 8.0, 32)
+
+
+@pytest.fixture
+def convolve_calls(monkeypatch):
+    """Counter of twisted_convolve calls, through the engine or directly."""
+    calls = [0]
+    inner = tw.twisted_convolve
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(tw, "twisted_convolve", counted)
+    monkeypatch.setattr(pe, "twisted_convolve", counted)
+    return calls

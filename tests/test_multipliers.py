@@ -1,8 +1,9 @@
 """Multiplier identities and the circle-extension transference maps."""
 
 import numpy as np
+import pytest
 
-from nilharm import funcs, multipliers as mult
+from nilharm import funcs, multipliers as mult, verify
 from nilharm.grids import SampledSymbol, TorusGridFunction, lp_norm, torus_lp_norm
 
 
@@ -42,6 +43,35 @@ def test_integrable_kernel_family_bounded_ratios(engine64):
     for p, ratios in out["lp_ratios"].items():
         assert all(np.isfinite(r) for r in ratios)
         assert max(ratios) < 50.0
+
+
+def test_multiplier_checks_match_one_check_per_multiplier(engine64):
+    grid = engine64.symbol_grid
+    phis = funcs.gaussian_family(grid, 2)
+    psis = funcs.hermite_family(grid, 2)
+    us = [funcs.discrete_delta(grid, engine64.density),
+          SampledSymbol(grid, np.zeros(grid.shape)),
+          funcs.sample(grid, funcs.truncated_power(1.5, 0.25, 6.0))]
+    assert mult.multiplier_checks(engine64, us, phis, psis) == [
+        mult.multiplier_check(engine64, u, phis, psis) for u in us]
+
+
+def test_multiplier_checks_need_one_psi_per_phi(engine64):
+    grid = engine64.symbol_grid
+    phis = funcs.gaussian_family(grid, 2)
+    u = funcs.discrete_delta(grid, engine64.density)
+    for psis in (phis[:1], phis + phis[:1]):
+        with pytest.raises(ValueError):
+            mult.multiplier_checks(engine64, [u], phis, psis)
+        with pytest.raises(ValueError):
+            mult.multiplier_check(engine64, u, phis, psis)
+
+
+def test_multiplier_suite_shares_products_across_multipliers(convolve_calls):
+    # 3 phi * psi products shared by the three multipliers, 9 per multiplier,
+    # and 3 in the independent identity-report route.
+    verify.multiplier_suite(0, 8.0, 32)
+    assert convolve_calls[0] == 33
 
 
 def test_sharp_map_values(grid32):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nilharm import funcs, pedersen as pe, twist as tw
+from nilharm import funcs, pedersen as pe, twist as tw, verify
 from nilharm.grids import Grid, GridMismatch, SampledSymbol
 
 
@@ -48,6 +48,26 @@ def test_trace_and_pairing_identities(engine64):
     assert max(report["hs_isometry"]) <= 1e-3
     assert max(report["inversion"]) <= 1e-3
     assert max(report["homomorphism"]) <= 1e-3
+
+
+def test_submultiplicativity_is_the_ratio_of_the_pair_product(engine64):
+    grid = engine64.symbol_grid
+    pairs = list(zip(funcs.gaussian_family(grid, 3), funcs.hermite_family(grid, 3)))
+    pairs.append((SampledSymbol(grid, np.zeros(grid.shape)), pairs[0][0]))
+    report = engine64.identity_report([], pairs)
+    expected = []
+    for a, b in pairs:
+        scale = engine64.symbol_norm(a) * engine64.symbol_norm(b)
+        expected.append(engine64.symbol_norm(engine64.convolve(a, b))
+                        / (scale if scale > 0 else 1.0))
+    assert report["submultiplicativity"] == expected
+
+
+def test_twist_suite_convolves_each_pair_once(convolve_calls):
+    # 5 identity-report pairs, 5 reversed pairs, 8 for associativity, one
+    # approximate identity and one untwisted closed form.
+    verify.twist_suite(0, 8.0, 32)
+    assert convolve_calls[0] == 20
 
 
 def test_rank_one_operator_inversion_oracle(engine64):

@@ -39,6 +39,86 @@ def _bilinear_twist(A) -> tw.TwistData:
 NON_SKEW = [[0.0, 0.3], [0.7, 0.0]]
 
 
+def full_loop_fft_2d(twist, b1, b2, density):
+    """_convolve_fft_2d transforming every column y1 and every output row x1,
+    zero terms included."""
+    grid = b1.grid
+    n = grid.points
+    ax = grid.axis
+    c1 = float(twist.alpha_matrix[0, 1])
+    c2 = float(twist.alpha_matrix[1, 0])
+    cell = density * grid.cell_volume
+    offs = np.arange(-(n - 1), n)
+    u = offs * grid.h
+    if b1.evaluator is not None:
+        pts = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1)
+        d1 = np.asarray(b1.evaluator(pts), dtype=complex)
+    else:
+        src = offs + n // 2
+        valid = (src >= 0) & (src < n)
+        d1 = np.zeros((2 * n - 1, 2 * n - 1), dtype=complex)
+        take = np.clip(src, 0, n - 1)
+        d1[np.ix_(valid, valid)] = b1.values[np.ix_(take[valid], take[valid])]
+    m_fft = 2 * n
+    d_t = np.ascontiguousarray((d1 * np.exp(-1j * c2 * np.outer(u, u))).T)
+    b_t = (b2.values * np.exp(1j * c1 * np.outer(ax, ax))).T
+    fb = np.fft.fft(b_t, n=m_fft, axis=-1)
+    spec = np.zeros((n, m_fft), dtype=complex)
+    block = np.zeros((n, m_fft), dtype=complex)
+    for j in range(n):
+        np.multiply(d_t[n - 1 - j:2 * n - 1 - j], np.exp(1j * (c1 - c2) * ax[j] * u),
+                    out=block[:, :-1])
+        fblock = np.fft.fft(block, axis=-1)
+        fblock *= fb[j]
+        spec += fblock
+    conv = np.fft.ifft(spec, axis=-1)[:, n - 1:2 * n - 1]
+    return cell * np.exp(1j * c2 * np.outer(ax, ax)) * conv.T
+
+
+def _support_cases(grid):
+    """Named (b1, b2) pairs: compact, sparse, zero and evaluator-free inputs."""
+    gauss = funcs.sample(grid, funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1)))
+    bare = SampledSymbol(grid, funcs.sample(
+        grid, funcs.gaussian((-0.2, 0.8), 0.9, (-0.3, 0.2))).values)
+    delta = funcs.discrete_delta(grid, RHO)
+    zero = SampledSymbol(grid, np.zeros(grid.shape))
+    power = funcs.sample(grid, funcs.truncated_power(1.5, 0.25, 6.0))
+    bump = funcs.sample(grid, funcs.smooth_bump((-2.0, 1.0), 1.5, 4.0))
+    bump2 = funcs.sample(grid, funcs.smooth_bump((3.0, -0.5), 2.0, 1.0))
+    # Offsets x1 - y1 near 6 miss the grid for y1 > 2: blocks with no row.
+    edge = funcs.sample(grid, funcs.smooth_bump((0.0, 6.0), 1.5, 2.0))
+    gen = np.random.default_rng(11)
+    sparse_vals = np.zeros(grid.shape, dtype=complex)
+    idx = gen.integers(0, grid.points, size=(6, 2))
+    sparse_vals[idx[:, 0], idx[:, 1]] = (gen.standard_normal(6)
+                                         + 1j * gen.standard_normal(6))
+    sparse = SampledSymbol(grid, sparse_vals)
+    pairs = {"gauss*delta": (gauss, delta), "gauss*zero": (gauss, zero),
+             "gauss*power": (gauss, power), "bump*bump": (bump, bump2),
+             "sparse*bare": (sparse, bare), "zero*zero": (zero, zero),
+             "gauss*bare": (gauss, bare), "edge*gauss": (edge, gauss)}
+    cases = {}
+    for name, (a, b) in pairs.items():
+        cases[name] = (a, b)
+        cases["~" + name] = (b, a)
+    return cases
+
+
+def _same_bits(x, y) -> bool:
+    """Equal values with equal sign bits on both parts, zeros included."""
+    x, y = x.view(float), y.view(float)
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("points", [32, 64])
+def test_fft_path_skips_only_exact_zero_terms(h3_twist, points):
+    grid = Grid(2, 8.0, points)
+    for twist in (h3_twist, _bilinear_twist(NON_SKEW)):
+        for name, (a, b) in _support_cases(grid).items():
+            got = tw.twisted_convolve(twist, a, b, density=RHO).values
+            assert _same_bits(got, full_loop_fft_2d(twist, a, b, RHO)), name
+
+
 def test_fast_path_matches_direct_with_evaluators(h3_twist, grid32):
     a = funcs.sample(grid32, funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1)))
     b = funcs.sample(grid32, funcs.gaussian((-0.2, 0.8), 0.9, (-0.3, 0.2)))
