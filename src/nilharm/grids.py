@@ -8,6 +8,8 @@ stored C-contiguous with the last axis varying fastest.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,8 +31,9 @@ class Grid:
             raise ValueError("grid dimension must be positive")
         if self.points < 8 or (self.points & (self.points - 1)) != 0:
             raise ValueError("points per axis must be a power of two, at least 8")
-        if not self.half_width > 0:
-            raise ValueError("half width must be positive")
+        if not (math.isfinite(self.half_width) and self.half_width > 0
+                and math.isfinite(self.h)):
+            raise ValueError("half width must be finite and positive")
 
     @property
     def h(self) -> float:
@@ -175,27 +178,62 @@ def symbol_check_involution(sym: SampledSymbol) -> SampledSymbol:
 
 @dataclass(frozen=True)
 class TorusGridFunction:
-    """Function on (circle) x (box grid): K uniform angles, normalized measure."""
+    """Function on (circle) x (box grid): K uniform angles, normalized measure.
+
+    The values are per-angle slabs of shape grid.shape, in angle order.  slabs
+    is a zero-argument callable that starts a fresh pass over them; a dense
+    (angles,) + grid.shape array is one source (lambda: array), a generator
+    that computes each slab on demand is another, so that a pass holds
+    O(grid) memory rather than O(angles x grid).
+    """
 
     grid: Grid
     angles: int
-    values: np.ndarray  # shape (angles,) + grid.shape
+    slabs: Callable[[], Iterable[np.ndarray]]
 
     def __post_init__(self):
         if self.angles < 8:
             raise ValueError("need at least 8 angle samples")
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.angles,) + self.grid.shape:
+        if not callable(self.slabs):
+            raise TypeError("slabs must be a callable that starts a pass over them")
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """One pass over the slabs as complex arrays, checking their shape and count."""
+        count = 0
+        for slab in self.slabs():
+            slab = np.asarray(slab, dtype=complex)
+            count += 1
+            if slab.shape != self.grid.shape or count > self.angles:
+                raise ValueError("torus values shape mismatch")
+            yield slab
+        if count != self.angles:
             raise ValueError("torus values shape mismatch")
-        object.__setattr__(self, "values", vals)
 
     @cached_property
     def angle_samples(self) -> np.ndarray:
         return np.exp(2j * np.pi * np.arange(self.angles) / self.angles)
 
 
+def _sum_by_halves(sums: list) -> float:
+    """Pairwise sum, splitting at the middle: the order in which np.sum adds
+    the slabs of a dense (angles,) + shape array when angles and the slab
+    size are powers of two and a slab has more than 128 nodes."""
+    if len(sums) == 1:
+        return sums[0]
+    mid = len(sums) // 2
+    return _sum_by_halves(sums[:mid]) + _sum_by_halves(sums[mid:])
+
+
 def torus_lp_norm(fun: TorusGridFunction, p: float, density: float = 1.0) -> float:
-    cell = density * fun.grid.cell_volume / fun.angles
     if p == float("inf"):
-        return float(np.max(np.abs(fun.values)))
-    return float((cell * np.sum(np.abs(fun.values) ** p)) ** (1.0 / p))
+        return float(np.max([np.max(np.abs(slab)) for slab in fun]))
+    cell = density * fun.grid.cell_volume / fun.angles
+    total = _sum_by_halves([np.sum(np.abs(slab) ** p) for slab in fun])
+    return float((cell * total) ** (1.0 / p))
+
+
+def torus_sup_distance(f: TorusGridFunction, g: TorusGridFunction) -> float:
+    """max over angles k of max |f_k - g_k|."""
+    if f.grid != g.grid or f.angles != g.angles:
+        raise GridMismatch("torus functions must share one grid and angle count")
+    return float(np.max([np.max(np.abs(a - b)) for a, b in zip(f, g, strict=True)]))

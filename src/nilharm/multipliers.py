@@ -9,7 +9,8 @@ L^p operator ratios.
 The lift to the circle extension sends psi to psi^sharp(t, x) = psi(x)/t; its
 left inverse integrates against the angle character, and the induced
 projection is their composition.  With uniform angle samples the character
-quadrature is exact for the single Fourier mode the lift occupies.
+quadrature is exact for the single Fourier mode the lift occupies.  Circle
+functions are streamed one angle at a time, so the maps hold O(grid) memory.
 """
 
 from __future__ import annotations
@@ -75,18 +76,23 @@ def multiplier_check(engine: HeisenbergRealization, u: SampledSymbol,
 
 
 def sharp_map(psi: SampledSymbol, angles: int = 64) -> TorusGridFunction:
-    """psi^sharp(t, x) = psi(x) / t on uniform unit-circle samples."""
+    """psi^sharp(t, x) = psi(x) / t on uniform unit-circle samples, one angle
+    at a time."""
     t = np.exp(2j * np.pi * np.arange(angles) / angles)
-    shape = (angles,) + (1,) * psi.grid.dim
-    values = psi.values[None, ...] / t.reshape(shape)
-    return TorusGridFunction(grid=psi.grid, angles=angles, values=values)
+    return TorusGridFunction(grid=psi.grid, angles=angles,
+                             slabs=lambda: (psi.values / t_k for t_k in t))
 
 
 def flat_map(phi: TorusGridFunction) -> SampledSymbol:
-    """phi^flat(x) = integral over the circle of phi(s, x) s ds (normalized measure)."""
-    s = phi.angle_samples.reshape((phi.angles,) + (1,) * phi.grid.dim)
-    values = np.mean(phi.values * s, axis=0)
-    return SampledSymbol(grid=phi.grid, values=values)
+    """phi^flat(x) = integral over the circle of phi(s, x) s ds (normalized measure).
+
+    The terms are added in angle order and the sum divided by the angle
+    count, the arithmetic of np.mean over the angle axis of a dense array."""
+    terms = (slab * s for slab, s in zip(phi, phi.angle_samples))
+    total = next(terms)
+    for term in terms:
+        total += term
+    return SampledSymbol(grid=phi.grid, values=total / phi.angles)
 
 
 def proj_p(phi: TorusGridFunction) -> TorusGridFunction:

@@ -15,9 +15,9 @@ from nilharm import cli, verify
 
 def _run_criterion(number):
     label, budget_seconds, suite_fn, kw = verify.ACCEPTANCE_CRITERIA[number - 1]
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = suite_fn(seed=0, **kw)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     failed = [c for c in rep.checks if c.status == "fail"]
     ok = not failed and elapsed <= budget_seconds
     print(f"[{'PASS' if ok else 'FAIL'}] {label}: "
@@ -50,7 +50,7 @@ def test_criterion_5_multiplier_transference_suite():
 
 
 def test_criterion_6_reproducibility():
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     def capture(argv):
         buf = io.StringIO()
@@ -63,7 +63,7 @@ def test_criterion_6_reproducibility():
     code_b, out_b = capture(argv)
     ok = code_a == code_b == 0 and out_a == out_b and len(out_a) > 0
     print(f"[{'PASS' if ok else 'FAIL'}] criterion 6: byte-identical reports "
-          f"for identical seed/inputs ({time.time() - t0:.1f}s)")
+          f"for identical seed/inputs ({time.perf_counter() - t0:.1f}s)")
     assert ok
 
     code_c, out_c = capture(["orbit", "--algebra", "h3", "--seed", "123"])

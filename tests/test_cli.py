@@ -284,3 +284,14 @@ def test_wrong_sizes_exit_2(args, message):
     assert message in out.stderr
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("command", [("twist", "verify"), ("cz", "kernel-check"),
+                                     ("cz", "cover")])
+@pytest.mark.parametrize("half_width", ["inf", "nan", "1e308"])
+def test_non_finite_half_width_exits_2(command, half_width):
+    out = run_cli(*command, "--grid", f"{half_width},16")
+    assert out.returncode == 2
+    assert "half width must be finite and positive" in out.stderr
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr

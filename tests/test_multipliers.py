@@ -1,10 +1,30 @@
 """Multiplier identities and the circle-extension transference maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_grids import dense_lift, dense_random_torus, torus
 
 from nilharm import funcs, multipliers as mult, verify
-from nilharm.grids import SampledSymbol, TorusGridFunction, lp_norm, torus_lp_norm
+from nilharm.grids import Grid, SampledSymbol, lp_norm, torus_lp_norm, torus_sup_distance
+
+
+# -- dense references: the maps on whole (angles,) + grid.shape arrays --------------
+
+
+def dense_flat(values):
+    angles = values.shape[0]
+    s = np.exp(2j * np.pi * np.arange(angles) / angles)
+    return np.mean(values * s.reshape((angles,) + (1,) * (values.ndim - 1)), axis=0)
+
+
+def dense_proj(grid, values):
+    return dense_lift(SampledSymbol(grid, dense_flat(values)), values.shape[0])
+
+
+def dense(fun):
+    return np.stack(list(fun))
 
 
 def test_approximate_identity_multiplier(engine64):
@@ -78,8 +98,9 @@ def test_sharp_map_values(grid32):
     psi = funcs.sample(grid32, funcs.gaussian((0.4, 0.0)))
     lifted = mult.sharp_map(psi, angles=8)
     t = lifted.angle_samples
+    slabs = dense(lifted)
     for k in (0, 3, 5):
-        assert np.allclose(lifted.values[k], psi.values / t[k])
+        assert np.allclose(slabs[k], psi.values / t[k])
 
 
 def test_sharp_flat_roundtrip_and_isometry(grid32):
@@ -93,18 +114,15 @@ def test_sharp_flat_roundtrip_and_isometry(grid32):
 
 
 def test_projection_properties(grid32):
-    gen = np.random.default_rng(2)
     angles = 16
-    vals = (gen.standard_normal((angles,) + grid32.shape)
-            + 1j * gen.standard_normal((angles,) + grid32.shape))
-    phi = TorusGridFunction(grid=grid32, angles=angles, values=vals)
+    phi = funcs.random_torus(grid32, angles, 2)
     proj = mult.proj_p(phi)
     # (flat then sharp) equals the projection.
     again = mult.sharp_map(mult.flat_map(phi), angles)
-    assert np.max(np.abs(again.values - proj.values)) <= 1e-12
+    assert torus_sup_distance(again, proj) <= 1e-12
     # Idempotence.
     twice = mult.proj_p(proj)
-    assert np.max(np.abs(twice.values - proj.values)) <= 1e-12
+    assert torus_sup_distance(twice, proj) <= 1e-12
     # The projection is norm non-increasing in L^2.
     assert torus_lp_norm(proj, 2) <= torus_lp_norm(phi, 2) * (1 + 1e-12)
 
@@ -112,4 +130,53 @@ def test_projection_properties(grid32):
 def test_projection_fixes_sharp_image(grid32):
     psi = funcs.sample(grid32, funcs.gaussian())
     lifted = mult.sharp_map(psi, angles=32)
-    assert np.max(np.abs(mult.proj_p(lifted).values - lifted.values)) <= 1e-12
+    assert torus_sup_distance(mult.proj_p(lifted), lifted) <= 1e-12
+
+
+@pytest.mark.parametrize("points, angles",
+                         [(32, 8), (32, 64), (64, 8), (64, 64), (8, 8), (32, 12)])
+def test_torus_maps_match_dense_references(points, angles):
+    # Dividing by t_k slab by slab and adding slab_k * s_k in angle order is
+    # the arithmetic of the dense maps at every grid size and angle count.
+    grid = Grid(2, 8.0, points)
+    for psi in (funcs.sample(grid, funcs.gaussian((0.2, -0.5), 0.9, (0.3, 0.1))),
+                funcs.hermite_family(grid, 3)[2]):
+        lifted = mult.sharp_map(psi, angles)
+        assert np.array_equal(dense(lifted), dense_lift(psi, angles))
+        assert np.array_equal(mult.flat_map(lifted).values,
+                              dense_flat(dense_lift(psi, angles)))
+    values = dense_random_torus(grid, angles, 7)
+    for phi in (funcs.random_torus(grid, angles, 7), torus(grid, values)):
+        assert np.array_equal(mult.flat_map(phi).values, dense_flat(values))
+        proj = mult.proj_p(phi)
+        assert np.array_equal(dense(proj), dense_proj(grid, values))
+        twice = dense_proj(grid, dense_proj(grid, values))
+        assert np.array_equal(dense(mult.proj_p(proj)), twice)
+        assert torus_sup_distance(mult.proj_p(proj), proj) \
+            == float(np.max(np.abs(twice - dense_proj(grid, values))))
+
+
+def test_multiplier_suite_torus_checks_hold_o_grid_memory(monkeypatch):
+    # From its first sharp_map call on, multiplier_suite runs only its torus
+    # checks; at N=64 with 64 angles they must peak below one dense torus
+    # array of 64 * 64 * 64 complex values.
+    verify.multiplier_suite(0, 8.0, 64)
+    dense_bytes = 64 * 64 * 64 * 16
+    inner = mult.sharp_map
+    start = []
+
+    def sharp_map(psi, angles=64):
+        if not start:
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+        return inner(psi, angles)
+
+    monkeypatch.setattr(mult, "sharp_map", sharp_map)
+    tracemalloc.start()
+    try:
+        verify.multiplier_suite(0, 8.0, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert start
+    assert peak - start[0] < dense_bytes

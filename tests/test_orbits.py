@@ -140,6 +140,29 @@ def test_compiled_orbit_map_matches_fraction_walk(L, data):
         assert ob.product_and_alpha(orbit, x, y) == expected
 
 
+@settings(max_examples=10, deadline=None)
+@given(random_algebras.algebras, st.data())
+def test_orbit_invariants_on_random_algebras(L, data):
+    orbit = ob.standard_orbit(L)
+    iso = list(orbit.isotropy_basis)
+    n = L.dim
+    basis = [tuple(F(int(t == s)) for t in range(n)) for s in range(n)]
+    for v in iso:
+        assert all(orbit.xi0.pair(lc.bracket(L, v, e)) == 0 for e in basis)
+    # Flat exactly when the isotropy is the 1-dimensional center.
+    center = lc.center(L)
+    assert orbit.flat == (len(center) == 1 and len(iso) == 1
+                          and ela.rank(iso + center) == 1)
+    assert len(orbit.jump_set) == n - len(iso)
+    if not orbit.flat:
+        return
+    assert len(orbit.jump_set) == n - 1
+    for _ in range(3):
+        x, y, z = (data.draw(random_algebras.points(orbit.d)) for _ in range(3))
+        assert ob.verify_cocycle_identity(orbit, x, y, z)
+        assert all(ob.gamma_identities(orbit, x, y, z)["additive_exact"].values())
+
+
 def test_cocycle_identity_h3(h3_orbit):
     rnd = seeds.stream("orb.cocycle.h3", 0)
     for _ in range(50):
