@@ -7,13 +7,11 @@ resident set size.  Equivalent to
 read the criteria from `verify.ACCEPTANCE_CRITERIA`.
 """
 
-import io
 import resource
 import sys
 import time
-from contextlib import redirect_stdout
 
-from nilharm import cli, verify
+from nilharm import verify
 from nilharm.seeds import master_seed
 
 
@@ -32,20 +30,6 @@ def main() -> int:
         for c in failed:
             print(f"        failed: {c.name} value={c.value} tol={c.tolerance}")
 
-    # Criterion 6: byte-identical reports under one seed.
-    def capture(argv):
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = cli.main(argv)
-        return code, buf.getvalue()
-
-    argv = ["cz", "decompose", "--grid", "8,32", "--seed", str(seed)]
-    code_a, out_a = capture(argv)
-    code_b, out_b = capture(argv)
-    ok = code_a == code_b == 0 and out_a == out_b and len(out_a) > 0
-    all_ok &= ok
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion 6 reproducibility: "
-          f"byte-identical reports for identical seed/inputs")
     # ru_maxrss is in KiB on Linux and in bytes on macOS.
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":

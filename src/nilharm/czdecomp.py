@@ -80,24 +80,20 @@ def default_pseudo_distance(twist: TwistData) -> PseudoDistance:
     return PseudoDistance(weights=twist.weights)
 
 
-def calibrate(pd: PseudoDistance, twist: TwistData, sample_count: int = 2000,
-              max_radius: float = 8.0, seed: int = 0) -> PseudoDistance:
-    """Measure the quasi-triangle constant on random pairs in growing boxes and
-    the volume-doubling ratio of the gauge balls.
+def calibrate(pd: PseudoDistance, twist: TwistData, seed: int = 0) -> PseudoDistance:
+    """Measure the quasi-triangle constant on 2000 random pairs in each of the
+    boxes of half width 1, 2, 4 and 8, and the volume-doubling ratio of the
+    gauge balls.
 
     Raises CalibrationDiverged when the per-box maxima keep growing all the
     way up to the largest sample box (the constant would not be finite).
     """
     gen = seeded_rng("pseudo-distance-calibration", seed)
-    radii = []
-    r = 1.0
-    while r <= max_radius:
-        radii.append(r)
-        r *= 2.0
+    radii = (1.0, 2.0, 4.0, 8.0)
     per_box = []
     for r in radii:
-        x = gen.uniform(-r, r, size=(sample_count, pd.dim))
-        y = gen.uniform(-r, r, size=(sample_count, pd.dim))
+        x = gen.uniform(-r, r, size=(2000, pd.dim))
+        y = gen.uniform(-r, r, size=(2000, pd.dim))
         prod = twist.combine(x, y)
         num = pd.value(prod)
         den = np.maximum(pd.value(x), pd.value(y))
@@ -173,14 +169,14 @@ def _radius_ladder(pd: PseudoDistance, grid: Grid) -> list[float]:
     return ladder
 
 
-def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance,
-             expansion: float | None = None) -> Covering:
+def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance) -> Covering:
     """Discrete covering of the maximal-function level set by gauge balls.
 
     Stopping radius per node: the largest ladder radius whose ball average
     still exceeds the level; selection is greedy in decreasing maximal value
     (ties by row-major index) over the level-set nodes only, with the
-    selected radius expanded by the Vitali factor.
+    selected radius expanded by the Vitali factor max(3, c_m^2) (c_m = 2
+    for an uncalibrated gauge).
     """
     if not level > 0:
         raise AlphaNonPositive("the level must be positive")
@@ -188,9 +184,8 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance,
     if np.any(vals < -1e-15) or np.max(np.abs(f.values.imag)) > 1e-15:
         raise ValueError("covering input must be a nonnegative real function")
     grid = f.grid
-    if expansion is None:
-        c_m = pd.quasi_constant if pd.quasi_constant is not None else 2.0
-        expansion = max(3.0, c_m * c_m)
+    c_m = pd.quasi_constant if pd.quasi_constant is not None else 2.0
+    expansion = max(3.0, c_m * c_m)
 
     ladder = _radius_ladder(pd, grid)
     ones = np.ones(grid.shape)
@@ -221,19 +216,16 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance,
     for idx in zip(*(c.tolist() for c in np.unravel_index(order, grid.shape))):
         if covered[idx]:
             continue
-        r_sel = expansion * stop_radius[idx]
-        steps = _window_steps(pd, grid, r_sel)
-        sel = tuple(
-            slice(max(0, idx[a] - steps[a]), min(grid.points, idx[a] + steps[a] + 1))
-            for a in range(grid.dim)
-        )
+        ball = (idx, tuple(float(axes[i]) for i in idx),
+                float(expansion * stop_radius[idx]))
+        sel = covering_slices(grid, pd, ball)
         covered[sel] = True
         multiplicity[sel] += 1
         count = int(np.prod([s.stop - s.start for s in sel]))
         measure = count * cell
         total_ball_measure += measure
         mean_bound = max(mean_bound, float(np.sum(vals[sel]) * cell / measure) / level)
-        balls.append((idx, tuple(float(axes[i]) for i in idx), float(r_sel)))
+        balls.append(ball)
     f_mass = float(np.sum(vals) * cell)
     mass_ratio = total_ball_measure * level / f_mass if f_mass > 0 else 0.0
     return Covering(grid=grid, level=level, balls=tuple(balls),
@@ -265,13 +257,10 @@ class CZResult:
 
 
 def cz_decompose(f: SampledSymbol, level: float, pd: PseudoDistance,
-                 twist: TwistData, covering: Covering | None = None) -> CZResult:
+                 twist: TwistData) -> CZResult:
     """Good/bad splitting at the given level with twisted mean-zero bad parts."""
-    if covering is None:
-        covering = cz_cover(f, level, pd)
+    covering = cz_cover(f, level, pd)
     grid = f.grid
-    if covering.grid is not grid and not covering.grid.same_box(grid):
-        raise CoverMissing("covering computed on a different grid")
     vals = f.values.real.astype(float)
     cell = grid.cell_volume
     outside = np.ones(grid.shape, dtype=bool)
@@ -332,13 +321,6 @@ def cz_decompose(f: SampledSymbol, level: float, pd: PseudoDistance,
 # ---------------------------------------------------------------------------
 
 
-def _lattice_index(grid: Grid, stride: int, shift: int, span: int) -> np.ndarray:
-    """Row-major flat index of every node of ``grid`` in a table with ``span``
-    entries per axis, node index k on an axis landing at stride * k + shift."""
-    idx = np.indices(grid.shape).reshape(grid.dim, -1).T * stride + shift
-    return idx @ (span ** np.arange(grid.dim - 1, -1, -1))
-
-
 def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
                              c2: float, grid: Grid,
                              u_grid: Grid | None = None) -> dict:
@@ -381,15 +363,11 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
     cell = grid.cell_volume
 
     fine = grid if grid.points >= u_grid.points else u_grid
-    P = fine.points
-    span = 2 * P - 1
-    offsets = np.arange(-(P - 1), P) * fine.h
-    table = np.stack([m.ravel() for m in np.meshgrid(*([offsets] * grid.dim),
-                                                      indexing="ij")], axis=-1)
+    table = fine.offset_nodes()
     k_table = np.asarray(kernel_eval(table), dtype=complex)
-    # k(z - u) = k_table[z_index - u_index], offset m at table index m + P - 1.
-    z_index = _lattice_index(grid, P // grid.points, P - 1, span)
-    u_index = _lattice_index(u_grid, P // u_grid.points, 0, span)
+    # k(z - u) = k_table[z_index - u_index]; offset 0 is the table's centre.
+    z_index = grid.offset_positions(fine) + (len(table) - 1) // 2
+    u_index = u_grid.offset_positions(fine)
 
     if not (np.all(np.isfinite(k_z)) and np.all(np.isfinite(k_table))):
         raise ValueError("the kernel must be finite on the grid and on every "
@@ -422,9 +400,9 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
 
 
 def weak11_empirical(twist: TwistData, kernel: SampledSymbol, f: SampledSymbol,
-                     levels, density: float = 1.0) -> dict:
+                     levels) -> dict:
     """Empirical weak-(1,1) ratios  level * |{|Kf| > level}| / ||f||_1."""
-    Kf = twisted_convolve(twist, kernel, f, density=density)
+    Kf = twisted_convolve(twist, kernel, f)
     return _weak11_ratios(np.abs(Kf.values), f, levels)
 
 

@@ -25,18 +25,17 @@ def gaussian(center=(0.0, 0.0), sigma: float = 1.0, momentum=None):
     return ev
 
 
-def hermite_gaussian(orders, sigma: float = 1.0):
-    """Product of probabilists' Hermite polynomials times a Gaussian."""
+def hermite_gaussian(orders):
+    """Product of probabilists' Hermite polynomials times a unit Gaussian."""
     orders = tuple(int(n) for n in orders)
 
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
-        out = np.exp(-0.5 * np.sum((pts / sigma) ** 2, axis=-1)).astype(complex)
+        out = np.exp(-0.5 * np.sum(pts ** 2, axis=-1)).astype(complex)
         for axis, n in enumerate(orders):
             if n:
                 coeffs = [0.0] * n + [1.0]
-                out = out * np.polynomial.hermite_e.hermeval(pts[..., axis] / sigma,
-                                                             coeffs)
+                out = out * np.polynomial.hermite_e.hermeval(pts[..., axis], coeffs)
         return out
 
     return ev
@@ -70,14 +69,14 @@ def truncated_power(exponent: float = 3.0, inner: float = 1.0, outer: float = 4.
     return ev
 
 
-def indicator_sup_annulus(inner: float, outer: float, height: float = 1.0):
-    """Constant on the sup-norm annulus inner < max|x_j| < outer."""
+def indicator_sup_annulus(inner: float, outer: float):
+    """Indicator of the sup-norm annulus inner < max|x_j| < outer."""
 
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
         sup = np.max(np.abs(pts), axis=-1)
         inside = (sup > inner) & (sup < outer)
-        return np.where(inside, height, 0.0).astype(complex)
+        return np.where(inside, 1.0, 0.0).astype(complex)
 
     return ev
 
@@ -93,17 +92,13 @@ def sample(grid: Grid, evaluator) -> SampledSymbol:
     return SampledSymbol.from_evaluator(grid, evaluator)
 
 
-def gaussian_family(grid: Grid, n: int, seed_offsets=((0.5, -0.3), (-0.2, 0.8),
-                                                      (1.1, 0.4), (-0.7, -0.6),
-                                                      (0.0, 0.0))):
+def gaussian_family(grid: Grid, n: int):
     """Deterministic family of distinct Gaussian symbols."""
+    centers = ((0.5, -0.3), (-0.2, 0.8), (1.1, 0.4), (-0.7, -0.6), (0.0, 0.0))
     sigmas = (1.0, 0.8, 1.3, 0.9, 1.1)
     moms = ((0.4, 0.1), (-0.3, 0.2), (0.0, -0.5), (0.6, 0.0), (0.2, 0.3))
-    out = []
-    for k in range(n):
-        out.append(sample(grid, gaussian(seed_offsets[k % 5], sigmas[k % 5],
-                                         moms[k % 5])))
-    return out
+    return [sample(grid, gaussian(centers[k % 5], sigmas[k % 5], moms[k % 5]))
+            for k in range(n)]
 
 
 def hermite_family(grid: Grid, n: int):

@@ -4,6 +4,10 @@ Nodes along each axis are -L + h*k, k = 0..N-1 with h = 2L/N, so coordinate
 differences of nodes land back on the node lattice and the node set is
 symmetric under negation except for the single -L boundary layer.  Values are
 stored C-contiguous with the last axis varying fastest.
+
+Every lattice index rule lives here: the node m*h has index m + N/2, a node
+difference m*h (|m_j| < N) has offset index m + N - 1, and a lattice shift
+is an exact index displacement with zero fill.
 """
 
 from __future__ import annotations
@@ -57,8 +61,33 @@ class Grid:
 
     def nodes(self) -> np.ndarray:
         """All nodes, shape (points**dim, dim), row-major order."""
-        mesh = np.meshgrid(*([self.axis] * self.dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _mesh_points(self.axis, self.dim)
+
+    @cached_property
+    def offset_axis(self) -> np.ndarray:
+        """Node differences along one axis, m*h for m = -(N-1)..N-1."""
+        return np.arange(-(self.points - 1), self.points) * self.h
+
+    def offset_nodes(self) -> np.ndarray:
+        """All node differences m*h, shape ((2N-1)**dim, dim), row-major order."""
+        return _mesh_points(self.offset_axis, self.dim)
+
+    def offset_positions(self, fine: "Grid") -> np.ndarray:
+        """Flat position of each node on the lattice of ``fine`` (same box,
+        a multiple of the points), so that z - u is entry pos(z) - pos(u) +
+        (len - 1) // 2 of the flat table fine.offset_nodes()."""
+        span = 2 * fine.points - 1
+        steps = np.indices(self.shape).reshape(self.dim, -1).T * (fine.points // self.points)
+        return steps @ (span ** np.arange(self.dim - 1, -1, -1))
+
+    def lattice_steps(self, v) -> tuple[int, ...] | None:
+        """The integer steps v / h of a lattice vector v, or None when some
+        component is more than 1e-9 steps away from the lattice."""
+        steps = np.atleast_1d(np.asarray(v, dtype=float)) / self.h
+        nearest = np.round(steps)
+        if not (np.all(np.isfinite(steps)) and np.all(np.abs(steps - nearest) <= 1e-9)):
+            return None
+        return tuple(int(s) for s in nearest)
 
     def axis_grid(self) -> "Grid":
         return Grid(dim=1, half_width=self.half_width, points=self.points)
@@ -66,6 +95,41 @@ class Grid:
     def same_box(self, other: "Grid") -> bool:
         return (self.half_width == other.half_width
                 and self.points == other.points)
+
+
+def _mesh_points(axis: np.ndarray, dim: int) -> np.ndarray:
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def lattice_shift(values: np.ndarray, steps) -> np.ndarray:
+    """values at index k - steps along the leading axes, zero where k - steps
+    leaves the grid: the grid function moved by the lattice vector steps * h.
+    A shift of N or more steps on an axis leaves only zeros."""
+    values = np.asarray(values)
+    out = np.zeros_like(values)
+    dst, src = [], []
+    for s, n in zip(steps, values.shape):
+        s = max(-n, min(n, s))
+        dst.append(slice(max(s, 0), n + min(s, 0)))
+        src.append(slice(max(-s, 0), n - max(s, 0)))
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def offset_values(values: np.ndarray, axes) -> np.ndarray:
+    """values on the offset index of the given axes: entry m + N - 1 holds the
+    value at the node m*h (node index m + N/2), zero where m*h is not a node."""
+    values = np.asarray(values)
+    shape = list(values.shape)
+    sel = [slice(None)] * values.ndim
+    for a in axes:
+        n = values.shape[a]
+        shape[a] = 2 * n - 1
+        sel[a] = slice(n // 2 - 1, n // 2 - 1 + n)
+    out = np.zeros(shape, dtype=values.dtype)
+    out[tuple(sel)] = values
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,25 +217,17 @@ def symbol_check_involution(sym: SampledSymbol) -> SampledSymbol:
     mirror node and is filled from the evaluator when available, else zero.
     """
     grid = sym.grid
-    n = grid.points
-    vals = sym.values
-    out = np.zeros_like(vals)
+    out = np.zeros_like(sym.values)
     inner = (slice(1, None),) * grid.dim
     rev = (slice(None, 0, -1),) * grid.dim
-    out[inner] = np.conj(vals[rev])
-    if sym.evaluator is not None:
-        mask_axes = [np.arange(n) == 0 for _ in range(grid.dim)]
-        mesh = np.meshgrid(*([grid.axis] * grid.dim), indexing="ij")
-        boundary = np.zeros(grid.shape, dtype=bool)
-        for axis in range(grid.dim):
-            sel = [slice(None)] * grid.dim
-            sel[axis] = 0
-            boundary[tuple(sel)] = True
-        pts = np.stack([m[boundary] for m in mesh], axis=-1)
-        out[boundary] = np.conj(np.asarray(sym.evaluator(-pts), dtype=complex))
+    out[inner] = np.conj(sym.values[rev])
     new_eval = None
     if sym.evaluator is not None:
         ev = sym.evaluator
+        nodes = grid.nodes()
+        boundary = np.any(nodes == grid.axis[0], axis=1)   # row-major, as out
+        out.reshape(-1)[boundary] = np.conj(np.asarray(ev(-nodes[boundary]),
+                                                       dtype=complex))
         new_eval = lambda pts: np.conj(np.asarray(ev(-np.asarray(pts)), dtype=complex))
     return SampledSymbol(grid=grid, values=out, evaluator=new_eval)
 
@@ -224,10 +280,10 @@ def _sum_by_halves(sums: list) -> float:
     return _sum_by_halves(sums[:mid]) + _sum_by_halves(sums[mid:])
 
 
-def torus_lp_norm(fun: TorusGridFunction, p: float, density: float = 1.0) -> float:
+def torus_lp_norm(fun: TorusGridFunction, p: float) -> float:
     if p == float("inf"):
         return float(np.max([np.max(np.abs(slab)) for slab in fun]))
-    cell = density * fun.grid.cell_volume / fun.angles
+    cell = fun.grid.cell_volume / fun.angles
     total = _sum_by_halves([np.sum(np.abs(slab) ** p) for slab in fun])
     return float((cell * total) ** (1.0 / p))
 

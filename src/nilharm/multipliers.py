@@ -23,12 +23,12 @@ from .pedersen import HeisenbergRealization
 
 def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
                       phis: list[SampledSymbol],
-                      psis: list[SampledSymbol] | None = None,
-                      ps: tuple[float, ...] = (1.25, 1.5, 2.0)) -> list[dict]:
+                      psis: list[SampledSymbol] | None = None) -> list[dict]:
     """Residual report for the multiplier defined by each symbol u in us.
 
-    "identity_gap" holds ||u * phi - phi|| / ||phi|| per phi, the distance of
-    the companion from the identity, which is small when u is an
+    "lp_ratios" maps each p in 1.25, 1.5, 2 to ||u * phi||_p / ||phi||_p per
+    phi.  "identity_gap" holds ||u * phi - phi|| / ||phi|| per phi, the
+    distance of the companion from the identity, which is small when u is an
     approximate identity.  transform(phi) and phi * psi do not depend on u;
     they are computed once for all multipliers."""
     psis = psis if psis is not None else phis
@@ -37,6 +37,7 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
                          f"for {len(phis)} phis")
     t_phis = [engine.transform(phi) for phi in phis]
     phi_psis = [engine.convolve(phi, psi) for phi, psi in zip(phis, psis)]
+    ps = (1.25, 1.5, 2.0)
     reports = []
     for u in us:
         M = engine.transform(u)
@@ -64,10 +65,9 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
 
 def multiplier_check(engine: HeisenbergRealization, u: SampledSymbol,
                      phis: list[SampledSymbol],
-                     psis: list[SampledSymbol] | None = None,
-                     ps: tuple[float, ...] = (1.25, 1.5, 2.0)) -> dict:
+                     psis: list[SampledSymbol] | None = None) -> dict:
     """multiplier_checks for the single multiplier u."""
-    return multiplier_checks(engine, [u], phis, psis, ps)[0]
+    return multiplier_checks(engine, [u], phis, psis)[0]
 
 
 # ---------------------------------------------------------------------------

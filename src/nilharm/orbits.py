@@ -321,20 +321,16 @@ def predual_weights(orbit: OrbitData) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def standard_orbit(L: lc.LieAlgebra, xi0: Functional | None = None,
-                   preferred_first: Vector | None = None) -> OrbitData:
+def standard_orbit(L: lc.LieAlgebra) -> OrbitData:
     """Convenience: flag with a central first vector and the dual functional.
 
-    By default the flag starts at the canonical central vector and xi0 is
-    read off as the dual coordinate vector pairing to 1 with it.
+    The flag starts at the canonical central vector and xi0 is read off as
+    the dual coordinate vector pairing to 1 with it.
     """
-    if preferred_first is None and len(lc.center(L)) >= 1:
-        preferred_first = lc.center(L)[0]
-    flag = lc.jordan_holder_flag(L, preferred_first=preferred_first)
-    if xi0 is None:
-        x1 = flag.vectors[0]
-        idx = next(t for t in range(L.dim) if x1[t] != 0)
-        coords = [Fraction(0)] * L.dim
-        coords[idx] = 1 / x1[idx]
-        xi0 = Functional(tuple(coords))
-    return jump_indices(L, flag, xi0)
+    center = lc.center(L)
+    flag = lc.jordan_holder_flag(L, preferred_first=center[0] if center else None)
+    x1 = flag.vectors[0]
+    idx = next(t for t in range(L.dim) if x1[t] != 0)
+    coords = [Fraction(0)] * L.dim
+    coords[idx] = 1 / x1[idx]
+    return jump_indices(L, flag, Functional(tuple(coords)))

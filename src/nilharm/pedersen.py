@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridMismatch, SampledSymbol, lp_norm, symbol_check_involution
+from .grids import (Grid, GridMismatch, SampledSymbol, lattice_shift, lp_norm,
+                    offset_values, symbol_check_involution)
 from .twist import TwistData, twisted_convolve
 
 
@@ -90,46 +91,28 @@ def standard_gaussian(grid: Grid) -> SampledSymbol:
 class HeisenbergRealization:
     """Operator calculus bound to one twist structure and one grid pair."""
 
-    def __init__(self, twist: TwistData, symbol_grid: Grid,
-                 state_grid: Grid | None = None, density: float | None = None):
+    def __init__(self, twist: TwistData, symbol_grid: Grid):
         if twist.dim != 2 or symbol_grid.dim != 2:
             raise DimensionNot2("this realization needs a 2-dimensional predual")
         self.twist = twist
         self.symbol_grid = symbol_grid
-        self.state_grid = state_grid or symbol_grid.axis_grid()
-        if self.state_grid.dim != 1 or not self.state_grid.same_box(symbol_grid):
-            raise GridMismatch("state grid must be the axis of the symbol grid")
-        if density is None:
-            density = self._calibrate()
-        self.density = float(density)
-
-    def _calibrate(self) -> float:
-        """density such that trace(transform(b)) = b(0) for a standard Gaussian."""
-        probe = standard_gaussian(self.symbol_grid)
-        raw = self._assemble(probe, density=1.0)
-        tr = raw.trace()
-        b0 = probe.at_origin()
-        if abs(tr) == 0.0:
+        self.state_grid = symbol_grid.axis_grid()
+        # The density for which trace(transform(b)) = b(0), b a standard Gaussian.
+        probe = standard_gaussian(symbol_grid)
+        trace = self._assemble(probe, density=1.0).trace()
+        if abs(trace) == 0.0:
             raise ZeroDivisionError("calibration probe has zero raw trace")
-        rho = (b0 / tr).real
-        return float(rho)
+        self.density = float((probe.at_origin() / trace).real)
 
     # -- representation ---------------------------------------------------
 
     def rep_apply(self, q: float, p: float, f: np.ndarray) -> np.ndarray:
         """(rep(q,p) f)(x) = exp(i(qx + qp/2)) f(x+p); p must be lattice-aligned."""
-        h = self.state_grid.h
-        steps = p / h
-        s = int(round(steps))
-        if abs(steps - s) > 1e-9:
+        steps = self.state_grid.lattice_steps(p)
+        if steps is None:
             raise ValueError("representation shifts must be lattice-aligned")
         x = self.state_grid.axis
-        shifted = np.zeros_like(np.asarray(f, dtype=complex))
-        n = self.state_grid.points
-        if s >= 0:
-            shifted[:n - s or None] = f[s:]
-        else:
-            shifted[-s:] = f[:n + s]
+        shifted = lattice_shift(np.asarray(f, dtype=complex), (-steps[0],))
         return np.exp(1j * (q * x + q * p / 2.0)) * shifted
 
     def ccr_phase_residual(self, u, v, test_vectors) -> float:
@@ -156,13 +139,8 @@ class HeisenbergRealization:
         n = self.symbol_grid.points
         h = self.symbol_grid.h
         ax = self.symbol_grid.axis
-        half = n // 2
         # Symbol values at all lattice p-offsets m = k - j (zero outside the box).
-        offs = np.arange(-(n - 1), n)
-        src = offs + half
-        valid = (src >= 0) & (src < n)
-        b_offs = np.zeros((n, 2 * n - 1), dtype=complex)
-        b_offs[:, valid] = b.values[:, src[valid]]
+        b_offs = offset_values(b.values, (1,))
         # Kernel K(x_j, x_k) = density * h * sum_q b(q, (k-j) h) exp(i q (x_j+x_k)/2).
         mids = (-self.symbol_grid.half_width
                 + 0.5 * h * np.arange(2 * n - 1))
@@ -183,15 +161,11 @@ class HeisenbergRealization:
         n = self.symbol_grid.points
         h = self.symbol_grid.h
         ax = self.symbol_grid.axis
-        half = n // 2
-        diags = np.zeros((n, n), dtype=complex)           # (state index j, p index)
-        for mi in range(n):
-            s = mi - half
-            if s >= 0:
-                j = np.arange(s, n)
-            else:
-                j = np.arange(0, n + s)
-            diags[j, mi] = B.matrix[j - s, j]
+        # diags[j, i] = B[j - s, j] for the p-step s = i - n/2 (zero off the
+        # grid): row j - s is row j - i + n - 1 of the offset-padded matrix.
+        j = np.arange(n)[:, None]
+        padded = offset_values(B.matrix, (0,))
+        diags = padded[j - np.arange(n)[None, :] + (n - 1), j]   # (state j, p index)
         e2 = np.exp(-1j * np.outer(ax, ax))               # (q, j)
         summed = e2 @ diags                               # (q, p)
         values = h * np.exp(0.5j * np.outer(ax, ax)) * summed
@@ -199,12 +173,12 @@ class HeisenbergRealization:
 
     # -- convolution and norms ---------------------------------------------
 
-    def convolve(self, a: SampledSymbol, b: SampledSymbol, **kw) -> SampledSymbol:
-        return twisted_convolve(self.twist, a, b, density=self.density, **kw)
+    def convolve(self, a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
+        return twisted_convolve(self.twist, a, b, density=self.density)
 
-    def symbol_norm(self, b: SampledSymbol, p: float = 2.0) -> float:
-        """L^p norm in the calibrated measure (density * Lebesgue)."""
-        return lp_norm(b, p, density=self.density)
+    def symbol_norm(self, b: SampledSymbol) -> float:
+        """L^2 norm in the calibrated measure (density * Lebesgue)."""
+        return lp_norm(b, 2.0, density=self.density)
 
     # -- identity reports ----------------------------------------------------
 

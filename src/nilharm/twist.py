@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import orbits as ob
-from .grids import Grid, GridMismatch, SampledSymbol, evaluate_symbol
+from .grids import (GridMismatch, SampledSymbol, evaluate_symbol, lattice_shift,
+                    offset_values)
 from .orbits import NotFlat
 from .polymap import Poly
 
@@ -121,13 +122,12 @@ def _check_grids(b1: SampledSymbol, b2: SampledSymbol, d: int):
 
 
 def twisted_convolve(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
-                     density: float = 1.0, force_direct: bool = False) -> SampledSymbol:
+                     density: float = 1.0) -> SampledSymbol:
     """Trapezoid-rule twisted convolution on the common grid of b1, b2."""
     _check_grids(b1, b2, twist.dim)
     grid = b1.grid
     use_fast = (
-        not force_direct
-        and twist.dim == 2
+        twist.dim == 2
         and twist.abelian
         and twist.alpha_matrix is not None
         and twist.alpha_matrix[0, 0] == 0.0
@@ -196,18 +196,12 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
     cell = density * grid.cell_volume
 
     # b1 at all lattice differences: offset m in [-(n-1), n-1] per axis.
-    offs = np.arange(-(n - 1), n)
-    u = offs * grid.h
+    u = grid.offset_axis
     if b1.evaluator is not None:
-        pts = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1)
-        d1 = np.asarray(b1.evaluator(pts), dtype=complex)
+        d1 = np.asarray(b1.evaluator(grid.offset_nodes()),
+                        dtype=complex).reshape(2 * n - 1, 2 * n - 1)
     else:
-        half = n // 2
-        src = offs + half
-        valid = (src >= 0) & (src < n)
-        d1 = np.zeros((2 * n - 1, 2 * n - 1), dtype=complex)
-        take = np.clip(src, 0, n - 1)
-        d1[np.ix_(valid, valid)] = b1.values[np.ix_(take[valid], take[valid])]
+        d1 = offset_values(b1.values, (0, 1))
 
     m_fft = 2 * n
     d_t = np.ascontiguousarray((d1 * np.exp(-1j * c2 * np.outer(u, u))).T)   # [u1, u0]
@@ -236,10 +230,10 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
     return cell * np.exp(1j * c2 * np.outer(ax, ax)) * conv.T
 
 
-def delta_action(twist: TwistData, phi: SampledSymbol, v, grid: Grid | None = None) -> SampledSymbol:
+def delta_action(twist: TwistData, phi: SampledSymbol, v) -> SampledSymbol:
     """Right action of the point mass at v:
     (phi * delta_v)(x) = exp(-i a(x, -v)) phi(x . (-v)), evaluated pointwise."""
-    grid = grid or phi.grid
+    grid = phi.grid
     if grid.dim != twist.dim:
         raise GridMismatch("grid dimension does not match the twist")
     v = np.asarray(v, dtype=float)
@@ -252,38 +246,10 @@ def delta_action(twist: TwistData, phi: SampledSymbol, v, grid: Grid | None = No
     phase = np.exp(-1j * twist.alpha(nodes, -V))
     if phi.evaluator is not None:
         f = evaluate_symbol(phi, shifted)
-    elif twist.abelian and _lattice_aligned(grid, v) and phi.grid.same_box(grid):
-        f = _shift_by_lattice(grid, phi.values, v)
+    elif twist.abelian and (steps := grid.lattice_steps(v)) is not None:
+        f = lattice_shift(phi.values, steps).reshape(-1)
     else:
         raise ValueError("delta action needs an analytic evaluator "
-                         "(or an abelian twist with a lattice-aligned shift "
-                         "on the symbol's own grid)")
+                         "(or an abelian twist with a lattice-aligned shift)")
     values = (phase * f).reshape(grid.shape)
     return SampledSymbol(grid=grid, values=values)
-
-
-def _lattice_aligned(grid: Grid, v: np.ndarray, tol: float = 1e-12) -> bool:
-    steps = v / grid.h
-    return bool(np.all(np.abs(steps - np.round(steps)) <= tol))
-
-
-def _shift_by_lattice(grid: Grid, values: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """values evaluated at (node - v) via exact index displacement, zero fill."""
-    steps = np.round(v / grid.h).astype(int)
-    out = values
-    for axis, s in enumerate(steps):
-        shifted = np.zeros_like(out)
-        n = grid.points
-        if s >= 0:
-            src = slice(0, n - s) if s else slice(None)
-            dst = slice(s, n) if s else slice(None)
-        else:
-            src = slice(-s, n)
-            dst = slice(0, n + s)
-        sel_src = [slice(None)] * out.ndim
-        sel_dst = [slice(None)] * out.ndim
-        sel_src[axis] = src
-        sel_dst[axis] = dst
-        shifted[tuple(sel_dst)] = out[tuple(sel_src)]
-        out = shifted
-    return out.reshape(-1)

@@ -11,6 +11,8 @@ apart, and tightening a bound is a one-line change to this table.
 
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
@@ -418,7 +420,8 @@ def cz_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Repor
 
     worst = {"overlap": 0, "c_prime": 0.0, "c_dp": 0.0, "mz": 0.0, "recon": 0.0}
     n_balls_total = 0
-    for fi, f in enumerate(cz_test_functions(grid)):
+    test_functions = cz_test_functions(grid)
+    for fi, f in enumerate(test_functions):
         fmax = float(np.max(np.abs(f.values)))
         for li, level in enumerate((0.05 * fmax, 0.15 * fmax, 0.4 * fmax)):
             result = cz.cz_decompose(f, level, pdist, twist)
@@ -451,14 +454,16 @@ def cz_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Repor
     rep.check_true("measured_constants_finite",
                    np.isfinite(worst["c_prime"]) and np.isfinite(worst["c_dp"]))
 
-    f = cz_test_functions(grid)[0]
+    # Release the third function before the kernel estimates below, which set
+    # the suite's peak memory.
+    f, fsrc = test_functions[:2]
+    del test_functions
     below = cz.cz_decompose(f, 2.0 * float(np.max(np.abs(f.values))), pdist, twist)
     rep.check_true("level_above_sup_trivial",
                    not below.bad_parts
                    and np.array_equal(below.good.values, f.values))
 
     kernel = funcs.sample(grid, funcs.smooth_bump((0.5, 0.0), 1.2, 2.0))
-    fsrc = cz_test_functions(grid)[1]
     w11 = cz.weak11_ladder(twist, kernel, fsrc)
     rep.measure("weak11_empirical_a1", w11["empirical_a1"])
     rep.check_bound("weak11_stability_factor", w11["stability_factor"],
@@ -571,13 +576,37 @@ def multiplier_suite(seed: int = 0, half_width: float = 8.0,
 
 
 # ---------------------------------------------------------------------------
+# 6. Reproducibility suite
+# ---------------------------------------------------------------------------
+
+
+def reproducibility_suite(seed: int = 0) -> Report:
+    """Each CLI command below, run twice with the seed, exits 0 and prints
+    the same non-empty report bytes both times."""
+    from . import cli  # the CLI imports this module
+
+    def run(argv):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.main(argv)
+        return code, buf.getvalue()
+
+    rep = Report(command="verify reproducibility", seed=seed)
+    for command in (("cz", "decompose", "--grid", "8,32"), ("orbit", "--algebra", "h3")):
+        argv = [*command, "--seed", str(seed)]
+        first = run(argv)
+        rep.check_true(f"byte_identical[{' '.join(command)}]",
+                       first[0] == 0 and len(first[1]) > 0 and run(argv) == first)
+    return rep
+
+
+# ---------------------------------------------------------------------------
 # Aggregate
 # ---------------------------------------------------------------------------
 
 
-# The acceptance gate, criteria 1-5: (label, wall-clock budget in seconds,
-# suite, keyword arguments besides the seed).  Criterion 6, byte-identical
-# CLI reports, is checked by its callers.
+# The acceptance gate: (label, wall-clock budget in seconds, suite, keyword
+# arguments besides the seed).
 ACCEPTANCE_CRITERIA = (
     ("criterion 1: exact-algebra suite (Jacobi, BCH associativity, flags, "
      "jump indices, cocycle identities)",
@@ -591,6 +620,8 @@ ACCEPTANCE_CRITERIA = (
      60.0, cz_suite, {"half_width": 8.0, "points": 128}),
     ("criterion 5: multiplier and transference-map suite, N=128, L=8",
      30.0, multiplier_suite, {"half_width": 8.0, "points": 128}),
+    ("criterion 6: byte-identical CLI reports for one seed (cz decompose, orbit)",
+     5.0, reproducibility_suite, {}),
 )
 
 

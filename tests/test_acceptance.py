@@ -2,15 +2,13 @@
 
 Each criterion runs its suite at the stated grid sizes and sample counts,
 prints one pass/fail line (run with -s to see them on success), and asserts
-both the checks and the stated wall-clock budget.  Criteria 1-5 come from
+both the checks and the stated wall-clock budget.  The criteria come from
 `verify.ACCEPTANCE_CRITERIA`, which `scripts/run_acceptance.py` also reads.
 """
 
-import io
 import time
-from contextlib import redirect_stdout
 
-from nilharm import cli, verify
+from nilharm import verify
 
 
 def _run_criterion(number):
@@ -50,22 +48,4 @@ def test_criterion_5_multiplier_transference_suite():
 
 
 def test_criterion_6_reproducibility():
-    t0 = time.perf_counter()
-
-    def capture(argv):
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = cli.main(argv)
-        return code, buf.getvalue()
-
-    argv = ["cz", "decompose", "--grid", "8,32", "--seed", "123"]
-    code_a, out_a = capture(argv)
-    code_b, out_b = capture(argv)
-    ok = code_a == code_b == 0 and out_a == out_b and len(out_a) > 0
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion 6: byte-identical reports "
-          f"for identical seed/inputs ({time.perf_counter() - t0:.1f}s)")
-    assert ok
-
-    code_c, out_c = capture(["orbit", "--algebra", "h3", "--seed", "123"])
-    code_d, out_d = capture(["orbit", "--algebra", "h3", "--seed", "123"])
-    assert code_c == code_d == 0 and out_c == out_d
+    _run_criterion(6)

@@ -295,3 +295,24 @@ def test_non_finite_half_width_exits_2(command, half_width):
     assert "half width must be finite and positive" in out.stderr
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("v", ["17,0", "-17,0", "0,17", "0,-17"])
+def test_twist_delta_shift_beyond_the_grid_gives_zero_symbol(tmp_path, v):
+    # h = 0.5 on an 8,32 grid, so each shift is 34 steps, more than N = 32:
+    # the shifted symbol leaves the box, and norm preservation fails.
+    import numpy as np
+    from nilharm import fileio, funcs
+    from nilharm.grids import Grid
+
+    sym = funcs.sample(Grid(2, 8.0, 32), funcs.gaussian((0.5, -0.3)))
+    sym_path = tmp_path / "g.json"
+    sym_path.write_text(json.dumps(fileio.symbol_to_dict(sym)))  # no evaluator
+    out_path = tmp_path / "out.json"
+    out = run_cli("twist", "delta", "--grid", "8,32", "--symbol", str(sym_path),
+                  f"--v={v}", "--out", str(out_path))
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    statuses = {c["name"]: c["status"] for c in json.loads(out.stdout)["checks"]}
+    assert statuses["norm_preservation"] == "fail"
+    assert not np.any(fileio.load_symbol(str(out_path)).values)

@@ -59,7 +59,7 @@ def test_integrable_kernel_family_bounded_ratios(engine64):
     grid = engine64.symbol_grid
     phis = funcs.gaussian_family(grid, 3)
     u = funcs.sample(grid, funcs.truncated_power(1.5, 0.25, 6.0))
-    out = mult.multiplier_check(engine64, u, phis, ps=(1.25, 1.5, 2.0))
+    out = mult.multiplier_check(engine64, u, phis)
     for p, ratios in out["lp_ratios"].items():
         assert all(np.isfinite(r) for r in ratios)
         assert max(ratios) < 50.0

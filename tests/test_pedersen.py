@@ -12,12 +12,9 @@ def test_calibration_matches_closed_form(engine64):
     assert abs(engine64.density - 1.0 / (2 * np.pi)) <= 1e-12 / (2 * np.pi)
 
 
-def test_requires_two_dimensional_predual(h3_twist):
+def test_requires_two_dimensional_predual():
     with pytest.raises(pe.DimensionNot2):
         pe.HeisenbergRealization(tw.zero_twist(3), Grid(3, 8.0, 16))
-    with pytest.raises(GridMismatch):
-        pe.HeisenbergRealization(h3_twist, Grid(2, 8.0, 64),
-                                 state_grid=Grid(1, 4.0, 64))
 
 
 def test_gaussian_kernel_closed_form(engine64):
@@ -156,3 +153,11 @@ def test_grid_mismatch_on_transform(engine64):
     sym = funcs.sample(other, funcs.gaussian())
     with pytest.raises(GridMismatch):
         engine64.transform(sym)
+
+
+def test_rep_shift_beyond_the_grid_is_zero(engine64):
+    # A shift of N or more steps moves every sample off the grid.
+    h = engine64.state_grid.h
+    f = np.exp(-0.5 * engine64.state_grid.axis ** 2)
+    for s in (64, -64, 67, -67):
+        assert not np.any(engine64.rep_apply(0.7, s * h, f))
