@@ -69,18 +69,6 @@ def truncated_power(exponent: float = 3.0, inner: float = 1.0, outer: float = 4.
     return ev
 
 
-def indicator_sup_annulus(inner: float, outer: float):
-    """Indicator of the sup-norm annulus inner < max|x_j| < outer."""
-
-    def ev(pts):
-        pts = np.asarray(pts, dtype=float)
-        sup = np.max(np.abs(pts), axis=-1)
-        inside = (sup > inner) & (sup < outer)
-        return np.where(inside, 1.0, 0.0).astype(complex)
-
-    return ev
-
-
 def discrete_delta(grid: Grid, mass_density: float = 1.0) -> SampledSymbol:
     """Unit point mass at the origin node for the measure density*h^d."""
     vals = np.zeros(grid.shape, dtype=complex)

@@ -172,36 +172,6 @@ class SampledSymbol:
         return float(np.max(np.abs(resampled.reshape(self.grid.shape) - self.values)))
 
 
-def evaluate_symbol(sym: SampledSymbol, pts: np.ndarray) -> np.ndarray:
-    """Values at arbitrary points: analytic evaluator when present, else
-    multilinear interpolation of the grid values with zero extension."""
-    if sym.evaluator is not None:
-        return np.asarray(sym.evaluator(pts), dtype=complex)
-    return multilinear(sym.grid, sym.values, pts)
-
-
-def multilinear(grid: Grid, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    d = grid.dim
-    t = (pts + grid.half_width) / grid.h
-    i0 = np.floor(t).astype(np.int64)
-    frac = t - i0
-    out = np.zeros(pts.shape[:-1], dtype=complex)
-    for corner in range(1 << d):
-        idx = []
-        weight = np.ones(pts.shape[:-1])
-        for axis in range(d):
-            bit = (corner >> axis) & 1
-            idx.append(i0[..., axis] + bit)
-            weight = weight * (frac[..., axis] if bit else 1.0 - frac[..., axis])
-        inside = np.ones(pts.shape[:-1], dtype=bool)
-        for axis in range(d):
-            inside &= (idx[axis] >= 0) & (idx[axis] < grid.points)
-        clipped = tuple(np.clip(ix, 0, grid.points - 1) for ix in idx)
-        out += np.where(inside, weight, 0.0) * values[clipped]
-    return out
-
-
 def lp_norm(sym: SampledSymbol, p: float, density: float = 1.0) -> float:
     """Discrete L^p norm with measure density * (cell volume) per node."""
     cell = density * sym.grid.cell_volume

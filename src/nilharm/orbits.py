@@ -8,7 +8,6 @@ product of predual elements.  All identities here are exact rational facts.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -17,7 +16,7 @@ from . import bch as _bch
 from . import exactlinalg as ela
 from . import lie_core as lc
 from .polymap import ExactMap, Poly
-from .rationals import Vector, dot, vec_neg
+from .rationals import Vector, dot
 
 
 class PairingNotOne(Exception):
@@ -165,11 +164,6 @@ def _evaluate(orbit: OrbitData, x: Vector, y: Vector) -> tuple[Fraction, ...]:
     return orbit._law(x, y)
 
 
-def product_e(orbit: OrbitData, x: Vector, y: Vector) -> Vector:
-    """Projection of the BCH product of predual elements back onto the predual."""
-    return _evaluate(orbit, x, y)[:-1]
-
-
 def alpha(orbit: OrbitData, x: Vector, y: Vector) -> Fraction:
     """Central pairing of the BCH product: the additive group cocycle."""
     return _evaluate(orbit, x, y)[-1]
@@ -189,49 +183,13 @@ def verify_cocycle_identity(orbit: OrbitData, x: Vector, y: Vector, z: Vector) -
     return lhs == rhs
 
 
-def gamma_identities(orbit: OrbitData, x: Vector, y: Vector, z: Vector) -> dict:
-    """The five unit-circle cocycle identities for gamma = exp(i alpha).
-
-    Each identity is checked twice: the additive counterpart exactly in
-    rational arithmetic, and the multiplicative form in complex floating
-    arithmetic (residual = |lhs - rhs|).
-    """
-    def a(u, v):
-        return alpha(orbit, u, v)
-
-    def p(u, v):
-        return product_e(orbit, u, v)
-
-    def g(val: Fraction) -> complex:
-        return cmath.exp(1j * float(val))
-
-    nx, ny, nz = vec_neg(x), vec_neg(y), vec_neg(z)
-    additive = {
-        "product_rule": a(x, y) + a(p(x, y), z) == a(x, p(y, z)) + a(y, z),
-        "inverse_reversal": a(ny, nx) == -a(x, y),
-        "right_cancel": a(p(x, ny), y) == -a(x, ny),
-        "left_cancel": a(x, p(nx, y)) == -a(nx, y),
-        "difference_rule": a(x, nz) + a(p(x, nz), p(z, ny)) == a(x, ny) + a(y, nz),
-    }
-    multiplicative = {
-        "product_rule": abs(g(a(x, y)) * g(a(p(x, y), z))
-                            - g(a(x, p(y, z))) * g(a(y, z))),
-        "inverse_reversal": abs(g(a(ny, nx)) - 1 / g(a(x, y))),
-        "right_cancel": abs(g(a(p(x, ny), y)) - 1 / g(a(x, ny))),
-        "left_cancel": abs(g(a(x, p(nx, y))) - 1 / g(a(nx, y))),
-        "difference_rule": abs(g(a(x, nz)) * g(a(p(x, nz), p(z, ny)))
-                               - g(a(x, ny)) * g(a(y, nz))),
-    }
-    return {"additive_exact": additive, "multiplicative_residual": multiplicative}
-
-
 # ---------------------------------------------------------------------------
 # Polynomial closed forms and predual structure
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=64)
-def _bch_polynomial_split(orbit: OrbitData) -> tuple[tuple[Poly, ...], Poly]:
+def polynomial_law(orbit: OrbitData) -> tuple[tuple[Poly, ...], Poly]:
     """Exact polynomials for the reduced product (d components) and the cocycle,
     as functions of (x_1..x_d, y_1..y_d); computed once per orbit value."""
     if not orbit.flat:
@@ -277,16 +235,8 @@ def _bch_polynomial_split(orbit: OrbitData) -> tuple[tuple[Poly, ...], Poly]:
 @lru_cache(maxsize=64)
 def _compile_law(orbit: OrbitData) -> ExactMap:
     """Reduced product and cocycle of a flat orbit as one exact map."""
-    product_polys, alpha_poly = _bch_polynomial_split(orbit)
+    product_polys, alpha_poly = polynomial_law(orbit)
     return ExactMap(product_polys + (alpha_poly,), orbit.d)
-
-
-def alpha_polynomial(orbit: OrbitData) -> Poly:
-    return _bch_polynomial_split(orbit)[1]
-
-
-def product_polynomials(orbit: OrbitData) -> tuple[Poly, ...]:
-    return _bch_polynomial_split(orbit)[0]
 
 
 def predual_algebra(orbit: OrbitData) -> lc.LieAlgebra:

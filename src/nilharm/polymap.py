@@ -89,16 +89,6 @@ class Poly:
     def degree(self) -> int:
         return max((sum(m) for m, _ in self.terms), default=0)
 
-    def evaluate_exact(self, point) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms:
-            val = c
-            for v, e in enumerate(m):
-                for _ in range(e):
-                    val *= point[v]
-            total += val
-        return total
-
     def compile(self):
         """Vectorized evaluator: takes a list of nvars equally-shaped arrays."""
         spec = [(float(c), tuple((v, e) for v, e in enumerate(m) if e))

@@ -47,16 +47,8 @@ def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y, strict=True))
 
 
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
 def vec_scale(c: Fraction, x: Vector) -> Vector:
     return tuple(c * a for a in x)
-
-
-def vec_neg(x: Vector) -> Vector:
-    return tuple(-a for a in x)
 
 
 def is_zero_vector(x: Vector) -> bool:

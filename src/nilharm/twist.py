@@ -6,13 +6,15 @@ The convolution of two symbols is
 
 by trapezoid quadrature on the grid, where a is the exact additive cocycle
 and x . y the reduced group product, both compiled from their rational
-polynomial closed forms.  The direct path evaluates this O(G^2) double sum
-for any twist.
+polynomial closed forms.
 
-For abelian d=2 preduals with a bilinear cocycle (zero diagonal) the kernel
-phase is c1 x0 y1 + c2 x1 y0, and the same trapezoid sum is computed by FFT.
-The polarized gauge (Folland, Harmonic Analysis in Phase Space, ch. 1)
-rewrites it with u = x - y as
+A 2-dimensional flat-orbit predual comes from a Heisenberg-type algebra:
+g/z is 2-dimensional, so g is 2-step, the reduced product is x + y and the
+cocycle is bilinear and skew.  The convolution takes exactly that case, an
+abelian d=2 twist with a bilinear cocycle of zero diagonal, and refuses any
+other twist with a ValueError.  The kernel phase is then c1 x0 y1 + c2 x1 y0
+and the trapezoid sum is computed by FFT.  The polarized gauge (Folland,
+Harmonic Analysis in Phase Space, ch. 1) rewrites it with u = x - y as
 
     c1 x0 y1 + c2 x1 y0 = c2 x0 x1 + c1 y0 y1 - c2 u0 u1 + (c1 - c2) u0 y1.
 
@@ -24,7 +26,7 @@ for the kept output rows.  Terms that are exactly zero are skipped: a column
 y1 where b2 vanishes adds nothing, and neither does an output row whose
 offset rows fall outside the support of b1.  The cost is (nonzero b2
 columns) x (output rows inside b1's offset support) FFTs of length 2n, at
-most n^2, plus n inverse FFTs, against O(n^4) for the direct sum.
+most n^2, plus n inverse FFTs, against O(n^4) for the plain double sum.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import orbits as ob
-from .grids import (GridMismatch, SampledSymbol, evaluate_symbol, lattice_shift,
-                    offset_values)
+from .grids import GridMismatch, SampledSymbol, lattice_shift, offset_values
 from .orbits import NotFlat
 from .polymap import Poly
 
@@ -81,7 +82,7 @@ def from_orbit(orbit: ob.OrbitData) -> TwistData:
     if not orbit.flat:
         raise NotFlat("twist data requires a flat orbit")
     d = orbit.d
-    product_polys, alpha_poly = ob._bch_polynomial_split(orbit)
+    product_polys, alpha_poly = ob.polynomial_law(orbit)
     nv = 2 * d
     additive = all(
         p.terms == (Poly.variable(nv, a) + Poly.variable(nv, d + a)).terms
@@ -123,40 +124,18 @@ def _check_grids(b1: SampledSymbol, b2: SampledSymbol, d: int):
 
 def twisted_convolve(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
                      density: float = 1.0) -> SampledSymbol:
-    """Trapezoid-rule twisted convolution on the common grid of b1, b2."""
+    """Trapezoid-rule twisted convolution on the common grid of b1, b2.
+
+    Needs an abelian d=2 twist whose bilinear cocycle matrix has a zero
+    diagonal (``ValueError`` otherwise), as every flat orbit with d=2 gives.
+    """
+    A = twist.alpha_matrix
+    if not (twist.dim == 2 and twist.abelian and A is not None
+            and A[0, 0] == 0.0 and A[1, 1] == 0.0):
+        raise ValueError("twisted convolution needs an abelian d=2 twist with a "
+                         "bilinear cocycle of zero diagonal")
     _check_grids(b1, b2, twist.dim)
-    grid = b1.grid
-    use_fast = (
-        twist.dim == 2
-        and twist.abelian
-        and twist.alpha_matrix is not None
-        and twist.alpha_matrix[0, 0] == 0.0
-        and twist.alpha_matrix[1, 1] == 0.0
-    )
-    if use_fast:
-        values = _convolve_fft_2d(twist, b1, b2, density)
-    else:
-        values = _convolve_direct(twist, b1, b2, density)
-    return SampledSymbol(grid=grid, values=values)
-
-
-def _convolve_direct(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
-                     density: float) -> np.ndarray:
-    grid = b1.grid
-    nodes = grid.nodes()                      # (G, d)
-    total = nodes.shape[0]
-    vals2 = b2.values.reshape(-1)             # (G,)
-    cell = density * grid.cell_volume
-    out = np.empty(total, dtype=complex)
-    chunk = max(1, (1 << 22) // total)
-    for start in range(0, total, chunk):
-        X = nodes[start:start + chunk][:, None, :]   # (c, 1, d)
-        Y = nodes[None, :, :]                        # (1, G, d)
-        shifted = twist.combine(X, -Y)               # (c, G, d)
-        phase = np.exp(-1j * twist.alpha(X, -Y))     # (c, G)
-        f1 = evaluate_symbol(b1, shifted)            # (c, G)
-        out[start:start + chunk] = cell * np.sum(phase * f1 * vals2, axis=1)
-    return out.reshape(grid.shape)
+    return SampledSymbol(grid=b1.grid, values=_convolve_fft_2d(twist, b1, b2, density))
 
 
 def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
@@ -245,7 +224,7 @@ def delta_action(twist: TwistData, phi: SampledSymbol, v) -> SampledSymbol:
     shifted = twist.combine(nodes, -V)
     phase = np.exp(-1j * twist.alpha(nodes, -V))
     if phi.evaluator is not None:
-        f = evaluate_symbol(phi, shifted)
+        f = np.asarray(phi.evaluator(shifted), dtype=complex)
     elif twist.abelian and (steps := grid.lattice_steps(v)) is not None:
         f = lattice_shift(phi.values, steps).reshape(-1)
     else:

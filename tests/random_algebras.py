@@ -1,7 +1,8 @@
 """Hypothesis strategies for random nilpotent algebras and rational points,
 and the plain-Fraction references the integer kernels are tested against:
 the BCH walk for the compiled group laws, the structure-constant loop for
-the bracket and the cyclic sum of the form for the cocycle check."""
+the bracket, the cyclic sum of the form for the cocycle check and the
+term-by-term value of a polynomial at a rational point."""
 
 from fractions import Fraction
 
@@ -51,6 +52,18 @@ def fraction_bch(L, x, y) -> tuple[Fraction, ...]:
     """x * y by one walk of the Dynkin series in plain Fraction arithmetic."""
     return tuple(bch.bch_apply_generic(L.entries, L.dim, max(L.step, 1), x, y,
                                        Fraction(0)))
+
+
+def fraction_poly_value(p, point) -> Fraction:
+    """The polynomial p at a rational point, one Fraction product per factor."""
+    total = Fraction(0)
+    for m, c in p.terms:
+        val = c
+        for v, e in enumerate(m):
+            for _ in range(e):
+                val *= point[v]
+        total += val
+    return total
 
 
 def fraction_bracket(L, x, y) -> tuple[Fraction, ...]:

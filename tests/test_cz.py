@@ -23,6 +23,16 @@ def ext7_twist(ext7_orbit):
 # -- references ------------------------------------------------------------------
 
 
+def indicator_sup_annulus(inner, outer):
+    """Indicator of the sup-norm annulus inner < max|x_j| < outer."""
+
+    def ev(pts):
+        sup = np.max(np.abs(np.asarray(pts, dtype=float)), axis=-1)
+        return np.where((sup > inner) & (sup < outer), 1.0, 0.0).astype(complex)
+
+    return ev
+
+
 def full_scan_cover(f, level, pd):
     """cz_cover with the greedy selection scanning every node in decreasing
     maximal value and skipping those outside the level set."""
@@ -412,7 +422,7 @@ def test_hormander_constant_annulus_untwisted(pd_h3):
     # and the estimate stays far below the raw mass of the kernel.
     untwisted = tw.zero_twist(2)
     grid = Grid(2, 8.0, 64)
-    k = funcs.indicator_sup_annulus(1.0, 4.0)
+    k = indicator_sup_annulus(1.0, 4.0)
     out = cz.hormander_twist_estimate(k, pd_h3, untwisted,
                                       4.0 * pd_h3.quasi_constant, grid,
                                       u_grid=Grid(2, 8.0, 32))

@@ -1,4 +1,4 @@
-"""Grid geometry, sampled symbols, interpolation, and file round trips."""
+"""Grid geometry, sampled symbols, and file round trips."""
 
 import json
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilharm import fileio, funcs, multipliers as mult
 from nilharm.grids import (Grid, GridMismatch, SampledSymbol, TorusGridFunction,
-                           lp_norm, multilinear, symbol_check_involution,
+                           lp_norm, symbol_check_involution,
                            torus_lp_norm, torus_sup_distance)
 
 
@@ -112,30 +112,6 @@ def test_caller_values_must_agree_with_the_evaluator(grid32):
     vals = funcs.gaussian()(grid32.nodes()).reshape(grid32.shape)
     with pytest.raises(ValueError):
         SampledSymbol(grid32, vals + 1e-6, evaluator=funcs.gaussian())
-
-
-def test_multilinear_reproduces_node_values(grid32):
-    sym = funcs.sample(grid32, funcs.gaussian((0.5, 0.1)))
-    pts = grid32.nodes()[7:2000:13]
-    direct = funcs.gaussian((0.5, 0.1))(pts)
-    assert np.max(np.abs(multilinear(grid32, sym.values, pts) - direct)) <= 1e-12
-
-
-def test_multilinear_zero_extension(grid32):
-    sym = funcs.sample(grid32, funcs.gaussian())
-    outside = np.array([[9.0, 0.0], [0.0, -9.5], [20.0, 20.0]])
-    assert np.all(multilinear(grid32, sym.values, outside) == 0)
-
-
-def test_multilinear_interpolates_linear_function():
-    g = Grid(2, 8.0, 16)
-    def lin(pts):
-        pts = np.asarray(pts, float)
-        return (2.0 * pts[..., 0] - 0.5 * pts[..., 1]).astype(complex)
-    sym = funcs.sample(g, lin)
-    gen = np.random.default_rng(3)
-    pts = gen.uniform(-6, 6, size=(50, 2))
-    assert np.max(np.abs(multilinear(g, sym.values, pts) - lin(pts))) <= 1e-12
 
 
 def test_lp_norm_scaling(grid32):

@@ -1,5 +1,6 @@
 """Orbit data, jump indices, the additive cocycle and its exact identities."""
 
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,47 @@ F = Fraction
 
 def dual_functional(n, i=0):
     return ob.Functional.dual_basis_vector(n, i)
+
+
+def product_e(orbit, x, y):
+    """The reduced product alone."""
+    return ob.product_and_alpha(orbit, x, y)[0]
+
+
+def gamma_identities(orbit, x, y, z) -> dict:
+    """The five unit-circle cocycle identities for gamma = exp(i alpha).
+
+    Each identity is checked twice: the additive counterpart exactly in
+    rational arithmetic, and the multiplicative form in complex floating
+    arithmetic (residual = |lhs - rhs|).
+    """
+    def a(u, v):
+        return ob.alpha(orbit, u, v)
+
+    def p(u, v):
+        return product_e(orbit, u, v)
+
+    def g(val: Fraction) -> complex:
+        return cmath.exp(1j * float(val))
+
+    nx, ny, nz = (tuple(-c for c in w) for w in (x, y, z))
+    additive = {
+        "product_rule": a(x, y) + a(p(x, y), z) == a(x, p(y, z)) + a(y, z),
+        "inverse_reversal": a(ny, nx) == -a(x, y),
+        "right_cancel": a(p(x, ny), y) == -a(x, ny),
+        "left_cancel": a(x, p(nx, y)) == -a(nx, y),
+        "difference_rule": a(x, nz) + a(p(x, nz), p(z, ny)) == a(x, ny) + a(y, nz),
+    }
+    multiplicative = {
+        "product_rule": abs(g(a(x, y)) * g(a(p(x, y), z))
+                            - g(a(x, p(y, z))) * g(a(y, z))),
+        "inverse_reversal": abs(g(a(ny, nx)) - 1 / g(a(x, y))),
+        "right_cancel": abs(g(a(p(x, ny), y)) - 1 / g(a(x, ny))),
+        "left_cancel": abs(g(a(x, p(nx, y))) - 1 / g(a(nx, y))),
+        "difference_rule": abs(g(a(x, nz)) * g(a(p(x, nz), p(z, ny)))
+                               - g(a(x, ny)) * g(a(y, nz))),
+    }
+    return {"additive_exact": additive, "multiplicative_residual": multiplicative}
 
 
 # -- isotropy ------------------------------------------------------------------
@@ -83,7 +125,7 @@ def test_h3_product_is_addition(h3_orbit):
     rnd = seeds.stream("orb.h3add", 0)
     x = seeds.random_fraction_vector(rnd, 2)
     y = seeds.random_fraction_vector(rnd, 2)
-    assert ob.product_e(h3_orbit, x, y) == tuple(a + b for a, b in zip(x, y))
+    assert product_e(h3_orbit, x, y) == tuple(a + b for a, b in zip(x, y))
 
 
 def test_alpha_vanishes_on_rays(h3_orbit, ext7_orbit):
@@ -108,14 +150,14 @@ def test_non_flat_orbit_refuses_product():
     L = cat.abelian(4)
     orbit = ob.jump_indices(L, lc.jordan_holder_flag(L), dual_functional(4))
     with pytest.raises(ob.NotFlat):
-        ob.product_e(orbit, (), ())
+        ob.product_and_alpha(orbit, (), ())
     with pytest.raises(ob.NotFlat):
         ob.alpha(orbit, (), ())
 
 
 def test_orbit_maps_reject_wrong_length(h3_orbit):
     short, ok, long = (F(1),), (F(0), F(1)), (F(0), F(1), F(2))
-    for orbit_map in (ob.alpha, ob.product_e, ob.product_and_alpha):
+    for orbit_map in (ob.alpha, ob.product_and_alpha):
         with pytest.raises(ValueError):
             orbit_map(h3_orbit, short, ok)
         with pytest.raises(ValueError):
@@ -160,7 +202,7 @@ def test_orbit_invariants_on_random_algebras(L, data):
     for _ in range(3):
         x, y, z = (data.draw(random_algebras.points(orbit.d)) for _ in range(3))
         assert ob.verify_cocycle_identity(orbit, x, y, z)
-        assert all(ob.gamma_identities(orbit, x, y, z)["additive_exact"].values())
+        assert all(gamma_identities(orbit, x, y, z)["additive_exact"].values())
 
 
 def test_cocycle_identity_h3(h3_orbit):
@@ -213,14 +255,14 @@ def test_gamma_identities_h3(h3_orbit):
     x = seeds.random_fraction_vector(rnd, 2)
     y = seeds.random_fraction_vector(rnd, 2)
     z = seeds.random_fraction_vector(rnd, 2)
-    out = ob.gamma_identities(h3_orbit, x, y, z)
+    out = gamma_identities(h3_orbit, x, y, z)
     assert all(out["additive_exact"].values())
     assert all(v < 1e-12 for v in out["multiplicative_residual"].values())
 
 
 def test_gamma_identity_inverse_reversal_at_zero(h3_orbit):
     zero = (F(0), F(0))
-    out = ob.gamma_identities(h3_orbit, zero, zero, zero)
+    out = gamma_identities(h3_orbit, zero, zero, zero)
     assert out["multiplicative_residual"]["inverse_reversal"] == 0.0
 
 
@@ -230,7 +272,7 @@ def test_gamma_identities_extension(ext7_orbit):
         x = seeds.random_fraction_vector(rnd, 6, max_num=3, max_den=3)
         y = seeds.random_fraction_vector(rnd, 6, max_num=3, max_den=3)
         z = seeds.random_fraction_vector(rnd, 6, max_num=3, max_den=3)
-        out = ob.gamma_identities(ext7_orbit, x, y, z)
+        out = gamma_identities(ext7_orbit, x, y, z)
         assert all(out["additive_exact"].values())
         assert all(v < 1e-12 for v in out["multiplicative_residual"].values())
 
@@ -239,22 +281,22 @@ def test_gamma_identities_extension(ext7_orbit):
 
 
 def test_h3_alpha_polynomial(h3_orbit):
-    poly = ob.alpha_polynomial(h3_orbit)
+    poly = ob.polynomial_law(h3_orbit)[1]
     # alpha = (x2 y1 - x1 y2)/2 with predual variables (x1, x2, y1, y2).
     assert dict(poly.terms) == {(0, 1, 1, 0): F(1, 2), (1, 0, 0, 1): F(-1, 2)}
 
 
 def test_polynomials_match_pointwise_alpha(ext7_orbit):
-    apoly = ob.alpha_polynomial(ext7_orbit)
-    ppolys = ob.product_polynomials(ext7_orbit)
+    ppolys, apoly = ob.polynomial_law(ext7_orbit)
     rnd = seeds.stream("orb.polycheck", 0)
     for _ in range(10):
         x = seeds.random_fraction_vector(rnd, 6)
         y = seeds.random_fraction_vector(rnd, 6)
         point = x + y
         prod, a = ob.product_and_alpha(ext7_orbit, x, y)
-        assert apoly.evaluate_exact(point) == a
-        assert tuple(p.evaluate_exact(point) for p in ppolys) == prod
+        assert random_algebras.fraction_poly_value(apoly, point) == a
+        assert tuple(random_algebras.fraction_poly_value(p, point)
+                     for p in ppolys) == prod
 
 
 def test_predual_weights(h3_orbit, ext7_orbit):

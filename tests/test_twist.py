@@ -1,10 +1,17 @@
-"""Twisted convolution: quadrature paths, degenerate cases, delta action."""
+"""Twisted convolution: the FFT path against references, the twists it
+takes and refuses, degenerate cases, delta action."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+import random_algebras
+from hypothesis import given, settings, strategies as st
 
-from nilharm import catalog as cat, funcs, orbits as ob, twist as tw
+from nilharm import catalog as cat, funcs, lie_core as lc, orbits as ob, twist as tw
+from nilharm import symplectic as sp, verify
 from nilharm.grids import Grid, GridMismatch, SampledSymbol, lp_norm
+from nilharm.rationals import dot
 
 RHO = 1.0 / (2.0 * np.pi)
 
@@ -75,6 +82,31 @@ def full_loop_fft_2d(twist, b1, b2, density):
     return cell * np.exp(1j * c2 * np.outer(ax, ax)) * conv.T
 
 
+def direct_quadrature(twist, b1, b2, density):
+    """The trapezoid double sum node by node,
+    cell * sum_y exp(-i a(x, -y)) b1(x . (-y)) b2(y), for any twist.
+
+    b1 at x . (-y) is its evaluator's value when it has one.  Otherwise the
+    twist must be abelian, x . (-y) = x - y is a node difference, and b1 is
+    read at node index i - j + N/2 (zero where that leaves the grid)."""
+    grid = b1.grid
+    n = grid.points
+    nodes = grid.nodes()
+    X, Y = nodes[:, None, :], nodes[None, :, :]
+    phase = np.exp(-1j * twist.alpha(X, -Y))
+    if b1.evaluator is not None:
+        f1 = np.asarray(b1.evaluator(twist.combine(X, -Y)), dtype=complex)
+    else:
+        assert twist.abelian
+        idx = np.indices(grid.shape).reshape(grid.dim, -1).T
+        src = idx[:, None, :] - idx[None, :, :] + n // 2          # (G, G, d)
+        inside = np.all((src >= 0) & (src < n), axis=-1)
+        f1 = np.where(inside, b1.values[tuple(np.moveaxis(np.clip(src, 0, n - 1), -1, 0))],
+                      0.0)
+    cell = density * grid.cell_volume
+    return (cell * np.sum(phase * f1 * b2.values.reshape(-1), axis=1)).reshape(grid.shape)
+
+
 def _support_cases(grid):
     """Named (b1, b2) pairs: compact, sparse, zero and evaluator-free inputs."""
     gauss = funcs.sample(grid, funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1)))
@@ -124,7 +156,7 @@ def test_fast_path_matches_direct_with_evaluators(h3_twist, grid32):
     b = funcs.sample(grid32, funcs.gaussian((-0.2, 0.8), 0.9, (-0.3, 0.2)))
     for twist in (h3_twist, _bilinear_twist(NON_SKEW)):
         fast = tw.twisted_convolve(twist, a, b, density=RHO)
-        direct = tw._convolve_direct(twist, a, b, RHO)
+        direct = direct_quadrature(twist, a, b, RHO)
         assert np.max(np.abs(fast.values - direct)) <= 1e-13
 
 
@@ -136,7 +168,7 @@ def test_fast_path_matches_direct_without_evaluators(h3_twist, grid32):
                       + 1j * gen.standard_normal(grid32.shape))
     for twist in (h3_twist, _bilinear_twist(NON_SKEW)):
         fast = tw.twisted_convolve(twist, a, b, density=RHO)
-        direct = tw._convolve_direct(twist, a, b, RHO)
+        direct = direct_quadrature(twist, a, b, RHO)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(fast.values - direct)) <= 1e-12 * scale
 
@@ -245,18 +277,83 @@ def test_nonabelian_twist_compiles_faithfully(ext7_orbit):
 
 
 def test_direct_path_with_compiled_product_polynomials(h3_orbit, grid32):
-    # Rebuild the twist without the additive shortcut so the direct loop
-    # exercises compiled polynomial combine maps, then compare to the
-    # shortcut twist on the same data.
+    # Rebuild the twist without the additive shortcut: the reference sum then
+    # runs on the compiled polynomial combine map and must agree with the
+    # shortcut twist on the same data.  twisted_convolve refuses the rebuilt
+    # twist, which is flagged non-abelian and has no cocycle matrix.
     from nilharm.twist import TwistData, _compiled_pair
 
     shortcut = tw.from_orbit(h3_orbit)
-    ppolys, apoly = ob._bch_polynomial_split(h3_orbit)
+    ppolys, apoly = ob.polynomial_law(h3_orbit)
     alpha_fn, combine_fn = _compiled_pair(apoly, ppolys, 2)
     raw = TwistData(dim=2, alpha_fn=alpha_fn, combine_fn=combine_fn,
                     abelian=False, alpha_matrix=None, weights=(1, 1))
     a = funcs.sample(grid32, funcs.gaussian((0.5, -0.3), 1.2))
     b = funcs.sample(grid32, funcs.gaussian((-0.2, 0.8), 0.9))
-    via_polys = tw.twisted_convolve(raw, a, b, density=RHO)
-    reference = tw._convolve_direct(shortcut, a, b, RHO)
-    assert np.max(np.abs(via_polys.values - reference)) <= 1e-12
+    with pytest.raises(ValueError, match="abelian d=2"):
+        tw.twisted_convolve(raw, a, b, density=RHO)
+    via_polys = direct_quadrature(raw, a, b, RHO)
+    reference = direct_quadrature(shortcut, a, b, RHO)
+    assert np.max(np.abs(via_polys - reference)) <= 1e-12
+
+
+def test_nonabelian_twist_is_refused(ext7_orbit):
+    twist = tw.from_orbit(ext7_orbit)
+    grid = Grid(6, 4.0, 8)
+    sym = SampledSymbol(grid, np.zeros(grid.shape))
+    with pytest.raises(ValueError, match="abelian d=2"):
+        tw.twisted_convolve(twist, sym, sym)
+
+
+# Catalog entries, random algebras and two families of Heisenberg algebras:
+# [X2, X3] = c X1 with the center first, and the central extension of the
+# plane by c dx1 ^ dx2 with the center last.  Every 2-dimensional flat orbit
+# among them must give a twist that twisted_convolve takes.
+_heisenberg = st.one_of(
+    random_algebras.nonzero_fractions.map(lambda c: lc.validate(3, {(1, 2): {0: c}})),
+    random_algebras.nonzero_fractions.map(lambda c: sp.central_extension(
+        cat.abelian(2), sp.form_from_pairs(2, {(0, 1): c}))))
+_candidates = st.one_of(random_algebras.algebras, _heisenberg,
+                        st.sampled_from(sorted(cat.CORE)).map(lambda k: cat.CORE[k]()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_candidates, st.data())
+def test_every_two_dimensional_flat_orbit_takes_the_fft_path(L, data):
+    center = lc.center(L)
+    flag = lc.jordan_holder_flag(L, preferred_first=center[0])
+    # A random functional, moved along one coordinate to pair to 1 with the
+    # flag's first vector.
+    x1 = flag.vectors[0]
+    coords = list(data.draw(random_algebras.points(L.dim)))
+    k = next(t for t in range(L.dim) if x1[t])
+    coords[k] += (1 - dot(tuple(coords), x1)) / x1[k]
+    orbit = ob.jump_indices(L, flag, ob.Functional(tuple(coords)))
+    if not (orbit.flat and orbit.d == 2):
+        return
+    twist = tw.from_orbit(orbit)
+    A = twist.alpha_matrix
+    assert twist.abelian and A is not None and np.array_equal(A, -A.T)
+    grid = Grid(2, 4.0, 8)
+    sym = funcs.sample(grid, funcs.gaussian())
+    out = tw.twisted_convolve(twist, sym, sym, density=RHO)
+    assert np.all(np.isfinite(out.values))
+
+
+def test_twist_suite_fails_on_a_flipped_cocycle_matrix(monkeypatch):
+    # The convolution reads the cocycle from alpha_matrix alone.  With its
+    # sign flipped, and the pointwise cocycle of the transform left as it is,
+    # the product is the twisted convolution of the opposite group: still
+    # associative and still an approximate identity, so only the
+    # homomorphism T(a * b) = T(a) T(b) can see the defect (0.95 against
+    # 4.4e-6 at N = 32, bound 1e-3).
+    assert all(c.status != "fail" for c in verify.twist_suite(seed=0, points=32).checks)
+    compile_twist = tw.from_orbit
+
+    def flipped(orbit):
+        twist = compile_twist(orbit)
+        return dataclasses.replace(twist, alpha_matrix=-twist.alpha_matrix)
+
+    monkeypatch.setattr(tw, "from_orbit", flipped)
+    rep = verify.twist_suite(seed=0, points=32)
+    assert {c.name for c in rep.checks if c.status == "fail"} == {"homomorphism_rel_max"}
