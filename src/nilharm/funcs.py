@@ -76,8 +76,10 @@ def discrete_delta(grid: Grid, mass_density: float = 1.0) -> SampledSymbol:
     return SampledSymbol(grid=grid, values=vals)
 
 
-def sample(grid: Grid, evaluator) -> SampledSymbol:
-    return SampledSymbol.from_evaluator(grid, evaluator)
+def sample(grid: Grid, fn) -> SampledSymbol:
+    """The symbol with the values of fn (pts (..., dim) -> complex) at the nodes."""
+    vals = np.asarray(fn(grid.nodes()), dtype=complex).reshape(grid.shape)
+    return SampledSymbol(grid=grid, values=vals)
 
 
 def gaussian_family(grid: Grid, n: int):

@@ -134,11 +134,10 @@ def offset_values(values: np.ndarray, axes) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledSymbol:
-    """Complex grid function with an optional analytic off-node evaluator."""
+    """Complex grid function: its values at the nodes of one grid."""
 
     grid: Grid
     values: np.ndarray
-    evaluator: object = None  # callable pts (..., dim) -> complex array
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=complex)
@@ -147,29 +146,9 @@ class SampledSymbol:
         if not np.all(np.isfinite(vals.view(float))):
             raise ValueError("symbol values must be finite")
         object.__setattr__(self, "values", vals)
-        if self.evaluator is not None:
-            gap = self.node_agreement()
-            if gap > 1e-12:
-                raise ValueError(f"node values disagree with the evaluator by {gap}")
-
-    @classmethod
-    def from_evaluator(cls, grid: Grid, evaluator) -> "SampledSymbol":
-        vals = np.asarray(evaluator(grid.nodes()), dtype=complex).reshape(grid.shape)
-        # The values are the evaluator's own, so the node-agreement pass of
-        # __post_init__ would only call it a second time; attach it afterwards.
-        sym = cls(grid=grid, values=vals)
-        object.__setattr__(sym, "evaluator", evaluator)
-        return sym
 
     def at_origin(self) -> complex:
         return complex(self.values[self.grid.origin_index])
-
-    def node_agreement(self) -> float:
-        """Max |values - evaluator| over nodes; 0.0 when no evaluator is attached."""
-        if self.evaluator is None:
-            return 0.0
-        resampled = np.asarray(self.evaluator(self.grid.nodes()), dtype=complex)
-        return float(np.max(np.abs(resampled.reshape(self.grid.shape) - self.values)))
 
 
 def lp_norm(sym: SampledSymbol, p: float, density: float = 1.0) -> float:
@@ -184,22 +163,14 @@ def symbol_check_involution(sym: SampledSymbol) -> SampledSymbol:
     """The involution b -> conj(b(-x)).
 
     Node negation maps index k to N-k; the single -L boundary layer has no
-    mirror node and is filled from the evaluator when available, else zero.
+    mirror node and is zero.
     """
     grid = sym.grid
     out = np.zeros_like(sym.values)
     inner = (slice(1, None),) * grid.dim
     rev = (slice(None, 0, -1),) * grid.dim
     out[inner] = np.conj(sym.values[rev])
-    new_eval = None
-    if sym.evaluator is not None:
-        ev = sym.evaluator
-        nodes = grid.nodes()
-        boundary = np.any(nodes == grid.axis[0], axis=1)   # row-major, as out
-        out.reshape(-1)[boundary] = np.conj(np.asarray(ev(-nodes[boundary]),
-                                                       dtype=complex))
-        new_eval = lambda pts: np.conj(np.asarray(ev(-np.asarray(pts)), dtype=complex))
-    return SampledSymbol(grid=grid, values=out, evaluator=new_eval)
+    return SampledSymbol(grid=grid, values=out)
 
 
 @dataclass(frozen=True)

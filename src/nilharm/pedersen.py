@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import funcs
 from .grids import (Grid, GridMismatch, SampledSymbol, lattice_shift, lp_norm,
                     offset_values, symbol_check_involution)
 from .twist import TwistData, twisted_convolve
@@ -81,13 +82,6 @@ class DiscretizedOperator:
         return DiscretizedOperator(self.grid, self.matrix + other.matrix)
 
 
-def standard_gaussian(grid: Grid) -> SampledSymbol:
-    def ev(pts):
-        pts = np.asarray(pts, float)
-        return np.exp(-0.5 * np.sum(pts ** 2, axis=-1)) + 0j
-    return SampledSymbol.from_evaluator(grid, ev)
-
-
 class HeisenbergRealization:
     """Operator calculus bound to one twist structure and one grid pair."""
 
@@ -98,7 +92,7 @@ class HeisenbergRealization:
         self.symbol_grid = symbol_grid
         self.state_grid = symbol_grid.axis_grid()
         # The density for which trace(transform(b)) = b(0), b a standard Gaussian.
-        probe = standard_gaussian(symbol_grid)
+        probe = funcs.sample(symbol_grid, funcs.gaussian())
         trace = self._assemble(probe, density=1.0).trace()
         if abs(trace) == 0.0:
             raise ZeroDivisionError("calibration probe has zero raw trace")

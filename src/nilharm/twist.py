@@ -174,13 +174,10 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
     c2 = float(twist.alpha_matrix[1, 0])
     cell = density * grid.cell_volume
 
-    # b1 at all lattice differences: offset m in [-(n-1), n-1] per axis.
+    # b1 at all lattice differences, offset m in [-(n-1), n-1] per axis; zero
+    # where m*h is not a node.
     u = grid.offset_axis
-    if b1.evaluator is not None:
-        d1 = np.asarray(b1.evaluator(grid.offset_nodes()),
-                        dtype=complex).reshape(2 * n - 1, 2 * n - 1)
-    else:
-        d1 = offset_values(b1.values, (0, 1))
+    d1 = offset_values(b1.values, (0, 1))
 
     m_fft = 2 * n
     d_t = np.ascontiguousarray((d1 * np.exp(-1j * c2 * np.outer(u, u))).T)   # [u1, u0]
@@ -211,7 +208,11 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
 
 def delta_action(twist: TwistData, phi: SampledSymbol, v) -> SampledSymbol:
     """Right action of the point mass at v:
-    (phi * delta_v)(x) = exp(-i a(x, -v)) phi(x . (-v)), evaluated pointwise."""
+    (phi * delta_v)(x) = exp(-i a(x, -v)) phi(x - v).
+
+    Needs an abelian twist and a lattice vector v (``ValueError`` otherwise);
+    phi(x - v) is then phi's node values moved by v, zero where x - v leaves
+    the grid."""
     grid = phi.grid
     if grid.dim != twist.dim:
         raise GridMismatch("grid dimension does not match the twist")
@@ -219,16 +220,11 @@ def delta_action(twist: TwistData, phi: SampledSymbol, v) -> SampledSymbol:
     if v.shape != (twist.dim,):
         raise ValueError(f"the shift needs {twist.dim} components, one per "
                          f"predual coordinate; got {v.size}")
+    steps = grid.lattice_steps(v) if twist.abelian else None
+    if steps is None:
+        raise ValueError(f"delta action needs an abelian twist and a shift on "
+                         f"the grid lattice, multiples of h = {grid.h:g}")
     nodes = grid.nodes()
-    V = np.broadcast_to(v, nodes.shape)
-    shifted = twist.combine(nodes, -V)
-    phase = np.exp(-1j * twist.alpha(nodes, -V))
-    if phi.evaluator is not None:
-        f = np.asarray(phi.evaluator(shifted), dtype=complex)
-    elif twist.abelian and (steps := grid.lattice_steps(v)) is not None:
-        f = lattice_shift(phi.values, steps).reshape(-1)
-    else:
-        raise ValueError("delta action needs an analytic evaluator "
-                         "(or an abelian twist with a lattice-aligned shift)")
-    values = (phase * f).reshape(grid.shape)
+    phase = np.exp(-1j * twist.alpha(nodes, -np.broadcast_to(v, nodes.shape)))
+    values = phase.reshape(grid.shape) * lattice_shift(phi.values, steps)
     return SampledSymbol(grid=grid, values=values)

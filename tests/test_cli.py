@@ -277,6 +277,10 @@ def test_twist_conv_symbol_on_other_grid_exits_2(tmp_path):
      "the shift needs 2 components, one per predual coordinate; got 1"),
     (("catalog", "abelian", "--n", "0"), "dimension must be positive"),
     (("catalog", "abelian0"), "dimension must be positive"),
+    (("twist", "delta", "--v", "0.3,0", "--grid", "8,32"),
+     "a shift on the grid lattice, multiples of h = 0.5"),
+    (("twist", "delta", "--grid", "8,8"),
+     "a shift on the grid lattice, multiples of h = 2"),
 ])
 def test_wrong_sizes_exit_2(args, message):
     out = run_cli(*args)

@@ -91,29 +91,6 @@ def test_symbol_shape_and_finiteness(grid32):
         SampledSymbol(grid32, bad)
 
 
-def test_from_evaluator_agrees_on_nodes(grid32):
-    sym = SampledSymbol.from_evaluator(grid32, funcs.gaussian((0.3, -0.7)))
-    assert sym.node_agreement() <= 1e-12
-
-
-def test_from_evaluator_calls_the_evaluator_once(grid32):
-    calls = []
-    gauss = funcs.gaussian((0.3, -0.7))
-
-    def ev(pts):
-        calls.append(1)
-        return gauss(pts)
-
-    sym = SampledSymbol.from_evaluator(grid32, ev)
-    assert len(calls) == 1 and sym.evaluator is ev
-
-
-def test_caller_values_must_agree_with_the_evaluator(grid32):
-    vals = funcs.gaussian()(grid32.nodes()).reshape(grid32.shape)
-    with pytest.raises(ValueError):
-        SampledSymbol(grid32, vals + 1e-6, evaluator=funcs.gaussian())
-
-
 def test_lp_norm_scaling(grid32):
     sym = funcs.sample(grid32, funcs.gaussian())
     doubled = SampledSymbol(grid32, 2.0 * sym.values)

@@ -94,6 +94,33 @@ def test_multiplier_suite_shares_products_across_multipliers(convolve_calls):
     assert convolve_calls[0] == 33
 
 
+def _flat_with_inverse_angles(phi):
+    """flat_map integrating against s^-1 instead of s."""
+    total = sum(slab / s for slab, s in zip(phi, phi.angle_samples))
+    return SampledSymbol(phi.grid, total / phi.angles)
+
+
+def _flat_at_first_angle(phi):
+    """flat_map reading the angle s = 1 only, with no quadrature."""
+    return SampledSymbol(phi.grid, next(iter(phi)))
+
+
+@pytest.mark.parametrize("defect, failing", [
+    (_flat_with_inverse_angles,
+     {"sharp_flat_roundtrip", "flat_sharp_equals_projection", "projection_idempotent"}),
+    (_flat_at_first_angle, {"flat_sharp_equals_projection"}),
+])
+def test_multiplier_suite_sees_a_defective_flat_map(monkeypatch, defect, failing):
+    # s^-1 loses the lifted mode, which every check through flat_map sees.
+    # Reading one angle keeps flat(psi^sharp) = psi, so the round trip and
+    # idempotence hold; only the projection of a function with other modes
+    # than s^-1 can tell.
+    assert all(c.status != "fail" for c in verify.multiplier_suite(0, 8.0, 32).checks)
+    monkeypatch.setattr(mult, "flat_map", defect)
+    rep = verify.multiplier_suite(0, 8.0, 32)
+    assert {c.name for c in rep.checks if c.status == "fail"} == failing
+
+
 def test_sharp_map_values(grid32):
     psi = funcs.sample(grid32, funcs.gaussian((0.4, 0.0)))
     lifted = mult.sharp_map(psi, angles=8)

@@ -21,7 +21,7 @@ def test_gaussian_kernel_closed_form(engine64):
     # Independent oracle: for b = exp(-(q^2+p^2)/2) the continuum kernel is
     # rho * sqrt(2 pi) * exp(-(x+y)^2/8) * exp(-(y-x)^2/2).
     grid = engine64.symbol_grid
-    T = engine64.transform(pe.standard_gaussian(grid))
+    T = engine64.transform(funcs.sample(grid, funcs.gaussian()))
     x = engine64.state_grid.axis
     X, Y = np.meshgrid(x, x, indexing="ij")
     oracle = (engine64.density * np.sqrt(2 * np.pi)

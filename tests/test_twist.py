@@ -46,9 +46,13 @@ def _bilinear_twist(A) -> tw.TwistData:
 NON_SKEW = [[0.0, 0.3], [0.7, 0.0]]
 
 
-def full_loop_fft_2d(twist, b1, b2, density):
+def full_loop_fft_2d(twist, b1, b2, density, b1_eval=None):
     """_convolve_fft_2d transforming every column y1 and every output row x1,
-    zero terms included."""
+    zero terms included.
+
+    With b1_eval, b1 at each node difference is that evaluator's value, off
+    the box too; without it, b1's node values, zero where the difference is
+    not a node."""
     grid = b1.grid
     n = grid.points
     ax = grid.axis
@@ -57,9 +61,9 @@ def full_loop_fft_2d(twist, b1, b2, density):
     cell = density * grid.cell_volume
     offs = np.arange(-(n - 1), n)
     u = offs * grid.h
-    if b1.evaluator is not None:
+    if b1_eval is not None:
         pts = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1)
-        d1 = np.asarray(b1.evaluator(pts), dtype=complex)
+        d1 = np.asarray(b1_eval(pts), dtype=complex)
     else:
         src = offs + n // 2
         valid = (src >= 0) & (src < n)
@@ -82,20 +86,21 @@ def full_loop_fft_2d(twist, b1, b2, density):
     return cell * np.exp(1j * c2 * np.outer(ax, ax)) * conv.T
 
 
-def direct_quadrature(twist, b1, b2, density):
+def direct_quadrature(twist, b1, b2, density, b1_eval=None):
     """The trapezoid double sum node by node,
     cell * sum_y exp(-i a(x, -y)) b1(x . (-y)) b2(y), for any twist.
 
-    b1 at x . (-y) is its evaluator's value when it has one.  Otherwise the
-    twist must be abelian, x . (-y) = x - y is a node difference, and b1 is
-    read at node index i - j + N/2 (zero where that leaves the grid)."""
+    With b1_eval, b1 at x . (-y) is that evaluator's value, off the box too.
+    Without it the twist must be abelian, x . (-y) = x - y is a node
+    difference, and b1 is read at node index i - j + N/2 (zero where that
+    leaves the grid)."""
     grid = b1.grid
     n = grid.points
     nodes = grid.nodes()
     X, Y = nodes[:, None, :], nodes[None, :, :]
     phase = np.exp(-1j * twist.alpha(X, -Y))
-    if b1.evaluator is not None:
-        f1 = np.asarray(b1.evaluator(twist.combine(X, -Y)), dtype=complex)
+    if b1_eval is not None:
+        f1 = np.asarray(b1_eval(twist.combine(X, -Y)), dtype=complex)
     else:
         assert twist.abelian
         idx = np.indices(grid.shape).reshape(grid.dim, -1).T
@@ -108,10 +113,9 @@ def direct_quadrature(twist, b1, b2, density):
 
 
 def _support_cases(grid):
-    """Named (b1, b2) pairs: compact, sparse, zero and evaluator-free inputs."""
+    """Named (b1, b2) pairs: full-support, compact, sparse and zero inputs."""
     gauss = funcs.sample(grid, funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1)))
-    bare = SampledSymbol(grid, funcs.sample(
-        grid, funcs.gaussian((-0.2, 0.8), 0.9, (-0.3, 0.2))).values)
+    bare = funcs.sample(grid, funcs.gaussian((-0.2, 0.8), 0.9, (-0.3, 0.2)))
     delta = funcs.discrete_delta(grid, RHO)
     zero = SampledSymbol(grid, np.zeros(grid.shape))
     power = funcs.sample(grid, funcs.truncated_power(1.5, 0.25, 6.0))
@@ -151,13 +155,41 @@ def test_fft_path_skips_only_exact_zero_terms(h3_twist, points):
             assert _same_bits(got, full_loop_fft_2d(twist, a, b, RHO)), name
 
 
-def test_fast_path_matches_direct_with_evaluators(h3_twist, grid32):
-    a = funcs.sample(grid32, funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1)))
+def _family_evaluators(monkeypatch):
+    """The evaluators behind gaussian_family(5) + hermite_family(5)."""
+    with monkeypatch.context() as m:
+        m.setattr(funcs, "sample", lambda grid, ev: ev)
+        return funcs.gaussian_family(None, 5) + funcs.hermite_family(None, 5)
+
+
+@pytest.mark.parametrize("points", [32, 64])
+def test_node_values_stay_within_1e_7_of_off_box_reads(h3_twist, monkeypatch, points):
+    # The convolution reads b1 as its node values, zero off the grid.  The
+    # discretization it replaced read b1's evaluator at every node difference,
+    # off the box too; on the suites' families the two differ by at most
+    # 2.7e-8 of the output's sup.
+    grid = Grid(2, 8.0, points)
+    evaluators = _family_evaluators(monkeypatch)
+    symbols = funcs.gaussian_family(grid, 5) + funcs.hermite_family(grid, 5)
+    for ev, sym in zip(evaluators, symbols):
+        assert np.array_equal(funcs.sample(grid, ev).values, sym.values)
+    worst = 0.0
+    for ev, a in zip(evaluators, symbols):
+        for b in symbols[:3]:
+            ref = full_loop_fft_2d(h3_twist, a, b, RHO, b1_eval=ev)
+            got = tw.twisted_convolve(h3_twist, a, b, density=RHO).values
+            worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+    assert worst <= 1e-7
+
+
+def test_off_box_reference_matches_direct_quadrature(h3_twist, grid32):
+    ea = funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1))
+    a = funcs.sample(grid32, ea)
     b = funcs.sample(grid32, funcs.gaussian((-0.2, 0.8), 0.9, (-0.3, 0.2)))
     for twist in (h3_twist, _bilinear_twist(NON_SKEW)):
-        fast = tw.twisted_convolve(twist, a, b, density=RHO)
-        direct = direct_quadrature(twist, a, b, RHO)
-        assert np.max(np.abs(fast.values - direct)) <= 1e-13
+        fast = full_loop_fft_2d(twist, a, b, RHO, b1_eval=ea)
+        direct = direct_quadrature(twist, a, b, RHO, b1_eval=ea)
+        assert np.max(np.abs(fast - direct)) <= 1e-13
 
 
 def test_fast_path_matches_direct_without_evaluators(h3_twist, grid32):
@@ -247,14 +279,24 @@ def test_delta_action_matches_narrowing_bump(h3_twist):
     assert errs[-1] <= 0.03
 
 
-def test_delta_action_lattice_fallback_without_evaluator(h3_twist, grid32):
-    phi_full = funcs.sample(grid32, funcs.gaussian())
-    phi = SampledSymbol(grid32, phi_full.values)  # drop the evaluator
-    shifted = tw.delta_action(h3_twist, phi, (1.0, 0.0))
-    reference = tw.delta_action(h3_twist, phi_full, (1.0, 0.0))
-    assert np.max(np.abs(shifted.values - reference.values)) <= 1e-12
-    with pytest.raises(ValueError):
-        tw.delta_action(h3_twist, phi, (0.3, 0.0))  # off-lattice needs evaluator
+def test_delta_action_refuses_off_lattice_shifts(h3_twist, ext7_orbit, grid32):
+    # h = 0.5, so (1, 0) is two lattice steps: the moved node values are the
+    # analytic shift wherever x - v stays on the grid, and zero elsewhere.
+    gauss = funcs.gaussian((0.1, -0.4))
+    phi = funcs.sample(grid32, gauss)
+    v = np.array([1.0, 0.0])
+    out = tw.delta_action(h3_twist, phi, v).values
+    nodes = grid32.nodes()
+    exact = (np.exp(-1j * h3_twist.alpha(nodes, -v))
+             * gauss(nodes - v)).reshape(grid32.shape)
+    assert np.max(np.abs(out[2:] - exact[2:])) <= 1e-15
+    assert not np.any(out[:2])
+    with pytest.raises(ValueError, match="h = 0.5"):
+        tw.delta_action(h3_twist, phi, (0.3, 0.0))
+    grid6 = Grid(6, 4.0, 8)
+    with pytest.raises(ValueError, match="abelian twist"):
+        tw.delta_action(tw.from_orbit(ext7_orbit), SampledSymbol(grid6, np.zeros(grid6.shape)),
+                        np.zeros(6))
 
 
 def test_nonabelian_twist_compiles_faithfully(ext7_orbit):
@@ -288,12 +330,13 @@ def test_direct_path_with_compiled_product_polynomials(h3_orbit, grid32):
     alpha_fn, combine_fn = _compiled_pair(apoly, ppolys, 2)
     raw = TwistData(dim=2, alpha_fn=alpha_fn, combine_fn=combine_fn,
                     abelian=False, alpha_matrix=None, weights=(1, 1))
-    a = funcs.sample(grid32, funcs.gaussian((0.5, -0.3), 1.2))
+    ea = funcs.gaussian((0.5, -0.3), 1.2)
+    a = funcs.sample(grid32, ea)
     b = funcs.sample(grid32, funcs.gaussian((-0.2, 0.8), 0.9))
     with pytest.raises(ValueError, match="abelian d=2"):
         tw.twisted_convolve(raw, a, b, density=RHO)
-    via_polys = direct_quadrature(raw, a, b, RHO)
-    reference = direct_quadrature(shortcut, a, b, RHO)
+    via_polys = direct_quadrature(raw, a, b, RHO, b1_eval=ea)
+    reference = direct_quadrature(shortcut, a, b, RHO, b1_eval=ea)
     assert np.max(np.abs(via_polys - reference)) <= 1e-12
 
 
