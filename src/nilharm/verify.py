@@ -347,7 +347,9 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
         lp_norm(SampledSymbol(grid, out.values - gsyms[0].values), 2)
         / lp_norm(gsyms[0], 2), TOLERANCES["approximate_identity_rel_l2"])
 
-    v = (1.0, 0.0)
+    # The lattice vector nearest (1, 0), at least one step: exactly (1, 0)
+    # whenever 1 is a multiple of h.
+    v = (h * max(1, round(1.0 / h)), 0.0)
     da = tw.delta_action(eng.twist, gsyms[0], v)
     rep.check_bound("delta_action_norm_preservation",
                     abs(lp_norm(da, 2) / lp_norm(gsyms[0], 2) - 1.0),

@@ -49,3 +49,33 @@ def test_criterion_5_multiplier_transference_suite():
 
 def test_criterion_6_reproducibility():
     _run_criterion(6)
+
+
+def test_quick_full_report_runs_every_criterion_smaller(monkeypatch):
+    calls = []
+
+    def recording(suite):
+        def run(seed, **kw):
+            calls.append((suite.__name__, kw))
+            return suite(seed, **kw)
+        return run
+
+    monkeypatch.setattr(verify, "ACCEPTANCE_CRITERIA", tuple(
+        (label, budget, recording(suite), kw)
+        for label, budget, suite, kw in verify.ACCEPTANCE_CRITERIA))
+    rep = verify.full_report(0, quick=True)
+    assert calls == [
+        ("exact_suite", {"samples": 25}),
+        ("examples_suite", {}),
+        ("twist_suite", {"half_width": 8.0, "points": 32}),
+        ("cz_suite", {"half_width": 8.0, "points": 32}),
+        ("multiplier_suite", {"half_width": 8.0, "points": 32}),
+        ("reproducibility_suite", {}),
+    ]
+    prefixes = {c.name.split(".", 1)[0] for c in rep.checks}
+    assert prefixes == {"exact", "examples", "twist", "cz", "multiplier",
+                        "reproducibility"}
+    assert {c.name for c in rep.checks if c.name.startswith("reproducibility.")} == {
+        "reproducibility.byte_identical[cz decompose --grid 8,32]",
+        "reproducibility.byte_identical[orbit --algebra h3]"}
+    assert all(c.status != "fail" for c in rep.checks)

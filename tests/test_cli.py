@@ -189,6 +189,20 @@ def test_twist_verify_small_grid():
     assert all(c["status"] != "fail" for c in doc["checks"])
 
 
+@pytest.mark.parametrize("grid", ["6,64", "8,8"])
+def test_twist_verify_shifts_on_the_lattice_of_any_grid(grid):
+    # 1 is not a multiple of h = 0.1875 or h = 2; the point-mass shift still
+    # lies on the lattice, so the whole suite runs.  Boxes this narrow or
+    # coarse fail some identity tolerances (exit 1), never the shift (exit 2).
+    out = run_cli("twist", "verify", "--catalog", "h3", "--grid", grid)
+    assert out.returncode in (0, 1)
+    assert "Traceback" not in out.stderr
+    statuses = {c["name"]: c["status"] for c in json.loads(out.stdout)["checks"]}
+    assert statuses["delta_action_norm_preservation"] == "pass"
+    assert statuses["delta_action_at_zero"] == "pass"
+    assert len(statuses) == 17
+
+
 def test_twist_pedersen_small_grid():
     out = run_cli("twist", "pedersen", "--grid", "8,32")
     assert out.returncode == 0
