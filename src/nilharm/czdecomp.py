@@ -382,15 +382,19 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
     u_all, m_u, u_index = u_all[keep], m_u[keep], u_index[keep]
     best = 0.0
     argmax = None
-    chunk = max(1, (1 << 21) // z_pts.shape[0])
+    # Blocks of about 2^17 integrand entries; each row is summed on its own,
+    # so the block size changes no value.
+    chunk = max(1, (1 << 17) // z_pts.shape[0])
     for start in range(0, u_all.shape[0], chunk):
         U = u_all[start:start + chunk][:, None, :]
         MU = m_u[start:start + chunk][:, None]
         Z = z_pts[None, :, :]
-        mask = m_z[None, :] > c2 * MU
-        phase = np.exp(1j * twist.alpha(Z, -U))
-        k_shift = k_table[z_index[None, :] - u_index[start:start + chunk][:, None]]
-        integrand = np.abs(phase * k_shift - k_z[None, :]) * mask
+        # |e^{i alpha(z, -u)} k(z - u) - k(z)| on the mask, built in place.
+        integrand = np.exp(1j * twist.alpha(Z, -U))
+        integrand *= k_table[z_index[None, :] - u_index[start:start + chunk][:, None]]
+        integrand -= k_z[None, :]
+        integrand = np.abs(integrand)
+        integrand *= m_z[None, :] > c2 * MU
         vals = np.sum(integrand, axis=1) * cell
         i = int(np.argmax(vals))
         if vals[i] > best:
@@ -402,14 +406,14 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
 def weak11_empirical(twist: TwistData, kernel: SampledSymbol, f: SampledSymbol,
                      levels) -> dict:
     """Empirical weak-(1,1) ratios  level * |{|Kf| > level}| / ||f||_1."""
-    Kf = twisted_convolve(twist, kernel, f)
+    Kf = twisted_convolve(twist, kernel, [f])[0]
     return _weak11_ratios(np.abs(Kf.values), f, levels)
 
 
 def weak11_ladder(twist: TwistData, kernel: SampledSymbol, f: SampledSymbol) -> dict:
     """weak11_empirical at the levels sup|Kf| / 2**j, j = 1..4, from one
     convolution; the levels are returned under "levels"."""
-    mag = np.abs(twisted_convolve(twist, kernel, f).values)
+    mag = np.abs(twisted_convolve(twist, kernel, [f])[0].values)
     levels = [float(np.max(mag)) / 2 ** j for j in range(1, 5)]
     return {**_weak11_ratios(mag, f, levels), "levels": levels}
 

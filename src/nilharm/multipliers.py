@@ -43,7 +43,7 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
         M = engine.transform(u)
         report: dict = {"intertwining_hs": [], "right_commutation_l2": [],
                         "identity_gap": [], "lp_ratios": {p: [] for p in ps}}
-        cphis = [engine.convolve(u, phi) for phi in phis]
+        cphis = engine.convolve_each(u, phis)
         for phi, cphi, t_phi in zip(phis, cphis, t_phis):
             resid = (engine.transform(cphi) - M.compose(t_phi)).hs_norm()
             report["intertwining_hs"].append(resid)
@@ -54,8 +54,8 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
                 denom = lp_norm(phi, p, density=engine.density)
                 report["lp_ratios"][p].append(
                     lp_norm(cphi, p, density=engine.density) / denom if denom else 0.0)
-        for cphi, phi_psi, psi in zip(cphis, phi_psis, psis):
-            lhs = engine.convolve(u, phi_psi)
+        lhss = engine.convolve_each(u, phi_psis)
+        for cphi, lhs, psi in zip(cphis, lhss, psis):
             rhs = engine.convolve(cphi, psi)
             diff = SampledSymbol(lhs.grid, lhs.values - rhs.values)
             report["right_commutation_l2"].append(engine.symbol_norm(diff))

@@ -22,21 +22,32 @@ The first three terms are pointwise factors on the output, on b2 and on the
 offset table of b1; the last depends on u0 and on the column y1 only.  So for
 each y1 the y0-sum is a 1-d convolution along axis 0, and the sum over y1 is
 taken on the spectra before one inverse FFT.  FFT length 2n is alias-free
-for the kept output rows.  Terms that are exactly zero are skipped: a column
-y1 where b2 vanishes adds nothing, and neither does an output row whose
-offset rows fall outside the support of b1.  The cost is (nonzero b2
-columns) x (output rows inside b1's offset support) FFTs of length 2n, at
-most n^2, plus n inverse FFTs, against O(n^4) for the plain double sum.
+for the kept output rows.  The three pointwise phase tables depend only on
+the grid and the cocycle; they are computed once and reused while these stay
+the same.
+
+One call convolves b1 with several right operands b2 in one sweep of b1's
+offset blocks: each modulated block is transformed once and multiplied into
+the spectrum of every b2 that is nonzero in its column.  Terms that are
+exactly zero are skipped: a column y1 where b2 vanishes adds nothing to that
+b2's product, and neither does an output row whose offset rows fall outside
+the support of b1, so each product is bit for bit the one a call with that
+b2 alone gives.  The cost of a sweep is (columns where some b2 is nonzero) x
+(output rows inside b1's offset support) FFTs of length 2n, at most n^2,
+plus, for each b2, one FFT per column where it is nonzero and n inverse
+FFTs, against O(n^4) per product for the plain double sum.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import orbits as ob
-from .grids import GridMismatch, SampledSymbol, lattice_shift, offset_values
+from .grids import Grid, GridMismatch, SampledSymbol, lattice_shift, offset_values
 from .orbits import NotFlat
 from .polymap import Poly
 
@@ -122,25 +133,46 @@ def _check_grids(b1: SampledSymbol, b2: SampledSymbol, d: int):
             f"{b1.grid.points} and {b2.grid.half_width:g},{b2.grid.points}")
 
 
-def twisted_convolve(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
-                     density: float = 1.0) -> SampledSymbol:
-    """Trapezoid-rule twisted convolution on the common grid of b1, b2.
+def twisted_convolve(twist: TwistData, b1: SampledSymbol, b2s: Sequence[SampledSymbol],
+                     density: float = 1.0) -> list[SampledSymbol]:
+    """Trapezoid-rule twisted convolutions b1 * b2, one per b2 in b2s, on the
+    common grid of b1 and the b2s.
 
-    Needs an abelian d=2 twist whose bilinear cocycle matrix has a zero
-    diagonal (``ValueError`` otherwise), as every flat orbit with d=2 gives.
+    The products share one sweep of b1's offset blocks; each result is bit for
+    bit the one that b2s = [b2] gives.  Needs an abelian d=2 twist whose
+    bilinear cocycle matrix has a zero diagonal (``ValueError`` otherwise), as
+    every flat orbit with d=2 gives.
     """
     A = twist.alpha_matrix
     if not (twist.dim == 2 and twist.abelian and A is not None
             and A[0, 0] == 0.0 and A[1, 1] == 0.0):
         raise ValueError("twisted convolution needs an abelian d=2 twist with a "
                          "bilinear cocycle of zero diagonal")
-    _check_grids(b1, b2, twist.dim)
-    return SampledSymbol(grid=b1.grid, values=_convolve_fft_2d(twist, b1, b2, density))
+    b2s = list(b2s)
+    for b2 in b2s:
+        _check_grids(b1, b2, twist.dim)
+    return [SampledSymbol(grid=b1.grid, values=v)
+            for v in _convolve_fft_2d(twist, b1, b2s, density)]
 
 
-def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
-                     density: float) -> np.ndarray:
-    """Abelian d=2 path in the polarized gauge.
+@lru_cache(maxsize=1)
+def _gauge_tables(grid: Grid, c1: float, c2: float):
+    """The read-only phase tables of the polarized gauge:
+    e^{-i c2 u0 u1} on the (2n-1)^2 offset grid, e^{i c1 y0 y1} and
+    e^{i c2 x0 x1} on the nodes.  They depend on the grid and the cocycle only,
+    and consecutive convolutions mostly share both."""
+    u = grid.offset_axis
+    ax = grid.axis
+    tables = (np.exp(-1j * c2 * np.outer(u, u)), np.exp(1j * c1 * np.outer(ax, ax)),
+              np.exp(1j * c2 * np.outer(ax, ax)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2s: list[SampledSymbol],
+                     density: float) -> list[np.ndarray]:
+    """Abelian d=2 path in the polarized gauge, one sweep for all of b2s.
 
     With c1 = A[0, 1], c2 = A[1, 0] the kernel phase is c1 x0 y1 + c2 x1 y0.
     Substituting u = x - y gives
@@ -156,40 +188,50 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
     0..3n-3 and only n-1..2n-2 are kept; with FFT length M = 2n their
     aliases sit at 3n-1 and beyond, so M = 2n is exact.
 
-    Only the terms that can be nonzero are transformed: the columns y1 where
-    B has a nonzero entry, and in each of their blocks the rows x1 whose
-    offset x1 - y1 lies in the bounding interval of D's nonzero rows.  The
-    skipped terms are exact zeros and the accumulated spectrum never holds a
-    negative zero, so the result is the full sum bit for bit.
+    The modulated block of a column y1 does not depend on b2, so it is
+    transformed once and multiplied into the spectrum of every B with a
+    nonzero entry in that column.  Only the terms that can be nonzero are
+    transformed: the columns y1 where some B has a nonzero entry, and in each
+    of their blocks the rows x1 whose offset x1 - y1 lies in the bounding
+    interval of D's nonzero rows.  The skipped terms are exact zeros and the
+    accumulated spectra never hold a negative zero, so each result is the
+    full sum bit for bit, whatever the other operands are.
 
-    Cost: (nonzero b2 columns) x (output rows inside b1's offset support)
-    forward FFTs of length 2n, at most n^2, plus n for B and n inverse FFTs.
-    Arrays are held transposed, index [axis 1, axis 0], so every FFT runs
-    along the contiguous last axis.
+    Cost: (columns y1 where some B is nonzero) x (output rows inside b1's
+    offset support) forward FFTs of length 2n, at most n^2, plus one for each
+    nonzero column of each B and n inverse FFTs per B.  Arrays are held
+    transposed, index [axis 1, axis 0], so every FFT runs along the
+    contiguous last axis.  The gauge tables multiply from the left: numpy's
+    complex multiply is not bitwise commutative.
     """
     grid = b1.grid
     n = grid.points
     ax = grid.axis
-    c1 = float(twist.alpha_matrix[0, 1])
-    c2 = float(twist.alpha_matrix[1, 0])
+    # -0.0 + 0.0 is 0.0: the cache key does not tell the two zeros apart, so
+    # neither does the table.
+    c1 = float(twist.alpha_matrix[0, 1]) + 0.0
+    c2 = float(twist.alpha_matrix[1, 0]) + 0.0
     cell = density * grid.cell_volume
+    gauge_u, gauge_y, gauge_x = _gauge_tables(grid, c1, c2)
 
     # b1 at all lattice differences, offset m in [-(n-1), n-1] per axis; zero
-    # where m*h is not a node.
+    # where m*h is not a node.  The gauge table is symmetric, so the table is
+    # built transposed and scaled in place.
     u = grid.offset_axis
-    d1 = offset_values(b1.values, (0, 1))
+    d_t = offset_values(b1.values.T, (0, 1))                                  # [u1, u0]
+    np.multiply(gauge_u, d_t, out=d_t)
+    b_ts = [(gauge_y * b2.values).T for b2 in b2s]                           # [y1, y0]
+    nonzero = [b_t.any(axis=1) for b_t in b_ts]                               # per y1
 
     m_fft = 2 * n
-    d_t = np.ascontiguousarray((d1 * np.exp(-1j * c2 * np.outer(u, u))).T)   # [u1, u0]
-    b_t = (b2.values * np.exp(1j * c1 * np.outer(ax, ax))).T                  # [y1, y0]
-    fb = np.fft.fft(b_t, n=m_fft, axis=-1)                                    # [y1, freq]
-    spec = np.zeros((n, m_fft), dtype=complex)                                # [x1, freq]
+    specs = [np.zeros((n, m_fft), dtype=complex) for _ in b2s]               # [x1, freq]
     block = np.zeros((n, m_fft), dtype=complex)    # last column stays the zero pad
-    # One output buffer for the block FFTs: blocks of varying height, each
-    # allocated afresh, fragment the heap and raise the peak RSS.
+    # Output buffers for the block FFTs and their products: blocks of varying
+    # height, each allocated afresh, fragment the heap and raise the peak RSS.
     fbuf = np.empty((n, m_fft), dtype=complex)
+    pbuf = np.empty((n, m_fft), dtype=complex)
     support = np.flatnonzero(d_t.any(axis=1))      # offset rows where b1 is nonzero
-    live = np.flatnonzero(b_t.any(axis=1)) if support.size else []   # y1 with b2 != 0
+    live = np.flatnonzero(np.any(nonzero, axis=0)) if support.size and b2s else []
     for j in live:
         # Rows x1 whose offset row x1 - y1 + n - 1 lies in the support interval.
         lo = max(0, support[0] - (n - 1) + j)
@@ -200,10 +242,12 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2: SampledSymbol,
         np.multiply(d_t[lo + n - 1 - j:hi + n - 1 - j],
                     np.exp(1j * (c1 - c2) * ax[j] * u), out=block[lo:hi, :-1])
         fblock = np.fft.fft(block[lo:hi], axis=-1, out=fbuf[lo:hi])
-        fblock *= fb[j]
-        spec[lo:hi] += fblock
-    conv = np.fft.ifft(spec, axis=-1)[:, n - 1:2 * n - 1]                     # [x1, x0]
-    return cell * np.exp(1j * c2 * np.outer(ax, ax)) * conv.T
+        for b_t, live_k, spec in zip(b_ts, nonzero, specs):
+            if live_k[j]:
+                term = np.multiply(fblock, np.fft.fft(b_t[j], n=m_fft), out=pbuf[lo:hi])
+                spec[lo:hi] += term
+    return [cell * gauge_x * np.fft.ifft(spec, axis=-1)[:, n - 1:2 * n - 1].T
+            for spec in specs]
 
 
 def delta_action(twist: TwistData, phi: SampledSymbol, v) -> SampledSymbol:

@@ -331,8 +331,8 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     assoc_worst = 0.0
     triples = [(gsyms[0], gsyms[1], gsyms[2]), (gsyms[3], symbols[1], gsyms[4])]
     for a, b, c in triples:
-        left = eng.convolve(eng.convolve(a, b), c)
-        right = eng.convolve(a, eng.convolve(b, c))
+        ab, right = eng.convolve_each(a, [b, eng.convolve(b, c)])
+        left = eng.convolve(ab, c)
         num = lp_norm(SampledSymbol(grid, left.values - right.values), 2,
                       density=eng.density)
         den = (eng.symbol_norm(a) * eng.symbol_norm(b) * eng.symbol_norm(c))
@@ -363,7 +363,7 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     sig1, sig2 = 1.0, 0.7
     g1 = funcs.sample(grid, funcs.gaussian((0.0, 0.0), sig1))
     g2 = funcs.sample(grid, funcs.gaussian((0.0, 0.0), sig2))
-    plain = tw.twisted_convolve(untwisted, g1, g2, density=1.0)
+    plain = tw.twisted_convolve(untwisted, g1, [g2], density=1.0)[0]
     s2 = sig1 ** 2 + sig2 ** 2
     closed = funcs.sample(grid, lambda pts: (
         (2 * np.pi * sig1 ** 2 * sig2 ** 2 / s2)

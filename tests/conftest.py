@@ -44,13 +44,16 @@ def grid32():
 
 @pytest.fixture
 def convolve_calls(monkeypatch):
-    """Counter of twisted_convolve calls, through the engine or directly."""
-    calls = [0]
+    """Counter of twisted_convolve products and sweeps (calls), through the
+    engine or directly."""
+    calls = {"products": 0, "sweeps": 0}
     inner = tw.twisted_convolve
 
     def counted(*args, **kw):
-        calls[0] += 1
-        return inner(*args, **kw)
+        out = inner(*args, **kw)
+        calls["products"] += len(out)
+        calls["sweeps"] += 1
+        return out
 
     monkeypatch.setattr(tw, "twisted_convolve", counted)
     monkeypatch.setattr(pe, "twisted_convolve", counted)

@@ -89,9 +89,11 @@ def test_multiplier_checks_need_one_psi_per_phi(engine64):
 
 def test_multiplier_suite_shares_products_across_multipliers(convolve_calls):
     # 3 phi * psi products shared by the three multipliers, 9 per multiplier,
-    # and 3 in the independent identity-report route.
+    # and 3 in the independent identity-report route.  Each multiplier u
+    # sweeps once for u * phi and once for u * (phi * psi), and the
+    # identity-report route sweeps power_u once for its three phis.
     verify.multiplier_suite(0, 8.0, 32)
-    assert convolve_calls[0] == 33
+    assert convolve_calls == {"products": 33, "sweeps": 19}
 
 
 def _flat_with_inverse_angles(phi):

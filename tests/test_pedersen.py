@@ -62,9 +62,10 @@ def test_submultiplicativity_is_the_ratio_of_the_pair_product(engine64):
 
 def test_twist_suite_convolves_each_pair_once(convolve_calls):
     # 5 identity-report pairs, 5 reversed pairs, 8 for associativity, one
-    # approximate identity and one untwisted closed form.
+    # approximate identity and one untwisted closed form.  Associativity
+    # convolves a with b and with b * c in one sweep, per triple.
     verify.twist_suite(0, 8.0, 32)
-    assert convolve_calls[0] == 20
+    assert convolve_calls == {"products": 20, "sweeps": 18}
 
 
 def test_rank_one_operator_inversion_oracle(engine64):

@@ -71,8 +71,10 @@ def full_loop_fft_2d(twist, b1, b2, density, b1_eval=None):
         take = np.clip(src, 0, n - 1)
         d1[np.ix_(valid, valid)] = b1.values[np.ix_(take[valid], take[valid])]
     m_fft = 2 * n
-    d_t = np.ascontiguousarray((d1 * np.exp(-1j * c2 * np.outer(u, u))).T)
-    b_t = (b2.values * np.exp(1j * c1 * np.outer(ax, ax))).T
+    # The gauge tables multiply from the left, as in the FFT path: numpy's
+    # complex multiply is not bitwise commutative.
+    d_t = np.ascontiguousarray((np.exp(-1j * c2 * np.outer(u, u)) * d1).T)
+    b_t = (np.exp(1j * c1 * np.outer(ax, ax)) * b2.values).T
     fb = np.fft.fft(b_t, n=m_fft, axis=-1)
     spec = np.zeros((n, m_fft), dtype=complex)
     block = np.zeros((n, m_fft), dtype=complex)
@@ -148,11 +150,37 @@ def _same_bits(x, y) -> bool:
 
 @pytest.mark.parametrize("points", [32, 64])
 def test_fft_path_skips_only_exact_zero_terms(h3_twist, points):
+    # Each left operand of the cases with every right operand in one sweep:
+    # the zero, delta and sparse operands make the union of live columns wider
+    # than each operand's own, and no product may see another's terms.
     grid = Grid(2, 8.0, points)
+    cases = _support_cases(grid).values()
+    lefts = list({id(a): a for a, _ in cases}.values())
+    rights = list({id(b): b for _, b in cases}.values())
     for twist in (h3_twist, _bilinear_twist(NON_SKEW)):
-        for name, (a, b) in _support_cases(grid).items():
-            got = tw.twisted_convolve(twist, a, b, density=RHO).values
-            assert _same_bits(got, full_loop_fft_2d(twist, a, b, RHO)), name
+        for a in lefts:
+            swept = tw.twisted_convolve(twist, a, rights, density=RHO)
+            assert len(swept) == len(rights)
+            for b, got in zip(rights, swept):
+                alone = tw.twisted_convolve(twist, a, [b], density=RHO)[0]
+                assert _same_bits(got.values, alone.values)
+                assert _same_bits(got.values, full_loop_fft_2d(twist, a, b, RHO))
+
+
+def test_gauge_tables_follow_the_grid_and_the_cocycle(h3_twist):
+    # The phase tables are cached per grid and cocycle; each call here changes
+    # one of them, so a stale table would show.  0.0 and -0.0 make one cache
+    # key, and the convolution reads a cocycle entry -0.0 as 0.0.
+    a_fn = funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1))
+    b_fn = funcs.smooth_bump((-1.0, 0.5), 2.0, 3.0)
+    untwisted = tw.zero_twist(2)
+    negative_zero = dataclasses.replace(untwisted, alpha_matrix=-untwisted.alpha_matrix)
+    twists = (h3_twist, _bilinear_twist(NON_SKEW), untwisted, negative_zero, h3_twist)
+    for grid in (Grid(2, 8.0, 32), Grid(2, 6.0, 32), Grid(2, 8.0, 32)):
+        a, b = funcs.sample(grid, a_fn), funcs.sample(grid, b_fn)
+        for twist in twists:
+            got = tw.twisted_convolve(twist, a, [b], density=RHO)[0].values
+            assert _same_bits(got, full_loop_fft_2d(twist, a, b, RHO))
 
 
 def _family_evaluators(monkeypatch):
@@ -177,7 +205,7 @@ def test_node_values_stay_within_1e_7_of_off_box_reads(h3_twist, monkeypatch, po
     for ev, a in zip(evaluators, symbols):
         for b in symbols[:3]:
             ref = full_loop_fft_2d(h3_twist, a, b, RHO, b1_eval=ev)
-            got = tw.twisted_convolve(h3_twist, a, b, density=RHO).values
+            got = tw.twisted_convolve(h3_twist, a, [b], density=RHO)[0].values
             worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
     assert worst <= 1e-7
 
@@ -199,7 +227,7 @@ def test_fast_path_matches_direct_without_evaluators(h3_twist, grid32):
     b = SampledSymbol(grid32, gen.standard_normal(grid32.shape)
                       + 1j * gen.standard_normal(grid32.shape))
     for twist in (h3_twist, _bilinear_twist(NON_SKEW)):
-        fast = tw.twisted_convolve(twist, a, b, density=RHO)
+        fast = tw.twisted_convolve(twist, a, [b], density=RHO)[0]
         direct = direct_quadrature(twist, a, b, RHO)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(fast.values - direct)) <= 1e-12 * scale
@@ -212,9 +240,8 @@ def test_fast_path_is_exactly_homogeneous_in_b2(h3_twist, grid32):
     a = funcs.sample(grid32, funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1)))
     b = funcs.sample(grid32, funcs.smooth_bump((-1.0, 0.5), 2.0, 3.0))
     for twist in (h3_twist, _bilinear_twist(NON_SKEW)):
-        once = tw.twisted_convolve(twist, a, b, density=RHO)
-        twice = tw.twisted_convolve(twist, a, SampledSymbol(grid32, 2.0 * b.values),
-                                    density=RHO)
+        once, twice = tw.twisted_convolve(
+            twist, a, [b, SampledSymbol(grid32, 2.0 * b.values)], density=RHO)
         assert np.array_equal(twice.values, 2.0 * once.values)
 
 
@@ -223,7 +250,7 @@ def test_grid_mismatch_rejected(h3_twist, grid32):
     a = funcs.sample(grid32, funcs.gaussian())
     b = funcs.sample(other, funcs.gaussian())
     with pytest.raises(GridMismatch):
-        tw.twisted_convolve(h3_twist, a, b)
+        tw.twisted_convolve(h3_twist, a, [b])
 
 
 def test_zero_twist_reduces_to_ordinary_convolution(grid32):
@@ -232,7 +259,7 @@ def test_zero_twist_reduces_to_ordinary_convolution(grid32):
     s1, s2 = 1.0, 0.7
     a = funcs.sample(grid32, funcs.gaussian(sigma=s1))
     b = funcs.sample(grid32, funcs.gaussian(sigma=s2))
-    out = tw.twisted_convolve(untwisted, a, b, density=1.0)
+    out = tw.twisted_convolve(untwisted, a, [b], density=1.0)[0]
     s2tot = s1 ** 2 + s2 ** 2
     closed = funcs.sample(grid32, lambda pts: (
         (2 * np.pi * s1 ** 2 * s2 ** 2 / s2tot)
@@ -246,7 +273,7 @@ def test_zero_twist_reduces_to_ordinary_convolution(grid32):
 def test_approximate_identity(h3_twist, grid32):
     a = funcs.sample(grid32, funcs.gaussian((0.3, 0.2)))
     delta = funcs.discrete_delta(grid32, RHO)
-    out = tw.twisted_convolve(h3_twist, a, delta, density=RHO)
+    out = tw.twisted_convolve(h3_twist, a, [delta], density=RHO)[0]
     rel = lp_norm(SampledSymbol(grid32, out.values - a.values), 2) / lp_norm(a, 2)
     assert rel <= 0.02
 
@@ -272,7 +299,7 @@ def test_delta_action_matches_narrowing_bump(h3_twist):
         bump_vals = funcs.sample(grid, funcs.gaussian((1.0, 0.0), sigma)).values
         mass = RHO * grid.cell_volume * np.sum(bump_vals)
         bump = SampledSymbol(grid, bump_vals / mass)
-        approx = tw.twisted_convolve(h3_twist, phi, bump, density=RHO)
+        approx = tw.twisted_convolve(h3_twist, phi, [bump], density=RHO)[0]
         errs.append(lp_norm(SampledSymbol(grid, approx.values - target.values), 2)
                     / lp_norm(target, 2))
     assert errs[0] > errs[1] > errs[2]
@@ -334,7 +361,7 @@ def test_direct_path_with_compiled_product_polynomials(h3_orbit, grid32):
     a = funcs.sample(grid32, ea)
     b = funcs.sample(grid32, funcs.gaussian((-0.2, 0.8), 0.9))
     with pytest.raises(ValueError, match="abelian d=2"):
-        tw.twisted_convolve(raw, a, b, density=RHO)
+        tw.twisted_convolve(raw, a, [b], density=RHO)
     via_polys = direct_quadrature(raw, a, b, RHO, b1_eval=ea)
     reference = direct_quadrature(shortcut, a, b, RHO, b1_eval=ea)
     assert np.max(np.abs(via_polys - reference)) <= 1e-12
@@ -345,7 +372,7 @@ def test_nonabelian_twist_is_refused(ext7_orbit):
     grid = Grid(6, 4.0, 8)
     sym = SampledSymbol(grid, np.zeros(grid.shape))
     with pytest.raises(ValueError, match="abelian d=2"):
-        tw.twisted_convolve(twist, sym, sym)
+        tw.twisted_convolve(twist, sym, [sym])
 
 
 # Catalog entries, random algebras and two families of Heisenberg algebras:
@@ -379,7 +406,7 @@ def test_every_two_dimensional_flat_orbit_takes_the_fft_path(L, data):
     assert twist.abelian and A is not None and np.array_equal(A, -A.T)
     grid = Grid(2, 4.0, 8)
     sym = funcs.sample(grid, funcs.gaussian())
-    out = tw.twisted_convolve(twist, sym, sym, density=RHO)
+    out = tw.twisted_convolve(twist, sym, [sym], density=RHO)[0]
     assert np.all(np.isfinite(out.values))
 
 
