@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage error, 3 I/O error.
 Reports are byte-identical for identical (inputs, flags, seed, version);
-wall-clock timings are only added with --timings.
+--timings adds a "runtime" field to every check, null until checks are timed.
 """
 
 from __future__ import annotations
@@ -37,6 +37,15 @@ def _load_algebra_arg(ref: str) -> lc.LieAlgebra:
         return cat.get_algebra(ref)
     except KeyError:
         raise FileNotFoundError(f"no such file or catalog entry: {ref}")
+
+
+def _orbit_arg(algebra: str, xi0: str | None) -> ob.OrbitData:
+    """The orbit of --xi0 under the Jordan-Holder flag, else the standard orbit."""
+    L = _load_algebra_arg(algebra)
+    if not xi0:
+        return ob.standard_orbit(L)
+    return ob.jump_indices(L, lc.jordan_holder_flag(L),
+                           ob.Functional(parse_vector(xi0)))
 
 
 def _parse_grid(text: str) -> Grid:
@@ -155,13 +164,7 @@ def cmd_catalog(args) -> int:
 def cmd_orbit(args) -> int:
     seed = master_seed(args.seed)
     rep = Report(command=f"orbit {args.algebra}", seed=seed)
-    L = _load_algebra_arg(args.algebra)
-    if args.xi0:
-        xi0 = ob.Functional(parse_vector(args.xi0))
-        flag = lc.jordan_holder_flag(L)
-        orbit = ob.jump_indices(L, flag, xi0)
-    else:
-        orbit = ob.standard_orbit(L)
+    orbit = _orbit_arg(args.algebra, args.xi0)
     rep.measure("jump_set", list(orbit.jump_set))
     rep.measure("orbit_dim", orbit.d)
     rep.measure("flat", orbit.flat)
@@ -236,13 +239,7 @@ def cmd_cz(args) -> int:
                                       points=grid.points)
         rep.command = f"cz multiplier --grid {args.grid}"
         return _emit(rep, args)
-    L = _load_algebra_arg(args.algebra)
-    if args.xi0:
-        orbit = ob.jump_indices(L, lc.jordan_holder_flag(L),
-                                ob.Functional(parse_vector(args.xi0)))
-    else:
-        orbit = ob.standard_orbit(L)
-    twist = tw.from_orbit(orbit)
+    twist = tw.from_orbit(_orbit_arg(args.algebra, args.xi0))
     if twist.dim != 2:
         raise pe.DimensionNot2(f"cz {args.action} needs a 2-dimensional orbit "
                                f"predual; {args.algebra} gives dimension {twist.dim}")
@@ -305,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed (default: NILHARM_SEED or 0)")
     common.add_argument("--timings", action="store_true",
                         default=argparse.SUPPRESS,
-                        help="include wall-clock timings (breaks byte-identity)")
+                        help="add a runtime field to every check (null for now)")
     top = argparse.ArgumentParser(
         prog="nilharm",
         parents=[common],

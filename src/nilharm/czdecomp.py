@@ -175,8 +175,8 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance) -> Covering:
     Stopping radius per node: the largest ladder radius whose ball average
     still exceeds the level; selection is greedy in decreasing maximal value
     (ties by row-major index) over the level-set nodes only, with the
-    selected radius expanded by the Vitali factor max(3, c_m^2) (c_m = 2
-    for an uncalibrated gauge).
+    selected radius expanded by the Vitali factor max(3, c_m^2), c_m the
+    quasi-triangle constant of the gauge, which must be calibrated.
     """
     if not level > 0:
         raise AlphaNonPositive("the level must be positive")
@@ -184,7 +184,9 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance) -> Covering:
     if np.any(vals < -1e-15) or np.max(np.abs(f.values.imag)) > 1e-15:
         raise ValueError("covering input must be a nonnegative real function")
     grid = f.grid
-    c_m = pd.quasi_constant if pd.quasi_constant is not None else 2.0
+    if pd.quasi_constant is None:
+        raise ValueError("pseudo-distance must be calibrated first")
+    c_m = pd.quasi_constant
     expansion = max(3.0, c_m * c_m)
 
     ladder = _radius_ladder(pd, grid)
@@ -322,19 +324,18 @@ def cz_decompose(f: SampledSymbol, level: float, pd: PseudoDistance,
 
 
 def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
-                             c2: float, grid: Grid,
-                             u_grid: Grid | None = None) -> dict:
+                             c2: float, grid: Grid, u_grid: Grid) -> dict:
     """sup over test points u of  integral_{m(z) > c2 m(u)} |gamma(z, u^-1)
     k(z u^-1) - k(z)| dz, by trapezoid quadrature on the z-grid.
 
-    The u set is the punctured node set of ``u_grid`` (defaults to the z-grid),
-    kept fixed under z-grid refinement so that refinement studies compare the
-    same supremum.  The twist must be abelian, so that z u^-1 = z - u, and
-    ``u_grid`` must share the z-grid's dimension and half-width.  Both grids
-    then lie on the lattice of the finer one, with P = max(N_z, N_u) points
-    and step h = 2L/P, so every z - u is a lattice offset m h with
-    |m_j| < P: the kernel is evaluated once on that (2P-1)^d offset table
-    and k(z - u) is read from it by integer index.
+    The u set is the punctured node set of ``u_grid``, kept fixed under
+    z-grid refinement so that refinement studies compare the same supremum.
+    The twist must be abelian, so that z u^-1 = z - u, and ``u_grid`` must
+    share the z-grid's dimension and half-width.  Both grids then lie on the
+    lattice of the finer one, with P = max(N_z, N_u) points and step
+    h = 2L/P, so every z - u is a lattice offset m h with |m_j| < P: the
+    kernel is evaluated once on that (2P-1)^d offset table and k(z - u) is
+    read from it by integer index.
 
     Only the live test points, where the mask m(z) > c2 m(u) is not empty, are
     evaluated.  Every other u integrates to exactly 0.0 and cannot beat a
@@ -347,7 +348,6 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
     if not twist.abelian:
         raise ValueError("the Hormander estimate needs an abelian twist "
                          "(z u^-1 = z - u)")
-    u_grid = u_grid or grid
     if u_grid.dim != grid.dim or u_grid.half_width != grid.half_width:
         raise GridMismatch(
             f"the u-grid must share the z-grid's dimension and half-width, got "

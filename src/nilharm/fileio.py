@@ -75,16 +75,6 @@ def load_form(path: str) -> sp.SymplecticForm:
     return sp.form_from_pairs(dim, pairs)
 
 
-def form_to_dict(omega: sp.SymplecticForm) -> dict:
-    entries = []
-    for i in range(omega.dim):
-        for j in range(i + 1, omega.dim):
-            if omega.matrix[i][j] != 0:
-                entries.append({"i": i + 1, "j": j + 1,
-                                "v": format_rational(omega.matrix[i][j])})
-    return {"dim": omega.dim, "entries": entries}
-
-
 def load_symbol(path: str) -> SampledSymbol:
     with open(path) as fh:
         doc = json.load(fh)

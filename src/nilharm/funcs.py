@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
-from .grids import Grid, SampledSymbol, TorusGridFunction
+from .grids import Grid, SampledSymbol
 
 
 def gaussian(center=(0.0, 0.0), sigma: float = 1.0, momentum=None):
@@ -95,22 +93,3 @@ def hermite_family(grid: Grid, n: int):
     orders = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1))
     return [sample(grid, hermite_gaussian(orders[k % len(orders)])) for k in range(n)]
 
-
-def random_torus(grid: Grid, angles: int, seed: int) -> TorusGridFunction:
-    """Standard normal real and imaginary parts on (circle) x (grid), one
-    angle at a time.
-
-    The values are those of real + 1j * imag with real and then imag drawn as
-    (angles,) + grid.shape arrays from default_rng(seed): slab k takes its
-    real part from the generator and its imaginary part from a copy that
-    first drew and discarded every real part."""
-    gen = np.random.default_rng(seed)
-    for _ in range(angles):
-        gen.standard_normal(grid.shape)
-
-    def slabs():
-        real, imag = np.random.default_rng(seed), copy.deepcopy(gen)
-        for _ in range(angles):
-            yield real.standard_normal(grid.shape) + 1j * imag.standard_normal(grid.shape)
-
-    return TorusGridFunction(grid=grid, angles=angles, slabs=slabs)

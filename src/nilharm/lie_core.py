@@ -105,9 +105,6 @@ class LieAlgebra:
         v = self._basis_brackets.get((i, j))
         return zero_vector(self.dim) if v is None else v
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
 
 def _normalize_entries(dim: int, brackets) -> tuple[Entry, ...]:
     """Accepts {(i, j): {k: c}} or iterable of (i, j, terms); indices 0-based."""

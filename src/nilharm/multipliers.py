@@ -23,7 +23,7 @@ from .pedersen import HeisenbergRealization
 
 def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
                       phis: list[SampledSymbol],
-                      psis: list[SampledSymbol] | None = None) -> list[dict]:
+                      psis: list[SampledSymbol]) -> list[dict]:
     """Residual report for the multiplier defined by each symbol u in us.
 
     "lp_ratios" maps each p in 1.25, 1.5, 2 to ||u * phi||_p / ||phi||_p per
@@ -31,7 +31,6 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
     distance of the companion from the identity, which is small when u is an
     approximate identity.  transform(phi) and phi * psi do not depend on u;
     they are computed once for all multipliers."""
-    psis = psis if psis is not None else phis
     if len(psis) != len(phis):
         raise ValueError(f"need one psi per phi, got {len(psis)} psis "
                          f"for {len(phis)} phis")
@@ -65,7 +64,7 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
 
 def multiplier_check(engine: HeisenbergRealization, u: SampledSymbol,
                      phis: list[SampledSymbol],
-                     psis: list[SampledSymbol] | None = None) -> dict:
+                     psis: list[SampledSymbol]) -> dict:
     """multiplier_checks for the single multiplier u."""
     return multiplier_checks(engine, [u], phis, psis)[0]
 

@@ -36,10 +36,6 @@ class Functional:
     def pair(self, v: Vector) -> Fraction:
         return dot(self.coords, v)
 
-    @classmethod
-    def dual_basis_vector(cls, n: int, index: int = 0) -> "Functional":
-        return cls(tuple(Fraction(1) if t == index else Fraction(0) for t in range(n)))
-
 
 def isotropy_algebra(L: lc.LieAlgebra, xi0: Functional) -> list[Vector]:
     """{X : xi0([X, .]) = 0}: exact nullspace of the skew pairing matrix."""

@@ -55,9 +55,6 @@ class DiscretizedOperator:
     def weight(self) -> float:
         return self.grid.h
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.weight * (self.matrix @ f)
-
     def compose(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
         if not self.grid.same_box(other.grid):
             raise GridMismatch("operator grids differ")
@@ -78,9 +75,6 @@ class DiscretizedOperator:
 
     def __sub__(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
         return DiscretizedOperator(self.grid, self.matrix - other.matrix)
-
-    def __add__(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
-        return DiscretizedOperator(self.grid, self.matrix + other.matrix)
 
 
 class HeisenbergRealization:

@@ -86,9 +86,6 @@ class Poly:
             return other
         return Poly.constant(self.nvars, other)
 
-    def degree(self) -> int:
-        return max((sum(m) for m, _ in self.terms), default=0)
-
     def compile(self):
         """Vectorized evaluator: takes a list of nvars equally-shaped arrays."""
         spec = [(float(c), tuple((v, e) for v, e in enumerate(m) if e))

@@ -3,28 +3,19 @@
 Each criterion runs its suite at the stated grid sizes and sample counts,
 prints one pass/fail line (run with -s to see them on success), and asserts
 both the checks and the stated wall-clock budget.  The criteria come from
-`verify.ACCEPTANCE_CRITERIA`, which `scripts/run_acceptance.py` also reads.
+`verify.ACCEPTANCE_CRITERIA`, and `verify.run_criterion` runs and prints
+each one, as it does for `scripts/run_acceptance.py`.
 """
-
-import time
 
 from nilharm import verify
 
 
 def _run_criterion(number):
-    label, budget_seconds, suite_fn, kw = verify.ACCEPTANCE_CRITERIA[number - 1]
-    t0 = time.perf_counter()
-    rep = suite_fn(seed=0, **kw)
-    elapsed = time.perf_counter() - t0
-    failed = [c for c in rep.checks if c.status == "fail"]
-    ok = not failed and elapsed <= budget_seconds
-    print(f"[{'PASS' if ok else 'FAIL'}] {label}: "
-          f"{len(rep.checks)} checks, {elapsed:.1f}s (budget {budget_seconds}s)")
-    for c in failed:
-        print(f"       failed check: {c.name} value={c.value} tol={c.tolerance}")
+    criterion = verify.ACCEPTANCE_CRITERIA[number - 1]
+    label, budget_seconds = criterion[:2]
+    _ok, failed, elapsed = verify.run_criterion(criterion, seed=0)
     assert not failed, [c.name for c in failed]
     assert elapsed <= budget_seconds, f"{label} exceeded {budget_seconds}s"
-    return rep
 
 
 def test_criterion_1_exact_algebra_suite():

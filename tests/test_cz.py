@@ -229,6 +229,12 @@ def test_cover_requires_positive_level(pd_h3, grid32):
         cz.cz_cover(f, 0.0, pd_h3)
 
 
+def test_cover_rejects_uncalibrated_gauge(h3_twist, grid32):
+    f = funcs.sample(grid32, funcs.smooth_bump())
+    with pytest.raises(ValueError, match="calibrated"):
+        cz.cz_cover(f, 0.1, cz.default_pseudo_distance(h3_twist))
+
+
 def test_cover_rejects_signed_input(pd_h3, grid32):
     f = SampledSymbol(grid32, -np.ones(grid32.shape))
     with pytest.raises(ValueError):
@@ -306,20 +312,20 @@ def test_hormander_zero_kernel(h3_twist, pd_h3):
     grid = Grid(2, 8.0, 32)
     out = cz.hormander_twist_estimate(
         lambda pts: np.zeros(np.asarray(pts).shape[:-1], dtype=complex),
-        pd_h3, h3_twist, 4.0 * pd_h3.quasi_constant, grid)
+        pd_h3, h3_twist, 4.0 * pd_h3.quasi_constant, grid, grid)
     assert out["estimate"] == 0.0
 
 
 def test_hormander_rejects_small_c2(h3_twist, pd_h3):
     with pytest.raises(cz.C2TooSmall):
         cz.hormander_twist_estimate(funcs.truncated_power(), pd_h3, h3_twist,
-                                    1.0, Grid(2, 8.0, 32))
+                                    1.0, Grid(2, 8.0, 32), Grid(2, 8.0, 32))
 
 
 def test_hormander_rejects_non_abelian_twist(ext7_twist, pd_h3):
     with pytest.raises(ValueError, match="abelian"):
         cz.hormander_twist_estimate(funcs.truncated_power(), pd_h3, ext7_twist,
-                                    8.0, Grid(6, 8.0, 8))
+                                    8.0, Grid(6, 8.0, 8), Grid(6, 8.0, 8))
 
 
 @pytest.mark.parametrize("u_grid", [Grid(3, 8.0, 32), Grid(2, 4.0, 32)])

@@ -49,13 +49,3 @@ def test_rational_strings():
             {"dim": 3, "brackets": [{"i": 1, "j": 2,
                                      "terms": [{"k": 3, "c": "0.75"}]}]})
 
-
-def test_form_round_trip():
-    from nilharm import symplectic as sp
-    omega = cat.g0st(2, 3)[1]
-    doc = json.loads(json.dumps(fileio.form_to_dict(omega)))
-    pairs = {(e["i"] - 1, e["j"] - 1): e["v"] for e in doc["entries"]}
-    back = sp.form_from_pairs(doc["dim"],
-                              {k: fileio.parse_rational(v)
-                               for k, v in pairs.items()})
-    assert back.matrix == omega.matrix

@@ -31,7 +31,7 @@ def test_approximate_identity_multiplier(engine64):
     grid = engine64.symbol_grid
     phis = funcs.gaussian_family(grid, 2)
     delta = funcs.discrete_delta(grid, engine64.density)
-    out = mult.multiplier_check(engine64, delta, phis)
+    out = mult.multiplier_check(engine64, delta, phis, phis)
     assert max(out["intertwining_hs"]) <= 1e-2
     assert max(out["right_commutation_l2"]) <= 1e-2
     for phi in phis:
@@ -48,7 +48,7 @@ def test_zero_multiplier(engine64):
     grid = engine64.symbol_grid
     phis = funcs.gaussian_family(grid, 2)
     zero = SampledSymbol(grid, np.zeros(grid.shape))
-    out = mult.multiplier_check(engine64, zero, phis)
+    out = mult.multiplier_check(engine64, zero, phis, phis)
     assert max(out["intertwining_hs"]) == 0.0
     assert max(out["right_commutation_l2"]) == 0.0
     assert out["identity_gap"] == [1.0] * len(phis)
@@ -59,7 +59,7 @@ def test_integrable_kernel_family_bounded_ratios(engine64):
     grid = engine64.symbol_grid
     phis = funcs.gaussian_family(grid, 3)
     u = funcs.sample(grid, funcs.truncated_power(1.5, 0.25, 6.0))
-    out = mult.multiplier_check(engine64, u, phis)
+    out = mult.multiplier_check(engine64, u, phis, phis)
     for p, ratios in out["lp_ratios"].items():
         assert all(np.isfinite(r) for r in ratios)
         assert max(ratios) < 50.0
@@ -148,7 +148,7 @@ def test_sharp_flat_roundtrip_and_isometry(grid32):
 
 def test_projection_properties(grid32):
     angles = 16
-    phi = funcs.random_torus(grid32, angles, 2)
+    phi = torus(grid32, dense_random_torus(grid32, angles, 2))
     proj = mult.proj_p(phi)
     # (flat then sharp) equals the projection.
     again = mult.sharp_map(mult.flat_map(phi), angles)
@@ -179,14 +179,14 @@ def test_torus_maps_match_dense_references(points, angles):
         assert np.array_equal(mult.flat_map(lifted).values,
                               dense_flat(dense_lift(psi, angles)))
     values = dense_random_torus(grid, angles, 7)
-    for phi in (funcs.random_torus(grid, angles, 7), torus(grid, values)):
-        assert np.array_equal(mult.flat_map(phi).values, dense_flat(values))
-        proj = mult.proj_p(phi)
-        assert np.array_equal(dense(proj), dense_proj(grid, values))
-        twice = dense_proj(grid, dense_proj(grid, values))
-        assert np.array_equal(dense(mult.proj_p(proj)), twice)
-        assert torus_sup_distance(mult.proj_p(proj), proj) \
-            == float(np.max(np.abs(twice - dense_proj(grid, values))))
+    phi = torus(grid, values)
+    assert np.array_equal(mult.flat_map(phi).values, dense_flat(values))
+    proj = mult.proj_p(phi)
+    assert np.array_equal(dense(proj), dense_proj(grid, values))
+    twice = dense_proj(grid, dense_proj(grid, values))
+    assert np.array_equal(dense(mult.proj_p(proj)), twice)
+    assert torus_sup_distance(mult.proj_p(proj), proj) \
+        == float(np.max(np.abs(twice - dense_proj(grid, values))))
 
 
 def test_multiplier_suite_torus_checks_hold_o_grid_memory(monkeypatch):

@@ -15,7 +15,7 @@ F = Fraction
 
 
 def dual_functional(n, i=0):
-    return ob.Functional.dual_basis_vector(n, i)
+    return ob.Functional(tuple(F(1) if t == i else F(0) for t in range(n)))
 
 
 def product_e(orbit, x, y):

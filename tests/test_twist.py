@@ -24,9 +24,10 @@ def test_twist_data_h3(h3_twist):
 
 def test_twist_requires_flat_orbit():
     L = cat.abelian(4)
+    from fractions import Fraction
     from nilharm import lie_core as lc
     orbit = ob.jump_indices(L, lc.jordan_holder_flag(L),
-                            ob.Functional.dual_basis_vector(4))
+                            ob.Functional((Fraction(1),) + (Fraction(0),) * 3))
     with pytest.raises(tw.NotFlat):
         tw.from_orbit(orbit)
 
