@@ -5,12 +5,26 @@ two-letter alphabet to rational coefficients:
 
     x * y = sum_w  c_w * [w_1, [w_2, [... [w_{m-1}, w_m] ...]]]
 
-where w ranges over words in {x, y} of length <= nilpotency step.  The table
-is algebra-independent and cached per truncation degree; one walk over it
-costs one right-nested bracket per word, shared across words through their
-common suffixes.
+where w ranges over words in {x, y} of length <= nilpotency step.  Writing
+log(e^x e^y) = sum_w g_w w as a series in non-commuting x and y, Dynkin's
+bracketing gives c_w = g_w / |w|, where g_w is Goldberg's coefficient (Duke
+Math. J. 23, 1956):
 
-The walk runs over any commutative ring.  With polynomial coordinates it
+    g_w = sum_k (-1)^(k-1) / k  sum_{covers}  prod_blocks 1 / (p! q!),
+
+over the covers of w by k consecutive blocks of the form x^p y^q.  The table
+comes from one walk over the words of length <= the degree, as a trie of
+prefixes.  Each prefix w[:i] keeps the integers
+F[i][k] = i! * sum_{covers of w[:i] by k blocks} prod 1/(p! q!); a new letter
+adds a last block w[s:m+1] to the covers of w[:s], weighted by
+comb(m+1, s) * comb(p+q, p).  So c_w = sum_k (-1)^(k-1) F[m][k] / (k m! m)
+for |w| = m, one Fraction per word.
+
+The table is algebra-independent and cached per truncation degree.  Summing
+the series costs one right-nested bracket per word, shared across words
+through their common suffixes.
+
+The sum runs over any commutative ring.  With polynomial coordinates it
 compiles an algebra's group law (and a flat orbit's reduced product and
 cocycle) into exact polynomials once, which ``polymap.ExactMap`` then
 evaluates in integer arithmetic; with Fraction coordinates it is the
@@ -21,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 
 Word = tuple[int, ...]  # letters: 0 -> x, 1 -> y
 
@@ -30,40 +44,47 @@ Word = tuple[int, ...]  # letters: 0 -> x, 1 -> y
 # ---------------------------------------------------------------------------
 
 
-def _pair_sequences(max_degree: int):
-    """All sequences ((p_1,q_1),...,(p_n,q_n)), p_i+q_i >= 1, total weight <= max_degree."""
-    stack: list[tuple[tuple[tuple[int, int], ...], int]] = [((), 0)]
-    while stack:
-        seq, weight = stack.pop()
-        if seq:
-            yield seq
-        for w in range(1, max_degree - weight + 1):
-            for p in range(w + 1):
-                stack.append((seq + ((p, w - p),), weight + w))
-
-
 @lru_cache(maxsize=None)
 def word_coefficients(max_degree: int) -> dict[Word, Fraction]:
     """Dynkin coefficients, aggregated per bracket word, degrees <= max_degree."""
     table: dict[Word, Fraction] = {}
-    for seq in _pair_sequences(max_degree):
-        n = len(seq)
-        m = sum(p + q for p, q in seq)
-        denom = n * m
-        word: list[int] = []
-        for p, q in seq:
-            word.extend([0] * p)
-            word.extend([1] * q)
-            denom *= factorial(p) * factorial(q)
-        coeff = Fraction((-1) ** (n - 1), denom)
-        key = tuple(word)
-        table[key] = table.get(key, Fraction(0)) + coeff
-    # Drop cancelled words and words that vanish identically ([.., a, a]).
-    return {
-        w: c
-        for w, c in table.items()
-        if c != 0 and (len(w) < 2 or w[-1] != w[-2])
-    }
+
+    def visit(word: Word, counts: list[list[int]]) -> None:
+        # counts[i][k] is F[i][k] of the module docstring for word[:i].
+        m = len(word)
+        if m:
+            den = lcm(*range(1, m + 1))
+            num = sum((-1) ** (k - 1) * f * (den // k)
+                      for k, f in enumerate(counts[m]) if k)
+            c = Fraction(num, den * factorial(m) * m)
+            # Drop cancelled words and words that vanish identically ([.., a, a]).
+            if c and (m < 2 or word[-1] != word[-2]):
+                table[word] = c
+        if m == max_degree:
+            return
+        for letter in (0, 1):
+            longer = word + (letter,)
+            row = [0] * (m + 2)
+            p = q = 0
+            # Last blocks longer[s:], from the shortest; x^p y^q fails at a y
+            # followed by an x.
+            for s in range(m, -1, -1):
+                if longer[s]:
+                    if p:
+                        break
+                    q += 1
+                else:
+                    p += 1
+                weight = comb(m + 1, s) * comb(p + q, p)
+                for k, f in enumerate(counts[s]):
+                    if f:
+                        row[k + 1] += weight * f
+            counts.append(row)
+            visit(longer, counts)
+            counts.pop()
+
+    visit((), [[1]])
+    return table
 
 
 @lru_cache(maxsize=None)

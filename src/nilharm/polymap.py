@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class Poly:
 
     @staticmethod
     def _make(nvars: int, data: dict[Monomial, Fraction]) -> "Poly":
-        return Poly(nvars, tuple(sorted((m, c) for m, c in data.items() if c != 0)))
+        return Poly(nvars, tuple(sorted(item for item in data.items() if item[1])))
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
@@ -50,31 +50,43 @@ class Poly:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         data = dict(self.terms)
         for m, c in other.terms:
-            data[m] = data.get(m, Fraction(0)) + c
+            data[m] = data[m] + c if m in data else c
         return Poly._make(self.nvars, data)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Poly(self.nvars, tuple((m, -c) for m, c in self.terms))
-
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        if not other.terms:
+            return self
+        data = dict(self.terms)
+        for m, c in other.terms:
+            data[m] = data[m] - c if m in data else -c
+        return Poly._make(self.nvars, data)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             c0 = Fraction(other)
             if c0 == 0:
                 return Poly.zero(self.nvars)
             return Poly(self.nvars, tuple((m, c * c0) for m, c in self.terms))
         other = self._coerce(other)
+        if not self.terms or not other.terms:
+            return Poly.zero(self.nvars)
         data: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                data[m] = data.get(m, Fraction(0)) + c1 * c2
+                m = tuple(map(add, m1, m2))
+                c = c1 * c2
+                data[m] = data[m] + c if m in data else c
         return Poly._make(self.nvars, data)
 
     __rmul__ = __mul__

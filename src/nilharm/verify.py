@@ -42,7 +42,8 @@ TOLERANCES: dict[str, float] = {
     "density_matches_power_of_2pi_coarse": 1e-4,  # grids with N < 64
     "trace_identity": 1e-3,
     "adjoint_identity_hs": 1e-8,
-    "hs_isometry_rel": 1e-3,
+    "hs_isometry_rel": 1e-12,  # grids with N >= 64
+    "hs_isometry_rel_coarse": 1e-3,  # grids with N < 64
     "inversion_roundtrip_rel": 1e-3,
     "homomorphism_rel": 1e-3,
     "trace_pairing_rel": 1e-3,
@@ -50,8 +51,8 @@ TOLERANCES: dict[str, float] = {
     "ccr_phase_residual": 1e-10,
     "rep_isometry_residual": 1e-10,
     "l2_submultiplicativity_slack": 1.0 + 1e-6,
-    "twisted_convolution_associativity": 1e-2,
-    "approximate_identity_rel_l2": 0.02,
+    "twisted_convolution_associativity": 1e-5,
+    "approximate_identity_rel_l2": 1e-12,
     "delta_action_norm_preservation": 1e-10,
     "delta_action_at_zero": 0.0,
     "untwisted_gaussian_closed_form_rel_l2": 1e-6,
@@ -280,7 +281,8 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     rep.check_bound("adjoint_identity_hs_max", max(idrep["adjoint"]),
                     TOLERANCES["adjoint_identity_hs"])
     rep.check_bound("hs_isometry_rel_max", max(idrep["hs_isometry"]),
-                    TOLERANCES["hs_isometry_rel"])
+                    TOLERANCES["hs_isometry_rel"] if points >= 64
+                    else TOLERANCES["hs_isometry_rel_coarse"])
     rep.check_bound("inversion_roundtrip_rel_max", max(idrep["inversion"]),
                     TOLERANCES["inversion_roundtrip_rel"])
     rep.check_bound("homomorphism_rel_max", max(idrep["homomorphism"]),

@@ -9,12 +9,15 @@ On random algebras the compiled law is checked against one walk of the
 series in plain Fraction arithmetic.
 """
 
+import hashlib
 from fractions import Fraction
+from math import factorial
 
+import pytest
 import random_algebras
 from hypothesis import given, settings, strategies as st
 
-from nilharm import bch, catalog as cat, lie_core as lc, seeds
+from nilharm import bch, catalog as cat, lie_core as lc, orbits as ob, seeds
 from nilharm.polymap import Poly
 
 
@@ -52,6 +55,76 @@ def test_associativity_in_free_nilpotent_step4():
         z = seeds.random_fraction_vector(rnd, 8, max_num=3, max_den=3)
         assert lc.bch_product(L, lc.bch_product(L, x, y), z) \
             == lc.bch_product(L, x, lc.bch_product(L, y, z))
+
+
+def dynkin_table_by_block_sequences(max_degree: int) -> dict:
+    """Reference table: Dynkin's series term by term.
+
+    Every sequence ((p_1, q_1), ..., (p_n, q_n)) with p_i + q_i >= 1 and total
+    weight m <= max_degree adds (-1)^(n-1) / (n m prod p_i! q_i!) to the word
+    x^p_1 y^q_1 ... x^p_n y^q_n.
+    """
+    table = {}
+    stack = [((), 0)]
+    while stack:
+        seq, weight = stack.pop()
+        if seq:
+            n = len(seq)
+            denom = n * weight
+            word = []
+            for p, q in seq:
+                word += [0] * p + [1] * q
+                denom *= factorial(p) * factorial(q)
+            key = tuple(word)
+            table[key] = table.get(key, Fraction(0)) + Fraction((-1) ** (n - 1), denom)
+        for w in range(1, max_degree - weight + 1):
+            for p in range(w + 1):
+                stack.append((seq + ((p, w - p),), weight + w))
+    return {w: c for w, c in table.items()
+            if c != 0 and (len(w) < 2 or w[-1] != w[-2])}
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_word_table_matches_the_block_sequence_sum(degree):
+    assert bch.word_coefficients(degree) == dynkin_table_by_block_sequences(degree)
+
+
+def _digest(polys) -> str:
+    return hashlib.sha256(repr(tuple(p.terms for p in polys)).encode()).hexdigest()
+
+
+# sha256 of repr(terms) of every compiled polynomial, pinned when the word
+# table was still summed block sequence by block sequence.
+ORBIT_LAW_DIGESTS = {
+    "h3": "613e23da8e39086b32b34557ea3363d471916cca9118489bea6e2c8cbf42a13a",
+    "ext_g0st_1_1": "40e46dfe1cb5cc7dc2414818ceba64bc194c4d49f4925709f8869da4f5aec4a1",
+    "ext_triangle": "1077f87d81da7dec01728f9ce161d0bae63e21830cc71cde0ef2e6bdeb393eb5",
+    "ext_nonhomog": "eceaa0cd400e69d6c4d42931549b2a9519ccfae27950495861e1097e4a81b1ed",
+}
+GROUP_LAW_DIGESTS = {
+    "abelian4": "564fcfec669b0d15be976e29e0b17cfab8527c5f9b7e3cbe526809c0fb17e266",
+    "h3": "d16169e6cf2a867b3a88b796b6cce1bb5efa962039a1416e36ad8b793faf2300",
+    "g0st_1_1": "500e8edeeffb64ea302948e1938ea5a13b39e19cb7d22fbd790285e5d81d4e24",
+    "triangle": "fda4dd62b196e5274dd0721981116be1e8f4323341de6d93638ba384fe815747",
+    "nonhomog": "eaca46e8e373f23b35eb55dda83c96779ce848f49d2e22649c1b3f4d04e82fcd",
+    "ext_g0st_1_1": "40e833bb89a950acf329806f2954a0dec5f179b5374b005297d2503133350056",
+    "ext_triangle": "f681035fd4b2321aee8432c022c17504bf89a2b6a2bb575992e5e5c32c87eb2d",
+    "ext_nonhomog": "fbb895c2a6927f35026315c14bc3f909f7dd053fa953d6f26f9adcb541966dda",
+}
+
+
+def test_flat_orbit_laws_keep_their_terms():
+    for name, orbit in cat.flat_orbits().items():
+        product_polys, alpha_poly = ob.polynomial_law.__wrapped__(orbit)
+        assert _digest(product_polys + (alpha_poly,)) == ORBIT_LAW_DIGESTS[name], name
+
+
+def test_group_laws_keep_their_terms(monkeypatch):
+    # _compile_group_law hands its polynomials to ExactMap; keep them instead.
+    monkeypatch.setattr(lc, "ExactMap", lambda polys, n: polys)
+    for name, build in cat.CORE.items():
+        law = lc._compile_group_law.__wrapped__(build())
+        assert _digest(law) == GROUP_LAW_DIGESTS[name], name
 
 
 def test_degree2_aggregate_coefficient():

@@ -9,7 +9,7 @@ import random_algebras
 from hypothesis import given, settings, strategies as st
 
 from nilharm import catalog as cat, funcs, lie_core as lc, orbits as ob, twist as tw
-from nilharm import symplectic as sp, verify
+from nilharm import pedersen as pe, symplectic as sp, verify
 from nilharm.grids import Grid, GridMismatch, SampledSymbol, lp_norm
 from nilharm.rationals import dot
 
@@ -411,6 +411,14 @@ def test_every_two_dimensional_flat_orbit_takes_the_fft_path(L, data):
     assert np.all(np.isfinite(out.values))
 
 
+def _failed(rep) -> set[str]:
+    return {c.name for c in rep.checks if c.status == "fail"}
+
+
+def _value(rep, name: str) -> float:
+    return next(c.value for c in rep.checks if c.name == name)
+
+
 def test_twist_suite_fails_on_a_flipped_cocycle_matrix(monkeypatch):
     # The convolution reads the cocycle from alpha_matrix alone.  With its
     # sign flipped, and the pointwise cocycle of the transform left as it is,
@@ -418,7 +426,7 @@ def test_twist_suite_fails_on_a_flipped_cocycle_matrix(monkeypatch):
     # associative and still an approximate identity, so only the
     # homomorphism T(a * b) = T(a) T(b) can see the defect (0.95 against
     # 4.4e-6 at N = 32, bound 1e-3).
-    assert all(c.status != "fail" for c in verify.twist_suite(seed=0, points=32).checks)
+    assert not _failed(verify.twist_suite(seed=0, points=32))
     compile_twist = tw.from_orbit
 
     def flipped(orbit):
@@ -426,5 +434,50 @@ def test_twist_suite_fails_on_a_flipped_cocycle_matrix(monkeypatch):
         return dataclasses.replace(twist, alpha_matrix=-twist.alpha_matrix)
 
     monkeypatch.setattr(tw, "from_orbit", flipped)
+    assert _failed(verify.twist_suite(seed=0, points=32)) == {"homomorphism_rel_max"}
+
+
+def test_twist_suite_sees_a_density_off_by_a_part_per_million(monkeypatch):
+    # The point-mass product is then 1 + 1e-6 times the Gaussian.  That read
+    # inside the earlier approximate-identity bound of 0.02; the bound of
+    # 1e-12 (2e-16 measured at L = 8, N = 16..128) sees it.
+    convolve = pe.twisted_convolve
+
+    def scaled(twist, b1, b2s, density=1.0):
+        return convolve(twist, b1, b2s, density * (1 + 1e-6))
+
+    monkeypatch.setattr(pe, "twisted_convolve", scaled)
     rep = verify.twist_suite(seed=0, points=32)
-    assert {c.name for c in rep.checks if c.status == "fail"} == {"homomorphism_rel_max"}
+    assert 1e-12 < _value(rep, "approximate_identity_rel_l2") < 0.02
+    assert _failed(rep) == {"approximate_identity_rel_l2"}
+
+
+def test_twist_suite_sees_one_dropped_convolution_term(monkeypatch):
+    # Every product drops the term of the right operand's node y = (4, 0).
+    # Associativity then reads 1.2e-3 at N = 32 (2.7e-9 without the defect):
+    # inside the earlier bound of 1e-2, outside the bound of 1e-5, and no
+    # other check fails.
+    convolve = pe.twisted_convolve
+
+    def dropped(twist, b1, b2s, density=1.0):
+        cut = []
+        for b2 in b2s:
+            values = b2.values.copy()
+            values[tuple(np.searchsorted(b2.grid.axis, (4.0, 0.0)))] = 0.0
+            cut.append(SampledSymbol(b2.grid, values))
+        return convolve(twist, b1, cut, density)
+
+    monkeypatch.setattr(pe, "twisted_convolve", dropped)
+    rep = verify.twist_suite(seed=0, points=32)
+    assert 1e-5 < _value(rep, "twisted_convolution_associativity") < 1e-2
+    assert _failed(rep) == {"twisted_convolution_associativity"}
+
+
+def test_twist_suite_sees_an_hs_norm_off_by_a_part_per_million(monkeypatch):
+    # The HS isometry reads 6.3e-16 at N = 64 and is held to 1e-12 there.  At
+    # N = 32 it reads 3.5e-6 against 1e-3, and this defect passes.
+    hs_norm = pe.DiscretizedOperator.hs_norm
+    monkeypatch.setattr(pe.DiscretizedOperator, "hs_norm",
+                        lambda self: hs_norm(self) * (1 + 1e-6))
+    rep = verify.twist_suite(seed=0, points=64)
+    assert _failed(rep) == {"hs_isometry_rel_max"}
