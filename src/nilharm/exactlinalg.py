@@ -117,11 +117,12 @@ def nullspace(rows: list[list[Fraction]] | list[Vector], n_cols: int | None = No
     """Basis of the right nullspace {v : M v = 0}.
 
     Each basis vector carries entry 1 in its own free column; free columns
-    are taken in increasing order.
+    are taken in increasing order.  A matrix without rows, whose column count
+    ``n_cols`` must then be given, has the n_cols unit vectors as its basis.
     """
-    if not rows:
-        return []
     if n_cols is None:
+        if not rows:
+            raise ValueError("a matrix without rows needs its column count")
         n_cols = len(rows[0])
     red, piv = rref(rows)
     free = [c for c in range(n_cols) if c not in piv]
@@ -133,22 +134,6 @@ def nullspace(rows: list[list[Fraction]] | list[Vector], n_cols: int | None = No
             v[pc] = -red[r][fc]
         basis.append(tuple(v))
     return basis
-
-
-def solve(rows: list[list[Fraction]] | list[Vector], rhs: Vector) -> Vector | None:
-    """One exact solution of M x = rhs, or None if inconsistent."""
-    if not rows:
-        return None if any(b != 0 for b in rhs) else ()
-    n_cols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
-    red, piv = rref(aug)
-    for r, pc in enumerate(piv):
-        if pc == n_cols:
-            return None
-    x = [Fraction(0)] * n_cols
-    for r, pc in enumerate(piv):
-        x[pc] = red[r][n_cols]
-    return tuple(x)
 
 
 def span_basis(vectors: list[Vector]) -> list[Vector]:
@@ -174,7 +159,5 @@ def in_span(basis: list[Vector], v: Vector) -> bool:
 
 
 def subspace_equal(a: list[Vector], b: list[Vector]) -> bool:
-    ra, rb = rank(a) if a else 0, rank(b) if b else 0
-    if ra != rb:
-        return False
-    return rank(list(a) + list(b)) == ra if (a or b) else True
+    ra = rank(a)
+    return ra == rank(b) and rank(list(a) + list(b)) == ra

@@ -24,7 +24,7 @@ from math import lcm
 from . import bch as _bch
 from . import exactlinalg as ela
 from .polymap import ExactMap, Poly
-from .rationals import Vector, over_common_denominator, zero_vector
+from .rationals import Vector, over_common_denominator, unit_vector, zero_vector
 
 Terms = tuple[tuple[int, Fraction], ...]
 Entry = tuple[int, int, Terms]
@@ -187,7 +187,7 @@ def _ad(L: LieAlgebra, i: int, v: Vector) -> Vector:
 def _series(L: LieAlgebra) -> list[list[Vector]]:
     """Lower central series as rref bases; final element is the empty basis iff nilpotent."""
     dim = L.dim
-    full = [tuple(Fraction(1) if t == s else Fraction(0) for t in range(dim)) for s in range(dim)]
+    full = [unit_vector(dim, s) for s in range(dim)]
     series = [full]
     current = full
     while True:
@@ -254,9 +254,6 @@ def center(L: LieAlgebra) -> list[Vector]:
             row = [cols[i][k] for i in range(L.dim)]
             if any(row):
                 rows.append(row)
-    if not rows:
-        return [tuple(Fraction(1) if t == s else Fraction(0) for t in range(L.dim))
-                for s in range(L.dim)]
     return ela.nullspace(rows, n_cols=L.dim)
 
 
@@ -301,7 +298,6 @@ def jordan_holder_flag(L: LieAlgebra, preferred_first: Vector | None = None) -> 
     to 1).  ``preferred_first`` overrides the first choice and must be central.
     """
     n = L.dim
-    basis = [tuple(Fraction(1) if t == s else Fraction(0) for t in range(n)) for s in range(n)]
     chosen: list[Vector] = []
     if preferred_first is not None:
         if len(preferred_first) != n:
@@ -312,8 +308,8 @@ def jordan_holder_flag(L: LieAlgebra, preferred_first: Vector | None = None) -> 
                     "requested first flag vector is not central")
         chosen.append(preferred_first)
     while len(chosen) < n:
-        span = ela.span_basis(chosen) if chosen else []
-        red, piv = (ela.rref(span) if span else ([], []))
+        span = ela.span_basis(chosen)
+        red, piv = ela.rref(span)
 
         def reduce_mod_span(w: Vector) -> list[Fraction]:
             w = list(w)
@@ -334,7 +330,7 @@ def jordan_holder_flag(L: LieAlgebra, preferred_first: Vector | None = None) -> 
                 row = [reduced_cols[s][k] for s in range(n)]
                 if any(row):
                     rows.append(row)
-        candidates = ela.nullspace(rows, n_cols=n) if rows else list(basis)
+        candidates = ela.nullspace(rows, n_cols=n)
         picked = None
         for v in ela.span_basis(candidates):
             if not ela.in_span(span, v):
@@ -395,11 +391,7 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
                         row[k * n + j] -= bik[m]          # -([Xi, D Xj])_m
                 if any(row):
                     rows.append(row)
-    if rows:
-        flat_basis = ela.nullspace(rows, n_cols=n * n)
-    else:
-        flat_basis = [tuple(Fraction(1) if t == s else Fraction(0) for t in range(n * n))
-                      for s in range(n * n)]
+    flat_basis = ela.nullspace(rows, n_cols=n * n)
     mats = tuple(
         tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n))
         for v in flat_basis
@@ -441,15 +433,12 @@ def is_characteristically_nilpotent(derivs: DerivationSpace) -> EngelCertificate
         # Zero derivation space is vacuously nilpotent (cannot occur for dim >= 1).
         return EngelCertificate(success=True, flag=())
     mats = [list(map(list, D)) for D in derivs.basis]
-    lifts = [tuple(Fraction(1) if t == s else Fraction(0) for t in range(n))
-             for s in range(n)]
+    lifts = [unit_vector(n, s) for s in range(n)]
     flag: list[Vector] = []
     dim_q = n
     for stage in range(n):
         stacked = [row for M in mats for row in M]
-        kernel = ela.nullspace(stacked, n_cols=dim_q) if stacked else \
-            [tuple(Fraction(1) if t == s else Fraction(0) for t in range(dim_q))
-             for s in range(dim_q)]
+        kernel = ela.nullspace(stacked, n_cols=dim_q)
         if not kernel:
             return EngelCertificate(success=False, failed_stage=stage)
         v = kernel[0]

@@ -16,7 +16,7 @@ from . import bch as _bch
 from . import exactlinalg as ela
 from . import lie_core as lc
 from .polymap import ExactMap, Poly
-from .rationals import Vector, dot
+from .rationals import Vector, dot, unit_vector
 
 
 class PairingNotOne(Exception):
@@ -45,9 +45,6 @@ def isotropy_algebra(L: lc.LieAlgebra, xi0: Functional) -> list[Vector]:
         row = [xi0.pair(L.basis_bracket(i, j)) for i in range(n)]
         if any(row):
             rows.append(row)
-    if not rows:
-        return [tuple(Fraction(1) if t == s else Fraction(0) for t in range(n))
-                for s in range(n)]
     return ela.nullspace(rows, n_cols=n)
 
 
@@ -72,24 +69,19 @@ class OrbitData:
         return len(self.jump_set)
 
     @cached_property
-    def _split_rows(self) -> list[list[Fraction]]:
-        # Columns: predual basis vectors then the flag's first (central) vector.
+    def _split_inverse(self) -> list[Vector]:
+        """Columns of the inverse split matrix, one per ambient coordinate.
+
+        The split matrix M has the predual basis vectors, then the flag's
+        first (central) vector, as columns; for a flat orbit it is square, and
+        one rref of [M | I] gives [I | M^-1]."""
         cols = list(self.predual_basis) + [self.flag.vectors[0]]
         n = self.algebra.dim
-        return [[cols[c][r] for c in range(len(cols))] for r in range(n)]
-
-    @cached_property
-    def _split_inverse(self) -> list[Vector]:
-        """Columns of the inverse split matrix, one per ambient coordinate."""
-        n = self.algebra.dim
-        cols = []
-        for t in range(n):
-            rhs = tuple(Fraction(1) if r == t else Fraction(0) for r in range(n))
-            sol = ela.solve(self._split_rows, rhs)
-            if sol is None:
-                raise AssertionError("split basis is not spanning")
-            cols.append(sol)
-        return cols
+        red, piv = ela.rref([[c[r] for c in cols] + list(unit_vector(n, r))
+                             for r in range(n)])
+        if piv != list(range(n)):
+            raise AssertionError("split basis is not a basis")
+        return [tuple(row[n + t] for row in red) for t in range(n)]
 
     @cached_property
     def _law(self) -> ExactMap:
@@ -136,7 +128,7 @@ def jump_indices(L: lc.LieAlgebra, flag: lc.FlagSequence, xi0: Functional) -> Or
     for j in range(1, L.dim + 1):
         lower = list(flag.vectors[:j - 1]) + list(iso)
         xj = flag.vectors[j - 1]
-        base_rank = ela.rank(lower) if lower else 0
+        base_rank = ela.rank(lower)
         if ela.rank(lower + [xj]) > base_rank:
             jump.append(j)
     predual = tuple(flag.vectors[j - 1] for j in jump)
@@ -258,7 +250,7 @@ def predual_weights(orbit: OrbitData) -> tuple[int, ...]:
     series = lc.lower_central_series(Q)
     weights = []
     for a in range(Q.dim):
-        ea = tuple(Fraction(1) if t == a else Fraction(0) for t in range(Q.dim))
+        ea = unit_vector(Q.dim, a)
         w = 1
         for k in range(1, len(series)):
             if series[k] and ela.in_span(list(series[k]), ea):

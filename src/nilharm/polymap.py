@@ -2,8 +2,9 @@
 
 Just enough ring structure to push coordinate variables through the BCH
 series, producing exact closed forms for the group cocycle and the reduced
-product, plus compilation to vectorized numpy evaluators for grid work and
-to exact integer-kernel evaluators (``ExactMap``) for the group laws.
+product, plus compilation to exact integer-kernel evaluators (``ExactMap``)
+for the group laws and the float matrix of a bilinear cocycle for the grid
+engine (``Poly.bilinear_matrix``).
 """
 
 from __future__ import annotations
@@ -97,27 +98,6 @@ class Poly:
                 raise ValueError("variable count mismatch")
             return other
         return Poly.constant(self.nvars, other)
-
-    def compile(self):
-        """Vectorized evaluator: takes a list of nvars equally-shaped arrays."""
-        spec = [(float(c), tuple((v, e) for v, e in enumerate(m) if e))
-                for m, c in self.terms]
-
-        def evaluate(varlist):
-            if not spec:
-                return np.zeros(np.broadcast(*varlist).shape if varlist else ())
-            acc = None
-            for coef, powers in spec:
-                term = np.full_like(np.asarray(varlist[0], dtype=float), coef) \
-                    if not powers else None
-                if powers:
-                    term = coef
-                    for v, e in powers:
-                        term = term * np.asarray(varlist[v], dtype=float) ** e
-                acc = term if acc is None else acc + term
-            return acc
-
-        return evaluate
 
     def bilinear_matrix(self, d: int) -> np.ndarray | None:
         """If the polynomial is sum_{a,b} A[a,b] x_a y_b over 2d variables

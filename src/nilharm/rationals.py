@@ -43,6 +43,11 @@ def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 
 
+def unit_vector(n: int, s: int) -> Vector:
+    """The s-th standard basis vector of length n."""
+    return tuple(Fraction(1) if t == s else Fraction(0) for t in range(n))
+
+
 def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y, strict=True))
 

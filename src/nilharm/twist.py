@@ -4,15 +4,17 @@ The convolution of two symbols is
 
     (b1 * b2)(x) = density * integral  exp(-i a(x, -y)) b1(x . (-y)) b2(y) dy
 
-by trapezoid quadrature on the grid, where a is the exact additive cocycle
-and x . y the reduced group product, both compiled from their rational
-polynomial closed forms.
+by trapezoid quadrature on the grid, where a is the additive cocycle and
+x . y the reduced group product of the orbit.
 
-A 2-dimensional flat-orbit predual comes from a Heisenberg-type algebra:
-g/z is 2-dimensional, so g is 2-step, the reduced product is x + y and the
-cocycle is bilinear and skew.  The convolution takes exactly that case, an
-abelian d=2 twist with a bilinear cocycle of zero diagonal, and refuses any
-other twist with a ValueError.  The kernel phase is then c1 x0 y1 + c2 x1 y0
+The grid engine takes the 2-step case: the reduced product is x + y and the
+cocycle is bilinear, a(x, y) = x^T A y.  ``TwistData`` is that matrix A, read
+from the exact cocycle polynomial, with the coordinate weights; a flat orbit
+whose reduced product is not additive gives a twist without a matrix, which
+every grid map refuses with a ValueError.  A 2-dimensional flat-orbit predual
+comes from a Heisenberg-type algebra: g/z is 2-dimensional, so g is 2-step
+and the cocycle is skew.  The convolution takes exactly the d=2 twists whose
+matrix has a zero diagonal.  The kernel phase is then c1 x0 y1 + c2 x1 y0
 and the trapezoid sum is computed by FFT.  The polarized gauge (Folland,
 Harmonic Analysis in Phase Space, ch. 1) rewrites it with u = x - y as
 
@@ -54,42 +56,51 @@ from .polymap import Poly
 
 @dataclass(frozen=True)
 class TwistData:
-    """Float-level twist structure: cocycle, reduced product, and coordinate weights."""
+    """Float-level twist of a flat orbit: cocycle matrix and coordinate weights.
+
+    With ``alpha_matrix`` = A the reduced product is x + y and the cocycle is
+    x^T A y.  A twist whose reduced product is not additive has no matrix
+    (``None``) and keeps only its weights: every grid map refuses it with
+    ``ValueError``.
+    """
 
     dim: int
-    alpha_fn: object          # (X (...,d), Y (...,d)) -> (...)
-    combine_fn: object        # (X (...,d), Y (...,d)) -> (...,d)
-    abelian: bool
-    alpha_matrix: np.ndarray | None  # set when the cocycle is purely bilinear
+    alpha_matrix: np.ndarray | None  # None unless the reduced product is x + y
     weights: tuple[int, ...]
 
+    def cocycle_matrix(self) -> np.ndarray:
+        """A, or ``ValueError`` for a twist without a cocycle matrix."""
+        if self.alpha_matrix is None:
+            raise ValueError("grid work needs an abelian twist: reduced product "
+                             "x + y and a bilinear cocycle (a 2-step flat orbit)")
+        return self.alpha_matrix
+
     def alpha(self, X, Y) -> np.ndarray:
-        return self.alpha_fn(np.asarray(X, float), np.asarray(Y, float))
+        """x^T A y over the last axis.  The nonzero entries are added with
+        row a descending, then column b descending, the first term as it is:
+        the term order of the cocycle polynomial, which the reports depend on
+        bit for bit."""
+        A = self.cocycle_matrix()
+        X, Y = np.asarray(X, float), np.asarray(Y, float)
+        acc = None
+        for a in reversed(range(self.dim)):
+            for b in reversed(range(self.dim)):
+                if A[a, b]:
+                    term = (A[a, b] * X[..., a]) * Y[..., b]
+                    acc = term if acc is None else acc + term
+        if acc is None:
+            return np.zeros(np.broadcast(X[..., 0], Y[..., 0]).shape)
+        return acc
 
     def combine(self, X, Y) -> np.ndarray:
-        return self.combine_fn(np.asarray(X, float), np.asarray(Y, float))
-
-
-def _compiled_pair(alpha_poly: Poly, product_polys: list[Poly], d: int):
-    alpha_eval = alpha_poly.compile()
-    product_evals = [p.compile() for p in product_polys]
-
-    def split_vars(X, Y):
-        return [X[..., a] for a in range(d)] + [Y[..., a] for a in range(d)]
-
-    def alpha_fn(X, Y):
-        return alpha_eval(split_vars(X, Y))
-
-    def combine_fn(X, Y):
-        varlist = split_vars(X, Y)
-        comps = [ev(varlist) for ev in product_evals]
-        return np.stack(np.broadcast_arrays(*comps), axis=-1)
-
-    return alpha_fn, combine_fn
+        """The reduced product x + y."""
+        self.cocycle_matrix()
+        return np.asarray(X, float) + np.asarray(Y, float)
 
 
 def from_orbit(orbit: ob.OrbitData) -> TwistData:
-    """Compile the exact cocycle and product polynomials of a flat orbit."""
+    """The cocycle matrix of a flat orbit whose reduced product is additive,
+    read from the exact cocycle polynomial; ``None`` for any other flat orbit."""
     if not orbit.flat:
         raise NotFlat("twist data requires a flat orbit")
     d = orbit.d
@@ -99,29 +110,16 @@ def from_orbit(orbit: ob.OrbitData) -> TwistData:
         p.terms == (Poly.variable(nv, a) + Poly.variable(nv, d + a)).terms
         for a, p in enumerate(product_polys)
     )
-    alpha_fn, combine_fn = _compiled_pair(alpha_poly, product_polys, d)
-    if additive:
-        combine_fn = lambda X, Y: np.asarray(X, float) + np.asarray(Y, float)
     return TwistData(
         dim=d,
-        alpha_fn=alpha_fn,
-        combine_fn=combine_fn,
-        abelian=additive,
-        alpha_matrix=alpha_poly.bilinear_matrix(d),
+        alpha_matrix=alpha_poly.bilinear_matrix(d) if additive else None,
         weights=ob.predual_weights(orbit),
     )
 
 
 def zero_twist(d: int) -> TwistData:
     """Untwisted structure: zero cocycle over an abelian predual."""
-    return TwistData(
-        dim=d,
-        alpha_fn=lambda X, Y: np.zeros(np.broadcast(X[..., 0], Y[..., 0]).shape),
-        combine_fn=lambda X, Y: np.asarray(X, float) + np.asarray(Y, float),
-        abelian=True,
-        alpha_matrix=np.zeros((d, d)),
-        weights=(1,) * d,
-    )
+    return TwistData(dim=d, alpha_matrix=np.zeros((d, d)), weights=(1,) * d)
 
 
 def _check_grids(b1: SampledSymbol, b2: SampledSymbol, d: int):
@@ -139,15 +137,14 @@ def twisted_convolve(twist: TwistData, b1: SampledSymbol, b2s: Sequence[SampledS
     common grid of b1 and the b2s.
 
     The products share one sweep of b1's offset blocks; each result is bit for
-    bit the one that b2s = [b2] gives.  Needs an abelian d=2 twist whose
-    bilinear cocycle matrix has a zero diagonal (``ValueError`` otherwise), as
-    every flat orbit with d=2 gives.
+    bit the one that b2s = [b2] gives.  Needs a d=2 twist whose cocycle matrix
+    has a zero diagonal (``ValueError`` otherwise), as every flat orbit with
+    d=2 gives.
     """
-    A = twist.alpha_matrix
-    if not (twist.dim == 2 and twist.abelian and A is not None
-            and A[0, 0] == 0.0 and A[1, 1] == 0.0):
-        raise ValueError("twisted convolution needs an abelian d=2 twist with a "
-                         "bilinear cocycle of zero diagonal")
+    A = twist.cocycle_matrix()
+    if not (twist.dim == 2 and A[0, 0] == 0.0 and A[1, 1] == 0.0):
+        raise ValueError("twisted convolution needs a d=2 twist whose cocycle "
+                         "matrix has a zero diagonal")
     b2s = list(b2s)
     for b2 in b2s:
         _check_grids(b1, b2, twist.dim)
@@ -172,7 +169,7 @@ def _gauge_tables(grid: Grid, c1: float, c2: float):
 
 def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2s: list[SampledSymbol],
                      density: float) -> list[np.ndarray]:
-    """Abelian d=2 path in the polarized gauge, one sweep for all of b2s.
+    """The d=2 path in the polarized gauge, one sweep for all of b2s.
 
     With c1 = A[0, 1], c2 = A[1, 0] the kernel phase is c1 x0 y1 + c2 x1 y0.
     Substituting u = x - y gives
@@ -254,9 +251,9 @@ def delta_action(twist: TwistData, phi: SampledSymbol, v) -> SampledSymbol:
     """Right action of the point mass at v:
     (phi * delta_v)(x) = exp(-i a(x, -v)) phi(x - v).
 
-    Needs an abelian twist and a lattice vector v (``ValueError`` otherwise);
-    phi(x - v) is then phi's node values moved by v, zero where x - v leaves
-    the grid."""
+    Needs a twist with a cocycle matrix and a lattice vector v (``ValueError``
+    otherwise); phi(x - v) is then phi's node values moved by v, zero where
+    x - v leaves the grid."""
     grid = phi.grid
     if grid.dim != twist.dim:
         raise GridMismatch("grid dimension does not match the twist")
@@ -264,10 +261,10 @@ def delta_action(twist: TwistData, phi: SampledSymbol, v) -> SampledSymbol:
     if v.shape != (twist.dim,):
         raise ValueError(f"the shift needs {twist.dim} components, one per "
                          f"predual coordinate; got {v.size}")
-    steps = grid.lattice_steps(v) if twist.abelian else None
+    steps = grid.lattice_steps(v)
     if steps is None:
-        raise ValueError(f"delta action needs an abelian twist and a shift on "
-                         f"the grid lattice, multiples of h = {grid.h:g}")
+        raise ValueError(f"delta action needs a shift on the grid lattice, "
+                         f"multiples of h = {grid.h:g}")
     nodes = grid.nodes()
     phase = np.exp(-1j * twist.alpha(nodes, -np.broadcast_to(v, nodes.shape)))
     values = phase.reshape(grid.shape) * lattice_shift(phi.values, steps)

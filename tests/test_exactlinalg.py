@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilharm import exactlinalg as ela
@@ -87,19 +88,12 @@ def test_nullspace_annihilates_and_has_right_dimension(m):
         assert ela.rank(list(basis)) == len(basis)
 
 
-@settings(max_examples=80, deadline=None)
-@given(matrices(), st.data())
-def test_solve_recovers_consistent_rhs(m, data):
-    x = [data.draw(fractions) for _ in range(len(m[0]))]
-    rhs = tuple(sum(a * b for a, b in zip(row, x)) for row in m)
-    sol = ela.solve(m, rhs)
-    assert sol is not None
-    assert tuple(sum(a * b for a, b in zip(row, sol)) for row in m) == rhs
-
-
-def test_solve_reports_inconsistency():
-    m = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert ela.solve(m, (Fraction(1), Fraction(2))) is None
+def test_nullspace_of_a_matrix_without_rows_is_the_unit_basis():
+    basis = ela.nullspace([], n_cols=3)
+    assert basis == [tuple(Fraction(int(t == s)) for t in range(3)) for s in range(3)]
+    assert basis == ela.nullspace([[Fraction(0)] * 3], n_cols=3)
+    with pytest.raises(ValueError, match="column count"):
+        ela.nullspace([])
 
 
 def test_rref_is_canonical():

@@ -46,17 +46,6 @@ def test_ring_laws(p, q, r):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys(), points)
-def test_compiled_evaluator_matches_exact(p, x):
-    ev = p.compile()
-    floats = [np.array([float(c)]) for c in x]
-    got = ev(floats)
-    expected = float(value(p, x))
-    assert abs(float(np.asarray(got).reshape(-1)[0]) - expected) \
-        <= 1e-9 * (1.0 + abs(expected))
-
-
-@settings(max_examples=60, deadline=None)
 @given(st.lists(polys(nvars=4), max_size=3), st.tuples(*([fractions] * 4)))
 def test_exact_map_matches_exact_evaluation(ps, point):
     # Variables 0, 1 are x and 2, 3 are y; zero and constant polynomials included.

@@ -8,7 +8,8 @@ import pytest
 import random_algebras
 from hypothesis import given, settings, strategies as st
 
-from nilharm import catalog as cat, funcs, lie_core as lc, orbits as ob, twist as tw
+from nilharm import catalog as cat, czdecomp as cz, funcs, lie_core as lc, orbits as ob
+from nilharm import twist as tw
 from nilharm import pedersen as pe, symplectic as sp, verify
 from nilharm.grids import Grid, GridMismatch, SampledSymbol, lp_norm
 from nilharm.rationals import dot
@@ -18,8 +19,43 @@ RHO = 1.0 / (2.0 * np.pi)
 
 def test_twist_data_h3(h3_twist):
     assert h3_twist.dim == 2
-    assert h3_twist.abelian
     assert np.allclose(h3_twist.alpha_matrix, [[0.0, -0.5], [0.5, 0.0]])
+
+
+def test_h3_alpha_keeps_the_polynomial_term_order(h3_twist):
+    # The CZ and twist reports depend on this evaluation bit for bit: each
+    # term is (A[a, b] x_a) y_b, added in the cocycle polynomial's monomial
+    # order.
+    gen = np.random.default_rng(3)
+    X, Y = gen.uniform(-8.0, 8.0, size=(2, 500, 2))
+    X1, Y0, X0, Y1 = X[:, 1], Y[:, 0], X[:, 0], Y[:, 1]
+    assert np.array_equal(h3_twist.alpha(X, Y), (0.5 * X1) * Y0 + (-0.5 * X0) * Y1)
+    assert np.array_equal(h3_twist.combine(X, Y), X + Y)
+
+
+REFUSAL = ("grid work needs an abelian twist: reduced product x + y and a "
+           "bilinear cocycle (a 2-step flat orbit)")
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, sym: t.alpha(np.zeros(6), np.zeros(6)),
+    lambda t, sym: t.combine(np.zeros(6), np.zeros(6)),
+    lambda t, sym: tw.twisted_convolve(t, sym, [sym]),
+    lambda t, sym: tw.delta_action(t, sym, np.zeros(6)),
+    lambda t, sym: cz.calibrate(cz.default_pseudo_distance(t), t),
+    lambda t, sym: cz.hormander_twist_estimate(
+        funcs.truncated_power(), cz.PseudoDistance(t.weights, 1.0, 1.0), t, 8.0,
+        sym.grid, sym.grid),
+], ids=["alpha", "combine", "twisted_convolve", "delta_action", "calibrate",
+        "hormander_twist_estimate"])
+def test_twist_without_a_cocycle_matrix_is_refused(ext7_orbit, call):
+    # ext_g0st_1_1 is 3-step: its reduced product is not x + y.
+    twist = tw.from_orbit(ext7_orbit)
+    assert twist.alpha_matrix is None
+    grid = Grid(6, 4.0, 8)
+    with pytest.raises(ValueError) as refused:
+        call(twist, SampledSymbol(grid, np.zeros(grid.shape)))
+    assert str(refused.value) == REFUSAL
 
 
 def test_twist_requires_flat_orbit():
@@ -33,13 +69,8 @@ def test_twist_requires_flat_orbit():
 
 
 def _bilinear_twist(A) -> tw.TwistData:
-    """Abelian d=2 twist with cocycle a(x, y) = x^T A y."""
-    A = np.asarray(A, dtype=float)
-    return tw.TwistData(
-        dim=2,
-        alpha_fn=lambda X, Y: np.einsum("...i,ij,...j->...", X, A, Y),
-        combine_fn=lambda X, Y: X + Y,
-        abelian=True, alpha_matrix=A, weights=(1, 1))
+    """d=2 twist with cocycle a(x, y) = x^T A y."""
+    return tw.TwistData(dim=2, alpha_matrix=np.asarray(A, dtype=float), weights=(1, 1))
 
 
 # Not skew (c1 = 0.3, c2 = 0.7, so c1 != -c2): the polarized-gauge identity
@@ -91,12 +122,11 @@ def full_loop_fft_2d(twist, b1, b2, density, b1_eval=None):
 
 def direct_quadrature(twist, b1, b2, density, b1_eval=None):
     """The trapezoid double sum node by node,
-    cell * sum_y exp(-i a(x, -y)) b1(x . (-y)) b2(y), for any twist.
+    cell * sum_y exp(-i a(x, -y)) b1(x . (-y)) b2(y).
 
     With b1_eval, b1 at x . (-y) is that evaluator's value, off the box too.
-    Without it the twist must be abelian, x . (-y) = x - y is a node
-    difference, and b1 is read at node index i - j + N/2 (zero where that
-    leaves the grid)."""
+    Without it b1 is read at the node difference x - y, node index
+    i - j + N/2 (zero where that leaves the grid)."""
     grid = b1.grid
     n = grid.points
     nodes = grid.nodes()
@@ -105,7 +135,6 @@ def direct_quadrature(twist, b1, b2, density, b1_eval=None):
     if b1_eval is not None:
         f1 = np.asarray(b1_eval(twist.combine(X, -Y)), dtype=complex)
     else:
-        assert twist.abelian
         idx = np.indices(grid.shape).reshape(grid.dim, -1).T
         src = idx[:, None, :] - idx[None, :, :] + n // 2          # (G, G, d)
         inside = np.all((src >= 0) & (src < n), axis=-1)
@@ -327,52 +356,11 @@ def test_delta_action_refuses_off_lattice_shifts(h3_twist, ext7_orbit, grid32):
                         np.zeros(6))
 
 
-def test_nonabelian_twist_compiles_faithfully(ext7_orbit):
-    # d = 6 predual of the 7-dimensional extension: the compiled float maps
-    # must agree with the exact rational product and cocycle.
-    from nilharm import seeds
-
-    twist = tw.from_orbit(ext7_orbit)
-    assert not twist.abelian
-    rnd = seeds.stream("twist.nonabelian", 0)
-    for _ in range(10):
-        x = seeds.random_fraction_vector(rnd, 6, max_num=4, max_den=2)
-        y = seeds.random_fraction_vector(rnd, 6, max_num=4, max_den=2)
-        prod, a = ob.product_and_alpha(ext7_orbit, x, y)
-        X = np.array([[float(c) for c in x]])
-        Y = np.array([[float(c) for c in y]])
-        assert abs(float(twist.alpha(X, Y)[0]) - float(a)) <= 1e-12
-        assert np.max(np.abs(twist.combine(X, Y)[0]
-                             - np.array([float(c) for c in prod]))) <= 1e-12
-
-
-def test_direct_path_with_compiled_product_polynomials(h3_orbit, grid32):
-    # Rebuild the twist without the additive shortcut: the reference sum then
-    # runs on the compiled polynomial combine map and must agree with the
-    # shortcut twist on the same data.  twisted_convolve refuses the rebuilt
-    # twist, which is flagged non-abelian and has no cocycle matrix.
-    from nilharm.twist import TwistData, _compiled_pair
-
-    shortcut = tw.from_orbit(h3_orbit)
-    ppolys, apoly = ob.polynomial_law(h3_orbit)
-    alpha_fn, combine_fn = _compiled_pair(apoly, ppolys, 2)
-    raw = TwistData(dim=2, alpha_fn=alpha_fn, combine_fn=combine_fn,
-                    abelian=False, alpha_matrix=None, weights=(1, 1))
-    ea = funcs.gaussian((0.5, -0.3), 1.2)
-    a = funcs.sample(grid32, ea)
-    b = funcs.sample(grid32, funcs.gaussian((-0.2, 0.8), 0.9))
-    with pytest.raises(ValueError, match="abelian d=2"):
-        tw.twisted_convolve(raw, a, [b], density=RHO)
-    via_polys = direct_quadrature(raw, a, b, RHO, b1_eval=ea)
-    reference = direct_quadrature(shortcut, a, b, RHO, b1_eval=ea)
-    assert np.max(np.abs(via_polys - reference)) <= 1e-12
-
-
 def test_nonabelian_twist_is_refused(ext7_orbit):
     twist = tw.from_orbit(ext7_orbit)
     grid = Grid(6, 4.0, 8)
     sym = SampledSymbol(grid, np.zeros(grid.shape))
-    with pytest.raises(ValueError, match="abelian d=2"):
+    with pytest.raises(ValueError, match="abelian twist"):
         tw.twisted_convolve(twist, sym, [sym])
 
 
@@ -404,7 +392,14 @@ def test_every_two_dimensional_flat_orbit_takes_the_fft_path(L, data):
         return
     twist = tw.from_orbit(orbit)
     A = twist.alpha_matrix
-    assert twist.abelian and A is not None and np.array_equal(A, -A.T)
+    assert A is not None and np.array_equal(A, -A.T)
+    # The matrix form agrees with the exact reduced product and cocycle.
+    for _ in range(3):
+        x, y = data.draw(random_algebras.points(2)), data.draw(random_algebras.points(2))
+        prod, a = ob.product_and_alpha(orbit, x, y)
+        X, Y = np.array([float(c) for c in x]), np.array([float(c) for c in y])
+        assert abs(float(twist.alpha(X, Y)) - float(a)) <= 1e-12 * (1.0 + abs(a))
+        assert np.max(np.abs(twist.combine(X, Y) - [float(c) for c in prod])) <= 1e-12
     grid = Grid(2, 4.0, 8)
     sym = funcs.sample(grid, funcs.gaussian())
     out = tw.twisted_convolve(twist, sym, [sym], density=RHO)[0]
@@ -420,12 +415,14 @@ def _value(rep, name: str) -> float:
 
 
 def test_twist_suite_fails_on_a_flipped_cocycle_matrix(monkeypatch):
-    # The convolution reads the cocycle from alpha_matrix alone.  With its
-    # sign flipped, and the pointwise cocycle of the transform left as it is,
-    # the product is the twisted convolution of the opposite group: still
-    # associative and still an approximate identity, so only the
-    # homomorphism T(a * b) = T(a) T(b) can see the defect (0.95 against
-    # 4.4e-6 at N = 32, bound 1e-3).
+    # The twist is its cocycle matrix: the convolution and the pointwise
+    # cocycle both read alpha_matrix.  With its sign flipped the product is
+    # the twisted convolution of the opposite group, still associative
+    # (6.1e-9 at N = 32) and still an approximate identity, while the
+    # representation keeps the group's own phase.  So two checks see the
+    # defect: the homomorphism T(a * b) = T(a) T(b) (0.95 against 4.4e-6,
+    # bound 1e-3) and the CCR phase rep(u) rep(v) = exp(i a(u, v)) rep(u . v)
+    # (0.78 against 6.0e-12, bound 1e-10).
     assert not _failed(verify.twist_suite(seed=0, points=32))
     compile_twist = tw.from_orbit
 
@@ -434,7 +431,8 @@ def test_twist_suite_fails_on_a_flipped_cocycle_matrix(monkeypatch):
         return dataclasses.replace(twist, alpha_matrix=-twist.alpha_matrix)
 
     monkeypatch.setattr(tw, "from_orbit", flipped)
-    assert _failed(verify.twist_suite(seed=0, points=32)) == {"homomorphism_rel_max"}
+    assert _failed(verify.twist_suite(seed=0, points=32)) == {"homomorphism_rel_max",
+                                                              "ccr_phase_residual_max"}
 
 
 def test_twist_suite_sees_a_density_off_by_a_part_per_million(monkeypatch):
