@@ -17,7 +17,7 @@ def main():
     twist = tw.from_orbit(orbit)
     grid = Grid(2, 8.0, 128)
     pdist = cz.calibrate(cz.default_pseudo_distance(twist), twist, seed=0)
-    print(f"gauge weights {pdist.weights}, quasi-triangle constant "
+    print(f"sup-norm gauge on {pdist.dim} axes, quasi-triangle constant "
           f"{pdist.quasi_constant:.4f}, doubling {pdist.doubling_constant:.1f}")
 
     def two_bumps(pts):

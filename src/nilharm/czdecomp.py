@@ -1,9 +1,10 @@
 """Twisted Calderon-Zygmund machinery on a flat predual grid.
 
-The pseudo-distance is the anisotropic gauge m(x) = max_j |x_j|^(1/w_j) with
-per-axis weights from the depth of each coordinate in the lower central
-series of the predual group; its quasi-triangle and volume-doubling constants
-are measured, not assumed.  The covering comes from the level set of a
+The pseudo-distance is the sup-norm gauge m(x) = max_j |x_j|, whose balls
+are boxes of equal half-width on every axis: on the 2-step preduals that the
+grid engine takes, every predual coordinate lies in the first layer of the
+lower central series.  Its quasi-triangle and volume-doubling constants are
+measured, not assumed.  The covering comes from the level set of a
 discrete maximal function over m-balls with a greedy Vitali selection
 (decreasing maximal value, ties by row-major index), and the decomposition
 implements the phase-corrected bad parts
@@ -50,32 +51,27 @@ class C2TooSmall(Exception):
 
 @dataclass(frozen=True)
 class PseudoDistance:
-    """Anisotropic gauge with measured quasi-triangle / doubling constants."""
+    """Sup-norm gauge on ``dim`` axes with measured quasi-triangle / doubling
+    constants."""
 
-    weights: tuple[int, ...]
+    dim: int
     quasi_constant: float | None = None
     doubling_constant: float | None = None
 
-    @property
-    def dim(self) -> int:
-        return len(self.weights)
-
     def value(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        parts = [np.abs(pts[..., j]) ** (1.0 / w) for j, w in enumerate(self.weights)]
-        return np.max(np.stack(parts, axis=-1), axis=-1)
+        return np.max(np.abs(np.asarray(pts, dtype=float)), axis=-1)
 
     def ball_halfwidths(self, r: float) -> np.ndarray:
-        """Per-axis half-widths of the box {m < r}."""
-        return np.array([r ** w for w in self.weights])
+        """Per-axis half-widths of the box {m < r}: r on every axis."""
+        return np.full(self.dim, float(r))
 
     def ball_volume(self, r: float) -> float:
         return float(np.prod(2.0 * self.ball_halfwidths(r)))
 
 
 def default_pseudo_distance(twist: TwistData) -> PseudoDistance:
-    """Anisotropic gauge with weights from the predual's lower central series."""
-    return PseudoDistance(weights=twist.weights)
+    """Sup-norm gauge on the twist's predual coordinates."""
+    return PseudoDistance(dim=twist.dim)
 
 
 def calibrate(pd: PseudoDistance, twist: TwistData, seed: int = 0) -> PseudoDistance:
@@ -153,9 +149,9 @@ def _window_sum(arr: np.ndarray, steps: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _radius_ladder(pd: PseudoDistance, grid: Grid) -> list[float]:
-    r0 = 0.5 * min(grid.h ** (1.0 / w) for w in pd.weights)
-    r_max = max((4.0 * grid.half_width) ** (1.0 / w) for w in pd.weights)
+def _radius_ladder(grid: Grid) -> list[float]:
+    r0 = 0.5 * grid.h
+    r_max = 4.0 * grid.half_width
     ladder = [r0]
     while ladder[-1] <= r_max:
         ladder.append(ladder[-1] * 2.0)
@@ -182,7 +178,7 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance) -> Covering:
     c_m = pd.quasi_constant
     expansion = max(3.0, c_m * c_m)
 
-    ladder = _radius_ladder(pd, grid)
+    ladder = _radius_ladder(grid)
     ones = np.ones(grid.shape)
     maximal = np.zeros(grid.shape)
     stop_radius = np.full(grid.shape, -1.0)

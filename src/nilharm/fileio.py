@@ -2,7 +2,8 @@
 
 Rationals travel as strings "p/q" or "p"; bracket tables list pairs i < j
 with 1-based indices; symbol values are [re, im] pairs in row-major order
-with the last axis varying fastest.
+with the last axis varying fastest.  Each file holds one JSON object; a
+file of another shape is a ValueError that names it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,26 @@ from .grids import Grid, SampledSymbol
 from .rationals import format_rational, parse_rational
 
 
-def load_algebra(path: str) -> lc.LieAlgebra:
+def _load(path: str, from_dict):
+    """from_dict of the JSON object in the file at path.  A top level that is
+    not an object, a field that is missing or of the wrong type, and any
+    ValueError of from_dict are a ValueError that names the file."""
     with open(path) as fh:
         doc = json.load(fh)
-    return algebra_from_dict(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object")
+    try:
+        return from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: a field has the wrong type ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def load_algebra(path: str) -> lc.LieAlgebra:
+    return _load(path, algebra_from_dict)
 
 
 def algebra_from_dict(doc: dict) -> lc.LieAlgebra:
@@ -57,28 +74,32 @@ def algebra_to_dict(L: lc.LieAlgebra) -> dict:
 
 
 def load_graph(path: str) -> sp.Graph:
-    with open(path) as fh:
-        doc = json.load(fh)
+    return _load(path, graph_from_dict)
+
+
+def graph_from_dict(doc: dict) -> sp.Graph:
     return sp.Graph(vertices=tuple(str(v) for v in doc["vertices"]),
                     edges=tuple((str(a), str(b)) for a, b in doc["edges"]))
 
 
 def load_form(path: str) -> sp.SymplecticForm:
     """{"dim": n, "entries": [{"i": .., "j": .., "v": "p/q"}, ...]}, 1-based, i < j."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    return _load(path, form_from_dict)
+
+
+def form_from_dict(doc: dict) -> sp.SymplecticForm:
     dim = int(doc["dim"])
     pairs = {}
     for entry in doc["entries"]:
-        i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
-        pairs[(i, j)] = parse_rational(str(entry["v"]))
+        i, j = int(entry["i"]), int(entry["j"])
+        if not (1 <= i < j <= dim):
+            raise ValueError(f"form pair ({i}, {j}) must satisfy 1 <= i < j <= dim")
+        pairs[(i - 1, j - 1)] = parse_rational(str(entry["v"]))
     return sp.form_from_pairs(dim, pairs)
 
 
 def load_symbol(path: str) -> SampledSymbol:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return symbol_from_dict(doc)
+    return _load(path, symbol_from_dict)
 
 
 def symbol_from_dict(doc: dict) -> SampledSymbol:

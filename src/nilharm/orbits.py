@@ -172,7 +172,7 @@ def verify_cocycle_identity(orbit: OrbitData, x: Vector, y: Vector, z: Vector) -
 
 
 # ---------------------------------------------------------------------------
-# Polynomial closed forms and predual structure
+# Polynomial closed forms
 # ---------------------------------------------------------------------------
 
 
@@ -225,38 +225,6 @@ def _compile_law(orbit: OrbitData) -> ExactMap:
     """Reduced product and cocycle of a flat orbit as one exact map."""
     product_polys, alpha_poly = polynomial_law(orbit)
     return ExactMap(product_polys + (alpha_poly,), orbit.d)
-
-
-def predual_algebra(orbit: OrbitData) -> lc.LieAlgebra:
-    """The quotient Lie algebra structure carried by predual coordinates."""
-    if not orbit.flat:
-        raise NotFlat("the predual group structure requires a flat orbit")
-    d, P = orbit.d, orbit.predual_basis
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(d):
-        for b in range(a + 1, d):
-            w = lc.bracket(orbit.algebra, P[a], P[b])
-            coords, _ = orbit.split(w)
-            terms = {k: c for k, c in enumerate(coords) if c != 0}
-            if terms:
-                brackets[(a, b)] = terms
-    return lc.validate(d, brackets)
-
-
-def predual_weights(orbit: OrbitData) -> tuple[int, ...]:
-    """Weight of each predual coordinate: its depth in the lower central
-    series of the predual group (1 for generators, 2 for first commutators, ...)."""
-    Q = predual_algebra(orbit)
-    series = lc.lower_central_series(Q)
-    weights = []
-    for a in range(Q.dim):
-        ea = unit_vector(Q.dim, a)
-        w = 1
-        for k in range(1, len(series)):
-            if series[k] and ela.in_span(list(series[k]), ea):
-                w = k + 1
-        weights.append(w)
-    return tuple(weights)
 
 
 def standard_orbit(L: lc.LieAlgebra) -> OrbitData:

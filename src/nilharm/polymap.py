@@ -3,8 +3,8 @@
 Just enough ring structure to push coordinate variables through the BCH
 series, producing exact closed forms for the group cocycle and the reduced
 product, plus compilation to exact integer-kernel evaluators (``ExactMap``)
-for the group laws and the float matrix of a bilinear cocycle for the grid
-engine (``Poly.bilinear_matrix``).
+for the group laws.  Pure Python: the exact half of the package needs no
+numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
-
-import numpy as np
 
 from .rationals import over_common_denominator
 
@@ -98,22 +96,6 @@ class Poly:
                 raise ValueError("variable count mismatch")
             return other
         return Poly.constant(self.nvars, other)
-
-    def bilinear_matrix(self, d: int) -> np.ndarray | None:
-        """If the polynomial is sum_{a,b} A[a,b] x_a y_b over 2d variables
-        (x = vars 0..d-1, y = vars d..2d-1), return A; else None."""
-        if self.nvars != 2 * d:
-            return None
-        A = np.zeros((d, d))
-        for m, c in self.terms:
-            if sum(m) != 2:
-                return None
-            left = [v for v in range(d) if m[v]]
-            right = [v for v in range(d, 2 * d) if m[v]]
-            if len(left) != 1 or len(right) != 1 or m[left[0]] != 1 or m[right[0]] != 1:
-                return None
-            A[left[0], right[0] - d] = float(c)
-        return A
 
 
 def _power_schedule(exponents, nvars: int) -> tuple[dict[Monomial, int], list[tuple[int, int]]]:

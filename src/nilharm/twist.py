@@ -9,9 +9,11 @@ x . y the reduced group product of the orbit.
 
 The grid engine takes the 2-step case: the reduced product is x + y and the
 cocycle is bilinear, a(x, y) = x^T A y.  ``TwistData`` is that matrix A, read
-from the exact cocycle polynomial, with the coordinate weights; a flat orbit
-whose reduced product is not additive gives a twist without a matrix, which
-every grid map refuses with a ValueError.  A 2-dimensional flat-orbit predual
+from the brackets of the predual basis: a flat orbit splits g as the predual
+span plus the centre RZ, and in the 2-step case every bracket [P_a, P_b] is
+c_ab Z, so A[a, b] = c_ab / 2.  A flat orbit with a bracket that has a predual
+part (step > 2) gives a twist without a matrix, which every grid map refuses
+with a ValueError.  A 2-dimensional flat-orbit predual
 comes from a Heisenberg-type algebra: g/z is 2-dimensional, so g is 2-step
 and the cocycle is skew.  The convolution takes exactly the d=2 twists whose
 matrix has a zero diagonal.  The kernel phase is then c1 x0 y1 + c2 x1 y0
@@ -48,25 +50,23 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import lie_core as lc
 from . import orbits as ob
 from .grids import Grid, GridMismatch, SampledSymbol, lattice_shift, offset_values
 from .orbits import NotFlat
-from .polymap import Poly
 
 
 @dataclass(frozen=True)
 class TwistData:
-    """Float-level twist of a flat orbit: cocycle matrix and coordinate weights.
+    """Float-level twist of a flat orbit: its cocycle matrix.
 
     With ``alpha_matrix`` = A the reduced product is x + y and the cocycle is
     x^T A y.  A twist whose reduced product is not additive has no matrix
-    (``None``) and keeps only its weights: every grid map refuses it with
-    ``ValueError``.
+    (``None``): every grid map refuses it with ``ValueError``.
     """
 
     dim: int
     alpha_matrix: np.ndarray | None  # None unless the reduced product is x + y
-    weights: tuple[int, ...]
 
     def cocycle_matrix(self) -> np.ndarray:
         """A, or ``ValueError`` for a twist without a cocycle matrix."""
@@ -99,27 +99,25 @@ class TwistData:
 
 
 def from_orbit(orbit: ob.OrbitData) -> TwistData:
-    """The cocycle matrix of a flat orbit whose reduced product is additive,
-    read from the exact cocycle polynomial; ``None`` for any other flat orbit."""
+    """The cocycle matrix of a 2-step flat orbit, A[a, b] = c_ab / 2 where the
+    bracket [P_a, P_b] of predual basis vectors splits as c_ab Z; ``None`` for
+    a flat orbit with a bracket that has a predual part."""
     if not orbit.flat:
         raise NotFlat("twist data requires a flat orbit")
-    d = orbit.d
-    product_polys, alpha_poly = ob.polynomial_law(orbit)
-    nv = 2 * d
-    additive = all(
-        p.terms == (Poly.variable(nv, a) + Poly.variable(nv, d + a)).terms
-        for a, p in enumerate(product_polys)
-    )
-    return TwistData(
-        dim=d,
-        alpha_matrix=alpha_poly.bilinear_matrix(d) if additive else None,
-        weights=ob.predual_weights(orbit),
-    )
+    d, P = orbit.d, orbit.predual_basis
+    A = np.zeros((d, d))
+    for a in range(d):
+        for b in range(a + 1, d):
+            coords, c = orbit.split(lc.bracket(orbit.algebra, P[a], P[b]))
+            if any(coords):
+                return TwistData(dim=d, alpha_matrix=None)
+            A[a, b], A[b, a] = float(c / 2), float(-c / 2)
+    return TwistData(dim=d, alpha_matrix=A)
 
 
 def zero_twist(d: int) -> TwistData:
     """Untwisted structure: zero cocycle over an abelian predual."""
-    return TwistData(dim=d, alpha_matrix=np.zeros((d, d)), weights=(1,) * d)
+    return TwistData(dim=d, alpha_matrix=np.zeros((d, d)))
 
 
 def _check_grids(b1: SampledSymbol, b2: SampledSymbol, d: int):

@@ -99,6 +99,28 @@ def test_usage_error_exits_2():
     assert out.returncode == 2
 
 
+# JSON of the wrong shape, each given where the command reads its file: a
+# top level that is not an object, a missing field, a field of the wrong
+# type, and a 0-based form index.  Each error names the file.
+@pytest.mark.parametrize("args, doc", [
+    (("algebra", "validate", "{}"), [1, 2]),
+    (("algebra", "validate", "{}"), {"dim": 3, "brackets": 5}),
+    (("graph-lie", "{}"), {"vertices": 5, "edges": []}),
+    (("extend", "h3", "{}"), {"dim": 3}),
+    (("extend", "h3", "{}"), {"dim": 3, "entries": [{"i": 0, "j": 1, "v": "1"}]}),
+    (("twist", "conv", "--grid", "8,32", "--symbol", "{}"), [1, 2]),
+    (("cz", "decompose", "--grid", "8,32", "--symbol", "{}"), {"d": 2, "L": 8}),
+], ids=["algebra-list", "algebra-brackets-int", "graph-vertices-int",
+        "form-missing-entries", "form-index-0", "symbol-list", "symbol-missing-N"])
+def test_malformed_json_exits_2(tmp_path, args, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli(*(a.format(path) for a in args))
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"nilharm: error: {path}: ")
+    assert "Traceback" not in out.stderr
+
+
 def test_extend_plane_to_heisenberg(tmp_path):
     alg = tmp_path / "plane.json"
     alg.write_text(json.dumps(PLANE_DOC))

@@ -49,3 +49,8 @@ def test_rational_strings():
             {"dim": 3, "brackets": [{"i": 1, "j": 2,
                                      "terms": [{"k": 3, "c": "0.75"}]}]})
 
+
+
+def test_form_indices_are_one_based():
+    with pytest.raises(ValueError, match=r"form pair \(0, 1\) must satisfy 1 <= i < j <= dim"):
+        fileio.form_from_dict({"dim": 3, "entries": [{"i": 0, "j": 1, "v": "1"}]})

@@ -297,9 +297,3 @@ def test_polynomials_match_pointwise_alpha(ext7_orbit):
         assert random_algebras.fraction_poly_value(apoly, point) == a
         assert tuple(random_algebras.fraction_poly_value(p, point)
                      for p in ppolys) == prod
-
-
-def test_predual_weights(h3_orbit, ext7_orbit):
-    assert ob.predual_weights(h3_orbit) == (1, 1)
-    weights = ob.predual_weights(ext7_orbit)
-    assert sorted(weights) == [1, 1, 1, 2, 2, 2]

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 from random_algebras import fraction_poly_value as value
 
@@ -51,20 +50,6 @@ def test_exact_map_matches_exact_evaluation(ps, point):
     # Variables 0, 1 are x and 2, 3 are y; zero and constant polynomials included.
     expected = tuple(value(p, point) for p in ps)
     assert ExactMap(ps, 2)(point[:2], point[2:]) == expected
-
-
-def test_bilinear_matrix_detection():
-    # x0*y1 - 2 x1*y0 over d = 2 (variables x0, x1, y0, y1).
-    p = (Poly.variable(4, 0) * Poly.variable(4, 3)
-         - Poly.variable(4, 1) * Poly.variable(4, 2) * 2)
-    A = p.bilinear_matrix(2)
-    assert np.array_equal(A, [[0.0, 1.0], [-2.0, 0.0]])
-    # Degree-3 contamination defeats detection.
-    q = p + Poly.variable(4, 0) * Poly.variable(4, 0) * Poly.variable(4, 2)
-    assert q.bilinear_matrix(2) is None
-    # Pure quadratic in x alone is not bilinear in (x, y).
-    r = Poly.variable(4, 0) * Poly.variable(4, 1)
-    assert r.bilinear_matrix(2) is None
 
 
 def test_degree_and_zero():

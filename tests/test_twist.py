@@ -12,7 +12,7 @@ from nilharm import catalog as cat, czdecomp as cz, funcs, lie_core as lc, orbit
 from nilharm import twist as tw
 from nilharm import pedersen as pe, symplectic as sp, verify
 from nilharm.grids import Grid, GridMismatch, SampledSymbol, lp_norm
-from nilharm.rationals import dot
+from nilharm.rationals import dot, unit_vector
 
 RHO = 1.0 / (2.0 * np.pi)
 
@@ -44,7 +44,7 @@ REFUSAL = ("grid work needs an abelian twist: reduced product x + y and a "
     lambda t, sym: tw.delta_action(t, sym, np.zeros(6)),
     lambda t, sym: cz.calibrate(cz.default_pseudo_distance(t), t),
     lambda t, sym: cz.hormander_twist_estimate(
-        funcs.truncated_power(), cz.PseudoDistance(t.weights, 1.0, 1.0), t, 8.0,
+        funcs.truncated_power(), cz.PseudoDistance(t.dim, 1.0, 1.0), t, 8.0,
         sym.grid, sym.grid),
 ], ids=["alpha", "combine", "twisted_convolve", "delta_action", "calibrate",
         "hormander_twist_estimate"])
@@ -70,7 +70,7 @@ def test_twist_requires_flat_orbit():
 
 def _bilinear_twist(A) -> tw.TwistData:
     """d=2 twist with cocycle a(x, y) = x^T A y."""
-    return tw.TwistData(dim=2, alpha_matrix=np.asarray(A, dtype=float), weights=(1, 1))
+    return tw.TwistData(dim=2, alpha_matrix=np.asarray(A, dtype=float))
 
 
 # Not skew (c1 = 0.3, c2 = 0.7, so c1 != -c2): the polarized-gauge identity
@@ -356,14 +356,6 @@ def test_delta_action_refuses_off_lattice_shifts(h3_twist, ext7_orbit, grid32):
                         np.zeros(6))
 
 
-def test_nonabelian_twist_is_refused(ext7_orbit):
-    twist = tw.from_orbit(ext7_orbit)
-    grid = Grid(6, 4.0, 8)
-    sym = SampledSymbol(grid, np.zeros(grid.shape))
-    with pytest.raises(ValueError, match="abelian twist"):
-        tw.twisted_convolve(twist, sym, [sym])
-
-
 # Catalog entries, random algebras and two families of Heisenberg algebras:
 # [X2, X3] = c X1 with the center first, and the central extension of the
 # plane by c dx1 ^ dx2 with the center last.  Every 2-dimensional flat orbit
@@ -376,18 +368,56 @@ _candidates = st.one_of(random_algebras.algebras, _heisenberg,
                         st.sampled_from(sorted(cat.CORE)).map(lambda k: cat.CORE[k]()))
 
 
-@settings(max_examples=40, deadline=None)
-@given(_candidates, st.data())
-def test_every_two_dimensional_flat_orbit_takes_the_fft_path(L, data):
+# The central extension of R^4 by c1 dx1 ^ dx2 + c2 dx3 ^ dx4: 2-step, with
+# 4-dimensional flat-orbit preduals.
+_heisenberg5 = st.builds(
+    lambda c1, c2: sp.central_extension(
+        cat.abelian(4), sp.form_from_pairs(4, {(0, 1): c1, (2, 3): c2})),
+    random_algebras.nonzero_fractions, random_algebras.nonzero_fractions)
+
+
+def _random_orbit(L, data) -> ob.OrbitData:
+    """The orbit of a random functional under a flag that starts at the
+    centre; the functional is moved along one coordinate to pair to 1 with
+    the flag's first vector."""
     center = lc.center(L)
     flag = lc.jordan_holder_flag(L, preferred_first=center[0])
-    # A random functional, moved along one coordinate to pair to 1 with the
-    # flag's first vector.
     x1 = flag.vectors[0]
     coords = list(data.draw(random_algebras.points(L.dim)))
     k = next(t for t in range(L.dim) if x1[t])
     coords[k] += (1 - dot(tuple(coords), x1)) / x1[k]
-    orbit = ob.jump_indices(L, flag, ob.Functional(tuple(coords)))
+    return ob.jump_indices(L, flag, ob.Functional(tuple(coords)))
+
+
+def test_catalog_twists_have_a_matrix_only_on_h3():
+    matrices = {name: tw.from_orbit(orbit).alpha_matrix
+                for name, orbit in cat.flat_orbits().items()}
+    assert [name for name, A in matrices.items() if A is not None] == ["h3"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_candidates, _heisenberg5), st.data())
+def test_twist_is_read_from_the_predual_brackets(L, data):
+    # A flat orbit has a cocycle matrix exactly when its algebra is 2-step,
+    # and then A[a, b] is the exact cocycle at (e_a, e_b), rounded once.
+    orbit = _random_orbit(L, data)
+    if not orbit.flat:
+        return
+    A = tw.from_orbit(orbit).alpha_matrix
+    assert (A is None) == (L.step > 2)
+    if A is None:
+        return
+    assert np.array_equal(A, -A.T)
+    e = [unit_vector(orbit.d, a) for a in range(orbit.d)]
+    for a in range(orbit.d):
+        for b in range(orbit.d):
+            assert A[a, b] == float(ob.alpha(orbit, e[a], e[b]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_candidates, st.data())
+def test_every_two_dimensional_flat_orbit_takes_the_fft_path(L, data):
+    orbit = _random_orbit(L, data)
     if not (orbit.flat and orbit.d == 2):
         return
     twist = tw.from_orbit(orbit)
