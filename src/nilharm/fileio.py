@@ -94,6 +94,8 @@ def form_from_dict(doc: dict) -> sp.SymplecticForm:
         i, j = int(entry["i"]), int(entry["j"])
         if not (1 <= i < j <= dim):
             raise ValueError(f"form pair ({i}, {j}) must satisfy 1 <= i < j <= dim")
+        if (i - 1, j - 1) in pairs:
+            raise ValueError(f"duplicate form pair ({i}, {j})")
         pairs[(i - 1, j - 1)] = parse_rational(str(entry["v"]))
     return sp.form_from_pairs(dim, pairs)
 

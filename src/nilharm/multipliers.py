@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import twist as tw
 from .grids import SampledSymbol, TorusGridFunction, lp_norm
 from .pedersen import HeisenbergRealization
 
@@ -29,8 +30,10 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
     "lp_ratios" maps each p in 1.25, 1.5, 2 to ||u * phi||_p / ||phi||_p per
     phi.  "identity_gap" holds ||u * phi - phi|| / ||phi|| per phi, the
     distance of the companion from the identity, which is small when u is an
-    approximate identity.  transform(phi) and phi * psi do not depend on u;
-    they are computed once for all multipliers."""
+    approximate identity.  u * phi comes from the FFT loop, as in
+    ``identity_report``: the operator route would make the intertwining
+    residual a round trip of the transform.  transform(phi) and phi * psi do
+    not depend on u; they are computed once for all multipliers."""
     if len(psis) != len(phis):
         raise ValueError(f"need one psi per phi, got {len(psis)} psis "
                          f"for {len(phis)} phis")
@@ -42,7 +45,7 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
         M = engine.transform(u)
         report: dict = {"intertwining_hs": [], "right_commutation_l2": [],
                         "identity_gap": [], "lp_ratios": {p: [] for p in ps}}
-        cphis = engine.convolve_each(u, phis)
+        cphis = tw.twisted_convolve(engine.twist, u, phis, density=engine.density)
         for phi, cphi, t_phi in zip(phis, cphis, t_phis):
             resid = (engine.transform(cphi) - M.compose(t_phi)).hs_norm()
             report["intertwining_hs"].append(resid)

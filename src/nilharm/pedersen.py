@@ -16,6 +16,41 @@ trace of one Gaussian symbol reproduces the symbol value at 0 makes the
 transform simultaneously trace-correct, a *-homomorphism for the twisted
 convolution, and unitary from L^2(density * dx) onto Hilbert-Schmidt
 operators.  The expected calibrated value is (2 pi)^(-d/2).
+
+Through the transform, twisted convolution is operator composition:
+a * b = inverse(transform(a) . transform(b)) (Folland, Harmonic Analysis in
+Phase Space, 1989, ch. 1).  ``convolve_each`` takes this operator route for a
+product when all three of these hold, and the FFT loop of
+``twist.twisted_convolve`` otherwise:
+
+1. The twist's cocycle matrix is REP_COCYCLE, the cocycle of ``rep_apply``.
+   The operator route never reads the matrix: under any other matrix it
+   would return the product of the twist that ``rep_apply`` realizes.
+2. The grid resolves the calculus: (2L)^2 <= 2 pi N, i.e. the period 2 pi / h
+   of the q-sum in the kernel's midpoint variable covers the state box 2L.
+   At L = 8 this holds from N = 64 on.  At L = 8, N = 32 the operator route
+   fails the homomorphism (3.2e-2), associativity (8.9e-4) and integrable-
+   kernel intertwining (1.1e-2) bounds.
+3. The product is dense: (span of a's nonzero columns) x (nonzero columns of
+   b) > N^2 / 2, so the FFT sweep would transform more than half of its N^2
+   block rows.  A sparse product such as g * delta costs the FFT loop little,
+   and the inversion round trip would cost it accuracy: 2.4e-11 against the
+   approximate identity's 1e-12 at N = 128, where the FFT loop gives 2e-16.
+   Over half a sweep the operator route is the cheaper one: a dense product
+   costs it about a third of the FFT loop's time at N = 64 and a tenth at
+   N = 256.
+
+Error model, measured at L = 8 for N = 64, 128 and 256: the relative L2 gap of
+the operator route to the FFT loop is at most 2.2e-10 for Gaussian and
+Hermite pairs; for the truncated power law |x|^-1.5 on 0.25 < |x| < 6 it is
+up to 8.7e-5 (N = 64), 6.0e-6 (128) and 1.4e-5 (256) against Gaussians, and
+5.3e-5, 2.6e-6 and 1.0e-5 for those products against Hermites.  The last two
+are set by the box, not the step; tests/test_pedersen.py holds the bounds.
+
+The checks that compare a product with operator composition (the
+homomorphism residual of ``identity_report``, the multiplier intertwining)
+take it from the FFT loop: on the operator route the product is
+inverse(T(a) . T(b)), and the residual would measure only the round trip.
 """
 
 from __future__ import annotations
@@ -29,6 +64,10 @@ from . import funcs
 from .grids import (Grid, GridMismatch, SampledSymbol, lattice_shift, lp_norm,
                     offset_values, symbol_check_involution)
 from .twist import TwistData, twisted_convolve
+
+
+# The cocycle of rep_apply: rep(u) rep(v) = exp(i u^T A v) rep(u + v).
+REP_COCYCLE = np.array([[0.0, -0.5], [0.5, 0.0]])
 
 
 class DimensionNot2(Exception):
@@ -166,8 +205,31 @@ class HeisenbergRealization:
         return self.convolve_each(a, [b])[0]
 
     def convolve_each(self, a: SampledSymbol, bs: list[SampledSymbol]) -> list[SampledSymbol]:
-        """[a * b for b in bs] from one sweep of a's offset blocks."""
-        return twisted_convolve(self.twist, a, bs, density=self.density)
+        """[a * b for b in bs], each by the route the module docstring states.
+
+        A dense product on a grid that resolves the calculus, under the twist
+        that ``rep_apply`` realizes, is inverse(transform(a) . transform(b)),
+        with transform(a) built once per call.  The other products share one
+        FFT sweep of a's offset blocks.  The route depends on a and that b
+        alone, so each result is the one that bs = [b] gives."""
+        bs = list(bs)
+        grid = self.symbol_grid
+        n = grid.points
+        resolved = (np.array_equal(self.twist.alpha_matrix, REP_COCYCLE)
+                    and (2 * grid.half_width) ** 2 <= 2 * np.pi * n
+                    and a.grid == grid)
+        # The FFT sweep transforms, per nonzero column of b, at most the span
+        # of a's nonzero columns: the block rows of a's offset table.
+        cols = np.flatnonzero(a.values.any(axis=0)) if resolved else ()
+        rows = cols[-1] - cols[0] + 1 if len(cols) else 0
+        dense = [b.grid == grid and rows * np.count_nonzero(b.values.any(axis=0)) > n * n / 2
+                 for b in bs]
+        fft_bs = [b for b, d in zip(bs, dense) if not d]
+        swept = iter(twisted_convolve(self.twist, a, fft_bs, density=self.density)
+                     if fft_bs else ())
+        Ta = self.transform(a) if any(dense) else None
+        return [self.inverse(Ta.compose(self.transform(b))) if d else next(swept)
+                for b, d in zip(bs, dense)]
 
     def symbol_norm(self, b: SampledSymbol) -> float:
         """L^2 norm in the calibrated measure (density * Lebesgue)."""
@@ -181,7 +243,8 @@ class HeisenbergRealization:
         homomorphism identities on the given test family.
 
         "submultiplicativity" holds ||a * b|| / (||a|| ||b||) per pair, read
-        from the same convolution as the homomorphism residual.  Consecutive
+        from the same convolution as the homomorphism residual, which the FFT
+        loop makes, not ``convolve_each`` (module docstring).  Consecutive
         pairs with the same left operand (the same object) share one sweep."""
         report: dict = {"density": self.density, "trace": [], "adjoint": [],
                         "hs_isometry": [], "pairing": [], "inversion": [],
@@ -200,7 +263,8 @@ class HeisenbergRealization:
             report["inversion"].append(self.symbol_norm(diff) / scale)
         for _, run in groupby(pairs, key=lambda pair: id(pair[0])):
             run = list(run)
-            convs = self.convolve_each(run[0][0], [b for _, b in run])
+            convs = twisted_convolve(self.twist, run[0][0], [b for _, b in run],
+                                     density=self.density)
             for (a, b), conv in zip(run, convs):
                 Ta, Tb = self.transform(a), self.transform(b)
                 resid = (self.transform(conv) - Ta.compose(Tb)).hs_norm()

@@ -40,6 +40,12 @@ b2 alone gives.  The cost of a sweep is (columns where some b2 is nonzero) x
 (output rows inside b1's offset support) FFTs of length 2n, at most n^2,
 plus, for each b2, one FFT per column where it is nonzero and n inverse
 FFTs, against O(n^4) per product for the plain double sum.
+
+This FFT loop is the reference for the operator route of
+``pedersen.HeisenbergRealization.convolve_each``, which takes the dense
+products on grids that resolve the operator calculus.  The loop keeps the
+sparse products, the grids that do not resolve the calculus, the twists the
+realization does not realize, and every direct caller.
 """
 
 from __future__ import annotations

@@ -101,17 +101,21 @@ def test_usage_error_exits_2():
 
 # JSON of the wrong shape, each given where the command reads its file: a
 # top level that is not an object, a missing field, a field of the wrong
-# type, and a 0-based form index.  Each error names the file.
+# type, a 0-based form index and a form pair given twice.  Each error names
+# the file.
 @pytest.mark.parametrize("args, doc", [
     (("algebra", "validate", "{}"), [1, 2]),
     (("algebra", "validate", "{}"), {"dim": 3, "brackets": 5}),
     (("graph-lie", "{}"), {"vertices": 5, "edges": []}),
     (("extend", "h3", "{}"), {"dim": 3}),
     (("extend", "h3", "{}"), {"dim": 3, "entries": [{"i": 0, "j": 1, "v": "1"}]}),
+    (("extend", "h3", "{}"), {"dim": 3, "entries": [{"i": 1, "j": 2, "v": "1"},
+                                                    {"i": 1, "j": 2, "v": "5"}]}),
     (("twist", "conv", "--grid", "8,32", "--symbol", "{}"), [1, 2]),
     (("cz", "decompose", "--grid", "8,32", "--symbol", "{}"), {"d": 2, "L": 8}),
 ], ids=["algebra-list", "algebra-brackets-int", "graph-vertices-int",
-        "form-missing-entries", "form-index-0", "symbol-list", "symbol-missing-N"])
+        "form-missing-entries", "form-index-0", "form-duplicate-pair", "symbol-list",
+        "symbol-missing-N"])
 def test_malformed_json_exits_2(tmp_path, args, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -1,4 +1,7 @@
-"""Operator transform: calibration, kernel oracle, identities, inversion, CCR."""
+"""Operator transform: calibration, kernel oracle, identities, inversion, CCR,
+and the route each twisted convolution takes."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -48,6 +51,8 @@ def test_trace_and_pairing_identities(engine64):
 
 
 def test_submultiplicativity_is_the_ratio_of_the_pair_product(engine64):
+    # The report reads the product of the FFT loop, which its homomorphism
+    # residual needs to be independent of the operator route.
     grid = engine64.symbol_grid
     pairs = list(zip(funcs.gaussian_family(grid, 3), funcs.hermite_family(grid, 3)))
     pairs.append((SampledSymbol(grid, np.zeros(grid.shape)), pairs[0][0]))
@@ -55,7 +60,7 @@ def test_submultiplicativity_is_the_ratio_of_the_pair_product(engine64):
     expected = []
     for a, b in pairs:
         scale = engine64.symbol_norm(a) * engine64.symbol_norm(b)
-        expected.append(engine64.symbol_norm(engine64.convolve(a, b))
+        expected.append(engine64.symbol_norm(_fft(engine64, a, [b])[0])
                         / (scale if scale > 0 else 1.0))
     assert report["submultiplicativity"] == expected
 
@@ -166,3 +171,94 @@ def test_rep_shift_beyond_the_grid_is_zero(engine64):
     f = np.exp(-0.5 * engine64.state_grid.axis ** 2)
     for s in (64, -64, 67, -67):
         assert not np.any(engine64.rep_apply(0.7, s * h, f))
+
+
+# -- the convolution routes ---------------------------------------------------
+
+
+def _rel_gap(x: SampledSymbol, ref: SampledSymbol) -> float:
+    return float(np.linalg.norm(x.values - ref.values) / np.linalg.norm(ref.values))
+
+
+def _fft(engine, a, bs):
+    return tw.twisted_convolve(engine.twist, a, bs, density=engine.density)
+
+
+@pytest.fixture(scope="module")
+def engine128(h3_twist):
+    return pe.HeisenbergRealization(h3_twist, Grid(2, 8.0, 128))
+
+
+def test_dense_product_is_the_inverse_of_the_composed_transforms(engine64):
+    grid = engine64.symbol_grid
+    g, h = funcs.gaussian_family(grid, 1)[0], funcs.hermite_family(grid, 2)[1]
+    composed = engine64.transform(g).compose(engine64.transform(h))
+    assert np.array_equal(engine64.convolve(g, h).values,
+                          engine64.inverse(composed).values)
+
+
+@pytest.mark.parametrize("points", [64, 128])
+def test_operator_route_stays_within_its_stated_bound_of_the_fft_loop(
+        engine64, engine128, points):
+    # Relative L2 gap of the operator route to the FFT loop on the same
+    # inputs, measured at L = 8: 2.2e-10 at most for Gaussian and Hermite
+    # pairs (N = 64, 128, 256); truncated power * Gaussian 8.7e-5 (N = 64),
+    # 6.0e-6 (N = 128), 1.4e-5 (N = 256); that product * Hermite 5.3e-5,
+    # 2.6e-6, 1.0e-5.  The last two are set by the box, not the step.  A gap
+    # of 0 would mean the product took the FFT loop.
+    engine = engine64 if points == 64 else engine128
+    grid = engine.symbol_grid
+    gauss, herm = funcs.gaussian_family(grid, 5), funcs.hermite_family(grid, 5)
+    if points == 64:
+        lefts = rights = gauss + herm
+    else:
+        lefts, rights = gauss[:1], gauss[:2] + herm[:2]
+    for a in lefts:
+        for out, ref in zip(engine.convolve_each(a, rights), _fft(engine, a, rights)):
+            assert 0.0 < _rel_gap(out, ref) <= 1e-9
+    power = funcs.sample(grid, funcs.truncated_power(1.5, 0.25, 6.0))
+    power_bound, then_bound = (1.5e-4, 1e-4) if points == 64 else (1e-5, 5e-6)
+    swept = _fft(engine, power, gauss)
+    for out, ref in zip(engine.convolve_each(power, gauss), swept):
+        assert 0.0 < _rel_gap(out, ref) <= power_bound
+    for pg, h in zip(swept, herm):
+        assert 0.0 < _rel_gap(engine.convolve(pg, h), _fft(engine, pg, [h])[0]) <= then_bound
+
+
+def test_each_product_takes_its_own_route(engine64):
+    grid = engine64.symbol_grid
+    a, g = funcs.gaussian_family(grid, 2)
+    delta = funcs.discrete_delta(grid, engine64.density)
+    both = engine64.convolve_each(a, [delta, g])
+    alone = [engine64.convolve(a, delta), engine64.convolve(a, g)]
+    assert all(np.array_equal(x.values, y.values) for x, y in zip(both, alone))
+
+
+def _operands(grid, density) -> dict:
+    g = funcs.gaussian_family(grid, 1)[0]
+    one_column = np.zeros(grid.shape, dtype=complex)
+    col = grid.points * 5 // 8
+    one_column[:, col] = g.values[:, col]
+    return {"g": g, "h": funcs.hermite_family(grid, 2)[1],
+            "delta": funcs.discrete_delta(grid, density),
+            "zero": SampledSymbol(grid, np.zeros(grid.shape)),
+            "column": SampledSymbol(grid, one_column)}
+
+
+@pytest.mark.parametrize("factor, half_width, points, a, b", [
+    # Sparse products on a resolved grid.
+    (1.0, 8.0, 64, "g", "delta"), (1.0, 8.0, 64, "delta", "g"),
+    (1.0, 8.0, 64, "g", "zero"), (1.0, 8.0, 64, "zero", "g"),
+    (1.0, 8.0, 64, "g", "column"),
+    # (2L)^2 > 2 pi N: the q-sum of the kernel wraps inside the state box.
+    (1.0, 8.0, 32, "g", "h"), (1.0, 16.0, 128, "g", "h"),
+    # A cocycle matrix that rep_apply does not realize: flipped, rescaled.
+    (-1.0, 8.0, 64, "g", "h"), (2.0, 8.0, 64, "g", "h"),
+])
+def test_products_off_the_operator_route_take_the_fft_loop(h3_twist, factor, half_width,
+                                                           points, a, b):
+    twist = dataclasses.replace(h3_twist, alpha_matrix=factor * h3_twist.alpha_matrix)
+    engine = pe.HeisenbergRealization(twist, Grid(2, half_width, points))
+    ops = _operands(engine.symbol_grid, engine.density)
+    assert np.array_equal(engine.convolve(ops[a], ops[b]).values,
+                          _fft(engine, ops[a], [ops[b]])[0].values)

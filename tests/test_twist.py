@@ -509,3 +509,91 @@ def test_twist_suite_sees_an_hs_norm_off_by_a_part_per_million(monkeypatch):
                         lambda self: hs_norm(self) * (1 + 1e-6))
     rep = verify.twist_suite(seed=0, points=64)
     assert _failed(rep) == {"hs_isometry_rel_max"}
+
+
+# At L = 8, N = 64 the calculus is resolved and the dense products take the
+# operator route, inverse(T(a) T(b)), which reads neither the cocycle matrix
+# nor pe.twisted_convolve.  Each defect is injected where both routes see it.
+# The homomorphism residual and the multiplier intertwining read the FFT loop
+# directly, so that they compare it with composition, not with itself.
+
+
+@pytest.mark.parametrize("factor", [-1.0, 2.0], ids=["flipped", "rescaled"])
+def test_resolved_grid_sees_a_wrong_cocycle_matrix(monkeypatch, factor):
+    # T(a) T(b) is the product of the twist rep_apply realizes, whatever the
+    # matrix says, so a matrix that is not rep_apply's cocycle sends every
+    # product to the FFT loop.  The two checks of the N = 32 case fail: the
+    # homomorphism (0.95 flipped, 0.45 rescaled, against 2.8e-6) and the CCR
+    # phase (0.78 and 0.40, against 4.3e-12).
+    compile_twist = tw.from_orbit
+
+    def wrong(orbit):
+        twist = compile_twist(orbit)
+        return dataclasses.replace(twist, alpha_matrix=factor * twist.alpha_matrix)
+
+    monkeypatch.setattr(tw, "from_orbit", wrong)
+    assert _failed(verify.twist_suite(seed=0, points=64)) == {"homomorphism_rel_max",
+                                                              "ccr_phase_residual_max"}
+
+
+def test_resolved_grid_sees_a_density_off_by_a_part_per_million(monkeypatch):
+    # The density is scaled for the products only, where both routes read it:
+    # the FFT loop as its measure, the operator route in T(a) and T(b).  The
+    # point-mass product is sparse and takes the FFT loop: the approximate
+    # identity reads 1e-6 against 1e-12.  The dense products take the
+    # operator route and come out (1 + 1e-6)^2 times too large, which
+    # associativity, with both sides scaled alike, does not see.  The
+    # homomorphism reads its pairs from the FFT loop, past convolve_each.
+    convolve_each = pe.HeisenbergRealization.convolve_each
+
+    def scaled(self, a, bs):
+        density = self.density
+        self.density = density * (1 + 1e-6)
+        try:
+            return convolve_each(self, a, bs)
+        finally:
+            self.density = density
+
+    monkeypatch.setattr(pe.HeisenbergRealization, "convolve_each", scaled)
+    rep = verify.twist_suite(seed=0, points=64)
+    assert 1e-12 < _value(rep, "approximate_identity_rel_l2") < 0.02
+    assert _failed(rep) == {"approximate_identity_rel_l2"}
+
+
+def test_resolved_grid_sees_one_dropped_convolution_term(monkeypatch):
+    # Every right operand loses its node y = (4, 0) before the route is
+    # chosen.  The associativity triples are dense and take the operator
+    # route: 3.1e-4 against 1e-5 (1.7e-9 without the defect).  The point
+    # mass at 0 loses nothing, and the homomorphism reads its pairs from the
+    # FFT loop, past convolve_each.
+    convolve_each = pe.HeisenbergRealization.convolve_each
+
+    def dropped(self, a, bs):
+        cut = []
+        for b in bs:
+            values = b.values.copy()
+            values[tuple(np.searchsorted(b.grid.axis, (4.0, 0.0)))] = 0.0
+            cut.append(SampledSymbol(b.grid, values))
+        return convolve_each(self, a, cut)
+
+    monkeypatch.setattr(pe.HeisenbergRealization, "convolve_each", dropped)
+    rep = verify.twist_suite(seed=0, points=64)
+    assert 1e-5 < _value(rep, "twisted_convolution_associativity") < 1e-2
+    assert _failed(rep) == {"twisted_convolution_associativity"}
+
+
+def test_resolved_grid_sees_a_compose_without_its_quadrature_weight(monkeypatch):
+    # T(a) . T(b) comes out 1/h = 4 times too large.  The homomorphism
+    # compares the FFT loop's product with it: 2.5 against 1e-3.  The reversed
+    # pairs take the operator route, inverse(T(a) . T(b)), four times too
+    # large: the L2 slack reads 3.5 against 1.  Associativity, with both sides
+    # scaled alike, does not see the defect.  In the multiplier suite both
+    # intertwining checks compare the FFT loop with composition and fail.
+    monkeypatch.setattr(pe.DiscretizedOperator, "compose",
+                        lambda self, other: pe.DiscretizedOperator(
+                            self.grid, self.matrix @ other.matrix))
+    rep = verify.twist_suite(seed=0, points=64)
+    assert _value(rep, "homomorphism_rel_max") > 1.0
+    assert _failed(rep) == {"homomorphism_rel_max", "l2_submultiplicativity_slack"}
+    assert _failed(verify.multiplier_suite(seed=0, points=64)) == {
+        "approx_identity_intertwining_hs", "integrable_kernel_intertwining"}
