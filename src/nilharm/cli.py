@@ -49,13 +49,28 @@ def _orbit_arg(algebra: str, xi0: str | None) -> ob.OrbitData:
 
 
 def _parse_grid(text: str) -> Grid:
-    half, points = text.split(",")
-    return Grid(2, float(half), int(points))
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"--grid needs L,N (a half width and a point count), got {text!r}")
+    return Grid(2, float(parts[0]), int(parts[1]))
 
 
 def _emit(report: Report, args) -> int:
     sys.stdout.write(report.to_json(timings=args.timings))
     return report.exit_code
+
+
+def _h3_suite(suite, name: str, args, **defaults) -> int:
+    """Run a verify suite, which is fixed to h3, on --grid; an option in
+    ``defaults`` given another value would be ignored, so it is refused."""
+    for opt, default in defaults.items():
+        if getattr(args, opt) != default:
+            raise ValueError(f"{name} runs the h3 suite only; "
+                             f"got --{opt} {getattr(args, opt)}")
+    grid = _parse_grid(args.grid)
+    rep = suite(master_seed(args.seed), half_width=grid.half_width, points=grid.points)
+    rep.command = f"{name} --grid {args.grid}"
+    return _emit(rep, args)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +196,9 @@ def _twist_engine(args) -> pe.HeisenbergRealization:
 
 
 def cmd_twist(args) -> int:
-    seed = master_seed(args.seed)
     if args.action == "verify":
-        grid = _parse_grid(args.grid)
-        rep = verify.twist_suite(seed, half_width=grid.half_width,
-                                 points=grid.points)
-        rep.command = f"twist verify --grid {args.grid}"
-        return _emit(rep, args)
+        return _h3_suite(verify.twist_suite, "twist verify", args, catalog="h3")
+    seed = master_seed(args.seed)
     eng = _twist_engine(args)
     grid = eng.symbol_grid
     rep = Report(command=f"twist {args.action} --grid {args.grid}", seed=seed)
@@ -233,13 +244,10 @@ def cmd_twist(args) -> int:
 
 
 def cmd_cz(args) -> int:
-    seed = master_seed(args.seed)
     if args.action == "multiplier":
-        grid = _parse_grid(args.grid)
-        rep = verify.multiplier_suite(seed, half_width=grid.half_width,
-                                      points=grid.points)
-        rep.command = f"cz multiplier --grid {args.grid}"
-        return _emit(rep, args)
+        return _h3_suite(verify.multiplier_suite, "cz multiplier", args,
+                         algebra="h3", xi0=None)
+    seed = master_seed(args.seed)
     twist = tw.from_orbit(_orbit_arg(args.algebra, args.xi0))
     if twist.dim != 2:
         raise pe.DimensionNot2(f"cz {args.action} needs a 2-dimensional orbit "

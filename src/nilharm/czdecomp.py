@@ -1,13 +1,13 @@
 """Twisted Calderon-Zygmund machinery on a flat predual grid.
 
 The pseudo-distance is the sup-norm gauge m(x) = max_j |x_j|, whose balls
-are boxes of equal half-width on every axis: on the 2-step preduals that the
-grid engine takes, every predual coordinate lies in the first layer of the
-lower central series.  Its quasi-triangle and volume-doubling constants are
-measured, not assumed.  The covering comes from the level set of a
-discrete maximal function over m-balls with a greedy Vitali selection
-(decreasing maximal value, ties by row-major index), and the decomposition
-implements the phase-corrected bad parts
+are cubes: on the 2-step preduals that the grid engine takes, every predual
+coordinate lies in the first layer of the lower central series.  Its
+quasi-triangle constant is measured, not assumed; its volume-doubling
+constant is 2^dim, the volume ratio of cubes of half-widths 2r and r.  The
+covering comes from the level set of a discrete maximal function over m-balls
+with a greedy Vitali selection (decreasing maximal value, ties by row-major
+index), and the decomposition implements the phase-corrected bad parts
 
     b_i(z) = f(z) eta_i(z)
              - (avg over B_i of f eta_i gamma(z_i, .^-1)) chi_i(z) / gamma(z_i, z^-1)
@@ -51,8 +51,8 @@ class C2TooSmall(Exception):
 
 @dataclass(frozen=True)
 class PseudoDistance:
-    """Sup-norm gauge on ``dim`` axes with measured quasi-triangle / doubling
-    constants."""
+    """Sup-norm gauge on ``dim`` axes with its quasi-triangle (measured) and
+    doubling (2^dim) constants."""
 
     dim: int
     quasi_constant: float | None = None
@@ -60,13 +60,6 @@ class PseudoDistance:
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         return np.max(np.abs(np.asarray(pts, dtype=float)), axis=-1)
-
-    def ball_halfwidths(self, r: float) -> np.ndarray:
-        """Per-axis half-widths of the box {m < r}: r on every axis."""
-        return np.full(self.dim, float(r))
-
-    def ball_volume(self, r: float) -> float:
-        return float(np.prod(2.0 * self.ball_halfwidths(r)))
 
 
 def default_pseudo_distance(twist: TwistData) -> PseudoDistance:
@@ -76,14 +69,12 @@ def default_pseudo_distance(twist: TwistData) -> PseudoDistance:
 
 def calibrate(pd: PseudoDistance, twist: TwistData, seed: int = 0) -> PseudoDistance:
     """Measure the quasi-triangle constant on 2000 random pairs in each of the
-    boxes of half width 1, 2, 4 and 8, and the volume-doubling ratio of the
-    gauge balls.  The twist must have a cocycle matrix (``ValueError``
-    otherwise), so that the product is x + y.
+    cubes of half width 1, 2, 4 and 8.  The twist must have a cocycle matrix
+    (``ValueError`` otherwise), so that the product is x + y.
     """
     gen = seeded_rng("pseudo-distance-calibration", seed)
-    radii = (1.0, 2.0, 4.0, 8.0)
     per_box = []
-    for r in radii:
+    for r in (1.0, 2.0, 4.0, 8.0):
         x = gen.uniform(-r, r, size=(2000, pd.dim))
         y = gen.uniform(-r, r, size=(2000, pd.dim))
         prod = twist.combine(x, y)
@@ -92,10 +83,8 @@ def calibrate(pd: PseudoDistance, twist: TwistData, seed: int = 0) -> PseudoDist
         ok = den > 0
         per_box.append(float(np.max(num[ok] / den[ok])))
     c_m = max(per_box)
-    doubling = max(
-        pd.ball_volume(2.0 * r) / pd.ball_volume(r) for r in radii
-    )
-    return replace(pd, quasi_constant=c_m, doubling_constant=float(doubling))
+    # The balls are cubes: doubling the half-width multiplies the volume by 2^dim.
+    return replace(pd, quasi_constant=c_m, doubling_constant=2.0 ** pd.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +110,17 @@ class Covering:
         return max(self.mean_bound, self.mass_ratio)
 
 
-def _window_steps(pd: PseudoDistance, grid: Grid, r: float) -> tuple[int, ...]:
-    """Lattice half-widths of the ball box {m(z - y) < r} on the grid."""
-    theta = pd.ball_halfwidths(r)
-    return tuple(int(np.ceil(t / grid.h - 1e-12)) - 1 for t in theta)
+def _window_step(grid: Grid, r: float) -> int:
+    """Lattice half-width of the cube {m(z - y) < r} on the grid, every axis."""
+    return int(np.ceil(r / grid.h - 1e-12)) - 1
 
 
-def _window_sum(arr: np.ndarray, steps: tuple[int, ...]) -> np.ndarray:
-    """Boundary-clipped box sums with per-axis half-width steps[j]."""
+def _window_sum(arr: np.ndarray, s: int) -> np.ndarray:
+    """Boundary-clipped cube sums of lattice half-width s."""
+    if s <= 0:
+        return arr if s == 0 else np.zeros_like(arr)
     out = arr
-    for axis, s in enumerate(steps):
-        if s < 0:
-            return np.zeros_like(arr)
-        if s == 0:
-            continue
+    for axis in range(arr.ndim):
         c = np.cumsum(out, axis=axis)
         n = out.shape[axis]
         idx_hi = np.minimum(np.arange(n) + s, n - 1)
@@ -183,9 +169,8 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance) -> Covering:
     maximal = np.zeros(grid.shape)
     stop_radius = np.full(grid.shape, -1.0)
     for r in ladder:
-        steps = _window_steps(pd, grid, r)
-        counts = _window_sum(ones, steps)
-        avg = _window_sum(vals, steps) / counts
+        s = _window_step(grid, r)
+        avg = _window_sum(vals, s) / _window_sum(ones, s)
         maximal = np.maximum(maximal, avg)
         stop_radius = np.where(avg > level, r, stop_radius)
     omega = maximal > level
@@ -209,7 +194,7 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance) -> Covering:
             continue
         ball = (idx, tuple(float(axes[i]) for i in idx),
                 float(expansion * stop_radius[idx]))
-        sel = covering_slices(grid, pd, ball)
+        sel = covering_slices(grid, ball)
         covered[sel] = True
         multiplicity[sel] += 1
         count = int(np.prod([s.stop - s.start for s in sel]))
@@ -224,13 +209,10 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance) -> Covering:
                     overlap=int(multiplicity.max()), expansion=expansion)
 
 
-def covering_slices(grid: Grid, pd: PseudoDistance, ball) -> tuple[slice, ...]:
+def covering_slices(grid: Grid, ball) -> tuple[slice, ...]:
     idx, _, r = ball
-    steps = _window_steps(pd, grid, r)
-    return tuple(
-        slice(max(0, idx[a] - steps[a]), min(grid.points, idx[a] + steps[a] + 1))
-        for a in range(grid.dim)
-    )
+    s = _window_step(grid, r)
+    return tuple(slice(max(0, i - s), min(grid.points, i + s + 1)) for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +238,7 @@ def cz_decompose(f: SampledSymbol, level: float, pd: PseudoDistance,
     cell = grid.cell_volume
     outside = np.ones(grid.shape, dtype=bool)
     multiplicity = np.zeros(grid.shape, dtype=np.int64)
-    slices = [covering_slices(grid, pd, ball) for ball in covering.balls]
+    slices = [covering_slices(grid, ball) for ball in covering.balls]
     for sel in slices:
         multiplicity[sel] += 1
         outside[sel] = False

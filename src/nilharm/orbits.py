@@ -87,31 +87,28 @@ class OrbitData:
     def _law(self) -> ExactMap:
         return _compile_law(self)
 
-    def embed(self, x: Vector) -> Vector:
-        """Predual coordinates -> ambient coordinates."""
-        n = self.algebra.dim
-        out = [Fraction(0)] * n
-        for a, xa in enumerate(x):
+    def embed(self, x, zero=Fraction(0)) -> tuple:
+        """Predual coordinates -> ambient coordinates, in any ring whose
+        elements multiply Fractions; ``zero`` is that ring's zero."""
+        out = [zero] * self.algebra.dim
+        for xa, pa in zip(x, self.predual_basis):
             if xa:
-                pa = self.predual_basis[a]
-                for t in range(n):
-                    out[t] += xa * pa[t]
+                for t, p in enumerate(pa):
+                    if p:
+                        out[t] = out[t] + xa * p
         return tuple(out)
 
-    def split(self, w: Vector) -> tuple[Vector, Fraction]:
-        """Ambient vector -> (predual coordinates, central coordinate)."""
+    def split(self, w, zero=Fraction(0)) -> tuple[tuple, object]:
+        """Ambient vector -> (predual coordinates, central coordinate), in the
+        ring of ``embed``."""
         if not self.flat:
             raise NotFlat("central splitting requires a flat orbit")
-        n = self.algebra.dim
-        cols = self._split_inverse
-        x = [Fraction(0)] * n
-        for t in range(n):
-            wt = w[t]
+        x = [zero] * self.algebra.dim
+        for wt, col in zip(w, self._split_inverse):
             if wt:
-                col = cols[t]
-                for r in range(n):
-                    if col[r]:
-                        x[r] += wt * col[r]
+                for r, c in enumerate(col):
+                    if c:
+                        x[r] = x[r] + wt * c
         return tuple(x[:self.d]), x[self.d]
 
 
@@ -176,48 +173,21 @@ def verify_cocycle_identity(orbit: OrbitData, x: Vector, y: Vector, z: Vector) -
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
 def polynomial_law(orbit: OrbitData) -> tuple[tuple[Poly, ...], Poly]:
     """Exact polynomials for the reduced product (d components) and the cocycle,
-    as functions of (x_1..x_d, y_1..y_d); computed once per orbit value."""
+    as functions of (x_1..x_d, y_1..y_d): the split of the BCH product of the
+    embedded variables, with its central part paired against xi0."""
     if not orbit.flat:
         raise NotFlat("polynomial twist data requires a flat orbit")
     L = orbit.algebra
-    d, n = orbit.d, L.dim
-    nv = 2 * d
+    nv = 2 * orbit.d
     zero = Poly.zero(nv)
-    xs = [Poly.variable(nv, a) for a in range(d)]
-    ys = [Poly.variable(nv, d + a) for a in range(d)]
-
-    def embed(coeffs) -> list[Poly]:
-        out = [zero] * n
-        for a in range(d):
-            pa = orbit.predual_basis[a]
-            for t in range(n):
-                if pa[t]:
-                    out[t] = out[t] + coeffs[a] * pa[t]
-        return out
-
-    fraction_entries = L.entries
-    w = _bch.bch_apply_generic(fraction_entries, n, max(L.step, 1),
-                               embed(xs), embed(ys), zero)
-    # Split the polynomial vector with the exact inverse matrix.
-    inv_cols = orbit._split_inverse
-    product_polys = []
-    for a in range(d):
-        acc = zero
-        for t in range(n):
-            coeff = inv_cols[t][a]
-            if coeff and w[t]:
-                acc = acc + w[t] * coeff
-        product_polys.append(acc)
-    central = zero
-    for t in range(n):
-        coeff = inv_cols[t][d]
-        if coeff and w[t]:
-            central = central + w[t] * coeff
-    alpha_poly = central * orbit.xi0.pair(orbit.flag.vectors[0])
-    return tuple(product_polys), alpha_poly
+    xs = [Poly.variable(nv, a) for a in range(orbit.d)]
+    ys = [Poly.variable(nv, orbit.d + a) for a in range(orbit.d)]
+    w = _bch.bch_apply_generic(L.entries, L.dim, max(L.step, 1),
+                               orbit.embed(xs, zero), orbit.embed(ys, zero), zero)
+    product, central = orbit.split(w, zero)
+    return product, central * orbit.xi0.pair(orbit.flag.vectors[0])
 
 
 @lru_cache(maxsize=64)

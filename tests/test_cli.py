@@ -321,6 +321,17 @@ def test_twist_conv_symbol_on_other_grid_exits_2(tmp_path):
      "a shift on the grid lattice, multiples of h = 0.5"),
     (("twist", "delta", "--grid", "8,8"),
      "a shift on the grid lattice, multiples of h = 2"),
+    # The verify suites are fixed to h3 and would ignore these options.
+    (("twist", "verify", "--catalog", "ext_nonhomog", "--grid", "8,32"),
+     "twist verify runs the h3 suite only; got --catalog ext_nonhomog"),
+    (("cz", "multiplier", "--algebra", "ext_g0st_1_1", "--grid", "8,32"),
+     "cz multiplier runs the h3 suite only; got --algebra ext_g0st_1_1"),
+    (("cz", "multiplier", "--xi0", "0,0,1", "--grid", "8,32"),
+     "cz multiplier runs the h3 suite only; got --xi0 0,0,1"),
+    (("cz", "cover", "--grid", "8"),
+     "--grid needs L,N (a half width and a point count), got '8'"),
+    (("twist", "verify", "--grid", "8,64,1"),
+     "--grid needs L,N (a half width and a point count), got '8,64,1'"),
 ])
 def test_wrong_sizes_exit_2(args, message):
     out = run_cli(*args)

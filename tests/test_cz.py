@@ -41,8 +41,8 @@ def full_scan_cover(f, level, pd):
     maximal = np.zeros(grid.shape)
     stop_radius = np.full(grid.shape, -1.0)
     for r in cz._radius_ladder(grid):
-        steps = cz._window_steps(pd, grid, r)
-        avg = cz._window_sum(vals, steps) / cz._window_sum(ones, steps)
+        s = cz._window_step(grid, r)
+        avg = cz._window_sum(vals, s) / cz._window_sum(ones, s)
         maximal = np.maximum(maximal, avg)
         stop_radius = np.where(avg > level, r, stop_radius)
     omega = maximal > level
@@ -60,10 +60,8 @@ def full_scan_cover(f, level, pd):
         if not omega[idx] or covered[idx]:
             continue
         r_sel = expansion * stop_radius[idx]
-        steps = cz._window_steps(pd, grid, r_sel)
-        sel = tuple(
-            slice(max(0, idx[a] - steps[a]), min(grid.points, idx[a] + steps[a] + 1))
-            for a in range(grid.dim))
+        s = cz._window_step(grid, r_sel)
+        sel = tuple(slice(max(0, i - s), min(grid.points, i + s + 1)) for i in idx)
         covered[sel] = True
         multiplicity[sel] += 1
         measure = int(np.prod([s.stop - s.start for s in sel])) * cell
@@ -173,14 +171,14 @@ def test_cover_single_bump(pd_h3, grid32):
     # Item 1: f <= level outside the union of the balls.
     outside = np.ones(grid32.shape, dtype=bool)
     for ball in covering.balls:
-        outside[cz.covering_slices(grid32, pd_h3, ball)] = False
+        outside[cz.covering_slices(grid32, ball)] = False
     assert np.all(f.values.real[outside] <= 0.1 * fmax)
     # Item 2: ball averages within the measured constant.
     assert covering.mean_bound < np.inf
     # Item 3: total ball mass bound with the measured constant.
     cell = grid32.cell_volume
     total = sum(
-        np.prod([s.stop - s.start for s in cz.covering_slices(grid32, pd_h3, b)])
+        np.prod([s.stop - s.start for s in cz.covering_slices(grid32, b)])
         for b in covering.balls) * cell
     assert total * 0.1 * fmax <= covering.c_prime * float(np.sum(f.values.real) * cell) + 1e-12
 
@@ -242,7 +240,7 @@ def test_decompose_properties(h3_twist, pd_h3, grid32):
     # Support containment, exact index test.
     for bad, ball in zip(result.bad_parts, result.covering.balls):
         mask = np.ones(grid32.shape, dtype=bool)
-        mask[cz.covering_slices(grid32, pd_h3, ball)] = False
+        mask[cz.covering_slices(grid32, ball)] = False
         assert np.all(bad.values[mask] == 0)
 
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from nilharm import catalog as cat, exactlinalg as ela, lie_core as lc
 from nilharm import orbits as ob, seeds
-from nilharm.rationals import vec_scale
+from nilharm.polymap import Poly
+from nilharm.rationals import unit_vector, vec_add, vec_scale, zero_vector
 
 F = Fraction
 
@@ -162,6 +163,35 @@ def test_orbit_maps_reject_wrong_length(h3_orbit):
             orbit_map(h3_orbit, short, ok)
         with pytest.raises(ValueError):
             orbit_map(h3_orbit, ok, long)
+
+
+@settings(max_examples=10, deadline=None)
+@given(random_algebras.algebras, st.data())
+def test_embed_and_split_follow_the_split_basis(L, data):
+    # The compiled law, from_orbit and the reference below all go through
+    # embed and split, so pin both to the split basis (P_1..P_d, Z) directly:
+    # w = sum_a x_a P_a + c Z, built here by plain vector arithmetic.
+    orbit = ob.standard_orbit(L)
+    if not orbit.flat:
+        return
+    x = data.draw(random_algebras.points(orbit.d))
+    c = data.draw(random_algebras.fractions)
+    embedded = zero_vector(L.dim)
+    for xa, pa in zip(x, orbit.predual_basis):
+        embedded = vec_add(embedded, vec_scale(xa, pa))
+    assert orbit.embed(x) == embedded
+    assert orbit.split(vec_add(embedded, vec_scale(c, orbit.flag.vectors[0]))) == (x, c)
+    for a, pa in enumerate(orbit.predual_basis):
+        assert orbit.embed(unit_vector(orbit.d, a)) == pa
+
+
+def test_embed_and_split_over_polynomials():
+    # The ring-generic maps over Poly variables: split undoes embed exactly,
+    # with a central part that is the ring's zero.
+    for name, orbit in cat.flat_orbits().items():
+        zero = Poly.zero(orbit.d)
+        xs = tuple(Poly.variable(orbit.d, a) for a in range(orbit.d))
+        assert orbit.split(orbit.embed(xs, zero), zero) == (xs, zero), name
 
 
 @settings(max_examples=8, deadline=None)

@@ -1,5 +1,6 @@
 """Report determinism, seed streams, and seed-independence of exact facts."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -50,6 +51,22 @@ def test_numpy_streams_deterministic():
     x = seeds.rng("gamma", 3).standard_normal(4)
     y = seeds.rng("gamma", 3).standard_normal(4)
     assert np.array_equal(x, y)
+
+
+# sha256 of the exact half's report bytes at seed 0.  Every value in these
+# reports is an exact rational, so the digests depend on no float library.
+EXACT_REPORT_DIGESTS = {
+    "exact": "268bd1d6deaadae962adc9587a1f46653229b35e8e92b23f8e8ab36538a04afe",
+    "examples": "e2e07f59732582535c602a7c89f732dd8a67fc82fafdaab0976b09c9d060b0c6",
+}
+
+
+def test_exact_reports_keep_their_bytes():
+    reports = {"exact": verify.exact_suite(0, samples=25),
+               "examples": verify.examples_suite(0)}
+    for name, rep in reports.items():
+        digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+        assert digest == EXACT_REPORT_DIGESTS[name], name
 
 
 def test_exact_invariants_hold_for_other_seeds():
