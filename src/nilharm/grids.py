@@ -221,12 +221,26 @@ def _sum_by_halves(sums: list) -> float:
     return _sum_by_halves(sums[:mid]) + _sum_by_halves(sums[mid:])
 
 
-def torus_lp_norm(fun: TorusGridFunction, p: float) -> float:
-    if p == float("inf"):
-        return float(np.max([np.max(np.abs(slab)) for slab in fun]))
+def torus_lp_norms(fun: TorusGridFunction, ps) -> list[float]:
+    """[torus_lp_norm(fun, p) for p in ps], from one pass over the slabs."""
+    ps = list(ps)
+    per_slab = []
+    for slab in fun:
+        mag = np.abs(slab)
+        per_slab.append([np.max(mag) if p == float("inf") else np.sum(mag ** p)
+                         for p in ps])
     cell = fun.grid.cell_volume / fun.angles
-    total = _sum_by_halves([np.sum(np.abs(slab) ** p) for slab in fun])
-    return float((cell * total) ** (1.0 / p))
+    norms = []
+    for p, sums in zip(ps, zip(*per_slab)):
+        if p == float("inf"):
+            norms.append(float(np.max(sums)))
+        else:
+            norms.append(float((cell * _sum_by_halves(list(sums))) ** (1.0 / p)))
+    return norms
+
+
+def torus_lp_norm(fun: TorusGridFunction, p: float) -> float:
+    return torus_lp_norms(fun, [p])[0]
 
 
 def torus_sup_distance(f: TorusGridFunction, g: TorusGridFunction) -> float:

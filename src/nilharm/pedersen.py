@@ -47,6 +47,16 @@ up to 8.7e-5 (N = 64), 6.0e-6 (128) and 1.4e-5 (256) against Gaussians, and
 5.3e-5, 2.6e-6 and 1.0e-5 for those products against Hermites.  The last two
 are set by the box, not the step; tests/test_pedersen.py holds the bounds.
 
+Cost.  A realization builds its grid-only tables once, before calibration,
+and holds them read-only: the transform's (q, midpoint) phases, N x (2N-1);
+the inverse's h exp(i q p / 2) on (q, p), N x N; and the two fixed gather
+indices, N x N each (0.52 MB + 0.26 MB + 2 x 0.13 MB at N = 128, four times
+that at N = 256).  A transform is one N x N by N x (2N-1) product, b's N
+p-node rows against the phases, and one gather of the N^2 kernel entries.  An
+inverse is one gather of the operator's diagonals, one N x N product with the
+exp(-i q x_j) table, which is conj(phases[:, ::2]) bit for bit and is derived
+per call, and one elementwise multiply.
+
 The checks that compare a product with operator composition (the
 homomorphism residual of ``identity_report``, the multiplier intertwining)
 take it from the FFT loop: on the operator route the product is
@@ -62,7 +72,7 @@ import numpy as np
 
 from . import funcs
 from .grids import (Grid, GridMismatch, SampledSymbol, lattice_shift, lp_norm,
-                    offset_values, symbol_check_involution)
+                    symbol_check_involution)
 from .twist import TwistData, twisted_convolve
 
 
@@ -116,6 +126,11 @@ class DiscretizedOperator:
         return DiscretizedOperator(self.grid, self.matrix - other.matrix)
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
 class HeisenbergRealization:
     """Operator calculus bound to one twist structure and one grid pair."""
 
@@ -125,11 +140,36 @@ class HeisenbergRealization:
         self.twist = twist
         self.symbol_grid = symbol_grid
         self.state_grid = symbol_grid.axis_grid()
+        n = symbol_grid.points
+        h = symbol_grid.h
+        ax = symbol_grid.axis
+        j = np.arange(n)[:, None]
+        k = np.arange(n)[None, :]
+        # The transform's (q, midpoint) phases exp(i q (x_j + x_k)/2) at the
+        # 2n-1 midpoints; every other midpoint is a node, so conj(phases[:, ::2])
+        # is the inverse's exp(-i q x_j) table.
+        mids = -symbol_grid.half_width + 0.5 * h * np.arange(2 * n - 1)
+        self._phases = _read_only(np.exp(1j * np.outer(ax, mids)))
+        # Flat index of kernel entry (j, k) in the (p node, midpoint) table with
+        # one zero row n appended: column j + k of row k - j + n/2, or of row n
+        # where (k - j) h is not a node.
+        rows = k - j + n // 2
+        self._kernel_index = _read_only(
+            np.where((rows >= 0) & (rows < n), rows, n) * (2 * n - 1) + j + k)
+        # The inverse's h exp(i q p / 2) on (q, p), and the flat index of
+        # B[j - s, j], the p-step s = k - n/2, in B.matrix with one zero
+        # appended (entry n^2 where j - s is off the grid).
+        self._half_phases = _read_only(h * np.exp(0.5j * np.outer(ax, ax)))
+        rows = j - k + n // 2
+        self._diagonal_index = _read_only(
+            np.where((rows >= 0) & (rows < n), rows * n + j, n * n))
         # The density for which trace(transform(b)) = b(0), b a standard Gaussian.
         probe = funcs.sample(symbol_grid, funcs.gaussian())
         trace = self._assemble(probe, density=1.0).trace()
         if abs(trace) == 0.0:
-            raise ZeroDivisionError("calibration probe has zero raw trace")
+            raise ValueError(
+                f"the grid L = {symbol_grid.half_width:g}, N = {n} cannot calibrate the "
+                "operator transform: the Gaussian probe has zero raw trace")
         self.density = float((probe.at_origin() / trace).real)
 
     # -- representation ---------------------------------------------------
@@ -165,18 +205,12 @@ class HeisenbergRealization:
         if not b.grid.same_box(self.symbol_grid) or b.grid.dim != 2:
             raise GridMismatch("symbol grid does not match the realization")
         n = self.symbol_grid.points
-        h = self.symbol_grid.h
-        ax = self.symbol_grid.axis
-        # Symbol values at all lattice p-offsets m = k - j (zero outside the box).
-        b_offs = offset_values(b.values, (1,))
-        # Kernel K(x_j, x_k) = density * h * sum_q b(q, (k-j) h) exp(i q (x_j+x_k)/2).
-        mids = (-self.symbol_grid.half_width
-                + 0.5 * h * np.arange(2 * n - 1))
-        phases = np.exp(1j * np.outer(ax, mids))          # (q, mid)
-        f_table = b_offs.T @ phases                       # (offset, mid)
-        j_idx = np.arange(n)[:, None]
-        k_idx = np.arange(n)[None, :]
-        kernel = density * h * f_table[k_idx - j_idx + (n - 1), j_idx + k_idx]
+        # Kernel K(x_j, x_k) = density * h * sum_q b(q, (k-j) h) exp(i q (x_j+x_k)/2),
+        # one gather from the (p node, midpoint) table.
+        table = np.empty((n + 1, 2 * n - 1), dtype=complex)
+        np.matmul(b.values.T, self._phases, out=table[:n])
+        table[n] = 0.0
+        kernel = density * self.symbol_grid.h * table.ravel()[self._kernel_index]
         return DiscretizedOperator(self.state_grid, kernel)
 
     def transform(self, b: SampledSymbol) -> DiscretizedOperator:
@@ -186,18 +220,10 @@ class HeisenbergRealization:
         """Symbol recovery b(q,p) = trace(rep(q,p)^{-1} B); no density factor."""
         if not B.grid.same_box(self.state_grid):
             raise GridMismatch("operator grid does not match the realization")
-        n = self.symbol_grid.points
-        h = self.symbol_grid.h
-        ax = self.symbol_grid.axis
-        # diags[j, i] = B[j - s, j] for the p-step s = i - n/2 (zero off the
-        # grid): row j - s is row j - i + n - 1 of the offset-padded matrix.
-        j = np.arange(n)[:, None]
-        padded = offset_values(B.matrix, (0,))
-        diags = padded[j - np.arange(n)[None, :] + (n - 1), j]   # (state j, p index)
-        e2 = np.exp(-1j * np.outer(ax, ax))               # (q, j)
-        summed = e2 @ diags                               # (q, p)
-        values = h * np.exp(0.5j * np.outer(ax, ax)) * summed
-        return SampledSymbol(grid=self.symbol_grid, values=values)
+        # diags[j, k] = B[j - s, j] for the p-step s = k - n/2, zero off the grid.
+        diags = np.append(B.matrix.ravel(), 0.0)[self._diagonal_index]   # (state j, p index)
+        summed = np.conj(self._phases[:, ::2]) @ diags                   # (q, p)
+        return SampledSymbol(grid=self.symbol_grid, values=self._half_phases * summed)
 
     # -- convolution and norms ---------------------------------------------
 

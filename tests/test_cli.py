@@ -352,6 +352,18 @@ def test_non_finite_half_width_exits_2(command, half_width):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("command", [("twist", "verify"), ("twist", "pedersen"),
+                                     ("twist", "conv"), ("twist", "delta"),
+                                     ("cz", "multiplier")])
+def test_grid_that_cannot_calibrate_exits_2(command):
+    # h = 6.25e-302: the Gaussian probe's raw trace underflows to zero.
+    out = run_cli(*command, "--grid", "1e-300,32")
+    assert out.returncode == 2
+    assert "L = 1e-300, N = 32 cannot calibrate the operator transform" in out.stderr
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("v", ["17,0", "-17,0", "0,17", "0,-17"])
 def test_twist_delta_shift_beyond_the_grid_gives_zero_symbol(tmp_path, v):
     # h = 0.5 on an 8,32 grid, so each shift is 34 steps, more than N = 32:

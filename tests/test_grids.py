@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nilharm import fileio, funcs, multipliers as mult
 from nilharm.grids import (Grid, GridMismatch, SampledSymbol, TorusGridFunction,
                            lp_norm, symbol_check_involution,
-                           torus_lp_norm, torus_sup_distance)
+                           torus_lp_norm, torus_lp_norms, torus_sup_distance)
 
 
 # -- dense references ---------------------------------------------------------------
@@ -134,6 +134,20 @@ def test_torus_lp_norm_matches_dense_reference(points, angles):
         for p in (1.0, 1.5, 2.0, 4.0, float("inf")):
             assert torus_lp_norm(torus(grid, values), p) \
                 == dense_torus_lp_norm(values, grid, p), (name, p)
+
+
+@pytest.mark.parametrize("points, angles", [(32, 8), (64, 64), (16, 24)])
+def test_torus_lp_norms_make_one_pass_with_each_norm_bit_for_bit(points, angles):
+    grid = Grid(2, 8.0, points)
+    ps = (1.0, 1.5, 2.0, 4.0, float("inf"))
+    for values in torus_inputs(grid, angles).values():
+        passes = []
+        fun = TorusGridFunction(grid, angles, lambda: passes.append(1) or values)
+        norms = torus_lp_norms(fun, ps)
+        assert len(passes) == 1
+        assert norms == [torus_lp_norm(torus(grid, values), p) for p in ps]
+        if points >= 32 and angles in (8, 64):
+            assert norms == [dense_torus_lp_norm(values, grid, p) for p in ps]
 
 
 @pytest.mark.parametrize("points, angles", [(8, 8), (8, 64), (32, 12), (16, 24)])

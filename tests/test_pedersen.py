@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nilharm import funcs, pedersen as pe, twist as tw, verify
-from nilharm.grids import Grid, GridMismatch, SampledSymbol
+from nilharm.grids import Grid, GridMismatch, SampledSymbol, offset_values
 
 
 def test_calibration_matches_closed_form(engine64):
@@ -171,6 +171,64 @@ def test_rep_shift_beyond_the_grid_is_zero(engine64):
     f = np.exp(-0.5 * engine64.state_grid.axis ** 2)
     for s in (64, -64, 67, -67):
         assert not np.any(engine64.rep_apply(0.7, s * h, f))
+
+
+# -- the cached tables ---------------------------------------------------------
+
+
+def reference_assemble(engine, b, density):
+    """The kernel gathered from all 2N-1 p-offset rows, with the phase table
+    built per call."""
+    grid = engine.symbol_grid
+    n, h, ax = grid.points, grid.h, grid.axis
+    mids = -grid.half_width + 0.5 * h * np.arange(2 * n - 1)
+    f_table = offset_values(b.values, (1,)).T @ np.exp(1j * np.outer(ax, mids))
+    j, k = np.arange(n)[:, None], np.arange(n)[None, :]
+    return density * h * f_table[k - j + (n - 1), j + k]
+
+
+def reference_inverse(engine, B):
+    """The inverse with both exp tables built per call."""
+    grid = engine.symbol_grid
+    n, h, ax = grid.points, grid.h, grid.axis
+    j = np.arange(n)[:, None]
+    diags = offset_values(B.matrix, (0,))[j - np.arange(n)[None, :] + (n - 1), j]
+    summed = np.exp(-1j * np.outer(ax, ax)) @ diags
+    return h * np.exp(0.5j * np.outer(ax, ax)) * summed
+
+
+@pytest.fixture(scope="module", params=[8, 32, 64, 128])
+def any_engine(request, h3_twist):
+    return pe.HeisenbergRealization(h3_twist, Grid(2, 8.0, request.param))
+
+
+def test_transform_and_inverse_equal_the_per_call_tables_bit_for_bit(any_engine):
+    grid = any_engine.symbol_grid
+    probe = funcs.sample(grid, funcs.gaussian())
+    raw = pe.DiscretizedOperator(any_engine.state_grid, reference_assemble(any_engine, probe, 1.0))
+    assert any_engine.density == float((probe.at_origin() / raw.trace()).real)
+    symbols = [funcs.sample(grid, funcs.gaussian((0.3, -0.2), 1.1)),
+               funcs.hermite_family(grid, 3)[2],
+               funcs.sample(grid, funcs.truncated_power(1.5, 0.25, 6.0)),
+               funcs.discrete_delta(grid, any_engine.density),
+               SampledSymbol(grid, np.zeros(grid.shape))]
+    for b in symbols:
+        T = any_engine.transform(b)
+        assert np.array_equal(T.matrix, reference_assemble(any_engine, b, any_engine.density))
+        assert np.array_equal(any_engine.inverse(T).values, reference_inverse(any_engine, T))
+
+
+def test_cached_tables_are_read_only(engine64):
+    tables = [value for value in vars(engine64).values() if isinstance(value, np.ndarray)]
+    assert tables
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = table.flat[0]
+
+
+def test_grid_that_cannot_calibrate_is_a_value_error(h3_twist):
+    with pytest.raises(ValueError, match="L = 1e-300, N = 32"):
+        pe.HeisenbergRealization(h3_twist, Grid(2, 1e-300, 32))
 
 
 # -- the convolution routes ---------------------------------------------------
