@@ -83,25 +83,33 @@ def flat_orbits() -> dict[str, ob.OrbitData]:
             for name in ("h3", "ext_g0st_1_1", "ext_triangle", "ext_nonhomog")}
 
 
+# The parameters of each parametrized family; every other name takes none.
+FAMILY_PARAMETERS = {"abelian": ("n",), "g0st": ("s", "t"), "ext_g0st": ("s", "t"),
+                     "ext_nonhomog": ("a", "b")}
+
+
 def get_algebra(name: str, **params) -> lc.LieAlgebra:
     """Resolve a catalog name (CLI entry point).
 
-    The parametrized families (``abelian<n>``/``--n``, ``g0st`` and
-    ``ext_g0st`` with s, t, ``ext_nonhomog`` with a, b) come first; any other
-    name is looked up in ``CORE``.
+    The parametrized families (``abelian<n>``, or ``abelian`` with n,
+    ``g0st`` and ``ext_g0st`` with s, t, ``ext_nonhomog`` with a, b) come
+    first; any other name is looked up in ``CORE``.  A parameter that the
+    name does not take raises ``ValueError``.
     """
     name = name.lower()
+    if not (name.startswith("abelian") or name in FAMILY_PARAMETERS or name in CORE):
+        raise KeyError(f"unknown catalog algebra: {name}")
+    takes = FAMILY_PARAMETERS.get(name, ())
+    extra = [p for p in params if p not in takes]
+    if extra:
+        raise ValueError(f"catalog algebra {name} takes "
+                         f"{', '.join(takes) or 'no parameters'}; got {', '.join(extra)}")
     if name.startswith("abelian"):
-        n = params.get("n")
-        if n is None:
-            n = int(name.removeprefix("abelian") or 4)
-        return abelian(int(n))
+        return abelian(int(params.get("n", name.removeprefix("abelian") or 4)))
     if name == "g0st":
         return g0st(params.get("s", 1), params.get("t", 1))[0]
     if name == "ext_g0st":
         return extended_g0st(params.get("s", 1), params.get("t", 1))
     if name == "ext_nonhomog":
         return extended_nonhomog(params.get("a", 1), params.get("b", 1))
-    if name in CORE:
-        return CORE[name]()
-    raise KeyError(f"unknown catalog algebra: {name}")
+    return CORE[name]()

@@ -60,13 +60,41 @@ def _emit(report: Report, args) -> int:
     return report.exit_code
 
 
-def _h3_suite(suite, name: str, args, **defaults) -> int:
-    """Run a verify suite, which is fixed to h3, on --grid; an option in
-    ``defaults`` given another value would be ignored, so it is refused."""
-    for opt, default in defaults.items():
-        if getattr(args, opt) != default:
-            raise ValueError(f"{name} runs the h3 suite only; "
+# The options that each twist and cz action reads.  Any other option of the
+# command would be ignored, so a value other than its default is refused.
+READS = {
+    "twist": {
+        "conv": ("catalog", "grid", "symbol", "symbol2", "out"),
+        "delta": ("catalog", "grid", "symbol", "v", "out"),
+        "pedersen": ("catalog", "grid", "symbol"),
+        "verify": ("grid",),
+    },
+    "cz": {
+        "cover": ("algebra", "xi0", "grid", "alpha", "symbol"),
+        "decompose": ("algebra", "xi0", "grid", "alpha", "symbol"),
+        "kernel-check": ("algebra", "xi0", "grid", "c2"),
+        "weak11": ("algebra", "xi0", "grid", "symbol"),
+        "multiplier": ("grid",),
+    },
+}
+H3_SUITES = {("twist", "verify"), ("cz", "multiplier")}
+
+
+def _refuse_unread(parser: argparse.ArgumentParser, args) -> None:
+    """Raise ValueError on an option that the action does not read, given a
+    value other than its default; the bare command's namespace holds every
+    default (the common options are suppressed there)."""
+    reads = READS[args.command][args.action]
+    for opt, default in vars(parser.parse_args([args.command, args.action])).items():
+        if opt not in reads and getattr(args, opt) != default:
+            why = ("runs the h3 suite only" if (args.command, args.action) in H3_SUITES
+                   else f"does not read --{opt}")
+            raise ValueError(f"{args.command} {args.action} {why}; "
                              f"got --{opt} {getattr(args, opt)}")
+
+
+def _h3_suite(suite, name: str, args) -> int:
+    """Run a verify suite, which is fixed to h3, on --grid."""
     grid = _parse_grid(args.grid)
     rep = suite(master_seed(args.seed), half_width=grid.half_width, points=grid.points)
     rep.command = f"{name} --grid {args.grid}"
@@ -153,13 +181,10 @@ def cmd_catalog(args) -> int:
         params["b"] = parse_rational(args.b)
     if args.n is not None:
         params["n"] = args.n
-    if args.check == "cocycle":
-        # g0st_1_1 is g0st(1, 1); no other catalog entry is defined by a 2-form.
-        if args.name.lower() == "g0st_1_1":
-            params.update(s=1, t=1)
-        elif args.name.lower() != "g0st":
-            raise ValueError(f"--check cocycle needs an algebra with a defining "
-                             f"2-form (g0st, g0st_1_1); {args.name} has none")
+    # g0st_1_1 is g0st(1, 1); no other catalog entry is defined by a 2-form.
+    if args.check == "cocycle" and args.name.lower() not in ("g0st", "g0st_1_1"):
+        raise ValueError(f"--check cocycle needs an algebra with a defining "
+                         f"2-form (g0st, g0st_1_1); {args.name} has none")
     L = cat.get_algebra(args.name, **params)
     rep.measure("dim", L.dim)
     rep.measure("step", L.step)
@@ -197,7 +222,7 @@ def _twist_engine(args) -> pe.HeisenbergRealization:
 
 def cmd_twist(args) -> int:
     if args.action == "verify":
-        return _h3_suite(verify.twist_suite, "twist verify", args, catalog="h3")
+        return _h3_suite(verify.twist_suite, "twist verify", args)
     seed = master_seed(args.seed)
     eng = _twist_engine(args)
     grid = eng.symbol_grid
@@ -245,8 +270,7 @@ def cmd_twist(args) -> int:
 
 def cmd_cz(args) -> int:
     if args.action == "multiplier":
-        return _h3_suite(verify.multiplier_suite, "cz multiplier", args,
-                         algebra="h3", xi0=None)
+        return _h3_suite(verify.multiplier_suite, "cz multiplier", args)
     seed = master_seed(args.seed)
     twist = tw.from_orbit(_orbit_arg(args.algebra, args.xi0))
     if twist.dim != 2:
@@ -258,9 +282,11 @@ def cmd_cz(args) -> int:
                  + (f" --alpha {args.alpha}" if args.alpha else ""), seed=seed)
     rep.measure("quasi_triangle_constant", pdist.quasi_constant)
     rep.measure("doubling_constant", pdist.doubling_constant)
-    f = fileio.load_symbol(args.symbol) if args.symbol else \
-        funcs.sample(grid, funcs.smooth_bump((0.0, 0.0), 1.5, 4.0))
-    level = float(args.alpha) if args.alpha else 0.1 * float(np.max(np.abs(f.values)))
+    if args.action != "kernel-check":
+        f = fileio.load_symbol(args.symbol) if args.symbol else \
+            funcs.sample(grid, funcs.smooth_bump((0.0, 0.0), 1.5, 4.0))
+    if args.action in ("cover", "decompose"):
+        level = float(args.alpha) if args.alpha else 0.1 * float(np.max(np.abs(f.values)))
     if args.action == "cover":
         covering = cz.cz_cover(f, level, pdist)
         rep.measure("n_balls", len(covering.balls))
@@ -390,6 +416,8 @@ def main(argv=None) -> int:
     args.seed = getattr(args, "seed", None)
     args.timings = getattr(args, "timings", False)
     try:
+        if args.command in READS:
+            _refuse_unread(parser, args)
         return args.func(args)
     except (FileNotFoundError, PermissionError, IsADirectoryError,
             json.JSONDecodeError) as exc:

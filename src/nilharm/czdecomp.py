@@ -324,8 +324,8 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
             f"{grid.dim},{grid.half_width:g}")
     if pd.quasi_constant is None:
         raise ValueError("pseudo-distance must be calibrated first")
-    if not c2 > 2.0 * pd.quasi_constant:
-        raise C2TooSmall(f"need c2 > {2.0 * pd.quasi_constant}")
+    if not (np.isfinite(c2) and c2 > 2.0 * pd.quasi_constant):
+        raise C2TooSmall(f"need a finite c2 > {2.0 * pd.quasi_constant}, got {c2}")
     z_pts = grid.nodes()
     m_z = pd.value(z_pts)
     k_z = np.asarray(kernel_eval(z_pts), dtype=complex)

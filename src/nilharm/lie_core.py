@@ -178,12 +178,6 @@ def _ad_direction(L: LieAlgebra, i: int, v: Vector) -> list[int]:
     return _ad_integers(L, i, enumerate(over_common_denominator(v)[1]))
 
 
-def _ad(L: LieAlgebra, i: int, v: Vector) -> Vector:
-    """[X_i, v], exact."""
-    dv, V = over_common_denominator(v)
-    return _fractions(_ad_integers(L, i, enumerate(V)), L._integer_form[0] * dv)
-
-
 def _series(L: LieAlgebra) -> list[list[Vector]]:
     """Lower central series as rref bases; final element is the empty basis iff nilpotent."""
     dim = L.dim
@@ -245,16 +239,27 @@ def lower_central_series(L: LieAlgebra) -> list[list[Vector]]:
     return _series(L)
 
 
-def center(L: LieAlgebra) -> list[Vector]:
-    """{X : [X, g] = 0} via exact nullspace of the stacked adjoint maps."""
+def bracket_kernel(L: LieAlgebra, project) -> list[Vector]:
+    """{v : project([X_i, v]) = 0 for every basis vector X_i}, for a linear
+    ``project`` from vectors to coordinate sequences: the exact nullspace of
+    the stacked maps v -> project([X_i, v]), whose columns are the projected
+    basis brackets [X_i, X_s]; a zero bracket projects to one shared zero."""
+    n = L.dim
+    brackets = L._basis_brackets
+    zero = project(zero_vector(n))
     rows: list[list[Fraction]] = []
-    for j in range(L.dim):
-        cols = [L.basis_bracket(i, j) for i in range(L.dim)]
-        for k in range(L.dim):
-            row = [cols[i][k] for i in range(L.dim)]
+    for i in range(n):
+        cols = [project(brackets[i, s]) if (i, s) in brackets else zero for s in range(n)]
+        for k in range(len(zero)):
+            row = [col[k] for col in cols]
             if any(row):
                 rows.append(row)
-    return ela.nullspace(rows, n_cols=L.dim)
+    return ela.nullspace(rows, n_cols=n)
+
+
+def center(L: LieAlgebra) -> list[Vector]:
+    """{X : [X, g] = 0}."""
+    return bracket_kernel(L, lambda w: w)
 
 
 @dataclass(frozen=True)
@@ -308,34 +313,23 @@ def jordan_holder_flag(L: LieAlgebra, preferred_first: Vector | None = None) -> 
                     "requested first flag vector is not central")
         chosen.append(preferred_first)
     while len(chosen) < n:
-        span = ela.span_basis(chosen)
-        red, piv = ela.rref(span)
+        red, piv = ela.rref(chosen)
+        free = [k for k in range(n) if k not in piv]
 
-        def reduce_mod_span(w: Vector) -> list[Fraction]:
+        def residue(w: Vector) -> list[Fraction]:
+            """w modulo span(chosen), read at the non-pivot columns: zero
+            exactly when w lies in the span."""
             w = list(w)
             for r, pc in enumerate(piv):
                 f = w[pc]
                 if f:
                     for t in range(n):
                         w[t] -= f * red[r][t]
-            return w
+            return [w[k] for k in free]
 
         # Preimage of the center of g / span(chosen): [X_i, v] inside span(chosen).
-        rows: list[list[Fraction]] = []
-        for i in range(n):
-            reduced_cols = [reduce_mod_span(L.basis_bracket(i, s)) for s in range(n)]
-            for k in range(n):
-                if k in piv:
-                    continue
-                row = [reduced_cols[s][k] for s in range(n)]
-                if any(row):
-                    rows.append(row)
-        candidates = ela.nullspace(rows, n_cols=n)
-        picked = None
-        for v in ela.span_basis(candidates):
-            if not ela.in_span(span, v):
-                picked = v
-                break
+        candidates = bracket_kernel(L, residue)
+        picked = next((v for v in ela.span_basis(candidates) if any(residue(v))), None)
         if picked is None:
             raise AssertionError("central refinement stalled on a nilpotent algebra")
         chosen.append(picked)
@@ -407,7 +401,8 @@ def leibniz_residual(L: LieAlgebra, D: Matrix, i: int, j: int) -> Vector:
     dxi = tuple(D[k][i] for k in range(n))
     dxj = tuple(D[k][j] for k in range(n))
     # [D Xi, Xj] + [Xi, D Xj] = [Xi, D Xj] - [Xj, D Xi]
-    rhs = tuple(a - b for a, b in zip(_ad(L, i, dxj), _ad(L, j, dxi)))
+    rhs = tuple(a - b for a, b in zip(bracket(L, unit_vector(n, i), dxj),
+                                      bracket(L, unit_vector(n, j), dxi)))
     return tuple(a - b for a, b in zip(lhs, rhs))
 
 

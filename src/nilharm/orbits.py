@@ -38,14 +38,8 @@ class Functional:
 
 
 def isotropy_algebra(L: lc.LieAlgebra, xi0: Functional) -> list[Vector]:
-    """{X : xi0([X, .]) = 0}: exact nullspace of the skew pairing matrix."""
-    n = L.dim
-    rows = []
-    for j in range(n):
-        row = [xi0.pair(L.basis_bracket(i, j)) for i in range(n)]
-        if any(row):
-            rows.append(row)
-    return ela.nullspace(rows, n_cols=n)
+    """{X : xi0([X, .]) = 0}: the kernel of the skew pairing matrix."""
+    return lc.bracket_kernel(L, lambda w: (xi0.pair(w),))
 
 
 @dataclass(frozen=True)
@@ -121,19 +115,14 @@ def jump_indices(L: lc.LieAlgebra, flag: lc.FlagSequence, xi0: Functional) -> Or
     if xi0.pair(flag.vectors[0]) != 1:
         raise PairingNotOne("the functional must pair to 1 with the first flag vector")
     iso = isotropy_algebra(L, xi0)
-    jump: list[int] = []
-    for j in range(1, L.dim + 1):
-        lower = list(flag.vectors[:j - 1]) + list(iso)
-        xj = flag.vectors[j - 1]
-        base_rank = ela.rank(lower)
-        if ela.rank(lower + [xj]) > base_rank:
-            jump.append(j)
-    predual = tuple(flag.vectors[j - 1] for j in jump)
-    if len(iso) + len(predual) != L.dim:
-        raise AssertionError("isotropy and predual dimensions do not sum to dim")
-    full = [list(v) for v in list(iso) + list(predual)]
-    if ela.det(full) == 0:
+    # Echelon pivots are the columns outside the span of the columns before
+    # them: with the isotropy basis first, the flag's pivots are its jumps.
+    cols = list(iso) + list(flag.vectors)
+    _, piv, _, _ = ela.echelon([[c[r] for c in cols] for r in range(L.dim)])
+    if piv[:len(iso)] != list(range(len(iso))) or len(piv) != L.dim:
         raise AssertionError("isotropy + predual is not a direct sum")
+    jump = [c - len(iso) + 1 for c in piv[len(iso):]]
+    predual = tuple(flag.vectors[j - 1] for j in jump)
     ctr = lc.center(L)
     flat = len(ctr) == 1 and ela.subspace_equal(list(iso), ctr)
     return OrbitData(algebra=L, flag=flag, xi0=xi0, isotropy_basis=tuple(iso),

@@ -94,10 +94,14 @@ def is_two_cocycle(L0: lc.LieAlgebra, omega: SymplecticForm) -> tuple[bool, tupl
 
 def central_extension(L0: lc.LieAlgebra, omega: SymplecticForm) -> lc.LieAlgebra:
     """One added central generator, indexed first:
-    [(t, x), (s, y)] = (omega(x, y), [x, y])."""
-    ok, triple = is_two_cocycle(L0, omega)
-    if not ok:
-        raise NotACocycle(triple)
+    [(t, x), (s, y)] = (omega(x, y), [x, y]).
+
+    The cocycle identity is the Jacobi identity of the extended bracket:
+    on (X_i, X_j, X_k) the Z-component of the Jacobi residual is the cyclic
+    sum of omega, and triples with Z vanish.  So validation fails first on
+    the triple that ``is_two_cocycle`` reports, shifted up by Z."""
+    if omega.dim != L0.dim:
+        raise ValueError("form dimension does not match the algebra")
     n = L0.dim
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j, terms in L0.entries:
@@ -108,7 +112,10 @@ def central_extension(L0: lc.LieAlgebra, omega: SymplecticForm) -> lc.LieAlgebra
             if w != 0:
                 brackets.setdefault((i + 1, j + 1), {})[0] = w
     labels = ("Z",) + tuple(L0.labels)
-    return lc.validate(n + 1, brackets, labels=labels)
+    try:
+        return lc.validate(n + 1, brackets, labels=labels)
+    except lc.JacobiViolation as exc:
+        raise NotACocycle(tuple(t - 1 for t in exc.triple)) from None
 
 
 # ---------------------------------------------------------------------------

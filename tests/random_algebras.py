@@ -2,13 +2,16 @@
 and the plain-Fraction references the integer kernels are tested against:
 the BCH walk for the compiled group laws, the structure-constant loop for
 the bracket, the cyclic sum of the form for the cocycle check and the
-term-by-term value of a polynomial at a rational point."""
+term-by-term value of a polynomial at a rational point.  The row loops of
+the centre, the isotropy algebra and the flag, and the rank-by-rank jump
+set, are the references of ``lie_core.bracket_kernel`` and of the single
+echelon in ``orbits.jump_indices``."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from nilharm import bch, symplectic as sp
+from nilharm import bch, exactlinalg as ela, symplectic as sp
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 nonzero_fractions = st.builds(Fraction, st.one_of(st.integers(-6, -1), st.integers(1, 6)),
@@ -89,3 +92,72 @@ def fraction_cocycle_check(L0, omega) -> tuple[bool, tuple[int, int, int] | None
                         + omega(e[k], L0.basis_bracket(i, j))) != 0:
                     return False, (i + 1, j + 1, k + 1)
     return True, None
+
+
+def reference_center(L) -> list[tuple[Fraction, ...]]:
+    """{X : [X, g] = 0}: one row per (basis vector X_j, coordinate k) of the
+    map X -> [X, X_j], and one exact nullspace."""
+    rows = []
+    for j in range(L.dim):
+        cols = [L.basis_bracket(i, j) for i in range(L.dim)]
+        for k in range(L.dim):
+            row = [cols[i][k] for i in range(L.dim)]
+            if any(row):
+                rows.append(row)
+    return ela.nullspace(rows, n_cols=L.dim)
+
+
+def reference_isotropy(L, xi0) -> list[tuple[Fraction, ...]]:
+    """{X : xi0([X, .]) = 0}: one row xi0([X_i, X_j]) per j, one nullspace."""
+    rows = []
+    for j in range(L.dim):
+        row = [xi0.pair(L.basis_bracket(i, j)) for i in range(L.dim)]
+        if any(row):
+            rows.append(row)
+    return ela.nullspace(rows, n_cols=L.dim)
+
+
+def reference_jump_set(L, flag, xi0) -> tuple[int, ...]:
+    """{j : X_j escapes g_{j-1} + isotropy}, by two ranks per flag vector."""
+    iso = reference_isotropy(L, xi0)
+    jump = []
+    for j in range(1, L.dim + 1):
+        lower = list(flag.vectors[:j - 1]) + list(iso)
+        if ela.rank(lower + [flag.vectors[j - 1]]) > ela.rank(lower):
+            jump.append(j)
+    return tuple(jump)
+
+
+def reference_flag(L, preferred_first=None) -> tuple[tuple[Fraction, ...], ...]:
+    """The Jordan-Holder flag vectors: at each step the span of the chosen
+    vectors is reduced twice (its basis, then that basis's rref), the central
+    preimage comes from its own row loop, and each candidate is tested for
+    membership by rank."""
+    n = L.dim
+    chosen = [] if preferred_first is None else [preferred_first]
+    while len(chosen) < n:
+        span = ela.span_basis(chosen)
+        red, piv = ela.rref(span)
+
+        def reduce_mod_span(w):
+            w = list(w)
+            for r, pc in enumerate(piv):
+                f = w[pc]
+                if f:
+                    for t in range(n):
+                        w[t] -= f * red[r][t]
+            return w
+
+        rows = []
+        for i in range(n):
+            reduced_cols = [reduce_mod_span(L.basis_bracket(i, s)) for s in range(n)]
+            for k in range(n):
+                if k in piv:
+                    continue
+                row = [reduced_cols[s][k] for s in range(n)]
+                if any(row):
+                    rows.append(row)
+        candidates = ela.nullspace(rows, n_cols=n)
+        chosen.append(next(v for v in ela.span_basis(candidates)
+                           if not ela.in_span(span, v)))
+    return tuple(chosen)

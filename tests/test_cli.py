@@ -332,11 +332,46 @@ def test_twist_conv_symbol_on_other_grid_exits_2(tmp_path):
      "--grid needs L,N (a half width and a point count), got '8'"),
     (("twist", "verify", "--grid", "8,64,1"),
      "--grid needs L,N (a half width and a point count), got '8,64,1'"),
+    # Options that the action would ignore: each twist and cz action reads
+    # only its row of cli.READS, and a catalog family only its own parameters.
+    (("cz", "kernel-check", "--grid", "8,32", "--alpha", "5"),
+     "cz kernel-check does not read --alpha; got --alpha 5"),
+    (("cz", "kernel-check", "--symbol", "/nonexistent.json"),
+     "cz kernel-check does not read --symbol; got --symbol /nonexistent.json"),
+    (("cz", "weak11", "--alpha", "5"), "cz weak11 does not read --alpha; got --alpha 5"),
+    (("cz", "cover", "--c2", "9"), "cz cover does not read --c2; got --c2 9"),
+    (("cz", "decompose", "--c2", "9"), "cz decompose does not read --c2; got --c2 9"),
+    (("cz", "weak11", "--c2", "9"), "cz weak11 does not read --c2; got --c2 9"),
+    (("twist", "conv", "--v", "0,1"), "twist conv does not read --v; got --v 0,1"),
+    (("twist", "pedersen", "--v", "0,1"), "twist pedersen does not read --v; got --v 0,1"),
+    (("twist", "verify", "--v", "0,1"), "twist verify runs the h3 suite only; got --v 0,1"),
+    (("twist", "delta", "--symbol2", "b.json"),
+     "twist delta does not read --symbol2; got --symbol2 b.json"),
+    (("twist", "pedersen", "--symbol2", "b.json"),
+     "twist pedersen does not read --symbol2; got --symbol2 b.json"),
+    (("twist", "verify", "--symbol2", "b.json"),
+     "twist verify runs the h3 suite only; got --symbol2 b.json"),
+    (("catalog", "h3", "--s", "5"), "catalog algebra h3 takes no parameters; got s"),
+    (("catalog", "abelian4", "--n", "6"),
+     "catalog algebra abelian4 takes no parameters; got n"),
+    (("catalog", "g0st_1_1", "--check", "cocycle", "--t", "2"),
+     "catalog algebra g0st_1_1 takes no parameters; got t"),
+    (("catalog", "ext_nonhomog", "--s", "2"),
+     "catalog algebra ext_nonhomog takes a, b; got s"),
 ])
 def test_wrong_sizes_exit_2(args, message):
     out = run_cli(*args)
     assert out.returncode == 2
     assert message in out.stderr
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
+def test_non_finite_c2_exits_2():
+    out = run_cli("cz", "kernel-check", "--grid", "8,32", "--c2", "inf")
+    assert out.returncode == 2
+    assert "need a finite c2" in out.stderr
+    assert "Warning" not in out.stderr
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
 

@@ -282,6 +282,14 @@ def test_hormander_rejects_small_c2(h3_twist, pd_h3):
                                     1.0, Grid(2, 8.0, 32), Grid(2, 8.0, 32))
 
 
+@pytest.mark.parametrize("c2", [float("inf"), float("nan")])
+def test_hormander_rejects_non_finite_c2(h3_twist, pd_h3, c2):
+    # inf passes "c2 > 2 quasi", and inf * m(u) is NaN where m(u) = 0.
+    with pytest.raises(cz.C2TooSmall, match="need a finite c2"):
+        cz.hormander_twist_estimate(funcs.truncated_power(), pd_h3, h3_twist,
+                                    c2, Grid(2, 8.0, 32), Grid(2, 8.0, 32))
+
+
 @pytest.mark.parametrize("u_grid", [Grid(3, 8.0, 32), Grid(2, 4.0, 32)])
 def test_hormander_rejects_foreign_u_grid(h3_twist, pd_h3, u_grid):
     with pytest.raises(GridMismatch):

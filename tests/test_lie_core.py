@@ -174,6 +174,27 @@ def test_flag_vectors_of_wrong_length_rejected(h3):
         lc.flag_violations(h3, ((F(1),), (F(0),), (F(0),)))
 
 
+def assert_kernels_match_the_row_loops(L):
+    """The centre and both flags (free, and led by the first central vector)
+    equal the row-loop references tuple for tuple."""
+    center = lc.center(L)
+    assert tuple(center) == tuple(random_algebras.reference_center(L))
+    assert lc.jordan_holder_flag(L).vectors == random_algebras.reference_flag(L)
+    led = lc.jordan_holder_flag(L, preferred_first=center[0]).vectors
+    assert led == random_algebras.reference_flag(L, center[0])
+
+
+@pytest.mark.parametrize("name", list(cat.CORE))
+def test_center_and_flag_match_the_row_loops_on_the_catalog(name):
+    assert_kernels_match_the_row_loops(cat.CORE[name]())
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_algebras.algebras)
+def test_center_and_flag_match_the_row_loops_on_random_algebras(L):
+    assert_kernels_match_the_row_loops(L)
+
+
 # -- bch ---------------------------------------------------------------------
 
 

@@ -114,6 +114,44 @@ def test_direct_sum_determinant(h3_orbit, ext7_orbit):
         assert ela.det(full) != 0
 
 
+def functional_pairing_to_one(x1, coords):
+    """The functional ``coords`` with its entry at x1's first nonzero
+    coordinate reset so that it pairs to 1 with x1."""
+    p = next(t for t, a in enumerate(x1) if a)
+    coords = list(coords)
+    coords[p] = F(0)
+    coords[p] = (1 - sum(c * a for c, a in zip(coords, x1))) / x1[p]
+    return ob.Functional(tuple(coords))
+
+
+def assert_orbit_matches_the_row_loops(L, coords):
+    """Isotropy basis and jump set at a functional that pairs to 1 with the
+    first flag vector equal the row-loop and rank-by-rank references."""
+    flag = lc.jordan_holder_flag(L)
+    xi0 = functional_pairing_to_one(flag.vectors[0], coords)
+    iso = ob.isotropy_algebra(L, xi0)
+    assert tuple(iso) == tuple(random_algebras.reference_isotropy(L, xi0))
+    orbit = ob.jump_indices(L, flag, xi0)
+    assert orbit.isotropy_basis == tuple(iso)
+    assert orbit.jump_set == random_algebras.reference_jump_set(L, flag, xi0)
+
+
+@pytest.mark.parametrize("name", list(cat.CORE))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_isotropy_and_jumps_match_the_row_loops_on_the_catalog(name, data):
+    L = cat.CORE[name]()
+    orbit = ob.standard_orbit(L)
+    assert orbit.jump_set == random_algebras.reference_jump_set(L, orbit.flag, orbit.xi0)
+    assert_orbit_matches_the_row_loops(L, data.draw(random_algebras.points(L.dim)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_algebras.algebras, st.data())
+def test_isotropy_and_jumps_match_the_row_loops_on_random_algebras(L, data):
+    assert_orbit_matches_the_row_loops(L, data.draw(random_algebras.points(L.dim)))
+
+
 # -- reduced product and the cocycle ------------------------------------------------
 
 

@@ -56,7 +56,15 @@ def test_is_two_cocycle_matches_cyclic_sum(base, data):
                                 max_size=len(pairs)))
     random_form = sp.form_from_pairs(n, dict(zip(pairs, values)))
     for form in (omega, random_form):
-        assert sp.is_two_cocycle(L0, form) == random_algebras.fraction_cocycle_check(L0, form)
+        ok, triple = sp.is_two_cocycle(L0, form)
+        assert (ok, triple) == random_algebras.fraction_cocycle_check(L0, form)
+        # The extension's Jacobi sweep refuses the same triple.
+        try:
+            sp.central_extension(L0, form)
+        except sp.NotACocycle as exc:
+            assert not ok and exc.triple == triple
+        else:
+            assert ok
 
 
 def test_form_must_be_skew():
