@@ -61,7 +61,8 @@ def _emit(report: Report, args) -> int:
 
 
 # The options that each twist and cz action reads.  Any other option of the
-# command would be ignored, so a value other than its default is refused.
+# command would be ignored, so a value other than its default is refused; a
+# read option other than its default is named in the report's command.
 READS = {
     "twist": {
         "conv": ("catalog", "grid", "symbol", "symbol2", "out"),
@@ -80,24 +81,29 @@ READS = {
 H3_SUITES = {("twist", "verify"), ("cz", "multiplier")}
 
 
-def _refuse_unread(parser: argparse.ArgumentParser, args) -> None:
-    """Raise ValueError on an option that the action does not read, given a
-    value other than its default; the bare command's namespace holds every
-    default (the common options are suppressed there)."""
+def _read_options(parser: argparse.ArgumentParser, args) -> str:
+    """The report command of a twist or cz action: its name, --grid, then each
+    other option it reads that is not at its default, in READS order.  Raise
+    ValueError on an option that it does not read, given a value other than
+    its default; the bare command's namespace holds every default."""
     reads = READS[args.command][args.action]
-    for opt, default in vars(parser.parse_args([args.command, args.action])).items():
+    defaults = vars(parser.parse_args([args.command, args.action]))
+    for opt, default in defaults.items():
         if opt not in reads and getattr(args, opt) != default:
             why = ("runs the h3 suite only" if (args.command, args.action) in H3_SUITES
                    else f"does not read --{opt}")
             raise ValueError(f"{args.command} {args.action} {why}; "
                              f"got --{opt} {getattr(args, opt)}")
+    return " ".join([args.command, args.action, "--grid", args.grid]
+                    + [f"--{opt} {getattr(args, opt)}" for opt in reads
+                       if opt != "grid" and getattr(args, opt) != defaults[opt]])
 
 
-def _h3_suite(suite, name: str, args) -> int:
+def _h3_suite(suite, args) -> int:
     """Run a verify suite, which is fixed to h3, on --grid."""
     grid = _parse_grid(args.grid)
     rep = suite(master_seed(args.seed), half_width=grid.half_width, points=grid.points)
-    rep.command = f"{name} --grid {args.grid}"
+    rep.command = args.report_command
     return _emit(rep, args)
 
 
@@ -119,8 +125,9 @@ def cmd_algebra(args) -> int:
         series = lc.lower_central_series(L)
         rep.measure("step", L.step)
         rep.measure("series_dims", [len(s) for s in series])
-        rep.measure("center_dim", len(lc.center(L)))
-        rep.data["center"] = [[format_rational(a) for a in v] for v in lc.center(L)]
+        center = lc.center(L)
+        rep.measure("center_dim", len(center))
+        rep.data["center"] = [[format_rational(a) for a in v] for v in center]
     elif args.action == "flag":
         flag = lc.jordan_holder_flag(L)    # FlagSequence raises on a violation
         rep.check_true("flag_invariants", True)
@@ -203,7 +210,8 @@ def cmd_catalog(args) -> int:
 
 def cmd_orbit(args) -> int:
     seed = master_seed(args.seed)
-    rep = Report(command=f"orbit {args.algebra}", seed=seed)
+    rep = Report(command=f"orbit {args.algebra}"
+                 + (f" --xi0 {args.xi0}" if args.xi0 else ""), seed=seed)
     orbit = _orbit_arg(args.algebra, args.xi0)
     rep.measure("jump_set", list(orbit.jump_set))
     rep.measure("orbit_dim", orbit.d)
@@ -222,11 +230,11 @@ def _twist_engine(args) -> pe.HeisenbergRealization:
 
 def cmd_twist(args) -> int:
     if args.action == "verify":
-        return _h3_suite(verify.twist_suite, "twist verify", args)
+        return _h3_suite(verify.twist_suite, args)
     seed = master_seed(args.seed)
     eng = _twist_engine(args)
     grid = eng.symbol_grid
-    rep = Report(command=f"twist {args.action} --grid {args.grid}", seed=seed)
+    rep = Report(command=args.report_command, seed=seed)
     rep.measure("density", eng.density)
     a = fileio.load_symbol(args.symbol) if args.symbol else \
         funcs.sample(grid, funcs.gaussian((0.5, -0.3), 1.0, (0.4, 0.1)))
@@ -261,8 +269,7 @@ def cmd_twist(args) -> int:
         rep.check_bound("trace_identity", idrep["trace"][0],
                         verify.TOLERANCES["trace_identity"])
         rep.check_bound("hs_isometry_rel", idrep["hs_isometry"][0],
-                        verify.TOLERANCES["hs_isometry_rel"] if grid.points >= 64
-                        else verify.TOLERANCES["hs_isometry_rel_coarse"])
+                        verify.grid_bound("hs_isometry_rel", grid.points))
         rep.check_bound("inversion_roundtrip_rel", idrep["inversion"][0],
                         verify.TOLERANCES["inversion_roundtrip_rel"])
     return _emit(rep, args)
@@ -270,7 +277,7 @@ def cmd_twist(args) -> int:
 
 def cmd_cz(args) -> int:
     if args.action == "multiplier":
-        return _h3_suite(verify.multiplier_suite, "cz multiplier", args)
+        return _h3_suite(verify.multiplier_suite, args)
     seed = master_seed(args.seed)
     twist = tw.from_orbit(_orbit_arg(args.algebra, args.xi0))
     if twist.dim != 2:
@@ -278,8 +285,7 @@ def cmd_cz(args) -> int:
                                f"predual; {args.algebra} gives dimension {twist.dim}")
     grid = _parse_grid(args.grid)
     pdist = cz.calibrate(cz.default_pseudo_distance(twist), twist, seed=seed)
-    rep = Report(command=f"cz {args.action} --grid {args.grid}"
-                 + (f" --alpha {args.alpha}" if args.alpha else ""), seed=seed)
+    rep = Report(command=args.report_command, seed=seed)
     rep.measure("quasi_triangle_constant", pdist.quasi_constant)
     rep.measure("doubling_constant", pdist.doubling_constant)
     if args.action != "kernel-check":
@@ -417,7 +423,7 @@ def main(argv=None) -> int:
     args.timings = getattr(args, "timings", False)
     try:
         if args.command in READS:
-            _refuse_unread(parser, args)
+            args.report_command = _read_options(parser, args)
         return args.func(args)
     except (FileNotFoundError, PermissionError, IsADirectoryError,
             json.JSONDecodeError) as exc:

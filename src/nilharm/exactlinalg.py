@@ -144,20 +144,3 @@ def span_basis(vectors: list[Vector]) -> list[Vector]:
     red, _ = rref(vs)
     return red
 
-
-def in_span(basis: list[Vector], v: Vector) -> bool:
-    """Exact membership of v in the span of an independent ``basis``.
-
-    The basis must be linearly independent (an rref basis, for instance):
-    its rank is taken to be its length.
-    """
-    if all(a == 0 for a in v):
-        return True
-    if not basis:
-        return False
-    return rank(list(basis) + [v]) == len(basis)
-
-
-def subspace_equal(a: list[Vector], b: list[Vector]) -> bool:
-    ra = rank(a)
-    return ra == rank(b) and rank(list(a) + list(b)) == ra

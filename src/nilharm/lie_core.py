@@ -16,7 +16,7 @@ component at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -24,7 +24,7 @@ from math import lcm
 from . import bch as _bch
 from . import exactlinalg as ela
 from .polymap import ExactMap, Poly
-from .rationals import Vector, over_common_denominator, unit_vector, zero_vector
+from .rationals import Vector, dot, over_common_denominator, unit_vector, zero_vector
 
 Terms = tuple[tuple[int, Fraction], ...]
 Entry = tuple[int, int, Terms]
@@ -178,8 +178,9 @@ def _ad_direction(L: LieAlgebra, i: int, v: Vector) -> list[int]:
     return _ad_integers(L, i, enumerate(over_common_denominator(v)[1]))
 
 
-def _series(L: LieAlgebra) -> list[list[Vector]]:
-    """Lower central series as rref bases; final element is the empty basis iff nilpotent."""
+def lower_central_series(L: LieAlgebra) -> list[list[Vector]]:
+    """[g^0, g^1, ...] as exact rref bases, g^k = [g, g^{k-1}], until the
+    dimension stops falling; the final element is empty iff nilpotent."""
     dim = L.dim
     full = [unit_vector(dim, s) for s in range(dim)]
     series = [full]
@@ -227,16 +228,11 @@ def validate(dim: int, brackets, labels: tuple[str, ...] | None = None) -> LieAl
                 if any(res):
                     raise JacobiViolation(i + 1, j + 1, k + 1, _fractions(res, D * D))
 
-    series = _series(probe)
+    series = lower_central_series(probe)
     if series[-1]:
         raise NotNilpotent(len(series[-1]))
     step = len(series) - 1
     return LieAlgebra(dim=dim, entries=entries, labels=labels, step=step)
-
-
-def lower_central_series(L: LieAlgebra) -> list[list[Vector]]:
-    """[g^0, g^1, ..., 0] as exact rref bases, g^k = [g, g^{k-1}]."""
-    return _series(L)
 
 
 def bracket_kernel(L: LieAlgebra, project) -> list[Vector]:
@@ -265,34 +261,58 @@ def center(L: LieAlgebra) -> list[Vector]:
 @dataclass(frozen=True)
 class FlagSequence:
     """Adapted basis X_1..X_n whose leading spans form a chain of ideals
-    with one-dimensional quotients and [g, g_j] within g_{j-1}."""
+    with one-dimensional quotients and [g, g_j] within g_{j-1}; the rref of
+    [F | I] (F: the flag vectors as columns) that checks this on
+    construction keeps F^-1 for ``coordinates``."""
 
     algebra: LieAlgebra
     vectors: tuple[Vector, ...]
+    _inverse: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        violations = flag_violations(self.algebra, self.vectors)
+        violations, inverse = _invert_flag(self.algebra, self.vectors)
         if violations:
             raise ValueError(f"not a valid flag: {violations[0]}")
+        object.__setattr__(self, "_inverse", inverse)
+
+    def coordinates(self, w, zero=_ZERO) -> tuple:
+        """Ambient vector -> flag coordinates (c_1..c_n with w = sum c_j X_j),
+        in any ring whose elements multiply Fractions; ``zero`` is that
+        ring's zero."""
+        return tuple(sum((wt * c for wt, c in zip(w, row) if wt and c), zero)
+                     for row in self._inverse)
+
+
+def _invert_flag(L: LieAlgebra, vectors: tuple[Vector, ...]) -> tuple[list[str], tuple[Vector, ...]]:
+    """The flag checks and the rows of F^-1 (none when the vectors are not a
+    basis), from one rref of [F | I].
+
+    [F | I] has full row rank, so its pivots past the first column of F
+    without one lie in I; that column is the first flag vector in the span
+    of those before it.  With F invertible, [X_i, flag_j] lies in g_{j-1}
+    exactly when its flag coordinates vanish from position j on."""
+    n = L.dim
+    if len(vectors) != n:
+        return [f"expected {n} vectors, got {len(vectors)}"], ()
+    if any(len(v) != n for v in vectors):
+        raise ValueError("vector dimension does not match the algebra")
+    red, piv = ela.rref([[v[r] for v in vectors] + list(unit_vector(n, r)) for r in range(n)])
+    dependent = next((c for c, p in enumerate(piv) if p != c), None)
+    if dependent is not None:
+        return [f"leading {dependent + 1} vectors are dependent"], ()
+    inverse = tuple(row[n:] for row in red)
+    out = []
+    for j in range(1, n + 1):
+        for i in range(n):
+            d = _ad_direction(L, i, vectors[j - 1])
+            if any(d) and any(dot(row, d) for row in inverse[j - 1:]):
+                out.append(f"[X{i + 1}, flag_{j}] escapes the lower ideal")
+    return out, inverse
 
 
 def flag_violations(L: LieAlgebra, vectors: tuple[Vector, ...]) -> list[str]:
     """Exact checks of the flag invariants; empty list when all hold."""
-    out = []
-    if len(vectors) != L.dim:
-        return [f"expected {L.dim} vectors, got {len(vectors)}"]
-    if any(len(v) != L.dim for v in vectors):
-        raise ValueError("vector dimension does not match the algebra")
-    for j in range(1, L.dim + 1):
-        if ela.rank(list(vectors[:j])) != j:
-            out.append(f"leading {j} vectors are dependent")
-            return out
-    for j in range(1, L.dim + 1):
-        lower = ela.span_basis(list(vectors[:j - 1]))
-        for i in range(L.dim):
-            if not ela.in_span(lower, _ad_direction(L, i, vectors[j - 1])):
-                out.append(f"[X{i + 1}, flag_{j}] escapes the lower ideal")
-    return out
+    return _invert_flag(L, vectors)[0]
 
 
 def jordan_holder_flag(L: LieAlgebra, preferred_first: Vector | None = None) -> FlagSequence:

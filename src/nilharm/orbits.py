@@ -16,7 +16,7 @@ from . import bch as _bch
 from . import exactlinalg as ela
 from . import lie_core as lc
 from .polymap import ExactMap, Poly
-from .rationals import Vector, dot, unit_vector
+from .rationals import Vector, dot
 
 
 class PairingNotOne(Exception):
@@ -63,21 +63,6 @@ class OrbitData:
         return len(self.jump_set)
 
     @cached_property
-    def _split_inverse(self) -> list[Vector]:
-        """Columns of the inverse split matrix, one per ambient coordinate.
-
-        The split matrix M has the predual basis vectors, then the flag's
-        first (central) vector, as columns; for a flat orbit it is square, and
-        one rref of [M | I] gives [I | M^-1]."""
-        cols = list(self.predual_basis) + [self.flag.vectors[0]]
-        n = self.algebra.dim
-        red, piv = ela.rref([[c[r] for c in cols] + list(unit_vector(n, r))
-                             for r in range(n)])
-        if piv != list(range(n)):
-            raise AssertionError("split basis is not a basis")
-        return [tuple(row[n + t] for row in red) for t in range(n)]
-
-    @cached_property
     def _law(self) -> ExactMap:
         return _compile_law(self)
 
@@ -94,21 +79,23 @@ class OrbitData:
 
     def split(self, w, zero=Fraction(0)) -> tuple[tuple, object]:
         """Ambient vector -> (predual coordinates, central coordinate), in the
-        ring of ``embed``."""
+        ring of ``embed``: the flag coordinates, rotated."""
         if not self.flat:
             raise NotFlat("central splitting requires a flat orbit")
-        x = [zero] * self.algebra.dim
-        for wt, col in zip(w, self._split_inverse):
-            if wt:
-                for r, c in enumerate(col):
-                    if c:
-                        x[r] = x[r] + wt * c
-        return tuple(x[:self.d]), x[self.d]
+        # A flat orbit's predual is X_2..X_n and its centre X_1.
+        x = self.flag.coordinates(w, zero)
+        return x[1:], x[0]
 
 
 def jump_indices(L: lc.LieAlgebra, flag: lc.FlagSequence, xi0: Functional) -> OrbitData:
     """Jump indices e = {j : X_j escapes g_{j-1} + isotropy}, with the
-    direct-sum and flatness invariants verified exactly."""
+    direct-sum invariant verified exactly.
+
+    The orbit is flat when its isotropy algebra is the centre and the centre
+    is a line.  The centre always lies in the isotropy algebra and is
+    nonzero in a nilpotent algebra, so both hold exactly when the isotropy
+    algebra is one-dimensional; it is then span(X_1), since X_1 is central,
+    the jump set is (2..n) and the predual X_2..X_n."""
     if len(xi0.coords) != L.dim:
         raise ValueError(f"the functional needs {L.dim} coordinates, one per "
                          f"basis vector; got {len(xi0.coords)}")
@@ -123,10 +110,9 @@ def jump_indices(L: lc.LieAlgebra, flag: lc.FlagSequence, xi0: Functional) -> Or
         raise AssertionError("isotropy + predual is not a direct sum")
     jump = [c - len(iso) + 1 for c in piv[len(iso):]]
     predual = tuple(flag.vectors[j - 1] for j in jump)
-    ctr = lc.center(L)
-    flat = len(ctr) == 1 and ela.subspace_equal(list(iso), ctr)
     return OrbitData(algebra=L, flag=flag, xi0=xi0, isotropy_basis=tuple(iso),
-                     jump_set=tuple(jump), predual_basis=predual, flat=flat)
+                     jump_set=tuple(jump), predual_basis=predual,
+                     flat=len(iso) == 1)
 
 
 def _evaluate(orbit: OrbitData, x: Vector, y: Vector) -> tuple[Fraction, ...]:

@@ -5,7 +5,10 @@ the bracket, the cyclic sum of the form for the cocycle check and the
 term-by-term value of a polynomial at a rational point.  The row loops of
 the centre, the isotropy algebra and the flag, and the rank-by-rank jump
 set, are the references of ``lie_core.bracket_kernel`` and of the single
-echelon in ``orbits.jump_indices``."""
+echelon in ``orbits.jump_indices``.  The rank-by-rank flag checks, the
+[M | I] split over the predual and centre, and the flatness rule "the
+centre is a line and equals the isotropy algebra" are the references of
+the flag's one coordinate map and of ``jump_indices``'s flatness test."""
 
 from fractions import Fraction
 
@@ -94,6 +97,49 @@ def fraction_cocycle_check(L0, omega) -> tuple[bool, tuple[int, int, int] | None
     return True, None
 
 
+def in_span(vectors, v) -> bool:
+    """v lies in the span of ``vectors``: adding it leaves the rank unchanged."""
+    return ela.rank(list(vectors) + [v]) == ela.rank(list(vectors))
+
+
+def reference_flag_violations(L, vectors) -> list[str]:
+    """The flag checks by rank: one rank per leading prefix, then one span
+    basis per lower ideal and one membership test per bracket [X_i, flag_j]."""
+    n = L.dim
+    if len(vectors) != n:
+        return [f"expected {n} vectors, got {len(vectors)}"]
+    for j in range(1, n + 1):
+        if ela.rank(list(vectors[:j])) != j:
+            return [f"leading {j} vectors are dependent"]
+    out = []
+    for j in range(1, n + 1):
+        lower = ela.span_basis(list(vectors[:j - 1]))
+        for i in range(n):
+            e_i = tuple(Fraction(int(t == i)) for t in range(n))
+            if not in_span(lower, fraction_bracket(L, e_i, vectors[j - 1])):
+                out.append(f"[X{i + 1}, flag_{j}] escapes the lower ideal")
+    return out
+
+
+def reference_split(orbit, w) -> tuple[tuple[Fraction, ...], Fraction]:
+    """(predual coordinates, central coordinate) of w: one rref of [M | I],
+    M with the predual basis and then the first flag vector as columns."""
+    cols = list(orbit.predual_basis) + [orbit.flag.vectors[0]]
+    n = len(cols)
+    red, piv = ela.rref([[c[r] for c in cols] + [Fraction(int(t == r)) for t in range(n)]
+                         for r in range(n)])
+    assert piv == list(range(n)), "split basis is not a basis"
+    x = [sum((row[n + t] * w[t] for t in range(n)), Fraction(0)) for row in red]
+    return tuple(x[:-1]), x[-1]
+
+
+def reference_flat(L, iso) -> bool:
+    """Flat when the centre is a line and equals the isotropy algebra."""
+    center = reference_center(L)
+    return (len(center) == 1
+            and ela.rank(list(iso)) == 1 == ela.rank(list(iso) + center))
+
+
 def reference_center(L) -> list[tuple[Fraction, ...]]:
     """{X : [X, g] = 0}: one row per (basis vector X_j, coordinate k) of the
     map X -> [X, X_j], and one exact nullspace."""
@@ -159,5 +205,5 @@ def reference_flag(L, preferred_first=None) -> tuple[tuple[Fraction, ...], ...]:
                     rows.append(row)
         candidates = ela.nullspace(rows, n_cols=n)
         chosen.append(next(v for v in ela.span_basis(candidates)
-                           if not ela.in_span(span, v)))
+                           if not in_span(span, v)))
     return tuple(chosen)

@@ -367,6 +367,24 @@ def test_wrong_sizes_exit_2(args, message):
     assert "Traceback" not in out.stderr
 
 
+# Each pair of invocations differs in one option that the command reads, so
+# their reports differ in value and must differ in command; the default
+# invocation keeps its command.
+@pytest.mark.parametrize("argv, option, command", [
+    (("cz", "kernel-check", "--grid", "8,32"), ("--c2", "9"),
+     "cz kernel-check --grid 8,32 --c2 9"),
+    (("twist", "delta", "--grid", "8,32"), ("--v", "0,1"), "twist delta --grid 8,32 --v 0,1"),
+    (("orbit", "--algebra", "h3"), ("--xi0", "1,0,0"), "orbit h3 --xi0 1,0,0"),
+])
+def test_read_options_are_named_in_the_command(capsys, argv, option, command):
+    from nilharm import cli
+    commands = []
+    for args in (argv, argv + option):
+        cli.main(list(args))
+        commands.append(json.loads(capsys.readouterr().out)["command"])
+    assert commands == [command.rsplit(" ", 2)[0], command]
+
+
 def test_non_finite_c2_exits_2():
     out = run_cli("cz", "kernel-check", "--grid", "8,32", "--c2", "inf")
     assert out.returncode == 2

@@ -6,8 +6,8 @@ import pytest
 import random_algebras
 from hypothesis import given, settings, strategies as st
 
-from nilharm import catalog as cat, lie_core as lc, seeds
-from nilharm.rationals import is_zero_vector, vec_add, zero_vector
+from nilharm import catalog as cat, exactlinalg as ela, lie_core as lc, seeds
+from nilharm.rationals import is_zero_vector, vec_add, vec_scale, zero_vector
 
 F = Fraction
 
@@ -167,6 +167,57 @@ def test_flag_violations_detects_bad_order(h3):
     assert lc.flag_violations(h3, vectors)
 
 
+def assert_flag_checks_match_the_rank_loop(L, data):
+    """flag_violations equals the rank-by-rank reference on the Jordan-Holder
+    flag, on a reordering of it, and on that reordering with one vector
+    replaced by a copy of another or by its sum with a multiple of another:
+    a reordering alone never puts [X_i, flag_j] along flag_j itself."""
+    flag = lc.jordan_holder_flag(L).vectors
+    reordered = tuple(flag[k] for k in data.draw(st.permutations(range(L.dim))))
+    cases = [flag, reordered]
+    if L.dim > 1:
+        a, b = data.draw(st.lists(st.integers(0, L.dim - 1), min_size=2, max_size=2,
+                                  unique=True))
+        c = data.draw(random_algebras.fractions)
+        for v in (reordered[b], vec_add(reordered[a], vec_scale(c, reordered[b]))):
+            cases.append(reordered[:a] + (v,) + reordered[a + 1:])
+    for vectors in cases:
+        assert lc.flag_violations(L, vectors) == \
+            random_algebras.reference_flag_violations(L, vectors)
+
+
+@pytest.mark.parametrize("name", list(cat.CORE))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_flag_checks_match_the_rank_loop_on_the_catalog(name, data):
+    assert_flag_checks_match_the_rank_loop(cat.CORE[name](), data)
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_algebras.algebras, st.data())
+def test_flag_checks_match_the_rank_loop_on_random_algebras(L, data):
+    assert_flag_checks_match_the_rank_loop(L, data)
+
+
+def test_flag_checks_are_one_elimination(monkeypatch):
+    # Every rank, rref, nullspace and span basis eliminates through
+    # bareiss_echelon; the flag checks read one rref of [F | I].
+    L = cat.CORE["ext_nonhomog"]()
+    flag = lc.jordan_holder_flag(L).vectors
+    calls = []
+    inner = ela.bareiss_echelon
+
+    def counted(m):
+        calls.append(len(m))
+        return inner(m)
+
+    monkeypatch.setattr(ela, "bareiss_echelon", counted)
+    for vectors, escapes in ((flag, False), (flag[::-1], True), ((flag[0],) * L.dim, False)):
+        calls.clear()
+        assert any("escapes" in v for v in lc.flag_violations(L, vectors)) == escapes
+        assert calls == [L.dim]
+
+
 def test_flag_vectors_of_wrong_length_rejected(h3):
     with pytest.raises(ValueError):
         lc.jordan_holder_flag(h3, preferred_first=(F(1), F(0)))
@@ -260,7 +311,6 @@ def test_nonhomog_derivations_zero_diagonal():
 
 
 def test_derivation_space_closed_under_commutator(h3):
-    from nilharm import exactlinalg as ela
     ders = lc.derivation_space(h3)
     n = h3.dim
     flat = [tuple(D[r][c] for r in range(n) for c in range(n))
@@ -271,7 +321,7 @@ def test_derivation_space_closed_under_commutator(h3):
                 sum((A[r][m] * B[m][c] - B[r][m] * A[m][c] for m in range(n)),
                     F(0))
                 for r in range(n) for c in range(n))
-            assert ela.in_span(flat, comm)
+            assert ela.rank(flat + [comm]) == ela.rank(flat)
 
 
 # -- Engel certificates --------------------------------------------------------

@@ -76,7 +76,8 @@ def test_abelian_isotropy_is_everything():
 def test_extension_isotropy_is_center():
     L = cat.extended_g0st(1, 1)
     iso = ob.isotropy_algebra(L, dual_functional(7))
-    assert ela.subspace_equal(iso, lc.center(L))
+    center = lc.center(L)
+    assert ela.rank(iso) == ela.rank(center) == ela.rank(iso + center)
 
 
 # -- jump indices ----------------------------------------------------------------
@@ -124,9 +125,10 @@ def functional_pairing_to_one(x1, coords):
     return ob.Functional(tuple(coords))
 
 
-def assert_orbit_matches_the_row_loops(L, coords):
-    """Isotropy basis and jump set at a functional that pairs to 1 with the
-    first flag vector equal the row-loop and rank-by-rank references."""
+def assert_orbit_matches_the_row_loops(L, coords, w):
+    """Isotropy basis, jump set, flatness and the split of w at a functional
+    that pairs to 1 with the first flag vector equal the row-loop,
+    rank-by-rank and [M | I] references."""
     flag = lc.jordan_holder_flag(L)
     xi0 = functional_pairing_to_one(flag.vectors[0], coords)
     iso = ob.isotropy_algebra(L, xi0)
@@ -134,6 +136,9 @@ def assert_orbit_matches_the_row_loops(L, coords):
     orbit = ob.jump_indices(L, flag, xi0)
     assert orbit.isotropy_basis == tuple(iso)
     assert orbit.jump_set == random_algebras.reference_jump_set(L, flag, xi0)
+    assert orbit.flat == random_algebras.reference_flat(L, iso)
+    if orbit.flat:
+        assert orbit.split(w) == random_algebras.reference_split(orbit, w)
 
 
 @pytest.mark.parametrize("name", list(cat.CORE))
@@ -143,13 +148,15 @@ def test_isotropy_and_jumps_match_the_row_loops_on_the_catalog(name, data):
     L = cat.CORE[name]()
     orbit = ob.standard_orbit(L)
     assert orbit.jump_set == random_algebras.reference_jump_set(L, orbit.flag, orbit.xi0)
-    assert_orbit_matches_the_row_loops(L, data.draw(random_algebras.points(L.dim)))
+    assert_orbit_matches_the_row_loops(L, *(data.draw(random_algebras.points(L.dim))
+                                            for _ in range(2)))
 
 
 @settings(max_examples=20, deadline=None)
 @given(random_algebras.algebras, st.data())
 def test_isotropy_and_jumps_match_the_row_loops_on_random_algebras(L, data):
-    assert_orbit_matches_the_row_loops(L, data.draw(random_algebras.points(L.dim)))
+    assert_orbit_matches_the_row_loops(L, *(data.draw(random_algebras.points(L.dim))
+                                            for _ in range(2)))
 
 
 # -- reduced product and the cocycle ------------------------------------------------

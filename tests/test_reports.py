@@ -69,6 +69,46 @@ def test_exact_reports_keep_their_bytes():
         assert digest == EXACT_REPORT_DIGESTS[name], name
 
 
+# sha256 of the stdout of the flag, series and orbit commands on every
+# catalog algebra: exact rationals only, like the reports above.
+CLI_STDOUT_DIGESTS = {
+    "algebra flag abelian4": "8cb04604408c4223c376726d6bbc7633772dcd4498671dcde9ba76bbe32608c5",
+    "algebra flag h3": "acd051dd7dd26847cc19cf12a1641be4159c946d4f4e9dba202132e9a3dea154",
+    "algebra flag g0st_1_1": "994118963a5dcd8bcbb0147201b3c96dccfd5ff60ff1b03d2ab40addfcab87e2",
+    "algebra flag triangle": "1029c16785366884fce7260ce1b98aaa8501ae8f28a13217aa50295b56d573c8",
+    "algebra flag nonhomog": "f8d149542fea86ab436e7745fa2f6cebcdef45f090d9da507b9d3abda15e7f78",
+    "algebra flag ext_g0st_1_1": "66bfde62a4d96dc2640f47fd20e3b089c486f8acee7db5371df7109cb7f72a4d",
+    "algebra flag ext_triangle": "698b8a3960d2231d5ee51975b631faf8217210ea58291ff9113390947c7275d6",
+    "algebra flag ext_nonhomog": "73326b7492e1bfc0271f5f9863e680d670e9a107de3fc3f4aa76f7072c9bc84b",
+    "algebra series abelian4": "10dd5a37e81612f99242df43f0b2023e14bb21c9352b95ac79a30529af132276",
+    "algebra series h3": "417c64c267e5ec9740f151d7b490eb015852227b274124b01b8c3b39f0cf7654",
+    "algebra series g0st_1_1": "6be05ec467d21ad20d968ac18097aa31e63c00614288dab6ab0f058e4e5700a7",
+    "algebra series triangle": "2e06431ec03af564d0c01f864fa2d8e78a67ef972883156c09713017ebc4dec2",
+    "algebra series nonhomog": "7a988bc3c3735b8339f0f07766d321bab2e0def803865c98a0b4735b5652b96b",
+    "algebra series ext_g0st_1_1": "01abb56014e30bd6f3dad682a340222c3ff9a7eb81f60defec317b625add7ca8",
+    "algebra series ext_triangle": "939214074a4eaa2aafdc5cd3e36d85a1ef5e786f1f8023aaac7325e3a6e53f95",
+    "algebra series ext_nonhomog": "6a5a020d6bd7f13dc5efcadfe8a0bf489a2ccc2054d18e30d2498bde4ca67784",
+    "orbit --algebra abelian4": "d8d652c89a308b5d2823b78736c64582ee823040f57dc9940a945c9f295d0710",
+    "orbit --algebra h3": "9412038f40ad74af8343f963ad0907dcedbc51d80987fac61f5c3963cfb22977",
+    "orbit --algebra g0st_1_1": "8b0ac870a31a2806d0e7ac954c4360432f93f714381dbc4bf51e71b08882abc1",
+    "orbit --algebra triangle": "bae58cb7c2bbce2c04141bcc8a5782c091198e05d72abfba617637c58f00f6e5",
+    "orbit --algebra nonhomog": "2ab249bfe6b3a62a99c8649d50bf9eac74b0f5eb26de3608705306f3488a11b7",
+    "orbit --algebra ext_g0st_1_1": "deaec66a3b892b6f8341ea4f7c322a1bc3c1a909465efcb8a51df942f3a49fa8",
+    "orbit --algebra ext_triangle": "f9adffdfc31cd18af0356924c01f5afc26f322ae99a4b8149fc0c714e040e92b",
+    "orbit --algebra ext_nonhomog": "c2a9033f04563107585ce76add8b300f9f3c1b05fc68ae34224a113c6be442ca",
+}
+
+
+def test_exact_cli_reports_keep_their_bytes(capsys):
+    from nilharm import catalog, cli
+    assert {key.split()[-1] for key in CLI_STDOUT_DIGESTS} == set(catalog.CORE)
+    for key, digest in CLI_STDOUT_DIGESTS.items():
+        *argv, name = key.split()
+        assert cli.main([*argv, name]) == 0, key
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+
+
 def test_exact_invariants_hold_for_other_seeds():
     # Sampled points change with the seed; the exact identities do not.
     for seed in (0, 42):

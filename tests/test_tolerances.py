@@ -1,4 +1,6 @@
-"""Every check bound comes from the one table, verify.TOLERANCES."""
+"""Every check bound comes from the one table, verify.TOLERANCES: a read of
+one entry, or verify.grid_bound, which picks an entry or its coarse-grid
+entry by the grid size."""
 
 import ast
 from pathlib import Path
@@ -8,24 +10,26 @@ from nilharm import verify
 SOURCES = [Path(verify.__file__).with_name(name) for name in ("verify.py", "cli.py")]
 
 
-def _table_key(node):
-    """The string key of a ``TOLERANCES["key"]`` read, else None."""
-    if not isinstance(node, ast.Subscript):
-        return None
-    table = node.value
-    name = table.attr if isinstance(table, ast.Attribute) else getattr(table, "id", None)
-    if name != "TOLERANCES":
-        return None
-    key = node.slice
-    return key.value if isinstance(key, ast.Constant) and isinstance(key.value, str) \
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _string(node):
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) \
         else None
 
 
-def _reads_table(node) -> bool:
-    """A table read, or a conditional choosing between two table reads."""
-    if isinstance(node, ast.IfExp):
-        return _reads_table(node.body) and _reads_table(node.orelse)
-    return _table_key(node) is not None
+def _table_keys(node) -> set:
+    """The keys that a ``TOLERANCES["key"]`` read or a
+    ``grid_bound("key", points)`` call reads (the latter also reads
+    "key_coarse"); empty for any other expression."""
+    if isinstance(node, ast.Subscript) and _name(node.value) == "TOLERANCES" \
+            and (key := _string(node.slice)):
+        return {key}
+    if isinstance(node, ast.Call) and _name(node.func) == "grid_bound" and node.args \
+            and (key := _string(node.args[0])):
+        return {key, f"{key}_coarse"}
+    return set()
 
 
 def _bound_argument(call: ast.Call):
@@ -46,13 +50,13 @@ def test_every_check_bound_reads_the_table():
                     and node.func.attr == "check_bound"):
                 calls += 1
                 # A numeric literal, or any other expression, fails here.
-                assert _reads_table(_bound_argument(node)), \
+                assert _table_keys(_bound_argument(node)), \
                     f"{fname}:{node.lineno}: bound is not a TOLERANCES entry"
     assert calls > 0
 
 
 def test_every_table_entry_is_read():
     read = {key for _, tree in _parsed() for node in ast.walk(tree)
-            if (key := _table_key(node)) is not None}
+            for key in _table_keys(node)}
     assert read <= set(verify.TOLERANCES), read - set(verify.TOLERANCES)
     assert set(verify.TOLERANCES) <= read, set(verify.TOLERANCES) - read
