@@ -9,9 +9,10 @@ characteristic-nilpotency certificates.
 The bilinear layer (bracket, Jacobi check, series, flags) runs on one
 integer form of the structure constants per algebra, cached on first use:
 a common denominator D, the constants times D, and per basis vector X_i the
-integer columns of D ad(X_i).  A bracket puts each argument over its own
-common denominator, works in Python integers and builds one Fraction per
-component at the end.
+integer columns of D ad(X_i).  The bracket and the BCH product compute on
+integer-form vectors (d, X) (``rationals.IntVector``) and return one, made
+canonical by one gcd; Fraction vectors are converted once on the way in and
+once on the way out.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from math import lcm
 from . import bch as _bch
 from . import exactlinalg as ela
 from .polymap import ExactMap, Poly
-from .rationals import Vector, dot, over_common_denominator, unit_vector, zero_vector
+from .rationals import (IntVector, Vector, canonical, dot, fraction_form, integer_forms,
+                        over_common_denominator, unit_vector, zero_vector)
 
 Terms = tuple[tuple[int, Fraction], ...]
 Entry = tuple[int, int, Terms]
@@ -134,30 +136,30 @@ def _normalize_entries(dim: int, brackets) -> tuple[Entry, ...]:
     return tuple(sorted(entries))
 
 
-def _fractions(numerators: list[int], den: int) -> Vector:
-    return tuple(Fraction(a, den) if a else _ZERO for a in numerators)
-
-
-def bracket(L: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """[x, y]: bilinear, antisymmetric, exact.
-
-    x = X/dx and y = Y/dy over their common denominators, so D [x, y] is
-    the integer cross products of X and Y against the integer constants,
-    over dx dy."""
-    if len(x) != L.dim or len(y) != L.dim:
+def _integer_pair(L: LieAlgebra, x, y) -> tuple[bool, IntVector, IntVector]:
+    """(whether x and y are Fraction vectors, x and y as integer forms)."""
+    fractions, (x, y) = integer_forms(x, y)
+    if len(x[1]) != L.dim or len(y[1]) != L.dim:
         raise ValueError("vector dimension does not match the algebra")
+    return fractions, x, y
+
+
+def bracket(L: LieAlgebra, x, y):
+    """[x, y]: bilinear, antisymmetric, exact.  x and y are both integer
+    forms, and so is [x, y], or both Fraction vectors, and so is [x, y].
+
+    x = X/dx and y = Y/dy, so D [x, y] is the integer cross products of X
+    and Y against the integer constants, over dx dy."""
+    fractions, (dx, X), (dy, Y) = _integer_pair(L, x, y)
     D, table = L._integer_form
-    if not table:
-        return zero_vector(L.dim)
-    dx, X = over_common_denominator(x)
-    dy, Y = over_common_denominator(y)
     out = [0] * L.dim
     for i, j, terms in table:
         cross = X[i] * Y[j] - X[j] * Y[i]
         if cross:
             for k, c in terms:
                 out[k] += cross * c
-    return _fractions(out, D * dx * dy)
+    z = canonical(D * dx * dy, out)
+    return fraction_form(z) if fractions else z
 
 
 def _ad_integers(L: LieAlgebra, i: int, w) -> list[int]:
@@ -226,7 +228,7 @@ def validate(dim: int, brackets, labels: tuple[str, ...] | None = None) -> LieAl
                 res = [p + q + r for p, q, r in zip(double(i, j, k), double(j, k, i),
                                                     double(k, i, j))]
                 if any(res):
-                    raise JacobiViolation(i + 1, j + 1, k + 1, _fractions(res, D * D))
+                    raise JacobiViolation(i + 1, j + 1, k + 1, fraction_form((D * D, res)))
 
     series = lower_central_series(probe)
     if series[-1]:
@@ -367,11 +369,13 @@ def _compile_group_law(L: LieAlgebra) -> ExactMap:
     return ExactMap(law, n)
 
 
-def bch_product(L: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """Group product in exponential coordinates: Dynkin series truncated at the step."""
-    if len(x) != L.dim or len(y) != L.dim:
-        raise ValueError("vector dimension does not match the algebra")
-    return L._group_law(x, y)
+def bch_product(L: LieAlgebra, x, y):
+    """Group product in exponential coordinates: Dynkin series truncated at
+    the step.  Integer forms give an integer form, Fraction vectors give
+    Fractions, as for ``bracket``."""
+    fractions, x, y = _integer_pair(L, x, y)
+    z = L._group_law(x, y)
+    return fraction_form(z) if fractions else z
 
 
 Matrix = tuple[tuple[Fraction, ...], ...]

@@ -16,7 +16,7 @@ from . import bch as _bch
 from . import exactlinalg as ela
 from . import lie_core as lc
 from .polymap import ExactMap, Poly
-from .rationals import Vector, dot
+from .rationals import IntVector, Vector, canonical, dot, fraction_form, integer_forms
 
 
 class PairingNotOne(Exception):
@@ -115,27 +115,36 @@ def jump_indices(L: lc.LieAlgebra, flag: lc.FlagSequence, xi0: Functional) -> Or
                      flat=len(iso) == 1)
 
 
-def _evaluate(orbit: OrbitData, x: Vector, y: Vector) -> tuple[Fraction, ...]:
-    """The orbit's compiled map at (x, y): reduced product, then cocycle."""
+def _evaluate(orbit: OrbitData, x: IntVector, y: IntVector) -> IntVector:
+    """The orbit's compiled map at integer forms (x, y): reduced product,
+    then cocycle."""
     if not orbit.flat:
         raise NotFlat("the reduced product and the cocycle require a flat orbit")
-    if len(x) != orbit.d or len(y) != orbit.d:
+    if len(x[1]) != orbit.d or len(y[1]) != orbit.d:
         raise ValueError("vector dimension does not match the predual")
     return orbit._law(x, y)
 
 
-def alpha(orbit: OrbitData, x: Vector, y: Vector) -> Fraction:
-    """Central pairing of the BCH product: the additive group cocycle."""
-    return _evaluate(orbit, x, y)[-1]
+def alpha(orbit: OrbitData, x, y) -> Fraction:
+    """Central pairing of the BCH product: the additive group cocycle, at
+    two integer forms or two Fraction vectors."""
+    _, (x, y) = integer_forms(x, y)
+    d, out = _evaluate(orbit, x, y)
+    return Fraction(out[-1], d)
 
 
-def product_and_alpha(orbit: OrbitData, x: Vector, y: Vector) -> tuple[Vector, Fraction]:
-    out = _evaluate(orbit, x, y)
-    return out[:-1], out[-1]
+def product_and_alpha(orbit: OrbitData, x, y) -> tuple[IntVector | Vector, Fraction]:
+    """The reduced product, in the form of x and y, and the cocycle."""
+    fractions, (x, y) = integer_forms(x, y)
+    d, out = _evaluate(orbit, x, y)
+    product = fraction_form((d, out[:-1])) if fractions else canonical(d, out[:-1])
+    return product, Fraction(out[-1], d)
 
 
-def verify_cocycle_identity(orbit: OrbitData, x: Vector, y: Vector, z: Vector) -> bool:
-    """alpha(x,y) + alpha(x*y, z) == alpha(x, y*z) + alpha(y, z), exactly."""
+def verify_cocycle_identity(orbit: OrbitData, x, y, z) -> bool:
+    """alpha(x,y) + alpha(x*y, z) == alpha(x, y*z) + alpha(y, z), exactly;
+    Fraction vectors are converted to integer forms once."""
+    _, (x, y, z) = integer_forms(x, y, z)
     xy, a_xy = product_and_alpha(orbit, x, y)
     yz, a_yz = product_and_alpha(orbit, y, z)
     lhs = a_xy + alpha(orbit, xy, z)

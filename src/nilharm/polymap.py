@@ -3,8 +3,8 @@
 Just enough ring structure to push coordinate variables through the BCH
 series, producing exact closed forms for the group cocycle and the reduced
 product, plus compilation to exact integer-kernel evaluators (``ExactMap``)
-for the group laws.  Pure Python: the exact half of the package needs no
-numpy.
+for the group laws, which take and return integer-form vectors.  Pure
+Python: the exact half of the package needs no numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add, mul
 
-from .rationals import over_common_denominator
+from .rationals import IntVector, canonical
 
 Monomial = tuple[int, ...]  # exponents per variable
 
@@ -125,14 +125,14 @@ def _power_schedule(exponents, nvars: int) -> tuple[dict[Monomial, int], list[tu
 class ExactMap:
     """Exact evaluator of polynomials in 2n variables at rational points (x, y).
 
-    x fills variables 0..n-1 and y variables n..2n-1.  A call puts x over the
-    common denominator dx of its coordinates and y over dy, so that x = X/dx
-    and y = Y/dy with integer X, Y.  With A and B the largest degrees in x and
-    in y, a monomial x^a y^b is X^a dx^(A-|a|) Y^b dy^(B-|b|) over dx^A dy^B.
-    Each distinct lifted x-part and y-part costs one integer multiplication
-    per call; each component sums its coefficients, made integers by their
-    common denominator D, against products of parts and becomes one Fraction
-    over D dx^A dy^B.
+    x fills variables 0..n-1 and y variables n..2n-1, both as integer forms
+    (``rationals.IntVector``): x = X/dx and y = Y/dy with integer X, Y.  With
+    A and B the largest degrees in x and in y, a monomial x^a y^b is
+    X^a dx^(A-|a|) Y^b dy^(B-|b|) over dx^A dy^B.  Each distinct lifted
+    x-part and y-part costs one integer multiplication per call.  The
+    coefficients of all components are integers over one common denominator
+    D, so each component sums them against products of parts over the one
+    denominator D dx^A dy^B, and one gcd makes the result an integer form.
     """
 
     def __init__(self, polys, n: int):
@@ -149,31 +149,28 @@ class ExactMap:
 
         x_node, self._x_steps = _power_schedule({x_part(m) for m in terms}, n + 1)
         y_node, self._y_steps = _power_schedule({y_part(m) for m in terms}, n + 1)
-        self._components = []
-        for p in polys:
-            den = lcm(*(c.denominator for _, c in p.terms))
-            self._components.append((
-                den,
-                tuple(c.numerator * (den // c.denominator) for _, c in p.terms),
-                tuple(x_node[x_part(m)] for m, _ in p.terms),
-                tuple(y_node[y_part(m)] for m, _ in p.terms)))
+        self._den = lcm(*(c.denominator for p in polys for _, c in p.terms))
+        self._components = [
+            (tuple(c.numerator * (self._den // c.denominator) for _, c in p.terms),
+             tuple(x_node[x_part(m)] for m, _ in p.terms),
+             tuple(y_node[y_part(m)] for m, _ in p.terms))
+            for p in polys]
 
     @staticmethod
-    def _parts(coords, steps) -> tuple[int, list[int]]:
-        """Common denominator of coords and the values of every schedule node."""
-        d, numerators = over_common_denominator(coords)
-        variables = [d] + numerators
+    def _parts(v: IntVector, steps) -> tuple[int, list[int]]:
+        """The denominator of v and the values of every schedule node."""
+        d, numerators = v
+        variables = (d,) + numerators
         vals = [1]
-        for parent, v in steps:
-            vals.append(vals[parent] * variables[v])
+        for parent, k in steps:
+            vals.append(vals[parent] * variables[k])
         return d, vals
 
-    def __call__(self, x, y) -> tuple[Fraction, ...]:
+    def __call__(self, x: IntVector, y: IntVector) -> IntVector:
         dx, xv = self._parts(x, self._x_steps)
         dy, yv = self._parts(y, self._y_steps)
-        lift = dx ** self._A * dy ** self._B
-        return tuple(
-            Fraction(sum(map(mul, coeffs, map(mul, map(xv.__getitem__, xs),
-                                              map(yv.__getitem__, ys)))),
-                     den * lift)
-            for den, coeffs, xs, ys in self._components)
+        return canonical(
+            self._den * dx ** self._A * dy ** self._B,
+            [sum(map(mul, coeffs, map(mul, map(xv.__getitem__, xs),
+                                      map(yv.__getitem__, ys))))
+             for coeffs, xs, ys in self._components])

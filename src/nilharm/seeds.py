@@ -12,8 +12,11 @@ import hashlib
 import os
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
+
+from .rationals import IntVector, Vector, canonical, fraction_form
 
 DEFAULT_SEED = 0
 ENV_VAR = "NILHARM_SEED"
@@ -25,7 +28,10 @@ def master_seed(explicit: int | None = None) -> int:
         return int(explicit)
     env = os.environ.get(ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
     return DEFAULT_SEED
 
 
@@ -53,5 +59,19 @@ def random_fraction(rnd: random.Random, max_num: int = 6, max_den: int = 4,
             return q
 
 
-def random_fraction_vector(rnd: random.Random, n: int, **kw) -> tuple[Fraction, ...]:
-    return tuple(random_fraction(rnd, **kw) for _ in range(n))
+def random_int_vector(rnd: random.Random, n: int, max_num: int = 6,
+                      max_den: int = 4) -> IntVector:
+    """n ``random_fraction`` draws as one integer form (d, X): the same
+    randint calls in the same order, numerator then denominator, with no
+    Fraction built."""
+    nums, dens = [], []
+    for _ in range(n):
+        nums.append(rnd.randint(-max_num, max_num))
+        dens.append(rnd.randint(1, max_den))
+    d = lcm(*dens)
+    return canonical(d, [a * (d // b) for a, b in zip(nums, dens)])
+
+
+def random_fraction_vector(rnd: random.Random, n: int, max_num: int = 6,
+                           max_den: int = 4) -> Vector:
+    return fraction_form(random_int_vector(rnd, n, max_num, max_den))

@@ -11,10 +11,14 @@ centre is a line and equals the isotropy algebra" are the references of
 the flag's one coordinate map and of ``jump_indices``'s flatness test."""
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from hypothesis import strategies as st
 
 from nilharm import bch, exactlinalg as ela, symplectic as sp
+from nilharm.polymap import _power_schedule
+from nilharm.rationals import over_common_denominator
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 nonzero_fractions = st.builds(Fraction, st.one_of(st.integers(-6, -1), st.integers(1, 6)),
@@ -70,6 +74,53 @@ def fraction_poly_value(p, point) -> Fraction:
                 val *= point[v]
         total += val
     return total
+
+
+class FractionExactMap:
+    """``polymap.ExactMap`` on Fraction vectors: each call puts x and y over
+    their common denominators, each component sums its coefficients over
+    their own common denominator and becomes one Fraction."""
+
+    def __init__(self, polys, n: int):
+        terms = [m for p in polys for m, _ in p.terms]
+        self._A = max((sum(m[:n]) for m in terms), default=0)
+        self._B = max((sum(m[n:]) for m in terms), default=0)
+
+        def x_part(m):
+            return (self._A - sum(m[:n]),) + m[:n]
+
+        def y_part(m):
+            return (self._B - sum(m[n:]),) + m[n:]
+
+        x_node, self._x_steps = _power_schedule({x_part(m) for m in terms}, n + 1)
+        y_node, self._y_steps = _power_schedule({y_part(m) for m in terms}, n + 1)
+        self._components = []
+        for p in polys:
+            den = lcm(*(c.denominator for _, c in p.terms))
+            self._components.append((
+                den,
+                tuple(c.numerator * (den // c.denominator) for _, c in p.terms),
+                tuple(x_node[x_part(m)] for m, _ in p.terms),
+                tuple(y_node[y_part(m)] for m, _ in p.terms)))
+
+    @staticmethod
+    def _parts(coords, steps) -> tuple[int, list[int]]:
+        d, numerators = over_common_denominator(coords)
+        variables = [d] + numerators
+        vals = [1]
+        for parent, v in steps:
+            vals.append(vals[parent] * variables[v])
+        return d, vals
+
+    def __call__(self, x, y) -> tuple[Fraction, ...]:
+        dx, xv = self._parts(x, self._x_steps)
+        dy, yv = self._parts(y, self._y_steps)
+        lift = dx ** self._A * dy ** self._B
+        return tuple(
+            Fraction(sum(map(mul, coeffs, map(mul, map(xv.__getitem__, xs),
+                                              map(yv.__getitem__, ys)))),
+                     den * lift)
+            for den, coeffs, xs, ys in self._components)
 
 
 def fraction_bracket(L, x, y) -> tuple[Fraction, ...]:

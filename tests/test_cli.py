@@ -208,6 +208,13 @@ def test_seed_env_var_respected(h3_file):
     assert json.loads(via_env.stdout)["seed"] == 42
 
 
+def test_seed_env_var_that_is_not_an_integer_exits_2():
+    out = run_cli("catalog", "h3", env_extra={"NILHARM_SEED": "abc"})
+    assert out.returncode == 2
+    assert "NILHARM_SEED must be an integer, got 'abc'" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_twist_verify_small_grid():
     out = run_cli("twist", "verify", "--catalog", "h3", "--grid", "8,32")
     assert out.returncode == 0

@@ -53,17 +53,23 @@ def test_numpy_streams_deterministic():
     assert np.array_equal(x, y)
 
 
-# sha256 of the exact half's report bytes at seed 0.  Every value in these
-# reports is an exact rational, so the digests depend on no float library.
+# sha256 of the exact half's report bytes: the exact suite at seed 0 with 25
+# samples and at seed 1 with its default 100, the examples suite at seeds 0
+# and 1.  Every value in these reports is an exact rational, so the digests
+# depend on no float library.
 EXACT_REPORT_DIGESTS = {
     "exact": "268bd1d6deaadae962adc9587a1f46653229b35e8e92b23f8e8ab36538a04afe",
     "examples": "e2e07f59732582535c602a7c89f732dd8a67fc82fafdaab0976b09c9d060b0c6",
+    "exact seed 1": "5f9bdaef743721058301efb35101812b230d532cabb79405dbffcddc728abfee",
+    "examples seed 1": "705a0157f20e29b337816720d47e36cd3bd45397d0dc106f0983f55e77727750",
 }
 
 
 def test_exact_reports_keep_their_bytes():
     reports = {"exact": verify.exact_suite(0, samples=25),
-               "examples": verify.examples_suite(0)}
+               "examples": verify.examples_suite(0),
+               "exact seed 1": verify.exact_suite(1),
+               "examples seed 1": verify.examples_suite(1)}
     for name, rep in reports.items():
         digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
         assert digest == EXACT_REPORT_DIGESTS[name], name
