@@ -22,7 +22,7 @@ from . import pedersen as pe
 from . import symplectic as sp
 from . import twist as tw
 from . import verify
-from .grids import Grid, GridMismatch, lp_norm
+from .grids import Grid, GridMismatch, SampledSymbol, lp_norm
 from .rationals import format_rational, parse_rational, parse_vector
 from .reports import Report
 from .seeds import master_seed
@@ -53,6 +53,18 @@ def _parse_grid(text: str) -> Grid:
     if len(parts) != 2:
         raise ValueError(f"--grid needs L,N (a half width and a point count), got {text!r}")
     return Grid(2, float(parts[0]), int(parts[1]))
+
+
+def _symbol_arg(args, opt: str, grid: Grid, default) -> SampledSymbol:
+    """The symbol file of --symbol or --symbol2, which must lie on --grid;
+    without one, ``default`` sampled on the grid."""
+    if not getattr(args, opt):
+        return funcs.sample(grid, default)
+    sym = fileio.load_symbol(getattr(args, opt))
+    if sym.grid != grid:
+        raise GridMismatch(f"--{opt} and --grid must share one grid; got d,L,N = " + " and ".join(
+            f"{g.dim},{g.half_width:g},{g.points}" for g in (sym.grid, grid)))
+    return sym
 
 
 def _emit(report: Report, args) -> int:
@@ -236,11 +248,9 @@ def cmd_twist(args) -> int:
     grid = eng.symbol_grid
     rep = Report(command=args.report_command, seed=seed)
     rep.measure("density", eng.density)
-    a = fileio.load_symbol(args.symbol) if args.symbol else \
-        funcs.sample(grid, funcs.gaussian((0.5, -0.3), 1.0, (0.4, 0.1)))
+    a = _symbol_arg(args, "symbol", grid, funcs.gaussian((0.5, -0.3), 1.0, (0.4, 0.1)))
     if args.action == "conv":
-        b = fileio.load_symbol(args.symbol2) if args.symbol2 else \
-            funcs.sample(grid, funcs.gaussian((-0.2, 0.8), 0.9))
+        b = _symbol_arg(args, "symbol2", grid, funcs.gaussian((-0.2, 0.8), 0.9))
         out = eng.convolve(a, b)
         rep.measure("output_l2", eng.symbol_norm(out))
         # A zero input norm divides by 1, as in identity_report.
@@ -289,8 +299,7 @@ def cmd_cz(args) -> int:
     rep.measure("quasi_triangle_constant", pdist.quasi_constant)
     rep.measure("doubling_constant", pdist.doubling_constant)
     if args.action != "kernel-check":
-        f = fileio.load_symbol(args.symbol) if args.symbol else \
-            funcs.sample(grid, funcs.smooth_bump((0.0, 0.0), 1.5, 4.0))
+        f = _symbol_arg(args, "symbol", grid, funcs.smooth_bump((0.0, 0.0), 1.5, 4.0))
     if args.action in ("cover", "decompose"):
         level = float(args.alpha) if args.alpha else 0.1 * float(np.max(np.abs(f.values)))
     if args.action == "cover":

@@ -6,13 +6,18 @@ and then shared immutably by everything downstream: central series, flags
 adapted to chains of ideals, truncated BCH products, derivation algebras and
 characteristic-nilpotency certificates.
 
-The bilinear layer (bracket, Jacobi check, series, flags) runs on one
-integer form of the structure constants per algebra, cached on first use:
-a common denominator D, the constants times D, and per basis vector X_i the
-integer columns of D ad(X_i).  The bracket and the BCH product compute on
-integer-form vectors (d, X) (``rationals.IntVector``) and return one, made
-canonical by one gcd; Fraction vectors are converted once on the way in and
-once on the way out.
+The bilinear layer (bracket, Jacobi check, kernels, series, flags,
+derivations) runs on one integer form of the structure constants per
+algebra, cached on first use: a common denominator D, the constants times D,
+and per basis vector X_i the integer columns of D ad(X_i).  The bracket and
+the BCH product compute on integer-form vectors (d, X)
+(``rationals.IntVector``) and return one, made canonical by one gcd;
+Fraction vectors are converted once on the way in and once on the way out.
+
+``jacobi_sweep`` is the Jacobi check of ``validate`` and, on a central
+extension's table, the 2-cocycle test.  ``_ascending_flag`` is the one
+common-flag construction: over ad(X_1), ..., ad(X_n) it builds the
+Jordan-Holder flag, over a basis of the derivations the Engel certificate.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from . import bch as _bch
 from . import exactlinalg as ela
 from .polymap import ExactMap, Poly
 from .rationals import (IntVector, Vector, canonical, dot, fraction_form, integer_forms,
-                        over_common_denominator, unit_vector, zero_vector)
+                        over_common_denominator, unit_vector)
 
 Terms = tuple[tuple[int, Fraction], ...]
 Entry = tuple[int, int, Terms]
@@ -87,25 +92,16 @@ class LieAlgebra:
         return tuple(cols)
 
     @cached_property
-    def _basis_brackets(self) -> dict[tuple[int, int], Vector]:
-        """[X_i, X_j] for both orders of every pair with a nonzero bracket."""
-        out: dict[tuple[int, int], Vector] = {}
-        for i, j, terms in self.entries:
-            v = [_ZERO] * self.dim
-            for k, c in terms:
-                v[k] = c
-            out[(i, j)] = tuple(v)
-            out[(j, i)] = tuple(-a for a in v)
-        return out
-
-    @cached_property
     def _group_law(self) -> ExactMap:
         return _compile_group_law(self)
 
     def basis_bracket(self, i: int, j: int) -> Vector:
-        """[X_i, X_j], any index order."""
-        v = self._basis_brackets.get((i, j))
-        return zero_vector(self.dim) if v is None else v
+        """[X_i, X_j], any index order, read from the ad-columns of X_i."""
+        D, _ = self._integer_form
+        v = [_ZERO] * self.dim
+        for k, c in self._ad_columns[i].get(j, ()):
+            v[k] = Fraction(c, D)
+        return tuple(v)
 
 
 def _normalize_entries(dim: int, brackets) -> tuple[Entry, ...]:
@@ -204,6 +200,26 @@ def lower_central_series(L: LieAlgebra) -> list[list[Vector]]:
     return series
 
 
+def jacobi_sweep(L: LieAlgebra) -> None:
+    """Raise ``JacobiViolation`` on the first basis triple i < j < k whose
+    cyclic sum [X_i, [X_j, X_k]] + [X_j, [X_k, X_i]] + [X_k, [X_i, X_j]] is
+    not zero.  Reads only the structure table, so ``L`` need not be valid."""
+    D, _ = L._integer_form
+    cols = L._ad_columns
+
+    def double(a: int, b: int, c: int) -> list[int]:
+        """D^2 [X_a, [X_b, X_c]]."""
+        return _ad_integers(L, a, cols[b].get(c, ()))
+
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            for k in range(j + 1, L.dim):
+                res = [p + q + r for p, q, r in zip(double(i, j, k), double(j, k, i),
+                                                    double(k, i, j))]
+                if any(res):
+                    raise JacobiViolation(i + 1, j + 1, k + 1, fraction_form((D * D, res)))
+
+
 def validate(dim: int, brackets, labels: tuple[str, ...] | None = None) -> LieAlgebra:
     """Validate a structure table: antisymmetry (by input form), Jacobi, nilpotency."""
     if dim < 1:
@@ -215,21 +231,7 @@ def validate(dim: int, brackets, labels: tuple[str, ...] | None = None) -> LieAl
         raise ValueError("labels length must equal dim")
 
     probe = LieAlgebra(dim=dim, entries=entries, labels=labels, step=0)
-    D, _ = probe._integer_form
-    cols = probe._ad_columns
-
-    def double(a: int, b: int, c: int) -> list[int]:
-        """D^2 [X_a, [X_b, X_c]]."""
-        return _ad_integers(probe, a, cols[b].get(c, ()))
-
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                res = [p + q + r for p, q, r in zip(double(i, j, k), double(j, k, i),
-                                                    double(k, i, j))]
-                if any(res):
-                    raise JacobiViolation(i + 1, j + 1, k + 1, fraction_form((D * D, res)))
-
+    jacobi_sweep(probe)
     series = lower_central_series(probe)
     if series[-1]:
         raise NotNilpotent(len(series[-1]))
@@ -237,22 +239,31 @@ def validate(dim: int, brackets, labels: tuple[str, ...] | None = None) -> LieAl
     return LieAlgebra(dim=dim, entries=entries, labels=labels, step=step)
 
 
+def _kernel(maps, n: int, project) -> list[Vector]:
+    """{v : project(M v) = 0 for every map M}, each M given by its n columns
+    as sparse (k, c) terms and ``project`` linear from vectors to coordinate
+    sequences: the exact nullspace of the stacked maps v -> project(M v),
+    whose columns are the projected columns of M; an empty column projects
+    to one shared zero."""
+    zero = project([0] * n)
+    rows: list[list] = []
+    for cols in maps:
+        projected = [project([dict(col).get(k, 0) for k in range(n)]) if col else zero
+                     for col in cols]
+        rows.extend(list(row) for row in zip(*projected) if any(row))
+    return ela.nullspace(rows, n_cols=n)
+
+
+def _ad_maps(L: LieAlgebra) -> list[list[IntTerms]]:
+    """D ad(X_i) for every basis vector X_i, by its integer columns."""
+    return [[cols.get(s, ()) for s in range(L.dim)] for cols in L._ad_columns]
+
+
 def bracket_kernel(L: LieAlgebra, project) -> list[Vector]:
     """{v : project([X_i, v]) = 0 for every basis vector X_i}, for a linear
-    ``project`` from vectors to coordinate sequences: the exact nullspace of
-    the stacked maps v -> project([X_i, v]), whose columns are the projected
-    basis brackets [X_i, X_s]; a zero bracket projects to one shared zero."""
-    n = L.dim
-    brackets = L._basis_brackets
-    zero = project(zero_vector(n))
-    rows: list[list[Fraction]] = []
-    for i in range(n):
-        cols = [project(brackets[i, s]) if (i, s) in brackets else zero for s in range(n)]
-        for k in range(len(zero)):
-            row = [col[k] for col in cols]
-            if any(row):
-                rows.append(row)
-    return ela.nullspace(rows, n_cols=n)
+    ``project`` from vectors to coordinate sequences.  A kernel does not
+    depend on the common scale D, so the maps are the integer D ad(X_i)."""
+    return _kernel(_ad_maps(L), L.dim, project)
 
 
 def center(L: LieAlgebra) -> list[Vector]:
@@ -317,13 +328,39 @@ def flag_violations(L: LieAlgebra, vectors: tuple[Vector, ...]) -> list[str]:
     return _invert_flag(L, vectors)[0]
 
 
-def jordan_holder_flag(L: LieAlgebra, preferred_first: Vector | None = None) -> FlagSequence:
-    """Ascending central construction: pick a central vector, quotient, recurse.
+def _ascending_flag(n: int, maps, chosen: list[Vector]) -> list[Vector]:
+    """Extend ``chosen`` by one vector at a time until none qualifies: the
+    earliest-pivot vector v of the rref basis of {v : M v in span(chosen)
+    for every map M} (pivot scaled to 1) that lies outside span(chosen).
+    ``maps`` are given by their n columns as sparse (k, c) terms.  The flag
+    is full exactly when the maps are simultaneously strictly triangular on
+    it: M v_k lies in span(v_1..v_{k-1})."""
+    while len(chosen) < n:
+        red, piv = ela.rref(chosen)
+        free = [k for k in range(n) if k not in piv]
 
-    Tie-break among central vectors: the rref basis vector of the central
-    preimage with the earliest pivot column not already spanned (pivot scaled
-    to 1).  ``preferred_first`` overrides the first choice and must be central.
-    """
+        def residue(w) -> list:
+            """w modulo span(chosen) at the non-pivot columns: zero iff w is in it."""
+            w = list(w)
+            for r, pc in enumerate(piv):
+                f = w[pc]
+                if f:
+                    for t in range(n):
+                        w[t] -= f * red[r][t]
+            return [w[k] for k in free]
+
+        candidates = _kernel(maps, n, residue)
+        picked = next((v for v in ela.span_basis(candidates) if any(residue(v))), None)
+        if picked is None:
+            break
+        chosen.append(picked)
+    return chosen
+
+
+def jordan_holder_flag(L: LieAlgebra, preferred_first: Vector | None = None) -> FlagSequence:
+    """Ascending central construction, ``_ascending_flag`` over the maps
+    ad(X_i): each vector is central modulo the span of those before it.
+    ``preferred_first`` overrides the first choice and must be central."""
     n = L.dim
     chosen: list[Vector] = []
     if preferred_first is not None:
@@ -334,28 +371,10 @@ def jordan_holder_flag(L: LieAlgebra, preferred_first: Vector | None = None) -> 
                 raise PreferredVectorNotCentral(
                     "requested first flag vector is not central")
         chosen.append(preferred_first)
-    while len(chosen) < n:
-        red, piv = ela.rref(chosen)
-        free = [k for k in range(n) if k not in piv]
-
-        def residue(w: Vector) -> list[Fraction]:
-            """w modulo span(chosen), read at the non-pivot columns: zero
-            exactly when w lies in the span."""
-            w = list(w)
-            for r, pc in enumerate(piv):
-                f = w[pc]
-                if f:
-                    for t in range(n):
-                        w[t] -= f * red[r][t]
-            return [w[k] for k in free]
-
-        # Preimage of the center of g / span(chosen): [X_i, v] inside span(chosen).
-        candidates = bracket_kernel(L, residue)
-        picked = next((v for v in ela.span_basis(candidates) if any(residue(v))), None)
-        if picked is None:
-            raise AssertionError("central refinement stalled on a nilpotent algebra")
-        chosen.append(picked)
-    return FlagSequence(algebra=L, vectors=tuple(chosen))
+    flag = _ascending_flag(n, _ad_maps(L), chosen)
+    if len(flag) < n:
+        raise AssertionError("central refinement stalled on a nilpotent algebra")
+    return FlagSequence(algebra=L, vectors=tuple(flag))
 
 
 @lru_cache(maxsize=64)
@@ -390,25 +409,24 @@ class DerivationSpace:
 
 
 def derivation_space(L: LieAlgebra) -> DerivationSpace:
-    """Exact basis of the Leibniz-identity solution space, by fraction-free elimination."""
+    """Exact basis of the Leibniz-identity solution space: one nullspace of
+    the integer rows of D [X_i, X_j] - [D X_i, X_j] - [X_i, D X_j] = 0, read
+    from the ad-columns (a kernel does not depend on their common scale)."""
     n = L.dim
-    rows: list[list[Fraction]] = []
+    cols = L._ad_columns
+    rows: list[list[int]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            bij = L.basis_bracket(i, j)
-            for m in range(n):
-                row = [Fraction(0)] * (n * n)
-                for k in range(n):
-                    if bij[k]:
-                        row[m * n + k] += bij[k]          # (D [Xi, Xj])_m
-                    bkj = L.basis_bracket(k, j)
-                    if bkj[m]:
-                        row[k * n + i] -= bkj[m]          # -([D Xi, Xj])_m
-                    bik = L.basis_bracket(i, k)
-                    if bik[m]:
-                        row[k * n + j] -= bik[m]          # -([Xi, D Xj])_m
-                if any(row):
-                    rows.append(row)
+            block = [[0] * (n * n) for _ in range(n)]     # one row per coordinate m
+            for k, c in cols[i].get(j, ()):
+                for m in range(n):
+                    block[m][m * n + k] += c                # (D [Xi, Xj])_m
+            for k in range(n):
+                for m, c in cols[k].get(j, ()):
+                    block[m][k * n + i] -= c                # -([D Xi, Xj])_m
+                for m, c in cols[i].get(k, ()):
+                    block[m][k * n + j] -= c                # -([Xi, D Xj])_m
+            rows.extend(row for row in block if any(row))
     flat_basis = ela.nullspace(rows, n_cols=n * n)
     mats = tuple(
         tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n))
@@ -440,46 +458,16 @@ class EngelCertificate:
 
 
 def is_characteristically_nilpotent(derivs: DerivationSpace) -> EngelCertificate:
-    """Engel-style flag extraction on the derivation space.
+    """Engel-style flag extraction: ``_ascending_flag`` over the derivation basis.
 
     SUCCESS returns a full common flag (every derivation strictly triangular,
-    hence nilpotent); FAILURE reports the stage where the common kernel is
-    trivial, which certifies that a non-nilpotent derivation exists.
-    """
-    L = derivs.algebra
-    n = L.dim
-    if not derivs.basis:
-        # Zero derivation space is vacuously nilpotent (cannot occur for dim >= 1).
-        return EngelCertificate(success=True, flag=())
-    mats = [list(map(list, D)) for D in derivs.basis]
-    lifts = [unit_vector(n, s) for s in range(n)]
-    flag: list[Vector] = []
-    dim_q = n
-    for stage in range(n):
-        stacked = [row for M in mats for row in M]
-        kernel = ela.nullspace(stacked, n_cols=dim_q)
-        if not kernel:
-            return EngelCertificate(success=False, failed_stage=stage)
-        v = kernel[0]
-        flag.append(tuple(sum((v[c] * lifts[c][t] for c in range(dim_q)), Fraction(0))
-                          for t in range(n)))
-        if dim_q == 1:
-            break
-        p = next(c for c in range(dim_q) if v[c] != 0)
-        keep = [c for c in range(dim_q) if c != p]
-        new_lifts = [lifts[c] for c in keep]
-        new_mats = []
-        for M in mats:
-            cols = []
-            for c in keep:
-                w = [M[r][c] for r in range(dim_q)]
-                f = w[p] / v[p]
-                if f:
-                    w = [a - f * b for a, b in zip(w, v)]
-                cols.append([w[r] for r in keep])
-            new_mats.append([[cols[cc][rr] for cc in range(len(keep))]
-                             for rr in range(len(keep))])
-        mats = new_mats
-        lifts = new_lifts
-        dim_q -= 1
+    hence nilpotent); FAILURE reports the stage where the derivations, on the
+    quotient by the flag so far, have no common kernel, which certifies that
+    a non-nilpotent derivation exists."""
+    n = derivs.algebra.dim
+    maps = [[[(k, D[k][s]) for k in range(n) if D[k][s]] for s in range(n)]
+            for D in derivs.basis]
+    flag = _ascending_flag(n, maps, [])
+    if len(flag) < n:
+        return EngelCertificate(success=False, failed_stage=len(flag))
     return EngelCertificate(success=True, flag=tuple(flag))

@@ -181,8 +181,10 @@ def _compile_law(orbit: OrbitData) -> ExactMap:
     return ExactMap(product_polys + (alpha_poly,), orbit.d)
 
 
+@lru_cache(maxsize=64)
 def standard_orbit(L: lc.LieAlgebra) -> OrbitData:
-    """Convenience: flag with a central first vector and the dual functional.
+    """Convenience: flag with a central first vector and the dual functional,
+    built once per algebra value.
 
     The flag starts at the canonical central vector and xi0 is read off as
     the dual coordinate vector pairing to 1 with it.

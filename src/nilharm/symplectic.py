@@ -71,24 +71,31 @@ def form_from_pairs(dim: int, pairs: dict[tuple[int, int], Fraction]) -> Symplec
     return SymplecticForm(matrix=tuple(tuple(row) for row in m))
 
 
-def is_two_cocycle(L0: lc.LieAlgebra, omega: SymplecticForm) -> tuple[bool, tuple[int, int, int] | None]:
-    """Exact cyclic-sum check over all basis triples; reports the first violation."""
+def _extended_table(L0: lc.LieAlgebra, omega: SymplecticForm) -> tuple[lc.Entry, ...]:
+    """The structure table of [(t, x), (s, y)] = (omega(x, y), [x, y]): the
+    added central generator Z is X_0, and X_k of L0 becomes X_{k+1}."""
     if omega.dim != L0.dim:
         raise ValueError("form dimension does not match the algebra")
     n = L0.dim
-
-    def pair(i: int, w: Vector) -> Fraction:
-        """omega(e_i, w): row i of the matrix dotted with w."""
-        row = omega.matrix[i]
-        return sum((row[t] * a for t, a in enumerate(w) if a), Fraction(0))
-
+    table = {(i + 1, j + 1): [(k + 1, c) for k, c in terms] for i, j, terms in L0.entries}
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                s = (pair(i, L0.basis_bracket(j, k)) + pair(j, L0.basis_bracket(k, i))
-                     + pair(k, L0.basis_bracket(i, j)))
-                if s != 0:
-                    return False, (i + 1, j + 1, k + 1)
+            w = omega.matrix[i][j]
+            if w != 0:
+                table.setdefault((i + 1, j + 1), []).insert(0, (0, w))
+    return tuple((i, j, tuple(terms)) for (i, j), terms in sorted(table.items()))
+
+
+def is_two_cocycle(L0: lc.LieAlgebra, omega: SymplecticForm) -> tuple[bool, tuple[int, int, int] | None]:
+    """The cocycle identity is the Jacobi identity of the extended bracket
+    (see ``central_extension``): the extended table's Jacobi sweep, whose
+    first failing triple, shifted down by Z, is reported."""
+    table = _extended_table(L0, omega)
+    try:
+        lc.jacobi_sweep(lc.LieAlgebra(dim=L0.dim + 1, entries=table,
+                                      labels=("Z",) + L0.labels, step=0))
+    except lc.JacobiViolation as exc:
+        return False, tuple(t - 1 for t in exc.triple)
     return True, None
 
 
@@ -98,22 +105,12 @@ def central_extension(L0: lc.LieAlgebra, omega: SymplecticForm) -> lc.LieAlgebra
 
     The cocycle identity is the Jacobi identity of the extended bracket:
     on (X_i, X_j, X_k) the Z-component of the Jacobi residual is the cyclic
-    sum of omega, and triples with Z vanish.  So validation fails first on
-    the triple that ``is_two_cocycle`` reports, shifted up by Z."""
-    if omega.dim != L0.dim:
-        raise ValueError("form dimension does not match the algebra")
-    n = L0.dim
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, j, terms in L0.entries:
-        brackets[(i + 1, j + 1)] = {k + 1: c for k, c in terms}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = omega.matrix[i][j]
-            if w != 0:
-                brackets.setdefault((i + 1, j + 1), {})[0] = w
-    labels = ("Z",) + tuple(L0.labels)
+    sum of omega, the other components are L0's Jacobi residual (zero), and
+    triples with Z vanish.  So one Jacobi sweep of the extended table both
+    validates the extension and is ``is_two_cocycle``."""
     try:
-        return lc.validate(n + 1, brackets, labels=labels)
+        return lc.validate(L0.dim + 1, _extended_table(L0, omega),
+                           labels=("Z",) + L0.labels)
     except lc.JacobiViolation as exc:
         raise NotACocycle(tuple(t - 1 for t in exc.triple)) from None
 

@@ -8,7 +8,9 @@ set, are the references of ``lie_core.bracket_kernel`` and of the single
 echelon in ``orbits.jump_indices``.  The rank-by-rank flag checks, the
 [M | I] split over the predual and centre, and the flatness rule "the
 centre is a line and equals the isotropy algebra" are the references of
-the flag's one coordinate map and of ``jump_indices``'s flatness test."""
+the flag's one coordinate map and of ``jump_indices``'s flatness test.  The
+quotient-and-lift elimination on the derivation matrices is the reference of
+the Engel certificate, which shares the flag's ascending construction."""
 
 from fractions import Fraction
 from math import lcm
@@ -258,3 +260,42 @@ def reference_flag(L, preferred_first=None) -> tuple[tuple[Fraction, ...], ...]:
         chosen.append(next(v for v in ela.span_basis(candidates)
                            if not in_span(span, v)))
     return tuple(chosen)
+
+
+def reference_engel(derivs) -> tuple[bool, tuple | None, int | None]:
+    """(success, flag, failed_stage) of the Engel certificate by explicit
+    quotients: at each stage one vector of the common kernel of the
+    derivations on g / span(flag so far), in quotient coordinates, lifted
+    through the kept unit vectors; its pivot column is then eliminated from
+    every matrix."""
+    n = derivs.algebra.dim
+    mats = [list(map(list, D)) for D in derivs.basis]
+    lifts = [tuple(Fraction(int(t == s)) for t in range(n)) for s in range(n)]
+    flag = []
+    dim_q = n
+    for stage in range(n):
+        kernel = ela.nullspace([row for M in mats for row in M], n_cols=dim_q)
+        if not kernel:
+            return False, None, stage
+        v = kernel[0]
+        flag.append(tuple(sum((v[c] * lifts[c][t] for c in range(dim_q)), Fraction(0))
+                          for t in range(n)))
+        if dim_q == 1:
+            break
+        p = next(c for c in range(dim_q) if v[c] != 0)
+        keep = [c for c in range(dim_q) if c != p]
+        new_mats = []
+        for M in mats:
+            cols = []
+            for c in keep:
+                w = [M[r][c] for r in range(dim_q)]
+                f = w[p] / v[p]
+                if f:
+                    w = [a - f * b for a, b in zip(w, v)]
+                cols.append([w[r] for r in keep])
+            new_mats.append([[cols[cc][rr] for cc in range(len(keep))]
+                             for rr in range(len(keep))])
+        mats = new_mats
+        lifts = [lifts[c] for c in keep]
+        dim_q -= 1
+    return True, tuple(flag), None

@@ -315,6 +315,33 @@ def test_twist_conv_symbol_on_other_grid_exits_2(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("action, options", [
+    (("twist", "conv"), ("--symbol",)),
+    (("twist", "conv"), ("--symbol2",)),
+    (("twist", "conv"), ("--symbol", "--symbol2")),
+    (("twist", "delta"), ("--symbol",)),
+    (("twist", "pedersen"), ("--symbol",)),
+    (("cz", "cover"), ("--symbol",)),
+    (("cz", "decompose"), ("--symbol",)),
+    (("cz", "weak11"), ("--symbol",)),
+])
+def test_symbol_off_the_grid_exits_2(tmp_path, action, options):
+    # Every action that reads a symbol file refuses one on another grid,
+    # before it computes on either grid.
+    from nilharm import fileio, funcs
+    from nilharm.grids import Grid
+
+    sym = funcs.sample(Grid(2, 8.0, 16), funcs.gaussian())
+    sym_path = tmp_path / "sym16.json"
+    sym_path.write_text(json.dumps(fileio.symbol_to_dict(sym)))
+    out = run_cli(*action, *(a for opt in options for a in (opt, str(sym_path))),
+                  "--grid", "8,32")
+    assert out.returncode == 2
+    assert "share one grid" in out.stderr
+    assert "2,8,16" in out.stderr and "2,8,32" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("args, message", [
     (("orbit", "--algebra", "h3", "--xi0", "1,2"),
      "the functional needs 3 coordinates, one per basis vector; got 2"),

@@ -351,3 +351,58 @@ def test_nonhomog_characteristically_nilpotent_with_posthoc_powers():
             power = [[sum((power[r][m] * D[m][c] for m in range(n)), F(0))
                       for c in range(n)] for r in range(n)]
         assert all(power[r][c] == 0 for r in range(n) for c in range(n))
+
+
+def filiform(n):
+    """L_n: [X1, Xk] = X_{k+1} for k = 2..n-1."""
+    return lc.validate(n, {(0, k): {k + 1: F(1)} for k in range(1, n - 1)})
+
+
+ENGEL_CASES = {**cat.CORE, **{f"filiform{n}": (lambda n=n: filiform(n)) for n in range(3, 9)},
+               # An abelian summand adds derivations that scale it.
+               "nonhomog+R": lambda: lc.validate(9, cat.nonhomog().entries)}
+
+
+def flag_coordinates(flag, w):
+    """c with w = sum c_k flag_k, by one rref of [flag vectors as columns | w]."""
+    n = len(flag)
+    red, piv = ela.rref([[v[r] for v in flag] + [w[r]] for r in range(n)])
+    assert piv == list(range(n))
+    return [row[n] for row in red]
+
+
+def assert_engel_matches_the_reference(L):
+    """The certificate equals the quotient-and-lift elimination, and a
+    success flag strictly triangularizes every derivation."""
+    ders = lc.derivation_space(L)
+    cert = lc.is_characteristically_nilpotent(ders)
+    assert (cert.success, cert.flag, cert.failed_stage) == random_algebras.reference_engel(ders)
+    if cert.success:
+        n = L.dim
+        for D in ders.basis:
+            for k, v in enumerate(cert.flag):
+                image = [sum((D[r][c] * v[c] for c in range(n)), F(0)) for r in range(n)]
+                assert not any(flag_coordinates(cert.flag, image)[k:])
+    return cert
+
+
+@pytest.mark.parametrize("name", list(ENGEL_CASES))
+def test_engel_certificate_matches_the_elimination(name):
+    cert = assert_engel_matches_the_reference(ENGEL_CASES[name]())
+    if name == "nonhomog+R":
+        assert cert.failed_stage == 6
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_algebras.algebras)
+def test_engel_certificate_matches_the_elimination_on_random_algebras(L):
+    assert_engel_matches_the_reference(L)
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_algebras.algebras)
+def test_basis_bracket_is_the_bracket_of_unit_vectors(L):
+    for i in range(L.dim):
+        for j in range(L.dim):
+            assert L.basis_bracket(i, j) == random_algebras.fraction_bracket(
+                L, basis_vec(L.dim, i), basis_vec(L.dim, j))

@@ -75,8 +75,9 @@ def test_exact_reports_keep_their_bytes():
         assert digest == EXACT_REPORT_DIGESTS[name], name
 
 
-# sha256 of the stdout of the flag, series and orbit commands on every
-# catalog algebra: exact rationals only, like the reports above.
+# sha256 of the stdout of the flag, series, derivations, charnilp and orbit
+# commands on every catalog algebra, and of the two catalog checks: exact
+# rationals only, like the reports above.
 CLI_STDOUT_DIGESTS = {
     "algebra flag abelian4": "8cb04604408c4223c376726d6bbc7633772dcd4498671dcde9ba76bbe32608c5",
     "algebra flag h3": "acd051dd7dd26847cc19cf12a1641be4159c946d4f4e9dba202132e9a3dea154",
@@ -102,15 +103,44 @@ CLI_STDOUT_DIGESTS = {
     "orbit --algebra ext_g0st_1_1": "deaec66a3b892b6f8341ea4f7c322a1bc3c1a909465efcb8a51df942f3a49fa8",
     "orbit --algebra ext_triangle": "f9adffdfc31cd18af0356924c01f5afc26f322ae99a4b8149fc0c714e040e92b",
     "orbit --algebra ext_nonhomog": "c2a9033f04563107585ce76add8b300f9f3c1b05fc68ae34224a113c6be442ca",
+    "algebra derivations abelian4": "c401882654c1843961ebdf74768fc6e11c3fe014c96b792f5fde534ca66874fa",
+    "algebra derivations h3": "d4aec99ac59d0bd52f4e3454e6951482e0b9fb785909d4ac1facf5e4bdaf701a",
+    "algebra derivations g0st_1_1": "f11cbc7ba871a805b694c8e8735442c6a1b09612af277e9983c84fcd8a1d62ed",
+    "algebra derivations triangle": "503976f526e41d6104dc29c270be63599f589c39dcc56fbe068ca7003f4352d9",
+    "algebra derivations nonhomog": "bafce482af8118623e1ee1c5b664ad1a4ed3e09b545e0a11b71f75ddaa306640",
+    "algebra derivations ext_g0st_1_1": "7035b2dc268c8269b0300f61addd68cd49c4a3a62322d25fc2386c731160bec1",
+    "algebra derivations ext_triangle": "6ba12dc27e857bab320fa17364feebff3c1423b35430bcee3d2c241e651939c7",
+    "algebra derivations ext_nonhomog": "adffefd4697f294cab325cf65b36de770aa674ae319f4cd0a0cef764820ee0d3",
+    "algebra charnilp abelian4": "feb01c26d788e39d5382ec0330e575764910d8611b1b54faa4fca0c1a6091afb",
+    "algebra charnilp h3": "f8a99d25ee1cd8f7dbc6034c600d51814a0c97043a0096bae5503e717703c151",
+    "algebra charnilp g0st_1_1": "a384bc491aa0525bc16a7e551c4c7ba8b34ffaad7dfa1a59caca1f8c61da5d43",
+    "algebra charnilp triangle": "2c4fed053c53be175aaa76c906c1390f29f75272975d4ca61bf4bc679b9ea184",
+    "algebra charnilp nonhomog": "8b535c842909b8776d4537305ba90a615febcd27b8827f2df0f55758ba68d9d4",
+    "algebra charnilp ext_g0st_1_1": "1d892b7fdabc58b58ea591878788d5733d1dacd2fcf6e452205787e8ef31b167",
+    "algebra charnilp ext_triangle": "5311f057a01133078a30312b4a1b9bbc4fec3e89954c2a50a83eb1844379c63d",
+    "algebra charnilp ext_nonhomog": "76fade1006e4ee7be155888253cd084dfc504f69715b9cea5a64cae05a324b42",
+    "catalog g0st --check cocycle": "820feb90515e6609514ef80a97ecdf91e06cef97b87ade411fbdf7b445eda690",
+    "catalog nonhomog --check charnilp": "4b528b53cb4fc24b19689c122c42a9c83d832fa076570ab539dff99e03c19193",
+}
+# Nonzero exit codes: the six catalog algebras that are not characteristically
+# nilpotent fail the charnilp check.
+CLI_EXIT_CODES = {
+    "algebra charnilp abelian4": 1,
+    "algebra charnilp h3": 1,
+    "algebra charnilp g0st_1_1": 1,
+    "algebra charnilp triangle": 1,
+    "algebra charnilp ext_g0st_1_1": 1,
+    "algebra charnilp ext_triangle": 1,
 }
 
 
 def test_exact_cli_reports_keep_their_bytes(capsys):
     from nilharm import catalog, cli
-    assert {key.split()[-1] for key in CLI_STDOUT_DIGESTS} == set(catalog.CORE)
+    for command in ("algebra flag", "algebra series", "algebra derivations",
+                    "algebra charnilp", "orbit --algebra"):
+        assert {f"{command} {name}" for name in catalog.CORE} <= set(CLI_STDOUT_DIGESTS)
     for key, digest in CLI_STDOUT_DIGESTS.items():
-        *argv, name = key.split()
-        assert cli.main([*argv, name]) == 0, key
+        assert cli.main(key.split()) == CLI_EXIT_CODES.get(key, 0), key
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, key
 
