@@ -7,7 +7,11 @@ quasi-triangle constant is measured, not assumed; its volume-doubling
 constant is 2^dim, the volume ratio of cubes of half-widths 2r and r.  The
 covering comes from the level set of a discrete maximal function over m-balls
 with a greedy Vitali selection (decreasing maximal value, ties by row-major
-index), and the decomposition implements the phase-corrected bad parts
+index).  The maximal function costs one axis-0 prefix sum per cover and one
+prefix-sum pass along each further axis per distinct clipped half-width of
+the radius ladder; the cell counts are products of per-axis counts, and only
+the current window is held.  The decomposition implements the phase-corrected
+bad parts
 
     b_i(z) = f(z) eta_i(z)
              - (avg over B_i of f eta_i gamma(z_i, .^-1)) chi_i(z) / gamma(z_i, z^-1)
@@ -115,26 +119,6 @@ def _window_step(grid: Grid, r: float) -> int:
     return int(np.ceil(r / grid.h - 1e-12)) - 1
 
 
-def _window_sum(arr: np.ndarray, s: int) -> np.ndarray:
-    """Boundary-clipped cube sums of lattice half-width s."""
-    if s <= 0:
-        return arr if s == 0 else np.zeros_like(arr)
-    out = arr
-    for axis in range(arr.ndim):
-        c = np.cumsum(out, axis=axis)
-        n = out.shape[axis]
-        idx_hi = np.minimum(np.arange(n) + s, n - 1)
-        idx_lo = np.arange(n) - s - 1
-        hi = np.take(c, idx_hi, axis=axis)
-        lo = np.where(
-            (idx_lo >= 0).reshape([-1 if a == axis else 1 for a in range(arr.ndim)]),
-            np.take(c, np.maximum(idx_lo, 0), axis=axis),
-            0.0,
-        )
-        out = hi - lo
-    return out
-
-
 def _radius_ladder(grid: Grid) -> list[float]:
     r0 = 0.5 * grid.h
     r_max = 4.0 * grid.half_width
@@ -142,6 +126,66 @@ def _radius_ladder(grid: Grid) -> list[float]:
     while ladder[-1] <= r_max:
         ladder.append(ladder[-1] * 2.0)
     return ladder
+
+
+def _padded_cumsum(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Prefix sums of arr along axis, after a leading slice of zeros."""
+    shape = list(arr.shape)
+    shape[axis] += 1
+    out = np.zeros(shape)
+    np.cumsum(arr, axis=axis, out=out[(slice(None),) * axis + (slice(1, None),)])
+    return out
+
+
+def _cube_average(c0: np.ndarray, s: int) -> np.ndarray:
+    """Boundary-clipped cube averages of lattice half-width s > 0, from the
+    axis-0 prefix sums c0 (``_padded_cumsum(vals, 0)``).
+
+    Along each axis a window sum is hi minus lo of the padded prefix sums, so
+    lo is 0.0 at the low edge; the cell counts are the products of the
+    per-axis counts hi - lo, exact integers.
+    """
+    n = c0.shape[0] - 1
+    pos = np.arange(n)
+    hi = np.minimum(pos + s, n - 1) + 1
+    lo = np.maximum(pos - s, 0)
+    window = c0[hi]
+    window -= c0[lo]
+    for axis in range(1, c0.ndim):
+        c = _padded_cumsum(window, axis)
+        window = np.take(c, hi, axis=axis)
+        window -= np.take(c, lo, axis=axis)
+    cnt = (hi - lo).astype(float)
+    counts = cnt
+    for _ in range(1, c0.ndim):
+        counts = np.multiply.outer(counts, cnt)
+    window /= counts
+    return window
+
+
+def _ladder_maximal(vals: np.ndarray, grid: Grid,
+                    level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal function over the radius ladder, and per node the largest
+    ladder radius whose ball average exceeds the level (-1 where none does).
+
+    The prefix sums along axis 0 are built once; each distinct half-width
+    then takes one prefix-sum pass along each further axis.  The half-width
+    never decreases along the ladder and every s >= N - 1 spans the grid, so
+    radii of one clipped half-width share a window and only the current
+    window is held.
+    """
+    c0 = _padded_cumsum(vals, 0)
+    maximal = np.zeros(grid.shape)
+    stop_radius = np.full(grid.shape, -1.0)
+    current, avg = 0, vals      # half-width 0: the ball is the node itself
+    for r in _radius_ladder(grid):
+        s = min(_window_step(grid, r), grid.points - 1)
+        if s > current:
+            del avg
+            current, avg = s, _cube_average(c0, s)
+        np.maximum(maximal, avg, out=maximal)
+        stop_radius[avg > level] = r
+    return maximal, stop_radius
 
 
 def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance) -> Covering:
@@ -164,24 +208,16 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance) -> Covering:
     c_m = pd.quasi_constant
     expansion = max(3.0, c_m * c_m)
 
-    ladder = _radius_ladder(grid)
-    ones = np.ones(grid.shape)
-    maximal = np.zeros(grid.shape)
-    stop_radius = np.full(grid.shape, -1.0)
-    for r in ladder:
-        s = _window_step(grid, r)
-        avg = _window_sum(vals, s) / _window_sum(ones, s)
-        maximal = np.maximum(maximal, avg)
-        stop_radius = np.where(avg > level, r, stop_radius)
+    maximal, stop_radius = _ladder_maximal(vals, grid, level)
     omega = maximal > level
     if not np.any(omega):
         return Covering(grid=grid, level=level, balls=(), mean_bound=0.0,
                         mass_ratio=0.0, overlap=0, expansion=expansion)
 
-    # Only level-set nodes can be selected: keep their part of the stable
-    # decreasing order and unravel it in one call.
-    order = np.argsort(-maximal.reshape(-1), kind="stable")
-    order = order[omega.reshape(-1)[order]]
+    # Only level-set nodes can be selected: a stable sort of them alone is
+    # their part of the stable decreasing order over the whole grid.
+    nodes = np.flatnonzero(omega)
+    order = nodes[np.argsort(-maximal.reshape(-1)[nodes], kind="stable")]
     covered = np.zeros(grid.shape, dtype=bool)
     axes = grid.axis
     balls = []

@@ -435,17 +435,36 @@ def derivation_space(L: LieAlgebra) -> DerivationSpace:
     return DerivationSpace(algebra=L, basis=mats)
 
 
-def leibniz_residual(L: LieAlgebra, D: Matrix, i: int, j: int) -> Vector:
-    """D[Xi,Xj] - [D Xi, Xj] - [Xi, D Xj], exact."""
+def leibniz_residuals(L: LieAlgebra, D: Matrix) -> dict[tuple[int, int], Vector]:
+    """D[Xi,Xj] - [D Xi, Xj] - [Xi, D Xj] for every basis pair i < j, exact.
+
+    The columns D X_k and the basis brackets [X_i, X_k] are read once, as
+    Fractions; then [Xi, D Xj] = sum_k D[k][j] [X_i, X_k] and
+    D[Xi,Xj] = sum_k [Xi,Xj]_k D X_k.
+    """
     n = L.dim
-    bij = L.basis_bracket(i, j)
-    lhs = tuple(sum((D[m][k] * b for k, b in enumerate(bij) if b), _ZERO) for m in range(n))
-    dxi = tuple(D[k][i] for k in range(n))
-    dxj = tuple(D[k][j] for k in range(n))
-    # [D Xi, Xj] + [Xi, D Xj] = [Xi, D Xj] - [Xj, D Xi]
-    rhs = tuple(a - b for a, b in zip(bracket(L, unit_vector(n, i), dxj),
-                                      bracket(L, unit_vector(n, j), dxi)))
-    return tuple(a - b for a, b in zip(lhs, rhs))
+    columns = [tuple(D[k][j] for k in range(n)) for j in range(n)]
+    brackets = [[L.basis_bracket(i, k) for k in range(n)] for i in range(n)]
+
+    def combine(coeffs: Vector, vectors) -> list[Fraction]:
+        """sum_k coeffs[k] vectors[k]."""
+        out = [_ZERO] * n
+        for c, v in zip(coeffs, vectors):
+            if c:
+                for m, b in enumerate(v):
+                    if b:
+                        out[m] += c * b
+        return out
+
+    residuals = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = combine(brackets[i][j], columns)
+            # [D Xi, Xj] + [Xi, D Xj] = [Xi, D Xj] - [Xj, D Xi]
+            x_dj = combine(columns[j], brackets[i])
+            y_di = combine(columns[i], brackets[j])
+            residuals[(i, j)] = tuple(a - b + c for a, b, c in zip(lhs, x_dj, y_di))
+    return residuals
 
 
 @dataclass(frozen=True)

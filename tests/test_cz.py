@@ -30,21 +30,50 @@ def indicator_sup_annulus(inner, outer):
     return ev
 
 
-def full_scan_cover(f, level, pd):
-    """cz_cover with the greedy selection scanning every node in decreasing
-    maximal value and skipping those outside the level set."""
-    vals = f.values.real
-    grid = f.grid
-    c_m = pd.quasi_constant if pd.quasi_constant is not None else 2.0
-    expansion = max(3.0, c_m * c_m)
+def window_sum(arr, s):
+    """Boundary-clipped cube sums of lattice half-width s, one fresh cumsum
+    pass per axis."""
+    if s <= 0:
+        return arr if s == 0 else np.zeros_like(arr)
+    out = arr
+    for axis in range(arr.ndim):
+        c = np.cumsum(out, axis=axis)
+        n = out.shape[axis]
+        idx_hi = np.minimum(np.arange(n) + s, n - 1)
+        idx_lo = np.arange(n) - s - 1
+        hi = np.take(c, idx_hi, axis=axis)
+        lo = np.where(
+            (idx_lo >= 0).reshape([-1 if a == axis else 1 for a in range(arr.ndim)]),
+            np.take(c, np.maximum(idx_lo, 0), axis=axis),
+            0.0,
+        )
+        out = hi - lo
+    return out
+
+
+def reference_ladder(vals, grid, level):
+    """Maximal function and stopping radii with every ladder radius summing
+    the grid twice: over the values and over an all-ones array."""
     ones = np.ones(grid.shape)
     maximal = np.zeros(grid.shape)
     stop_radius = np.full(grid.shape, -1.0)
     for r in cz._radius_ladder(grid):
         s = cz._window_step(grid, r)
-        avg = cz._window_sum(vals, s) / cz._window_sum(ones, s)
+        avg = window_sum(vals, s) / window_sum(ones, s)
         maximal = np.maximum(maximal, avg)
         stop_radius = np.where(avg > level, r, stop_radius)
+    return maximal, stop_radius
+
+
+def full_scan_cover(f, level, pd):
+    """cz_cover with the reference ladder and the greedy selection scanning
+    every node in decreasing maximal value, skipping those outside the level
+    set."""
+    vals = f.values.real
+    grid = f.grid
+    c_m = pd.quasi_constant if pd.quasi_constant is not None else 2.0
+    expansion = max(3.0, c_m * c_m)
+    maximal, stop_radius = reference_ladder(vals, grid, level)
     omega = maximal > level
     if not np.any(omega):
         return cz.Covering(grid=grid, level=level, balls=(), mean_bound=0.0,
@@ -125,6 +154,34 @@ def many_bumps(grid, count=12, seed=7):
     return SampledSymbol(grid, vals)
 
 
+def narrow_bumps(grid, count=40, seed=0):
+    """Seeded sum of narrow bumps that may overlap, like the benchmark's
+    cz-bumps input."""
+    gen = np.random.default_rng(seed)
+    centers = gen.uniform(-6.5, 6.5, size=(count, 2))
+    radii = gen.uniform(0.25, 0.6, size=count)
+    heights = gen.uniform(0.5, 2.0, size=count)
+    parts = [funcs.smooth_bump(tuple(c), r, h) for c, r, h in zip(centers, radii, heights)]
+    return funcs.sample(grid, lambda pts: sum(part(pts) for part in parts))
+
+
+def cover_inputs(grid):
+    """Name -> nonnegative function: bumps, a corner spike, a constant, zero,
+    and seeded arrays of a few repeated values, so that maximal values tie."""
+    gen = np.random.default_rng(grid.points)
+    spike = np.zeros(grid.shape)
+    spike[0, 0] = 3.0
+    return {
+        "many_bumps": many_bumps(grid),
+        "corner_spike": SampledSymbol(grid, spike),
+        "constant": SampledSymbol(grid, np.full(grid.shape, 2.5)),
+        "zero": SampledSymbol(grid, np.zeros(grid.shape)),
+        "ties": SampledSymbol(grid, gen.integers(0, 4, size=grid.shape).astype(float)),
+        "sparse_ties": SampledSymbol(grid, np.where(
+            gen.random(grid.shape) < 0.1, gen.integers(1, 3, size=grid.shape), 0.0)),
+    }
+
+
 # -- pseudo-distance -------------------------------------------------------------
 
 
@@ -203,12 +260,55 @@ def test_cover_rejects_signed_input(pd_h3, grid32):
 
 @pytest.mark.parametrize("fraction", [0.05, 0.15, 0.4])
 def test_cover_matches_full_scan(pd_h3, fraction):
-    grid = Grid(2, 8.0, 64)
-    f = many_bumps(grid)
-    level = fraction * float(np.max(f.values.real))
-    covering = cz.cz_cover(f, level, pd_h3)
-    assert len(covering.balls) >= 4
-    assert covering == full_scan_cover(f, level, pd_h3)
+    # The ladder clips its half-width to N - 1 at every size: the shared
+    # prefix sums must give the reference's maximal function and stopping
+    # radii bit for bit, and so the same selection.
+    for points in (8, 16, 32, 64, 128):
+        grid = Grid(2, 8.0, points)
+        for name, f in cover_inputs(grid).items():
+            case = (points, name)
+            vals = f.values.real
+            peak = float(np.max(vals))
+            level = fraction * peak if peak > 0 else 1.0
+            maximal, stop_radius = cz._ladder_maximal(vals, grid, level)
+            ref_maximal, ref_stop = reference_ladder(vals, grid, level)
+            assert np.array_equal(maximal, ref_maximal), case
+            assert np.array_equal(stop_radius, ref_stop), case
+            covering = cz.cz_cover(f, level, pd_h3)
+            assert covering == full_scan_cover(f, level, pd_h3), case
+            if name == "zero":
+                assert covering.balls == ()
+            elif name == "many_bumps" and points >= 64:
+                assert len(covering.balls) >= 4
+            else:
+                assert covering.balls, case
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 8.0, 64), Grid(3, 8.0, 16)])
+def test_ladder_matches_reference_off_the_plane(grid):
+    # The prefix sums run along every further axis, not only axis 1.
+    vals = np.random.default_rng(grid.dim).integers(0, 4, size=grid.shape).astype(float)
+    for level in (0.5, 1.5, 2.5):
+        got = cz._ladder_maximal(vals, grid, level)
+        ref = reference_ladder(vals, grid, level)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_cover_memory_peak(pd_h3):
+    # One N = 128 cover of the benchmark-like 40-bump input: 0.93 MB under
+    # tracemalloc with one axis-0 prefix sum per cover, windows built in
+    # place and one held at a time; 1.46 MB with two fresh sums (values and
+    # ones) per radius, 1.72 MB with every window cached.
+    f = narrow_bumps(Grid(2, 8.0, 128))
+    level = 0.2 * float(np.max(f.values.real))
+    tracemalloc.start()
+    try:
+        covering = cz.cz_cover(f, level, pd_h3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(covering.balls) >= 10
+    assert peak <= 1.4e6
 
 
 # -- decomposition -----------------------------------------------------------------
