@@ -222,7 +222,7 @@ def _sum_by_halves(sums: list) -> float:
 
 
 def torus_lp_norms(fun: TorusGridFunction, ps) -> list[float]:
-    """[torus_lp_norm(fun, p) for p in ps], from one pass over the slabs."""
+    """The L^p norms of fun for each p in ps, from one pass over the slabs."""
     ps = list(ps)
     per_slab = []
     for slab in fun:
@@ -237,10 +237,6 @@ def torus_lp_norms(fun: TorusGridFunction, ps) -> list[float]:
         else:
             norms.append(float((cell * _sum_by_halves(list(sums))) ** (1.0 / p)))
     return norms
-
-
-def torus_lp_norm(fun: TorusGridFunction, p: float) -> float:
-    return torus_lp_norms(fun, [p])[0]
 
 
 def torus_sup_distance(f: TorusGridFunction, g: TorusGridFunction) -> float:

@@ -283,10 +283,7 @@ class FlagSequence:
     _inverse: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        violations, inverse = _invert_flag(self.algebra, self.vectors)
-        if violations:
-            raise ValueError(f"not a valid flag: {violations[0]}")
-        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(self, "_inverse", _invert_flag(self.algebra, self.vectors))
 
     def coordinates(self, w, zero=_ZERO) -> tuple:
         """Ambient vector -> flag coordinates (c_1..c_n with w = sum c_j X_j),
@@ -296,9 +293,9 @@ class FlagSequence:
                      for row in self._inverse)
 
 
-def _invert_flag(L: LieAlgebra, vectors: tuple[Vector, ...]) -> tuple[list[str], tuple[Vector, ...]]:
-    """The flag checks and the rows of F^-1 (none when the vectors are not a
-    basis), from one rref of [F | I].
+def _invert_flag(L: LieAlgebra, vectors: tuple[Vector, ...]) -> tuple[Vector, ...]:
+    """The rows of F^-1, from one rref of [F | I] that also checks the flag;
+    ValueError("not a valid flag: ...") on the first violation.
 
     [F | I] has full row rank, so its pivots past the first column of F
     without one lie in I; that column is the first flag vector in the span
@@ -306,26 +303,20 @@ def _invert_flag(L: LieAlgebra, vectors: tuple[Vector, ...]) -> tuple[list[str],
     exactly when its flag coordinates vanish from position j on."""
     n = L.dim
     if len(vectors) != n:
-        return [f"expected {n} vectors, got {len(vectors)}"], ()
+        raise ValueError(f"not a valid flag: expected {n} vectors, got {len(vectors)}")
     if any(len(v) != n for v in vectors):
         raise ValueError("vector dimension does not match the algebra")
     red, piv = ela.rref([[v[r] for v in vectors] + list(unit_vector(n, r)) for r in range(n)])
     dependent = next((c for c, p in enumerate(piv) if p != c), None)
     if dependent is not None:
-        return [f"leading {dependent + 1} vectors are dependent"], ()
+        raise ValueError(f"not a valid flag: leading {dependent + 1} vectors are dependent")
     inverse = tuple(row[n:] for row in red)
-    out = []
     for j in range(1, n + 1):
         for i in range(n):
             d = _ad_direction(L, i, vectors[j - 1])
             if any(d) and any(dot(row, d) for row in inverse[j - 1:]):
-                out.append(f"[X{i + 1}, flag_{j}] escapes the lower ideal")
-    return out, inverse
-
-
-def flag_violations(L: LieAlgebra, vectors: tuple[Vector, ...]) -> list[str]:
-    """Exact checks of the flag invariants; empty list when all hold."""
-    return _invert_flag(L, vectors)[0]
+                raise ValueError(f"not a valid flag: [X{i + 1}, flag_{j}] escapes the lower ideal")
+    return inverse
 
 
 def _ascending_flag(n: int, maps, chosen: list[Vector]) -> list[Vector]:

@@ -2,9 +2,11 @@
 
 Just enough ring structure to push coordinate variables through the BCH
 series, producing exact closed forms for the group cocycle and the reduced
-product, plus compilation to exact integer-kernel evaluators (``ExactMap``)
-for the group laws, which take and return integer-form vectors.  Pure
-Python: the exact half of the package needs no numpy.
+product: Poly + Poly, Poly - Poly, Poly * Poly and Poly * scalar (an int or
+a Fraction); any other operand raises TypeError.  Plus compilation to exact
+integer-kernel evaluators (``ExactMap``) for the group laws, which take and
+return integer-form vectors.  Pure Python: the exact half of the package
+needs no numpy.
 """
 
 from __future__ import annotations
@@ -33,13 +35,6 @@ class Poly:
         return cls(nvars, ())
 
     @classmethod
-    def constant(cls, nvars: int, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return cls.zero(nvars)
-        return cls(nvars, (((0,) * nvars, c),))
-
-    @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         m = tuple(1 if v == index else 0 for v in range(nvars))
         return cls(nvars, ((m, Fraction(1)),))
@@ -57,8 +52,6 @@ class Poly:
         for m, c in other.terms:
             data[m] = data[m] + c if m in data else c
         return Poly._make(self.nvars, data)
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -88,14 +81,12 @@ class Poly:
                 data[m] = data[m] + c if m in data else c
         return Poly._make(self.nvars, data)
 
-    __rmul__ = __mul__
-
     def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            if other.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            return other
-        return Poly.constant(self.nvars, other)
+        if not isinstance(other, Poly):
+            raise TypeError(f"not a Poly: {type(other).__name__}")
+        if other.nvars != self.nvars:
+            raise ValueError("variable count mismatch")
+        return other
 
 
 def _power_schedule(exponents, nvars: int) -> tuple[dict[Monomial, int], list[tuple[int, int]]]:

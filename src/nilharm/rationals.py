@@ -49,21 +49,9 @@ def parse_vector(text: str) -> Vector:
     return tuple(parse_rational(part) for part in text.split(","))
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def unit_vector(n: int, s: int) -> Vector:
     """The s-th standard basis vector of length n."""
     return tuple(Fraction(1) if t == s else Fraction(0) for t in range(n))
-
-
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def vec_scale(c: Fraction, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
 
 
 def is_zero_vector(x: Vector) -> bool:

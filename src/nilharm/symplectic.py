@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from . import exactlinalg as ela
 from . import lie_core as lc
-from .rationals import Vector
 
 
 class NotACocycle(Exception):
@@ -46,14 +45,6 @@ class SymplecticForm:
     @property
     def dim(self) -> int:
         return len(self.matrix)
-
-    def __call__(self, x: Vector, y: Vector) -> Fraction:
-        return sum(
-            (x[i] * self.matrix[i][j] * y[j]
-             for i in range(self.dim) for j in range(self.dim)
-             if self.matrix[i][j] != 0),
-            Fraction(0),
-        )
 
     def is_nondegenerate(self) -> bool:
         return ela.det([list(row) for row in self.matrix]) != 0

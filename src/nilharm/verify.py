@@ -129,8 +129,9 @@ def exact_suite(seed: int = 0, samples: int = 100) -> Report:
                        lc.bch_product(L, x, neg) == zero
                        and lc.bch_product(L, zero, x) == x)
 
-    # FlagSequence checks every flag invariant in the rref of its coordinate
-    # map and raises on a violation, so a returned flag has passed.
+    # An entry that cannot fail: FlagSequence raises on the first violated
+    # invariant, so each one records that the construction passed.  It stays
+    # byte for byte, because perfbench/reference.json names it.
     for name, L in algebras.items():
         lc.jordan_holder_flag(L)
         rep.check_true(f"flag_invariants_exact[{name}]", True)

@@ -1,14 +1,16 @@
 """Hypothesis strategies for random nilpotent algebras and rational points,
 and the plain-Fraction references the integer kernels are tested against:
 the BCH walk for the compiled group laws, the structure-constant loop for
-the bracket, the cyclic sum of the form for the cocycle check and the
-term-by-term value of a polynomial at a rational point.  The row loops of
-the centre, the isotropy algebra and the flag, and the rank-by-rank jump
-set, are the references of ``lie_core.bracket_kernel`` and of the single
-echelon in ``orbits.jump_indices``.  The rank-by-rank flag checks, the
-[M | I] split over the predual and centre, and the flatness rule "the
-centre is a line and equals the isotropy algebra" are the references of
-the flag's one coordinate map and of ``jump_indices``'s flatness test.  The
+the bracket, the cyclic sum of the form, each value by its full double sum,
+for the cocycle check and the term-by-term value of a polynomial at a
+rational point.  The row loops of the centre, the isotropy algebra and the
+flag, and the rank-by-rank jump set, are the references of
+``lie_core.bracket_kernel`` and of the single echelon in
+``orbits.jump_indices``.  The rank-by-rank flag checks (whose first
+violation is the one ``FlagSequence`` refuses a flag with), the [M | I]
+split over the predual and centre, and the flatness rule "the centre is a
+line and equals the isotropy algebra" are the references of the flag's one
+coordinate map and of ``jump_indices``'s flatness test.  The
 quotient-and-lift elimination on the derivation matrices is the reference of
 the Engel certificate, which shares the flag's ascending construction."""
 
@@ -136,6 +138,14 @@ def fraction_bracket(L, x, y) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def form_value(omega, x, y) -> Fraction:
+    """omega(x, y) = sum_ij x_i omega_ij y_j over the nonzero entries."""
+    n = omega.dim
+    return sum((x[i] * omega.matrix[i][j] * y[j]
+                for i in range(n) for j in range(n) if omega.matrix[i][j] != 0),
+               Fraction(0))
+
+
 def fraction_cocycle_check(L0, omega) -> tuple[bool, tuple[int, int, int] | None]:
     """The cyclic sum omega(e_i, [e_j, e_k]) + ... over all basis triples,
     evaluated by the form's full double sum; the first violation, 1-based."""
@@ -144,8 +154,9 @@ def fraction_cocycle_check(L0, omega) -> tuple[bool, tuple[int, int, int] | None
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if (omega(e[i], L0.basis_bracket(j, k)) + omega(e[j], L0.basis_bracket(k, i))
-                        + omega(e[k], L0.basis_bracket(i, j))) != 0:
+                if (form_value(omega, e[i], L0.basis_bracket(j, k))
+                        + form_value(omega, e[j], L0.basis_bracket(k, i))
+                        + form_value(omega, e[k], L0.basis_bracket(i, j))) != 0:
                     return False, (i + 1, j + 1, k + 1)
     return True, None
 

@@ -166,8 +166,8 @@ def test_generic_ring_path_matches_int_path():
     x = seeds.random_fraction_vector(rnd, 7)
     y = seeds.random_fraction_vector(rnd, 7)
     zero = Poly.zero(0)
-    px = [Poly.constant(0, c) for c in x]
-    py = [Poly.constant(0, c) for c in y]
+    px = [Poly(0, (((), c),)) if c else zero for c in x]
+    py = [Poly(0, (((), c),)) if c else zero for c in y]
     out = bch.bch_apply_generic(L.entries, 7, L.step, px, py, zero)
     as_fractions = tuple(random_algebras.fraction_poly_value(p, ()) for p in out)
     assert as_fractions == lc.bch_product(L, x, y)

@@ -1,11 +1,23 @@
-"""CLI contract: formats, exit codes, byte-identical reports."""
+"""CLI contract: formats, exit codes, byte-identical reports.
 
+Most tests call ``cli.main`` in this process (``run_cli``).  The contract of
+the process itself, its exit code, its environment and a stderr without a
+traceback, is held by the tests that start ``python -m nilharm.cli``
+(``run_cli_process``), one of which pins that both runners give the same
+code and bytes."""
+
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+
+from nilharm import cli
 
 H3_DOC = {
     "dim": 3,
@@ -33,6 +45,28 @@ GRAPH_DOC = {"vertices": ["a", "b", "c"],
 
 
 def run_cli(*args, env_extra=None):
+    """``cli.main(args)`` in this process, with ``env_extra`` added to the
+    environment: its (returncode, stdout, stderr), an argparse exit turned
+    into its code, and each warning printed to stderr once per place, as a
+    fresh process prints it."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with mock.patch.dict(os.environ, env_extra or {}), redirect_stdout(stdout), \
+            redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = show
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
+
+
+def run_cli_process(*args, env_extra=None):
+    """``python -m nilharm.cli args`` in a fresh interpreter."""
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -201,18 +235,43 @@ def test_reports_byte_identical_same_seed(h3_file):
 
 
 def test_seed_env_var_respected(h3_file):
-    via_env = run_cli("orbit", "--algebra", h3_file,
-                      env_extra={"NILHARM_SEED": "42"})
+    via_env = run_cli_process("orbit", "--algebra", h3_file,
+                              env_extra={"NILHARM_SEED": "42"})
     via_flag = run_cli("--seed", "42", "orbit", "--algebra", h3_file)
     assert via_env.stdout == via_flag.stdout
     assert json.loads(via_env.stdout)["seed"] == 42
 
 
 def test_seed_env_var_that_is_not_an_integer_exits_2():
-    out = run_cli("catalog", "h3", env_extra={"NILHARM_SEED": "abc"})
+    out = run_cli_process("catalog", "h3", env_extra={"NILHARM_SEED": "abc"})
     assert out.returncode == 2
     assert "NILHARM_SEED must be an integer, got 'abc'" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+# One command per exit code, and a refusal of the numeric code that a warning
+# would reach: both runners give the same code and the same bytes on both
+# streams, and the process prints no traceback.
+@pytest.mark.parametrize("args, code", [
+    (("orbit", "--algebra", "{h3}", "--seed", "7"), 0),
+    (("twist", "pedersen", "--grid", "8,32"), 0),
+    (("algebra", "validate", "{bad}"), 1),
+    (("algebra", "charnilp", "{h3}"), 1),
+    (("algebra", "frobnicate", "x.json"), 2),
+    (("cz", "kernel-check", "--grid", "8,32", "--c2", "inf"), 2),
+    (("algebra", "validate", "/nonexistent/void.json"), 3),
+], ids=["orbit", "twist-pedersen", "invalid-algebra", "charnilp-failure", "usage",
+        "non-finite-c2", "missing-file"])
+def test_in_process_runner_matches_the_process(tmp_path, h3_file, args, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BAD_JACOBI_DOC))
+    args = [a.format(h3=h3_file, bad=bad) for a in args]
+    process = run_cli_process(*args)
+    assert process.returncode == code
+    assert "Traceback" not in process.stderr
+    in_process = run_cli(*args)
+    assert (in_process.returncode, in_process.stdout, in_process.stderr) \
+        == (process.returncode, process.stdout, process.stderr)
 
 
 def test_twist_verify_small_grid():

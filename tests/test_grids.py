@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from nilharm import fileio, funcs, multipliers as mult
 from nilharm.grids import (Grid, GridMismatch, SampledSymbol, TorusGridFunction,
                            lp_norm, symbol_check_involution,
-                           torus_lp_norm, torus_lp_norms, torus_sup_distance)
+                           torus_lp_norms, torus_sup_distance)
 
 
 # -- dense references ---------------------------------------------------------------
 
 
 def dense_torus_lp_norm(values, grid, p):
-    """torus_lp_norm on the whole (angles,) + grid.shape array at once."""
+    """torus_lp_norms(fun, [p])[0] on the whole (angles,) + grid.shape array at once."""
     cell = grid.cell_volume / values.shape[0]
     if p == float("inf"):
         return float(np.max(np.abs(values)))
@@ -117,10 +117,10 @@ def test_torus_function_shape(grid32):
         with pytest.raises(ValueError, match="shape mismatch"):
             list(TorusGridFunction(grid=grid32, angles=8, slabs=lambda: bad))
     fun = torus(grid32, np.ones((8,) + grid32.shape))
-    assert np.isclose(torus_lp_norm(fun, 2),
+    assert np.isclose(torus_lp_norms(fun, [2])[0],
                       np.sqrt(grid32.cell_volume * 32 * 32))
     # Every pass starts afresh.
-    assert torus_lp_norm(fun, 2) == torus_lp_norm(fun, 2)
+    assert torus_lp_norms(fun, [2])[0] == torus_lp_norms(fun, [2])[0]
     assert len(list(fun)) == len(list(fun)) == 8
 
 
@@ -132,7 +132,7 @@ def test_torus_lp_norm_matches_dense_reference(points, angles):
     grid = Grid(2, 8.0, points)
     for name, values in torus_inputs(grid, angles).items():
         for p in (1.0, 1.5, 2.0, 4.0, float("inf")):
-            assert torus_lp_norm(torus(grid, values), p) \
+            assert torus_lp_norms(torus(grid, values), [p])[0] \
                 == dense_torus_lp_norm(values, grid, p), (name, p)
 
 
@@ -145,7 +145,7 @@ def test_torus_lp_norms_make_one_pass_with_each_norm_bit_for_bit(points, angles)
         fun = TorusGridFunction(grid, angles, lambda: passes.append(1) or values)
         norms = torus_lp_norms(fun, ps)
         assert len(passes) == 1
-        assert norms == [torus_lp_norm(torus(grid, values), p) for p in ps]
+        assert norms == [torus_lp_norms(torus(grid, values), [p])[0] for p in ps]
         if points >= 32 and angles in (8, 64):
             assert norms == [dense_torus_lp_norm(values, grid, p) for p in ps]
 
@@ -159,8 +159,8 @@ def test_torus_lp_norm_within_bound_of_dense_reference(points, angles):
     for values in torus_inputs(grid, angles).values():
         for p in (1.0, 1.5, 2.0, 4.0):
             ref = dense_torus_lp_norm(values, grid, p)
-            assert abs(torus_lp_norm(torus(grid, values), p) - ref) <= 1e-14 * ref
-        assert torus_lp_norm(torus(grid, values), float("inf")) \
+            assert abs(torus_lp_norms(torus(grid, values), [p])[0] - ref) <= 1e-14 * ref
+        assert torus_lp_norms(torus(grid, values), [float("inf")])[0] \
             == dense_torus_lp_norm(values, grid, float("inf"))
 
 

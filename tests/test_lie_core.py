@@ -7,13 +7,24 @@ import random_algebras
 from hypothesis import given, settings, strategies as st
 
 from nilharm import catalog as cat, exactlinalg as ela, lie_core as lc, seeds
-from nilharm.rationals import is_zero_vector, vec_add, vec_scale, zero_vector
+from nilharm.rationals import int_vec_add, integer_form, is_zero_vector
 
 F = Fraction
 
 
 def basis_vec(n, i):
     return tuple(F(1) if t == i else F(0) for t in range(n))
+
+
+def flag_verdict(L, vectors) -> list[str]:
+    """[] when FlagSequence accepts the vectors, else the one violation it
+    refuses them with: comparable to the reference's list of violations cut
+    to its first."""
+    try:
+        lc.FlagSequence(algebra=L, vectors=vectors)
+    except ValueError as exc:
+        return [str(exc).removeprefix("not a valid flag: ")]
+    return []
 
 
 # -- validate ----------------------------------------------------------------
@@ -101,17 +112,17 @@ def test_bracket_matches_fraction_reference(L, data):
 @settings(max_examples=20, deadline=None)
 @given(random_algebras.algebras, st.data())
 def test_jacobi_on_random_points(L, data):
-    x, y, z = (data.draw(random_algebras.points(L.dim)) for _ in range(3))
-    res = vec_add(vec_add(lc.bracket(L, x, lc.bracket(L, y, z)),
-                          lc.bracket(L, y, lc.bracket(L, z, x))),
-                  lc.bracket(L, z, lc.bracket(L, x, y)))
-    assert is_zero_vector(res)
+    x, y, z = (integer_form(data.draw(random_algebras.points(L.dim))) for _ in range(3))
+    res = int_vec_add(int_vec_add(lc.bracket(L, x, lc.bracket(L, y, z)),
+                                  lc.bracket(L, y, lc.bracket(L, z, x))),
+                      lc.bracket(L, z, lc.bracket(L, x, y)))
+    assert is_zero_vector(res[1])
 
 
 @settings(max_examples=10, deadline=None)
 @given(random_algebras.algebras)
 def test_jordan_holder_flag_has_no_violations(L):
-    assert lc.flag_violations(L, lc.jordan_holder_flag(L).vectors) == []
+    assert random_algebras.reference_flag_violations(L, lc.jordan_holder_flag(L).vectors) == []
 
 
 # -- series / center ---------------------------------------------------------
@@ -146,13 +157,13 @@ def test_h3_flag_with_preferred_first(h3):
 def test_abelian_flag_passes_invariants():
     L = cat.abelian(3)
     flag = lc.jordan_holder_flag(L)
-    assert not lc.flag_violations(L, flag.vectors)
+    assert not random_algebras.reference_flag_violations(L, flag.vectors)
 
 
 def test_extension_flag_starts_central():
     L = cat.extended_g0st(1, 1)
     flag = lc.jordan_holder_flag(L)
-    assert not lc.flag_violations(L, flag.vectors)
+    assert not random_algebras.reference_flag_violations(L, flag.vectors)
     # The extension generator (index 0) spans the center and leads the flag.
     assert flag.vectors[0] == basis_vec(7, 0)
 
@@ -164,14 +175,17 @@ def test_preferred_vector_must_be_central(h3):
 
 def test_flag_violations_detects_bad_order(h3):
     vectors = (basis_vec(3, 1), basis_vec(3, 2), basis_vec(3, 0))
-    assert lc.flag_violations(h3, vectors)
+    with pytest.raises(ValueError, match="^not a valid flag: .* escapes the lower ideal$"):
+        lc.FlagSequence(algebra=h3, vectors=vectors)
+    assert flag_verdict(h3, vectors) == random_algebras.reference_flag_violations(h3, vectors)[:1]
 
 
 def assert_flag_checks_match_the_rank_loop(L, data):
-    """flag_violations equals the rank-by-rank reference on the Jordan-Holder
-    flag, on a reordering of it, and on that reordering with one vector
-    replaced by a copy of another or by its sum with a multiple of another:
-    a reordering alone never puts [X_i, flag_j] along flag_j itself."""
+    """FlagSequence refuses with the first violation of the rank-by-rank
+    reference, and accepts where it finds none, on the Jordan-Holder flag,
+    on a reordering of it, and on that reordering with one vector replaced
+    by a copy of another or by its sum with a multiple of another: a
+    reordering alone never puts [X_i, flag_j] along flag_j itself."""
     flag = lc.jordan_holder_flag(L).vectors
     reordered = tuple(flag[k] for k in data.draw(st.permutations(range(L.dim))))
     cases = [flag, reordered]
@@ -179,11 +193,12 @@ def assert_flag_checks_match_the_rank_loop(L, data):
         a, b = data.draw(st.lists(st.integers(0, L.dim - 1), min_size=2, max_size=2,
                                   unique=True))
         c = data.draw(random_algebras.fractions)
-        for v in (reordered[b], vec_add(reordered[a], vec_scale(c, reordered[b]))):
+        combined = tuple(p + c * q for p, q in zip(reordered[a], reordered[b]))
+        for v in (reordered[b], combined):
             cases.append(reordered[:a] + (v,) + reordered[a + 1:])
     for vectors in cases:
-        assert lc.flag_violations(L, vectors) == \
-            random_algebras.reference_flag_violations(L, vectors)
+        assert flag_verdict(L, vectors) == \
+            random_algebras.reference_flag_violations(L, vectors)[:1]
 
 
 @pytest.mark.parametrize("name", list(cat.CORE))
@@ -201,7 +216,8 @@ def test_flag_checks_match_the_rank_loop_on_random_algebras(L, data):
 
 def test_flag_checks_are_one_elimination(monkeypatch):
     # Every rank, rref, nullspace and span basis eliminates through
-    # bareiss_echelon; the flag checks read one rref of [F | I].
+    # bareiss_echelon; FlagSequence checks a flag in one rref of [F | I],
+    # whether it accepts it or refuses it.
     L = cat.CORE["ext_nonhomog"]()
     flag = lc.jordan_holder_flag(L).vectors
     calls = []
@@ -214,7 +230,7 @@ def test_flag_checks_are_one_elimination(monkeypatch):
     monkeypatch.setattr(ela, "bareiss_echelon", counted)
     for vectors, escapes in ((flag, False), (flag[::-1], True), ((flag[0],) * L.dim, False)):
         calls.clear()
-        assert any("escapes" in v for v in lc.flag_violations(L, vectors)) == escapes
+        assert any("escapes" in v for v in flag_verdict(L, vectors)) == escapes
         assert calls == [L.dim]
 
 
@@ -222,7 +238,7 @@ def test_flag_vectors_of_wrong_length_rejected(h3):
     with pytest.raises(ValueError):
         lc.jordan_holder_flag(h3, preferred_first=(F(1), F(0)))
     with pytest.raises(ValueError):
-        lc.flag_violations(h3, ((F(1),), (F(0),), (F(0),)))
+        lc.FlagSequence(algebra=h3, vectors=((F(1),), (F(0),), (F(0),)))
 
 
 def assert_kernels_match_the_row_loops(L):
@@ -273,7 +289,7 @@ def test_bch_inverse_and_unit():
     x = seeds.random_fraction_vector(rnd, 8)
     neg = tuple(-a for a in x)
     assert is_zero_vector(lc.bch_product(L, x, neg))
-    assert lc.bch_product(L, zero_vector(8), x) == x
+    assert lc.bch_product(L, (F(0),) * 8, x) == x
 
 
 def test_bch_associativity_nonhomog():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from random_algebras import fraction_poly_value as value
 
@@ -42,7 +43,19 @@ def test_ring_laws(p, q, r):
     assert (p * (q + r)).terms == (p * q + p * r).terms
     zero = Poly.zero(NVARS)
     assert (p + zero).terms == p.terms
-    assert (p * Poly.constant(NVARS, 1)).terms == p.terms
+    assert (p * Poly(NVARS, (((0,) * NVARS, Fraction(1)),))).terms == p.terms
+
+
+def test_scalars_only_multiply_from_the_right():
+    # The BCH walk multiplies a Poly by an int or a Fraction; no caller adds
+    # a scalar or puts it on the left, so those raise.
+    p = Poly.variable(NVARS, 0)
+    assert (p * Fraction(1, 2)).terms == (((1, 0, 0), Fraction(1, 2)),)
+    for scalar in (0, 1, Fraction(1, 2)):
+        for op in (lambda: p + scalar, lambda: scalar + p, lambda: p - scalar,
+                   lambda: scalar - p, lambda: scalar * p):
+            with pytest.raises(TypeError):
+                op()
 
 
 @settings(max_examples=60, deadline=None)

@@ -36,9 +36,9 @@ def test_elementary_skew_matrix_fails_with_reported_triple():
     def cyclic(i, j, k):
         def e(a):
             return tuple(F(1) if t == a else F(0) for t in range(6))
-        return (bad(e(i), L0.basis_bracket(j, k))
-                + bad(e(j), L0.basis_bracket(k, i))
-                + bad(e(k), L0.basis_bracket(i, j)))
+        return (random_algebras.form_value(bad, e(i), L0.basis_bracket(j, k))
+                + random_algebras.form_value(bad, e(j), L0.basis_bracket(k, i))
+                + random_algebras.form_value(bad, e(k), L0.basis_bracket(i, j)))
     violations = [(i + 1, j + 1, k + 1)
                   for i in range(6) for j in range(i + 1, 6)
                   for k in range(j + 1, 6) if cyclic(i, j, k) != 0]

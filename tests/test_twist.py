@@ -501,12 +501,17 @@ def test_twist_suite_sees_one_dropped_convolution_term(monkeypatch):
     assert _failed(rep) == {"twisted_convolution_associativity"}
 
 
-def test_twist_suite_sees_an_hs_norm_off_by_a_part_per_million(monkeypatch):
-    # The HS isometry reads 6.3e-16 at N = 64 and is held to 1e-12 there.  At
-    # N = 32 it reads 3.5e-6 against 1e-3, and this defect passes.
-    hs_norm = pe.DiscretizedOperator.hs_norm
-    monkeypatch.setattr(pe.DiscretizedOperator, "hs_norm",
-                        lambda self: hs_norm(self) * (1 + 1e-6))
+@pytest.mark.parametrize("owner, norm", [(pe.DiscretizedOperator, "hs_norm"),
+                                         (pe.HeisenbergRealization, "symbol_norm")],
+                         ids=["hs_norm", "symbol_norm"])
+def test_twist_suite_sees_an_hs_norm_off_by_a_part_per_million(monkeypatch, owner, norm):
+    # The HS isometry ||T(b)||_HS = ||b|| reads 6.3e-16 at N = 64 and is held
+    # to 1e-12 there; either norm times (1 + 1e-6) moves it to 1.0e-6.  At
+    # N = 32 it is held to 1e-3 and reads 2.5e-6 (hs_norm) or 4.5e-6
+    # (symbol_norm) with the defect, so there every twist and multiplier
+    # check passes: a known gap.
+    unscaled = getattr(owner, norm)
+    monkeypatch.setattr(owner, norm, lambda *args: unscaled(*args) * (1 + 1e-6))
     rep = verify.twist_suite(seed=0, points=64)
     assert _failed(rep) == {"hs_isometry_rel_max"}
 
