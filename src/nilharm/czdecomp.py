@@ -20,14 +20,16 @@ whose twisted mean against gamma(z_i, z^-1) vanishes on the grid by
 construction.  The twist is a cocycle matrix (``twist.TwistData``): the
 reduced product is z + u and the cocycle bilinear, and a twist without a
 matrix is refused with a ValueError.  In the Hormander estimate z u^-1 is
-then z - u: on grids of one half-width and power-of-two sizes every such
-difference is an offset of the finer lattice, so the kernel is evaluated once
-on the table of those offsets and read back by integer index.  Only live
-test points u, those with max m(z) > c2 m(u), are integrated: the mask of any
-other u is empty, so with a finite kernel its integral is exactly 0.0 and
-cannot be the supremum, and skipping it changes no returned bit.  Haar measure
-in exponential coordinates is Lebesgue; each node carries cell volume h^d,
-and the group inverse is coordinate negation.
+then z - u and the phase gamma(z, u^-1) = e^{-i z^T A u} a tensor product of
+one factor per grid axis, built from d exponentials of length N.  On grids of
+one half-width and power-of-two sizes every difference z - u is an offset of
+the finer lattice, so the kernel is evaluated once on the table of those
+offsets and k(z - u) over the z-grid is read back as one strided slice of it
+per test point u.  Only live test points u, those with max m(z) > c2 m(u),
+are integrated: the mask of any other u is empty, so with a finite kernel its
+integral is exactly 0.0 and cannot be the supremum, and skipping it changes
+no returned bit.  Haar measure in exponential coordinates is Lebesgue; each
+node carries cell volume h^d, and the group inverse is coordinate negation.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import Grid, GridMismatch, SampledSymbol
+from .grids import Grid, GridMismatch, SampledSymbol, fold_axes
 from .seeds import rng as seeded_rng
 from .twist import TwistData, twisted_convolve
 
@@ -63,7 +65,7 @@ class PseudoDistance:
     doubling_constant: float | None = None
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(np.asarray(pts, dtype=float)), axis=-1)
+        return fold_axes(np.maximum, np.abs(np.asarray(pts, dtype=float)))
 
 
 def default_pseudo_distance(twist: TwistData) -> PseudoDistance:
@@ -330,6 +332,13 @@ def cz_decompose(f: SampledSymbol, level: float, pd: PseudoDistance,
 # ---------------------------------------------------------------------------
 
 
+def _axis_phases(A: np.ndarray, u: np.ndarray, grid: Grid) -> list[np.ndarray]:
+    """The factors e^{-i z_a (A u)_a} over the grid's axis values, factor a
+    shaped to broadcast along axis a: their product is e^{i alpha(z, -u)}."""
+    return [np.exp(1j * w * grid.axis).reshape((-1,) + (1,) * (grid.dim - 1 - a))
+            for a, w in enumerate(A @ -u)]
+
+
 def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
                              c2: float, grid: Grid, u_grid: Grid) -> dict:
     """sup over test points u of  integral_{m(z) > c2 m(u)} |gamma(z, u^-1)
@@ -337,12 +346,19 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
 
     The u set is the punctured node set of ``u_grid``, kept fixed under
     z-grid refinement so that refinement studies compare the same supremum.
-    The twist must have a cocycle matrix (``ValueError`` otherwise), so that
-    z u^-1 = z - u, and ``u_grid`` must share the z-grid's dimension and
+    The twist must have a cocycle matrix A (``ValueError`` otherwise), so
+    that z u^-1 = z - u and gamma(z, u^-1) = e^{-i z^T A u} is the tensor
+    product over the grid axes of the factors e^{-i z_a (A u)_a}: d
+    exponentials of length N per test point, not N^d, applied to the kernel
+    one axis at a time.  ``u_grid`` must share the z-grid's dimension and
     half-width.  Both grids then lie on the lattice of the finer one, with
     P = max(N_z, N_u) points and step h = 2L/P, so every z - u is a lattice
-    offset m h with |m_j| < P: the kernel is evaluated once on that
-    (2P-1)^d offset table and k(z - u) is read from it by integer index.
+    offset m h with |m_j| < P: the kernel is evaluated once on that (2P-1)^d
+    offset table, and k(z - u) over the z-grid is one strided slice of it
+    (``Grid.offset_window``).  The product of the factors rounds differently
+    from one exponential of the cocycle, so the estimate agrees with the
+    pointwise integral to round-off, and the returned u may move among test
+    points whose integrals tie.
 
     Only the live test points, where the mask m(z) > c2 m(u) is not empty, are
     evaluated.  Every other u integrates to exactly 0.0 and cannot beat a
@@ -352,7 +368,7 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
     must be finite on the grid and on the offset table (``ValueError``
     otherwise): a NaN would make a sum unorderable and drop a real maximum.
     """
-    twist.cocycle_matrix()
+    A = twist.cocycle_matrix()
     if u_grid.dim != grid.dim or u_grid.half_width != grid.half_width:
         raise GridMismatch(
             f"the u-grid must share the z-grid's dimension and half-width, got "
@@ -363,48 +379,39 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
     if not (np.isfinite(c2) and c2 > 2.0 * pd.quasi_constant):
         raise C2TooSmall(f"need a finite c2 > {2.0 * pd.quasi_constant}, got {c2}")
     z_pts = grid.nodes()
-    m_z = pd.value(z_pts)
-    k_z = np.asarray(kernel_eval(z_pts), dtype=complex)
+    m_z = pd.value(z_pts).reshape(grid.shape)
+    k_z = np.asarray(kernel_eval(z_pts), dtype=complex).reshape(grid.shape)
     cell = grid.cell_volume
 
     fine = grid if grid.points >= u_grid.points else u_grid
-    table = fine.offset_nodes()
-    k_table = np.asarray(kernel_eval(table), dtype=complex)
-    # k(z - u) = k_table[z_index - u_index]; offset 0 is the table's centre.
-    z_index = grid.offset_positions(fine) + (len(table) - 1) // 2
-    u_index = u_grid.offset_positions(fine)
-
+    k_table = np.asarray(kernel_eval(fine.offset_nodes()), dtype=complex)
     if not (np.all(np.isfinite(k_z)) and np.all(np.isfinite(k_table))):
         raise ValueError("the kernel must be finite on the grid and on every "
                          "offset z - u")
+    k_table = k_table.reshape((2 * fine.points - 1,) * grid.dim)
 
     u_all = u_grid.nodes()
+    u_index = np.indices(u_grid.shape).reshape(grid.dim, -1).T
     m_u = pd.value(u_all)
     keep = m_u > 0
     n_u = int(np.count_nonzero(keep))
     # A row whose mask is empty sums to exactly 0.0 and never wins.
     keep &= np.max(m_z) > c2 * m_u
-    u_all, m_u, u_index = u_all[keep], m_u[keep], u_index[keep]
     best = 0.0
     argmax = None
-    # Blocks of about 2^17 integrand entries; each row is summed on its own,
-    # so the block size changes no value.
-    chunk = max(1, (1 << 17) // z_pts.shape[0])
-    for start in range(0, u_all.shape[0], chunk):
-        U = u_all[start:start + chunk][:, None, :]
-        MU = m_u[start:start + chunk][:, None]
-        Z = z_pts[None, :, :]
+    for u, mu, iu in zip(u_all[keep], m_u[keep], u_index[keep]):
         # |e^{i alpha(z, -u)} k(z - u) - k(z)| on the mask, built in place.
-        integrand = np.exp(1j * twist.alpha(Z, -U))
-        integrand *= k_table[z_index[None, :] - u_index[start:start + chunk][:, None]]
-        integrand -= k_z[None, :]
+        first, *rest = _axis_phases(A, u, grid)
+        integrand = first * k_table[grid.offset_window(u_grid, iu)]
+        for factor in rest:
+            integrand *= factor
+        integrand -= k_z
         integrand = np.abs(integrand)
-        integrand *= m_z[None, :] > c2 * MU
-        vals = np.sum(integrand, axis=1) * cell
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            argmax = tuple(float(c) for c in u_all[start + i])
+        integrand *= m_z > c2 * mu
+        val = np.sum(integrand) * cell
+        if val > best:
+            best = float(val)
+            argmax = tuple(float(c) for c in u)
     return {"estimate": best, "argmax_u": argmax, "c2": c2, "n_u": n_u}
 
 

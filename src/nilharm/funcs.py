@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Grid, SampledSymbol
+from .grids import Grid, SampledSymbol, fold_axes
 
 
 def gaussian(center=(0.0, 0.0), sigma: float = 1.0, momentum=None):
@@ -15,9 +15,9 @@ def gaussian(center=(0.0, 0.0), sigma: float = 1.0, momentum=None):
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
         z = (pts - center) / sigma
-        out = np.exp(-0.5 * np.sum(z * z, axis=-1)).astype(complex)
+        out = np.exp(-0.5 * fold_axes(np.add, z * z)).astype(complex)
         if momentum is not None:
-            out = out * np.exp(1j * np.sum(pts * momentum, axis=-1))
+            out = out * np.exp(1j * fold_axes(np.add, pts * momentum))
         return out
 
     return ev
@@ -29,7 +29,7 @@ def hermite_gaussian(orders):
 
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
-        out = np.exp(-0.5 * np.sum(pts ** 2, axis=-1)).astype(complex)
+        out = np.exp(-0.5 * fold_axes(np.add, pts ** 2)).astype(complex)
         for axis, n in enumerate(orders):
             if n:
                 coeffs = [0.0] * n + [1.0]
@@ -40,16 +40,19 @@ def hermite_gaussian(orders):
 
 
 def smooth_bump(center=(0.0, 0.0), radius: float = 1.0, height: float = 1.0):
-    """C^infinity bump exp(1 - 1/(1-|z|^2)) supported on |x - c| < radius."""
+    """C^infinity bump exp(1 - 1/(1-|z|^2)) supported on |x - c| < radius.
+
+    The exponential is evaluated on the support only; every other point holds
+    height * 0.0, so a negative height gives -0.0 there."""
     center = np.asarray(center, dtype=float)
 
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
-        r2 = np.sum(((pts - center) / radius) ** 2, axis=-1)
+        r2 = fold_axes(np.add, ((pts - center) / radius) ** 2)
         inside = r2 < 1.0
-        safe = np.where(inside, r2, 0.0)
-        vals = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)
-        return (height * vals).astype(complex)
+        out = np.full(np.shape(r2), height * 0.0, dtype=complex)
+        out[inside] = height * np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+        return out
 
     return ev
 
@@ -59,7 +62,7 @@ def truncated_power(exponent: float = 3.0, inner: float = 1.0, outer: float = 4.
 
     def ev(pts):
         pts = np.asarray(pts, dtype=float)
-        r = np.sqrt(np.sum(pts * pts, axis=-1))
+        r = np.sqrt(fold_axes(np.add, pts * pts))
         mask = (r > inner) & (r < outer)
         safe = np.where(mask, r, 1.0)
         return np.where(mask, safe ** (-exponent), 0.0).astype(complex)

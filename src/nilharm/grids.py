@@ -7,7 +7,8 @@ stored C-contiguous with the last axis varying fastest.
 
 Every lattice index rule lives here: the node m*h has index m + N/2, a node
 difference m*h (|m_j| < N) has offset index m + N - 1, and a lattice shift
-is an exact index displacement with zero fill.
+is an exact index displacement with zero fill.  The test functions and the
+gauge form their radii per coordinate column with ``fold_axes``.
 """
 
 from __future__ import annotations
@@ -72,13 +73,16 @@ class Grid:
         """All node differences m*h, shape ((2N-1)**dim, dim), row-major order."""
         return _mesh_points(self.offset_axis, self.dim)
 
-    def offset_positions(self, fine: "Grid") -> np.ndarray:
-        """Flat position of each node on the lattice of ``fine`` (same box,
-        a multiple of the points), so that z - u is entry pos(z) - pos(u) +
-        (len - 1) // 2 of the flat table fine.offset_nodes()."""
-        span = 2 * fine.points - 1
-        steps = np.indices(self.shape).reshape(self.dim, -1).T * (fine.points // self.points)
-        return steps @ (span ** np.arange(self.dim - 1, -1, -1))
+    def offset_window(self, u_grid: "Grid", u_index) -> tuple[slice, ...]:
+        """Slices of the finer grid's offset table, ``fine.offset_nodes()``
+        as a (2P-1,)*dim array with P = max(N_z, N_u), that hold z - u for
+        every node z of this grid in row-major order, u the node of
+        ``u_grid`` (same box) at ``u_index``: per axis the window starts at
+        P - 1 - i_u P/N_u and steps by P/N_z."""
+        p = max(self.points, u_grid.points)
+        step, u_step = p // self.points, p // u_grid.points
+        return tuple(slice(p - 1 - i * u_step, p - 1 - i * u_step + self.points * step, step)
+                     for i in u_index)
 
     def lattice_steps(self, v) -> tuple[int, ...] | None:
         """The integer steps v / h of a lattice vector v, or None when some
@@ -100,6 +104,23 @@ class Grid:
 def _mesh_points(axis: np.ndarray, dim: int) -> np.ndarray:
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def fold_axes(ufunc, values) -> np.ndarray:
+    """ufunc folded over the last axis of values, one coordinate column at a
+    time in axis order, starting from +0.0.
+
+    With np.add it is np.sum(values, axis=-1) bit for bit for fewer than 8
+    columns: np.sum adds them in order from +0.0 too, so (-0.0) + (-0.0) is
+    +0.0.  With np.maximum on nonnegative values it is np.max(values,
+    axis=-1).  Whole-column arithmetic, in place in one output array,
+    replaces numpy's reduction over the length-dim axis, which cost a test
+    function about half its evaluation.
+    """
+    out = np.zeros(values.shape[:-1])
+    for a in range(values.shape[-1]):
+        ufunc(out, values[..., a], out=out)
+    return out
 
 
 def lattice_shift(values: np.ndarray, steps) -> np.ndarray:

@@ -28,8 +28,8 @@ from . import orbits as ob
 from . import pedersen as pe
 from . import symplectic as sp
 from . import twist as tw
-from .grids import (Grid, SampledSymbol, TorusGridFunction, lp_norm, torus_lp_norms,
-                    torus_sup_distance)
+from .grids import (Grid, SampledSymbol, TorusGridFunction, fold_axes, lp_norm,
+                    torus_lp_norms, torus_sup_distance)
 from .rationals import int_vec_add, int_vec_scale, is_zero_vector, over_common_denominator
 from .reports import Check, Report
 from .seeds import random_fraction, random_int_vector, stream
@@ -370,7 +370,7 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     s2 = sig1 ** 2 + sig2 ** 2
     closed = funcs.sample(grid, lambda pts: (
         (2 * np.pi * sig1 ** 2 * sig2 ** 2 / s2)
-        * np.exp(-0.5 * np.sum(np.asarray(pts, float) ** 2, axis=-1) / s2)
+        * np.exp(-0.5 * fold_axes(np.add, np.asarray(pts, float) ** 2) / s2)
     ).astype(complex))
     rep.check_bound(
         "untwisted_gaussian_closed_form_rel_l2",
@@ -402,7 +402,7 @@ def cz_test_functions(grid: Grid) -> list[SampledSymbol]:
 
     def f3(pts):
         pts = np.asarray(pts, float)
-        return (np.exp(-np.sum(pts ** 2, axis=-1))
+        return (np.exp(-fold_axes(np.add, pts ** 2))
                 * (1.0 + np.cos(pts[..., 0]) ** 2)).astype(complex)
 
     return [f1, funcs.sample(grid, f2), funcs.sample(grid, f3)]

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilharm import fileio, funcs, multipliers as mult
+from nilharm import czdecomp as cz, fileio, funcs, multipliers as mult, verify
 from nilharm.grids import (Grid, GridMismatch, SampledSymbol, TorusGridFunction,
-                           lp_norm, symbol_check_involution,
+                           fold_axes, lp_norm, symbol_check_involution,
                            torus_lp_norms, torus_sup_distance)
 
 
@@ -174,6 +174,107 @@ def test_torus_sup_distance(grid32):
         torus_sup_distance(f, mult.sharp_map(funcs.sample(grid32, funcs.gaussian()), 16))
     with pytest.raises(GridMismatch):
         torus_sup_distance(f, torus(Grid(2, 4.0, 32), values["random"]))
+
+
+# -- per-axis folds -------------------------------------------------------------------
+
+# The arguments of funcs.gaussian_family, hermite_family and the bumps below.
+FAMILY = [((0.5, -0.3), 1.0, (0.4, 0.1)), ((-0.2, 0.8), 0.8, (-0.3, 0.2)),
+          ((1.1, 0.4), 1.3, (0.0, -0.5)), ((-0.7, -0.6), 0.9, (0.6, 0.0)),
+          ((0.0, 0.0), 1.1, (0.2, 0.3))]
+HERMITE_ORDERS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)]
+# A negative height, a bump across the box edge x_0 = 8, and the CZ suite's.
+BUMPS = [((0.0, 0.0), 1.5, 4.0), ((0.3, -1.2), 0.5, -1.3), ((7.5, -3.0), 1.5, -2.0),
+         ((-2.0, 1.0), 1.0, 6.0), ((2.5, -2.5), 2.0, 2.0)]
+POWERS = [(3.0, 1.0, 4.0), (3.0, 1.0, 5.0)]
+
+
+def summed_gaussian(center, sigma, momentum):
+    def ev(pts):
+        z = (pts - np.asarray(center)) / sigma
+        out = np.exp(-0.5 * np.sum(z * z, axis=-1)).astype(complex)
+        return out * np.exp(1j * np.sum(pts * np.asarray(momentum), axis=-1))
+    return ev
+
+
+def summed_hermite(orders):
+    def ev(pts):
+        out = np.exp(-0.5 * np.sum(pts ** 2, axis=-1)).astype(complex)
+        for axis, n in enumerate(orders):
+            if n:
+                out = out * np.polynomial.hermite_e.hermeval(pts[..., axis], [0.0] * n + [1.0])
+        return out
+    return ev
+
+
+def summed_bump(center, radius, height):
+    def ev(pts):
+        r2 = np.sum(((pts - np.asarray(center)) / radius) ** 2, axis=-1)
+        inside = r2 < 1.0
+        safe = np.where(inside, r2, 0.0)
+        return (height * np.where(inside, np.exp(1.0 - 1.0 / (1.0 - safe)), 0.0)).astype(complex)
+    return ev
+
+
+def summed_power(exponent, inner, outer):
+    def ev(pts):
+        r = np.sqrt(np.sum(pts * pts, axis=-1))
+        mask = (r > inner) & (r < outer)
+        return np.where(mask, np.where(mask, r, 1.0) ** (-exponent), 0.0).astype(complex)
+    return ev
+
+
+def summed_f3(pts):
+    return (np.exp(-np.sum(pts ** 2, axis=-1)) * (1.0 + np.cos(pts[..., 0]) ** 2)).astype(complex)
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+FOLD_SIZES = [8, 32, 128, 256]
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES)
+def test_fold_axes_is_the_last_axis_reduction_bit_for_bit(n):
+    # Every array whose last axis an evaluator folds.  pts * (0.0, -0.5) holds
+    # (-0.0, -0.0) where x_1 = 0 and x_0 < 0; np.sum gives +0.0 there, so a
+    # fold that starts from the first column instead of +0.0 fails here.
+    pts = Grid(2, 8.0, n).nodes()
+    summed = [pts ** 2, pts * pts]
+    for center, sigma, momentum in FAMILY:
+        z = (pts - np.asarray(center)) / sigma
+        summed += [z * z, pts * np.asarray(momentum)]
+    summed += [((pts - np.asarray(c)) / r) ** 2 for c, r, _ in BUMPS]
+    negative_zeros = np.all((pts * np.array([0.0, -0.5]) == 0.0)
+                            & np.signbit(pts * np.array([0.0, -0.5])), axis=-1)
+    assert np.any(negative_zeros)
+    for terms in summed:
+        assert np.array_equal(bits(fold_axes(np.add, terms)), bits(np.sum(terms, axis=-1)))
+    for p in (pts, -pts):
+        mag = np.abs(p)
+        assert np.array_equal(bits(fold_axes(np.maximum, mag)), bits(np.max(mag, axis=-1)))
+
+
+@pytest.mark.parametrize("n", FOLD_SIZES)
+def test_evaluators_match_their_last_axis_sums_bit_for_bit(n):
+    grid = Grid(2, 8.0, n)
+    pts = grid.nodes()
+    pairs = [(funcs.gaussian(*args), summed_gaussian(*args)) for args in FAMILY]
+    pairs += [(funcs.hermite_gaussian(o), summed_hermite(o)) for o in HERMITE_ORDERS]
+    pairs += [(funcs.smooth_bump(*args), summed_bump(*args)) for args in BUMPS]
+    pairs += [(funcs.truncated_power(*args), summed_power(*args)) for args in POWERS]
+    for ev, ref in pairs:
+        assert np.array_equal(bits(ev(pts)), bits(ref(pts)))
+    families = funcs.gaussian_family(grid, 5) + funcs.hermite_family(grid, 7)
+    refs = [summed_gaussian(*args) for args in FAMILY] + [summed_hermite(o) for o in HERMITE_ORDERS]
+    for sym, ref in zip(families, refs, strict=True):
+        assert np.array_equal(bits(sym.values), bits(ref(pts).reshape(grid.shape)))
+    f3 = verify.cz_test_functions(grid)[2]
+    assert np.array_equal(bits(f3.values), bits(summed_f3(pts).reshape(grid.shape)))
+    gauge = cz.PseudoDistance(dim=2)
+    for p in (pts, -pts, grid.offset_nodes()):
+        assert np.array_equal(bits(gauge.value(p)), bits(np.max(np.abs(p), axis=-1)))
 
 
 @settings(max_examples=30, deadline=None)

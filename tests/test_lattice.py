@@ -1,5 +1,5 @@
 """The lattice layer of grids: alignment, shifts, offset tables and offset
-positions, each against the per-module code it replaced, kept here as a
+windows, each against the per-module code it replaced, kept here as a
 reference (equality is exact: these are index operations)."""
 
 import numpy as np
@@ -81,12 +81,6 @@ def inverse_diagonals(matrix):
         j = np.arange(s, n) if s >= 0 else np.arange(0, n + s)
         diags[j, mi] = matrix[j - s, j]
     return diags
-
-
-def lattice_index(grid, stride, shift, span):
-    """czdecomp's row-major index of every node in a (span,)^d table."""
-    idx = np.indices(grid.shape).reshape(grid.dim, -1).T * stride + shift
-    return idx @ (span ** np.arange(grid.dim - 1, -1, -1))
 
 
 # -- alignment -------------------------------------------------------------------
@@ -174,16 +168,15 @@ def test_offset_nodes_are_the_node_differences(n):
 
 @pytest.mark.parametrize("dim, n_z, n_u", [(2, 64, 32), (2, 32, 32), (2, 8, 32),
                                            (1, 16, 64), (3, 8, 16)])
-def test_offset_positions_match_the_hormander_index(dim, n_z, n_u):
+def test_offset_windows_hold_the_node_differences(dim, n_z, n_u):
     grid, u_grid = Grid(dim, 8.0, n_z), Grid(dim, 8.0, n_u)
     fine = grid if n_z >= n_u else u_grid
     P = fine.points
-    span = 2 * P - 1
-    table = fine.offset_nodes()
-    z_index = grid.offset_positions(fine) + (len(table) - 1) // 2
-    u_index = u_grid.offset_positions(fine)
-    assert np.array_equal(z_index, lattice_index(grid, P // n_z, P - 1, span))
-    assert np.array_equal(u_index, lattice_index(u_grid, P // n_u, 0, span))
-    # The table entry at z_index - u_index is the offset z - u, exactly.
-    diff = table[z_index[:, None] - u_index[None, :]]
-    assert np.array_equal(diff, grid.nodes()[:, None, :] - u_grid.nodes()[None, :, :])
+    table = fine.offset_nodes().reshape((2 * P - 1,) * dim + (dim,))
+    z = grid.nodes()
+    for iu, u in zip(np.indices(u_grid.shape).reshape(dim, -1).T, u_grid.nodes()):
+        window = grid.offset_window(u_grid, iu)
+        assert [(w.start, w.step) for w in window] == [
+            (P - 1 - i * (P // n_u), P // n_z) for i in iu]
+        # The window holds z - u for every z-node in row-major order, exactly.
+        assert np.array_equal(table[window].reshape(-1, dim), z - u)
