@@ -30,10 +30,10 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
     "lp_ratios" maps each p in 1.25, 1.5, 2 to ||u * phi||_p / ||phi||_p per
     phi.  "identity_gap" holds ||u * phi - phi|| / ||phi|| per phi, the
     distance of the companion from the identity, which is small when u is an
-    approximate identity.  u * phi comes from the FFT loop, as in
-    ``identity_report``: the operator route would make the intertwining
-    residual a round trip of the transform.  transform(phi) and phi * psi do
-    not depend on u; they are computed once for all multipliers."""
+    approximate identity.  u * phi comes from the FFT loop, as in an
+    ``identity_report`` given no products: the operator route would make the
+    intertwining residual a round trip of the transform.  transform(phi) and
+    phi * psi do not depend on u; they are computed once for all multipliers."""
     if len(psis) != len(phis):
         raise ValueError(f"need one psi per phi, got {len(psis)} psis "
                          f"for {len(phis)} phis")

@@ -57,14 +57,17 @@ inverse is one gather of the operator's diagonals, one N x N product with the
 exp(-i q x_j) table, which is conj(phases[:, ::2]) bit for bit and is derived
 per call, and one elementwise multiply.
 
-The checks that compare a product with operator composition (the
-homomorphism residual of ``identity_report``, the multiplier intertwining)
-take it from the FFT loop: on the operator route the product is
-inverse(T(a) . T(b)), and the residual would measure only the round trip.
+The checks that compare a product with operator composition never take it
+from the operator route, where the product is inverse(T(a) . T(b)) and the
+residual would measure only the round trip.  The homomorphism residual of
+``identity_report`` reads the products it is given (the twist suite's are
+the closed form ``funcs.twisted_gaussian_product``), or else the FFT loop's;
+the multiplier intertwining reads the FFT loop's.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -264,14 +267,19 @@ class HeisenbergRealization:
     # -- identity reports ----------------------------------------------------
 
     def identity_report(self, symbols: list[SampledSymbol],
-                        pairs: list[tuple[SampledSymbol, SampledSymbol]]) -> dict:
+                        pairs: list[tuple[SampledSymbol, SampledSymbol]],
+                        products: Iterable[SampledSymbol] | None = None) -> dict:
         """Residuals of the trace, adjoint, isometry, pairing, inversion and
         homomorphism identities on the given test family.
 
-        "submultiplicativity" holds ||a * b|| / (||a|| ||b||) per pair, read
-        from the same convolution as the homomorphism residual, which the FFT
-        loop makes, not ``convolve_each`` (module docstring).  Consecutive
-        pairs with the same left operand (the same object) share one sweep."""
+        The homomorphism residual compares T(a * b) with T(a) . T(b), and
+        "submultiplicativity" holds ||a * b|| / (||a|| ||b||) per pair, both
+        read from one product a * b per pair: the i-th of ``products`` for
+        pairs[i] when given (the twist suite passes the closed form), else the
+        FFT loop's, not ``convolve_each`` (module docstring).  Consecutive
+        pairs with the same left operand (the same object) share one sweep.
+        Each product is read as its pair comes up, so a generator holds one
+        at a time."""
         report: dict = {"density": self.density, "trace": [], "adjoint": [],
                         "hs_isometry": [], "pairing": [], "inversion": [],
                         "homomorphism": [], "submultiplicativity": []}
@@ -287,19 +295,20 @@ class HeisenbergRealization:
             back = self.inverse(T)
             diff = SampledSymbol(b.grid, back.values - b.values)
             report["inversion"].append(self.symbol_norm(diff) / scale)
-        for _, run in groupby(pairs, key=lambda pair: id(pair[0])):
-            run = list(run)
-            convs = twisted_convolve(self.twist, run[0][0], [b for _, b in run],
-                                     density=self.density)
-            for (a, b), conv in zip(run, convs):
-                Ta, Tb = self.transform(a), self.transform(b)
-                resid = (self.transform(conv) - Ta.compose(Tb)).hs_norm()
-                scale = self.symbol_norm(a) * self.symbol_norm(b)
-                if scale == 0.0:
-                    scale = 1.0
-                report["homomorphism"].append(resid / scale)
-                report["submultiplicativity"].append(self.symbol_norm(conv) / scale)
-                lhs = Ta.hs_inner(Tb)
-                rhs = self.density * a.grid.cell_volume * np.sum(a.values * b.values.conj())
-                report["pairing"].append(abs(lhs - rhs) / scale)
+        if products is None:
+            runs = (list(run) for _, run in groupby(pairs, key=lambda pair: id(pair[0])))
+            products = (conv for run in runs
+                        for conv in twisted_convolve(self.twist, run[0][0], [b for _, b in run],
+                                                     density=self.density))
+        for (a, b), conv in zip(pairs, products, strict=True):
+            Ta, Tb = self.transform(a), self.transform(b)
+            resid = (self.transform(conv) - Ta.compose(Tb)).hs_norm()
+            scale = self.symbol_norm(a) * self.symbol_norm(b)
+            if scale == 0.0:
+                scale = 1.0
+            report["homomorphism"].append(resid / scale)
+            report["submultiplicativity"].append(self.symbol_norm(conv) / scale)
+            lhs = Ta.hs_inner(Tb)
+            rhs = self.density * a.grid.cell_volume * np.sum(a.values * b.values.conj())
+            report["pairing"].append(abs(lhs - rhs) / scale)
         return report

@@ -276,7 +276,14 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     symbols = funcs.hermite_family(grid, 5)
     gsyms = funcs.gaussian_family(grid, 5)
     pairs = list(zip(gsyms, symbols))
-    idrep = eng.identity_report(symbols, pairs)
+    # Each g_k * h_k is the exact product under the twist's own cocycle matrix,
+    # so the homomorphism residual compares T and compose with the integral.
+    # identity_report samples them one at a time, as it reaches each pair.
+    A = eng.twist.cocycle_matrix()
+    closed = (funcs.sample(grid, funcs.twisted_gaussian_product(
+        A, eng.density, funcs.GAUSSIAN_PARAMS[k], orders=funcs.HERMITE_ORDERS[k]))
+        for k in range(len(pairs)))
+    idrep = eng.identity_report(symbols, pairs, closed)
     rep.check_bound("trace_identity_max", max(idrep["trace"]),
                     TOLERANCES["trace_identity"])
     rep.check_bound("adjoint_identity_hs_max", max(idrep["adjoint"]),
@@ -321,8 +328,8 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     rep.check_bound("rep_isometry_residual_max", iso_worst,
                     TOLERANCES["rep_isometry_residual"])
 
-    # The forward (g_i, h_i) pairs were convolved by identity_report; only the
-    # reversed pairs need a product of their own.
+    # identity_report read the forward (g_i, h_i) products from the closed
+    # form; the reversed pairs are convolved here.
     slack = max(idrep["submultiplicativity"])
     for a, b in zip(symbols, gsyms):
         conv = eng.convolve(a, b)

@@ -51,26 +51,35 @@ def test_trace_and_pairing_identities(engine64):
 
 
 def test_submultiplicativity_is_the_ratio_of_the_pair_product(engine64):
-    # The report reads the product of the FFT loop, which its homomorphism
-    # residual needs to be independent of the operator route.
+    # The report reads the products it is given, one per pair, and else the
+    # FFT loop's: its homomorphism residual must not read the operator route,
+    # which would measure only the inversion round trip.
     grid = engine64.symbol_grid
     pairs = list(zip(funcs.gaussian_family(grid, 3), funcs.hermite_family(grid, 3)))
     pairs.append((SampledSymbol(grid, np.zeros(grid.shape)), pairs[0][0]))
-    report = engine64.identity_report([], pairs)
-    expected = []
-    for a, b in pairs:
-        scale = engine64.symbol_norm(a) * engine64.symbol_norm(b)
-        expected.append(engine64.symbol_norm(_fft(engine64, a, [b])[0])
-                        / (scale if scale > 0 else 1.0))
-    assert report["submultiplicativity"] == expected
+
+    def ratios(products):
+        out = []
+        for (a, b), ab in zip(pairs, products):
+            scale = engine64.symbol_norm(a) * engine64.symbol_norm(b)
+            out.append(engine64.symbol_norm(ab) / (scale if scale > 0 else 1.0))
+        return out
+
+    swept = [_fft(engine64, a, [b])[0] for a, b in pairs]
+    assert engine64.identity_report([], pairs)["submultiplicativity"] == ratios(swept)
+    given = [SampledSymbol(grid, 1j * ab.values) for ab in swept[1:] + swept[:1]]
+    assert engine64.identity_report([], pairs, given)["submultiplicativity"] == ratios(given)
+    with pytest.raises(ValueError):
+        engine64.identity_report([], pairs, given[1:])
 
 
 def test_twist_suite_convolves_each_pair_once(convolve_calls):
-    # 5 identity-report pairs, 5 reversed pairs, 8 for associativity, one
-    # approximate identity and one untwisted closed form.  Associativity
-    # convolves a with b and with b * c in one sweep, per triple.
+    # 5 reversed pairs, 8 for associativity, one approximate identity and one
+    # untwisted closed form; the 5 identity-report pairs read the closed-form
+    # twisted product and convolve nothing.  Associativity convolves a with b
+    # and with b * c in one sweep, per triple.
     verify.twist_suite(0, 8.0, 32)
-    assert convolve_calls == {"products": 20, "sweeps": 18}
+    assert convolve_calls == {"products": 15, "sweeps": 13}
 
 
 def test_rank_one_operator_inversion_oracle(engine64):
