@@ -10,13 +10,15 @@ with a greedy Vitali selection (decreasing maximal value, ties by row-major
 index).  The maximal function costs one axis-0 prefix sum per cover and one
 prefix-sum pass along each further axis per distinct clipped half-width of
 the radius ladder; the cell counts are products of per-axis counts, and only
-the current window is held.  The decomposition implements the phase-corrected
-bad parts
+the current window is held.  The cover keeps its per-node ball count (the
+multiplicity), and the decomposition reads it: eta_i = 1 / count on B_i, and
+a node of count 0 above the level is refused.  The phase-corrected bad parts
 
     b_i(z) = f(z) eta_i(z)
              - (avg over B_i of f eta_i gamma(z_i, .^-1)) chi_i(z) / gamma(z_i, z^-1)
 
-whose twisted mean against gamma(z_i, z^-1) vanishes on the grid by
+vanish off B_i, so each is held on its ball's nodes (``covering_slices``);
+each one's twisted mean against gamma(z_i, z^-1) vanishes on the grid by
 construction.  The twist is a cocycle matrix (``twist.TwistData``): the
 reduced product is z + u and the cocycle bilinear, and a twist without a
 matrix is refused with a ValueError.  In the Hormander estimate z u^-1 is
@@ -34,7 +36,7 @@ node carries cell volume h^d, and the group inverse is coordinate negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,7 +102,8 @@ def calibrate(pd: PseudoDistance, twist: TwistData, seed: int = 0) -> PseudoDist
 
 @dataclass(frozen=True)
 class Covering:
-    """Selected balls (center index, center coordinates, radius) plus measured
+    """Selected balls (center index, center coordinates, radius), the
+    read-only count of selected balls over each grid node, plus measured
     covering constants."""
 
     grid: Grid
@@ -108,8 +111,13 @@ class Covering:
     balls: tuple[tuple[tuple[int, ...], tuple[float, ...], float], ...]
     mean_bound: float        # max over balls of (ball average of f) / level
     mass_ratio: float        # sum |B_i| * level / ||f||_1
-    overlap: int             # max covering multiplicity over grid nodes
     expansion: float
+    multiplicity: np.ndarray = field(compare=False)
+
+    @property
+    def overlap(self) -> int:
+        """Max covering multiplicity over grid nodes."""
+        return int(self.multiplicity.max())
 
     @property
     def c_prime(self) -> float:
@@ -211,16 +219,10 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance) -> Covering:
     expansion = max(3.0, c_m * c_m)
 
     maximal, stop_radius = _ladder_maximal(vals, grid, level)
-    omega = maximal > level
-    if not np.any(omega):
-        return Covering(grid=grid, level=level, balls=(), mean_bound=0.0,
-                        mass_ratio=0.0, overlap=0, expansion=expansion)
-
     # Only level-set nodes can be selected: a stable sort of them alone is
     # their part of the stable decreasing order over the whole grid.
-    nodes = np.flatnonzero(omega)
+    nodes = np.flatnonzero(maximal > level)
     order = nodes[np.argsort(-maximal.reshape(-1)[nodes], kind="stable")]
-    covered = np.zeros(grid.shape, dtype=bool)
     axes = grid.axis
     balls = []
     cell = grid.cell_volume
@@ -228,12 +230,11 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance) -> Covering:
     total_ball_measure = 0.0
     mean_bound = 0.0
     for idx in zip(*(c.tolist() for c in np.unravel_index(order, grid.shape))):
-        if covered[idx]:
+        if multiplicity[idx]:
             continue
         ball = (idx, tuple(float(axes[i]) for i in idx),
                 float(expansion * stop_radius[idx]))
         sel = covering_slices(grid, ball)
-        covered[sel] = True
         multiplicity[sel] += 1
         count = int(np.prod([s.stop - s.start for s in sel]))
         measure = count * cell
@@ -242,9 +243,10 @@ def cz_cover(f: SampledSymbol, level: float, pd: PseudoDistance) -> Covering:
         balls.append(ball)
     f_mass = float(np.sum(vals) * cell)
     mass_ratio = total_ball_measure * level / f_mass if f_mass > 0 else 0.0
+    multiplicity.flags.writeable = False
     return Covering(grid=grid, level=level, balls=tuple(balls),
                     mean_bound=mean_bound, mass_ratio=mass_ratio,
-                    overlap=int(multiplicity.max()), expansion=expansion)
+                    expansion=expansion, multiplicity=multiplicity)
 
 
 def covering_slices(grid: Grid, ball) -> tuple[slice, ...]:
@@ -260,49 +262,42 @@ def covering_slices(grid: Grid, ball) -> tuple[slice, ...]:
 
 @dataclass(frozen=True)
 class CZResult:
-    level: float
     covering: Covering
     good: SampledSymbol
-    bad_parts: tuple[SampledSymbol, ...]
+    bad_parts: tuple[np.ndarray, ...]   # b_i on covering_slices(grid, B_i)
     report: dict
 
 
 def cz_decompose(f: SampledSymbol, level: float, pd: PseudoDistance,
                  twist: TwistData) -> CZResult:
-    """Good/bad splitting at the given level with twisted mean-zero bad parts."""
+    """Good/bad splitting at the given level with twisted mean-zero bad parts,
+    each held on its ball, in the order of ``covering.balls``."""
     covering = cz_cover(f, level, pd)
     grid = f.grid
     vals = f.values.real.astype(float)
     cell = grid.cell_volume
-    outside = np.ones(grid.shape, dtype=bool)
-    multiplicity = np.zeros(grid.shape, dtype=np.int64)
-    slices = [covering_slices(grid, ball) for ball in covering.balls]
-    for sel in slices:
-        multiplicity[sel] += 1
-        outside[sel] = False
-    if np.any(vals[outside] > level):
+    multiplicity = covering.multiplicity
+    if np.any(vals[multiplicity == 0] > level):
         raise CoverMissing("level set escapes the covering")
 
-    mesh = np.meshgrid(*([grid.axis] * grid.dim), indexing="ij")
     bad_parts = []
     mean_zero_residuals = []
     sum_bad = np.zeros(grid.shape, dtype=complex)
     bad_l1_total = 0.0
-    for ball, sel in zip(covering.balls, slices):
+    for ball in covering.balls:
         _, center, _ = ball
-        local_pts = np.stack([m[sel] for m in mesh], axis=-1)
+        sel = covering_slices(grid, ball)
+        local_pts = np.stack(np.meshgrid(*(grid.axis[s] for s in sel), indexing="ij"),
+                             axis=-1)
         z_center = np.broadcast_to(np.asarray(center), local_pts.shape)
         gamma = np.exp(1j * twist.alpha(z_center, -local_pts))
         eta = 1.0 / multiplicity[sel]
-        measure = local_pts[..., 0].size * cell
+        measure = eta.size * cell
         weighted = np.sum(vals[sel] * eta * gamma) * cell
         local_bad = vals[sel] * eta - (weighted / measure) / gamma
-        bad = np.zeros(grid.shape, dtype=complex)
-        bad[sel] = local_bad
-        residual = abs(np.sum(local_bad * gamma) * cell)
-        mean_zero_residuals.append(residual)
-        bad_parts.append(SampledSymbol(grid=grid, values=bad))
-        sum_bad += bad
+        mean_zero_residuals.append(abs(np.sum(local_bad * gamma) * cell))
+        bad_parts.append(local_bad)
+        sum_bad[sel] += local_bad
         bad_l1_total += float(np.sum(np.abs(local_bad)) * cell)
 
     good_vals = f.values - sum_bad
@@ -323,8 +318,8 @@ def cz_decompose(f: SampledSymbol, level: float, pd: PseudoDistance,
     }
     report["c_doubleprime"] = max(report["good_sup_ratio"], report["good_l1_ratio"],
                                   report["bad_l1_ratio"])
-    return CZResult(level=level, covering=covering, good=good,
-                    bad_parts=tuple(bad_parts), report=report)
+    return CZResult(covering=covering, good=good, bad_parts=tuple(bad_parts),
+                    report=report)
 
 
 # ---------------------------------------------------------------------------

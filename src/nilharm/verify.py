@@ -369,16 +369,12 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
                         tw.delta_action(eng.twist, gsyms[0], (0.0, 0.0)).values
                         - gsyms[0].values))), TOLERANCES["delta_action_at_zero"])
 
-    untwisted = tw.zero_twist(2)
-    sig1, sig2 = 1.0, 0.7
-    g1 = funcs.sample(grid, funcs.gaussian((0.0, 0.0), sig1))
-    g2 = funcs.sample(grid, funcs.gaussian((0.0, 0.0), sig2))
-    plain = tw.twisted_convolve(untwisted, g1, [g2], density=1.0)[0]
-    s2 = sig1 ** 2 + sig2 ** 2
-    closed = funcs.sample(grid, lambda pts: (
-        (2 * np.pi * sig1 ** 2 * sig2 ** 2 / s2)
-        * np.exp(-0.5 * fold_axes(np.add, np.asarray(pts, float) ** 2) / s2)
-    ).astype(complex))
+    first, second = ((0.0, 0.0), 1.0, None), ((0.0, 0.0), 0.7, None)
+    g1 = funcs.sample(grid, funcs.gaussian(*first))
+    g2 = funcs.sample(grid, funcs.gaussian(*second))
+    plain = tw.twisted_convolve(tw.zero_twist(2), g1, [g2], density=1.0)[0]
+    closed = funcs.sample(grid, funcs.twisted_gaussian_product(
+        np.zeros((2, 2)), 1.0, first, second))
     rep.check_bound(
         "untwisted_gaussian_closed_form_rel_l2",
         lp_norm(SampledSymbol(grid, plain.values - closed.values), 2)

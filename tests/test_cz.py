@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilharm import czdecomp as cz, funcs, twist as tw
+from nilharm import czdecomp as cz, funcs, seeds, twist as tw
 from nilharm.grids import Grid, GridMismatch, SampledSymbol
 
 
@@ -75,9 +75,6 @@ def full_scan_cover(f, level, pd):
     expansion = max(3.0, c_m * c_m)
     maximal, stop_radius = reference_ladder(vals, grid, level)
     omega = maximal > level
-    if not np.any(omega):
-        return cz.Covering(grid=grid, level=level, balls=(), mean_bound=0.0,
-                           mass_ratio=0.0, overlap=0, expansion=expansion)
     covered = np.zeros(grid.shape, dtype=bool)
     multiplicity = np.zeros(grid.shape, dtype=np.int32)
     balls = []
@@ -102,7 +99,57 @@ def full_scan_cover(f, level, pd):
     return cz.Covering(grid=grid, level=level, balls=tuple(balls),
                        mean_bound=mean_bound,
                        mass_ratio=total_ball_measure * level / f_mass if f_mass > 0 else 0.0,
-                       overlap=int(multiplicity.max()), expansion=expansion)
+                       expansion=expansion, multiplicity=multiplicity)
+
+
+def full_grid_decompose(f, level, covering, twist):
+    """cz_decompose's good values, bad parts and report with its own
+    multiplicity count and every bad part on a full-grid array: the
+    decomposition loop as it ran before the parts were kept on their balls."""
+    grid = f.grid
+    vals = f.values.real.astype(float)
+    cell = grid.cell_volume
+    multiplicity = np.zeros(grid.shape, dtype=np.int64)
+    slices = [cz.covering_slices(grid, ball) for ball in covering.balls]
+    for sel in slices:
+        multiplicity[sel] += 1
+    mesh = np.meshgrid(*([grid.axis] * grid.dim), indexing="ij")
+    bad_parts = []
+    mean_zero_residuals = []
+    sum_bad = np.zeros(grid.shape, dtype=complex)
+    bad_l1_total = 0.0
+    for ball, sel in zip(covering.balls, slices):
+        _, center, _ = ball
+        local_pts = np.stack([m[sel] for m in mesh], axis=-1)
+        z_center = np.broadcast_to(np.asarray(center), local_pts.shape)
+        gamma = np.exp(1j * twist.alpha(z_center, -local_pts))
+        eta = 1.0 / multiplicity[sel]
+        measure = local_pts[..., 0].size * cell
+        weighted = np.sum(vals[sel] * eta * gamma) * cell
+        local_bad = vals[sel] * eta - (weighted / measure) / gamma
+        bad = np.zeros(grid.shape, dtype=complex)
+        bad[sel] = local_bad
+        mean_zero_residuals.append(abs(np.sum(local_bad * gamma) * cell))
+        bad_parts.append(bad)
+        sum_bad += bad
+        bad_l1_total += float(np.sum(np.abs(local_bad)) * cell)
+    good_vals = f.values - sum_bad
+    f_l1 = float(np.sum(np.abs(vals)) * cell)
+    report = {
+        "n_balls": len(covering.balls),
+        "reconstruction_max_error": float(np.max(np.abs(
+            f.values - (good_vals + sum_bad)))) if covering.balls else 0.0,
+        "good_sup_ratio": float(np.max(np.abs(good_vals))) / level,
+        "good_l1_ratio": float(np.sum(np.abs(good_vals)) * cell) / f_l1 if f_l1 else 0.0,
+        "bad_l1_ratio": bad_l1_total / f_l1 if f_l1 else 0.0,
+        "mean_zero_max_residual": max(mean_zero_residuals, default=0.0),
+        "f_l1": f_l1,
+        "overlap": int(multiplicity.max()),
+        "c_prime": covering.c_prime,
+    }
+    report["c_doubleprime"] = max(report["good_sup_ratio"], report["good_l1_ratio"],
+                                  report["bad_l1_ratio"])
+    return good_vals, bad_parts, multiplicity, report
 
 
 def pointwise_integrals(kernel_eval, pd, twist, c2, grid, u_pts):
@@ -176,13 +223,12 @@ def many_bumps(grid, count=12, seed=7):
     return SampledSymbol(grid, vals)
 
 
-def narrow_bumps(grid, count=40, seed=0):
-    """Seeded sum of narrow bumps that may overlap, like the benchmark's
-    cz-bumps input."""
-    gen = np.random.default_rng(seed)
-    centers = gen.uniform(-6.5, 6.5, size=(count, 2))
-    radii = gen.uniform(0.25, 0.6, size=count)
-    heights = gen.uniform(0.5, 2.0, size=count)
+def narrow_bumps(grid, gen):
+    """Sum of 40 narrow bumps that may overlap, drawn from gen: with
+    ``seeds.rng("perfbench.cz_bumps", seed)`` the benchmark's cz-bumps input."""
+    centers = gen.uniform(-6.5, 6.5, size=(40, 2))
+    radii = gen.uniform(0.25, 0.6, size=40)
+    heights = gen.uniform(0.5, 2.0, size=40)
     parts = [funcs.smooth_bump(tuple(c), r, h) for c, r, h in zip(centers, radii, heights)]
     return funcs.sample(grid, lambda pts: sum(part(pts) for part in parts))
 
@@ -297,7 +343,10 @@ def test_cover_matches_full_scan(pd_h3, fraction):
             assert np.array_equal(maximal, ref_maximal), case
             assert np.array_equal(stop_radius, ref_stop), case
             covering = cz.cz_cover(f, level, pd_h3)
-            assert covering == full_scan_cover(f, level, pd_h3), case
+            ref = full_scan_cover(f, level, pd_h3)
+            assert covering == ref, case
+            assert np.array_equal(covering.multiplicity, ref.multiplicity), case
+            assert not covering.multiplicity.flags.writeable
             if name == "zero":
                 assert covering.balls == ()
             elif name == "many_bumps" and points >= 64:
@@ -321,7 +370,7 @@ def test_cover_memory_peak(pd_h3):
     # tracemalloc with one axis-0 prefix sum per cover, windows built in
     # place and one held at a time; 1.46 MB with two fresh sums (values and
     # ones) per radius, 1.72 MB with every window cached.
-    f = narrow_bumps(Grid(2, 8.0, 128))
+    f = narrow_bumps(Grid(2, 8.0, 128), np.random.default_rng(0))
     level = 0.2 * float(np.max(f.values.real))
     tracemalloc.start()
     try:
@@ -351,19 +400,20 @@ def test_decompose_properties(h3_twist, pd_h3, grid32):
     r = result.report
     assert r["n_balls"] >= 1
     # Exact on-grid reconstruction (machine precision on re-evaluation).
-    recon = np.abs(f.values - (result.good.values
-                               + sum(b.values for b in result.bad_parts)))
+    placed = np.zeros(grid32.shape, dtype=complex)
+    for bad, ball in zip(result.bad_parts, result.covering.balls):
+        placed[cz.covering_slices(grid32, ball)] += bad
+    recon = np.abs(f.values - (result.good.values + placed))
     assert np.max(recon) <= 1e-14 * (1.0 + fmax)
     # Twisted mean-zero per bad part.
     assert r["mean_zero_max_residual"] <= 1e-12 * r["f_l1"]
     # Good part bounded by the measured constant.
     assert np.max(np.abs(result.good.values)) <= r["c_doubleprime"] * level + 1e-12
     assert np.isfinite(r["c_doubleprime"]) and np.isfinite(r["c_prime"])
-    # Support containment, exact index test.
+    # Support containment holds by construction: each part is its ball's values.
     for bad, ball in zip(result.bad_parts, result.covering.balls):
-        mask = np.ones(grid32.shape, dtype=bool)
-        mask[cz.covering_slices(grid32, ball)] = False
-        assert np.all(bad.values[mask] == 0)
+        sel = cz.covering_slices(grid32, ball)
+        assert bad.shape == tuple(s.stop - s.start for s in sel)
 
 
 def test_decompose_mean_zero_uses_cocycle_phase(h3_twist, pd_h3, grid32):
@@ -375,16 +425,60 @@ def test_decompose_mean_zero_uses_cocycle_phase(h3_twist, pd_h3, grid32):
     mesh = np.stack(np.meshgrid(grid32.axis, grid32.axis, indexing="ij"), axis=-1)
     cell = grid32.cell_volume
     saw_twist = False
-    for bad, ball in zip(result.bad_parts, result.covering.balls):
+    for local, ball in zip(result.bad_parts, result.covering.balls):
         _, center, _ = ball
+        bad = np.zeros(grid32.shape, dtype=complex)
+        bad[cz.covering_slices(grid32, ball)] = local
         z = np.broadcast_to(np.asarray(center), mesh.shape)
         gamma = np.exp(1j * h3_twist.alpha(z, -mesh))
-        weighted = abs(np.sum(bad.values * gamma) * cell)
-        plain = abs(np.sum(bad.values) * cell)
+        weighted = abs(np.sum(bad * gamma) * cell)
+        plain = abs(np.sum(bad) * cell)
         assert weighted <= 1e-12 * result.report["f_l1"]
         if plain > 1e-6:
             saw_twist = True
     assert saw_twist
+
+
+@pytest.mark.parametrize("points", [64, 128])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_decompose_matches_full_grid_reference(h3_twist, pd_h3, seed, points):
+    # The ball-local parts read the cover's multiplicity and give the full-grid
+    # loop's good values, report and parts bit for bit.  On the benchmark's
+    # input these covers have 1 to 27 balls and overlap up to 4, so eta < 1
+    # is exercised.
+    f = narrow_bumps(Grid(2, 8.0, points), seeds.rng("perfbench.cz_bumps", seed))
+    fmax = float(np.max(np.abs(f.values)))
+    overlaps = []
+    for fraction in (0.05, 0.15, 0.4):
+        case = (points, seed, fraction)
+        result = cz.cz_decompose(f, fraction * fmax, pd_h3, h3_twist)
+        good, bad_parts, multiplicity, report = full_grid_decompose(
+            f, fraction * fmax, result.covering, h3_twist)
+        assert np.array_equal(result.covering.multiplicity, multiplicity), case
+        assert np.array_equal(result.good.values, good), case
+        assert result.report == report, case
+        assert len(result.bad_parts) == len(bad_parts) == report["n_balls"] > 0, case
+        for local, bad, ball in zip(result.bad_parts, bad_parts, result.covering.balls):
+            assert np.array_equal(local, bad[cz.covering_slices(f.grid, ball)]), case
+        overlaps.append(report["overlap"])
+    assert max(overlaps) > 1
+
+
+def test_decompose_memory_peak(h3_twist, pd_h3):
+    # One N = 128 decomposition of the benchmark's input at seed 1 and 0.4 of
+    # its maximum (25 balls): 1.36 MB under tracemalloc with the parts held
+    # on their balls and the cover's multiplicity read, 8.17 MB with a
+    # full-grid array per part, a second count and a full-grid meshgrid.
+    f = narrow_bumps(Grid(2, 8.0, 128), seeds.rng("perfbench.cz_bumps", 1))
+    level = 0.4 * float(np.max(np.abs(f.values)))
+    tracemalloc.start()
+    try:
+        result = cz.cz_decompose(f, level, pd_h3, h3_twist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.bad_parts) == 25
+    assert peak <= 2.5e6
 
 
 # -- kernel estimates ----------------------------------------------------------------

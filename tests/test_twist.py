@@ -709,3 +709,31 @@ def test_closed_form_products_move_only_the_homomorphism_residual(monkeypatch, p
             assert 0.0 < abs(now.value - was.value) <= 1e-3 * was.value
         else:
             assert now.value == was.value, now.name
+
+
+@pytest.mark.parametrize("points", [32, 64, 128])
+def test_untwisted_closed_form_moves_by_round_off(points):
+    # The untwisted Gaussian check reads funcs.twisted_gaussian_product under
+    # the zero matrix.  Against the inline formula it replaced,
+    # 2 pi s1^2 s2^2 / (s1^2 + s2^2) exp(-|x|^2 / (2 (s1^2 + s2^2))), the
+    # relative L2 error moves by 1.15e-17 at N = 32 (1.0580374e-11 ->
+    # 1.0580386e-11), 1.2e-18 at N = 64 and 1.3e-18 at N = 128, against the
+    # check's bound of 1e-6.  At N = 32 the suite is run and reads this value.
+    grid = Grid(2, 8.0, points)
+    first, second = ((0.0, 0.0), 1.0, None), ((0.0, 0.0), 0.7, None)
+    g1, g2 = (funcs.sample(grid, funcs.gaussian(*params)) for params in (first, second))
+    plain = tw.twisted_convolve(tw.zero_twist(2), g1, [g2], density=1.0)[0]
+    s2 = 1.0 ** 2 + 0.7 ** 2
+    inline = funcs.sample(grid, lambda pts: (
+        (2 * np.pi * 1.0 ** 2 * 0.7 ** 2 / s2)
+        * np.exp(-0.5 * np.sum(np.asarray(pts, float) ** 2, axis=-1) / s2)).astype(complex))
+    closed = funcs.sample(grid, funcs.twisted_gaussian_product(
+        np.zeros((2, 2)), 1.0, first, second))
+
+    def rel(ref):
+        return lp_norm(SampledSymbol(grid, plain.values - ref.values), 2) / lp_norm(ref, 2)
+
+    assert abs(rel(closed) - rel(inline)) <= 2e-17
+    if points == 32:
+        rep = verify.twist_suite(seed=0, points=32)
+        assert _value(rep, "untwisted_gaussian_closed_form_rel_l2") == rel(closed)
