@@ -390,8 +390,9 @@ def hormander_twist_estimate(kernel_eval, pd: PseudoDistance, twist: TwistData,
     m_u = pd.value(u_all)
     keep = m_u > 0
     n_u = int(np.count_nonzero(keep))
-    # A row whose mask is empty sums to exactly 0.0 and never wins.
-    keep &= np.max(m_z) > c2 * m_u
+    # A row whose mask is empty (c2 * m_u may overflow to inf) sums to 0.0 and never wins.
+    with np.errstate(over="ignore"):
+        keep &= np.max(m_z) > c2 * m_u
     best = 0.0
     argmax = None
     for u, mu, iu in zip(u_all[keep], m_u[keep], u_index[keep]):

@@ -39,6 +39,10 @@ class Grid:
         if not (math.isfinite(self.half_width) and self.half_width > 0
                 and math.isfinite(self.h)):
             raise ValueError("half width must be finite and positive")
+        # h ** dim would raise OverflowError; a product of floats overflows to inf.
+        if not math.isfinite(math.prod([self.h] * self.dim)):
+            raise ValueError(f"the box L = {self.half_width:g}, N = {self.points} has a "
+                             f"cell volume h^{self.dim} past the largest double")
 
     @property
     def h(self) -> float:

@@ -2,9 +2,9 @@
 
 A candidate multiplier is the operator transform of a fixed symbol u; its
 companion acts on symbols by twisted convolution with u.  The report measures
-the defining identity transform(u * phi) = transform(u) transform(phi), the
-commutation of the companion with right twisted convolution, and empirical
-L^p operator ratios.
+the defining identity transform(u * phi) = transform(u) transform(phi) as the
+homomorphism residual of ``identity_report``, the commutation of the companion
+with right twisted convolution, and empirical L^p operator ratios.
 
 The lift to the circle extension sends psi to psi^sharp(t, x) = psi(x)/t; its
 left inverse integrates against the angle character, and the induced
@@ -27,28 +27,27 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
                       psis: list[SampledSymbol]) -> list[dict]:
     """Residual report for the multiplier defined by each symbol u in us.
 
+    "intertwining_hs" and "intertwining_rel" are the raw and relative
+    homomorphism residuals of ``identity_report`` on the pairs (u, phi).
     "lp_ratios" maps each p in 1.25, 1.5, 2 to ||u * phi||_p / ||phi||_p per
     phi.  "identity_gap" holds ||u * phi - phi|| / ||phi|| per phi, the
     distance of the companion from the identity, which is small when u is an
-    approximate identity.  u * phi comes from the FFT loop, as in an
-    ``identity_report`` given no products: the operator route would make the
-    intertwining residual a round trip of the transform.  transform(phi) and
-    phi * psi do not depend on u; they are computed once for all multipliers."""
+    approximate identity.  u * phi comes from one FFT sweep per u: the operator
+    route would make the intertwining residual a round trip of the transform.
+    phi * psi does not depend on u; it is computed once for all multipliers."""
     if len(psis) != len(phis):
         raise ValueError(f"need one psi per phi, got {len(psis)} psis "
                          f"for {len(phis)} phis")
-    t_phis = [engine.transform(phi) for phi in phis]
     phi_psis = [engine.convolve(phi, psi) for phi, psi in zip(phis, psis)]
     ps = (1.25, 1.5, 2.0)
     reports = []
     for u in us:
-        M = engine.transform(u)
-        report: dict = {"intertwining_hs": [], "right_commutation_l2": [],
-                        "identity_gap": [], "lp_ratios": {p: [] for p in ps}}
         cphis = tw.twisted_convolve(engine.twist, u, phis, density=engine.density)
-        for phi, cphi, t_phi in zip(phis, cphis, t_phis):
-            resid = (engine.transform(cphi) - M.compose(t_phi)).hs_norm()
-            report["intertwining_hs"].append(resid)
+        idrep = engine.identity_report([], [(u, phi) for phi in phis], cphis)
+        report: dict = {"intertwining_hs": idrep["homomorphism_hs"],
+                        "intertwining_rel": idrep["homomorphism"], "right_commutation_l2": [],
+                        "identity_gap": [], "lp_ratios": {p: [] for p in ps}}
+        for phi, cphi in zip(phis, cphis):
             report["identity_gap"].append(
                 engine.symbol_norm(SampledSymbol(cphi.grid, cphi.values - phi.values))
                 / engine.symbol_norm(phi))

@@ -59,17 +59,16 @@ per call, and one elementwise multiply.
 
 The checks that compare a product with operator composition never take it
 from the operator route, where the product is inverse(T(a) . T(b)) and the
-residual would measure only the round trip.  The homomorphism residual of
-``identity_report`` reads the products it is given (the twist suite's are
-the closed form ``funcs.twisted_gaussian_product``), or else the FFT loop's;
-the multiplier intertwining reads the FFT loop's.
+residual would measure only the round trip.  ``identity_report`` holds the one
+homomorphism residual and reads the products it is given, or else the FFT
+loop's: the twist suite passes the closed form ``funcs.twisted_gaussian_product``
+and the multiplier intertwining its FFT products u * phi.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -272,17 +271,16 @@ class HeisenbergRealization:
         """Residuals of the trace, adjoint, isometry, pairing, inversion and
         homomorphism identities on the given test family.
 
-        The homomorphism residual compares T(a * b) with T(a) . T(b), and
-        "submultiplicativity" holds ||a * b|| / (||a|| ||b||) per pair, both
-        read from one product a * b per pair: the i-th of ``products`` for
-        pairs[i] when given (the twist suite passes the closed form), else the
-        FFT loop's, not ``convolve_each`` (module docstring).  Consecutive
-        pairs with the same left operand (the same object) share one sweep.
-        Each product is read as its pair comes up, so a generator holds one
-        at a time."""
+        The homomorphism residual ||T(a * b) - T(a) . T(b)||_HS is kept raw as
+        "homomorphism_hs" and relative to ||a|| ||b|| as "homomorphism";
+        "submultiplicativity" holds ||a * b|| / (||a|| ||b||) per pair.  All
+        three read one product a * b per pair: the i-th of ``products`` for
+        pairs[i] when given, else the FFT loop's, one call per pair, not
+        ``convolve_each`` (module docstring).  Each product is read as its
+        pair comes up, so a generator holds one at a time."""
         report: dict = {"density": self.density, "trace": [], "adjoint": [],
-                        "hs_isometry": [], "pairing": [], "inversion": [],
-                        "homomorphism": [], "submultiplicativity": []}
+                        "hs_isometry": [], "pairing": [], "inversion": [], "homomorphism": [],
+                        "homomorphism_hs": [], "submultiplicativity": []}
         for b in symbols:
             T = self.transform(b)
             b0 = b.at_origin()
@@ -296,10 +294,8 @@ class HeisenbergRealization:
             diff = SampledSymbol(b.grid, back.values - b.values)
             report["inversion"].append(self.symbol_norm(diff) / scale)
         if products is None:
-            runs = (list(run) for _, run in groupby(pairs, key=lambda pair: id(pair[0])))
-            products = (conv for run in runs
-                        for conv in twisted_convolve(self.twist, run[0][0], [b for _, b in run],
-                                                     density=self.density))
+            products = (twisted_convolve(self.twist, a, [b], density=self.density)[0]
+                        for a, b in pairs)
         for (a, b), conv in zip(pairs, products, strict=True):
             Ta, Tb = self.transform(a), self.transform(b)
             resid = (self.transform(conv) - Ta.compose(Tb)).hs_norm()
@@ -307,6 +303,7 @@ class HeisenbergRealization:
             if scale == 0.0:
                 scale = 1.0
             report["homomorphism"].append(resid / scale)
+            report["homomorphism_hs"].append(resid)
             report["submultiplicativity"].append(self.symbol_norm(conv) / scale)
             lhs = Ta.hs_inner(Tb)
             rhs = self.density * a.grid.cell_volume * np.sum(a.values * b.values.conj())

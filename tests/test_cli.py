@@ -498,6 +498,27 @@ def test_non_finite_half_width_exits_2(command, half_width):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("action", ["cover", "decompose", "weak11", "kernel-check"])
+def test_cell_volume_past_the_largest_double_exits_2(action):
+    # h = 1.25e299 is finite, h^2 is not.
+    out = run_cli("cz", action, "--grid", "1e300,16")
+    assert out.returncode == 2
+    assert ("the box L = 1e+300, N = 16 has a cell volume h^2 past the largest double"
+            in out.stderr)
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
+def test_c2_whose_products_overflow_warns_nothing():
+    # c2 = 3e307 is finite and above 2 quasi, and c2 m(u) overflows to inf
+    # for every u with m(u) > 6: no u is live, as for any c2 past max m.
+    out = run_cli("cz", "kernel-check", "--grid", "8,16", "--c2", "3e307")
+    assert out.returncode == 0
+    assert out.stderr == ""
+    checks = {c["name"]: c["value"] for c in json.loads(out.stdout)["checks"]}
+    assert checks["hormander_estimate"] == 0.0
+
+
 @pytest.mark.parametrize("command", [("twist", "verify"), ("twist", "pedersen"),
                                      ("twist", "conv"), ("twist", "delta"),
                                      ("cz", "multiplier")])

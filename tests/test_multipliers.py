@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from test_grids import dense_lift, dense_random_torus, torus
 
-from nilharm import funcs, multipliers as mult, verify
+from nilharm import funcs, multipliers as mult, pedersen as pe, twist as tw, verify
 from nilharm.grids import Grid, SampledSymbol, lp_norm, torus_lp_norms, torus_sup_distance
 
 
@@ -88,12 +88,39 @@ def test_multiplier_checks_need_one_psi_per_phi(engine64):
 
 
 def test_multiplier_suite_shares_products_across_multipliers(convolve_calls):
-    # 3 phi * psi products shared by the three multipliers, 9 per multiplier,
-    # and 3 in the independent identity-report route.  Each multiplier u
-    # sweeps once for u * phi and once for u * (phi * psi), and the
-    # identity-report route sweeps power_u once for its three phis.
+    # 3 phi * psi products shared by the three multipliers and 9 per
+    # multiplier.  Each multiplier u sweeps once for u * phi, which its
+    # homomorphism residual reads as given, and once for u * (phi * psi).
     verify.multiplier_suite(0, 8.0, 32)
-    assert convolve_calls == {"products": 33, "sweeps": 19}
+    assert convolve_calls == {"products": 30, "sweeps": 18}
+
+
+def _intertwining_reference(engine, u, phis):
+    """||T(u * phi) - T(u) . T(phi)||_HS per phi, u * phi on the FFT loop."""
+    M = engine.transform(u)
+    cphis = tw.twisted_convolve(engine.twist, u, phis, density=engine.density)
+    return [(engine.transform(cphi) - M.compose(engine.transform(phi))).hs_norm()
+            for phi, cphi in zip(phis, cphis)]
+
+
+@pytest.mark.parametrize("points", [32, 64])
+def test_intertwining_is_the_homomorphism_residual(h3_twist, points):
+    # The multiplier report reads identity_report's residual on its own FFT
+    # products: the raw residual is the direct formula bit for bit, and the
+    # relative one is it divided by ||u|| ||phi||, or by 1 for a zero norm.
+    engine = pe.HeisenbergRealization(h3_twist, Grid(2, 8.0, points))
+    grid = engine.symbol_grid
+    phis = funcs.gaussian_family(grid, 3)
+    psis = funcs.hermite_family(grid, 3)
+    us = [funcs.discrete_delta(grid, engine.density),
+          SampledSymbol(grid, np.zeros(grid.shape)),
+          funcs.sample(grid, funcs.truncated_power(1.5, 0.25, 6.0))]
+    for u, out in zip(us, mult.multiplier_checks(engine, us, phis, psis)):
+        assert out["intertwining_hs"] == _intertwining_reference(engine, u, phis)
+        scales = [engine.symbol_norm(u) * engine.symbol_norm(phi) for phi in phis]
+        assert out["intertwining_rel"] == [
+            r / (scale if scale != 0.0 else 1.0)
+            for r, scale in zip(out["intertwining_hs"], scales)]
 
 
 def _flat_with_inverse_angles(phi):

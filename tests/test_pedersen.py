@@ -52,21 +52,30 @@ def test_trace_and_pairing_identities(engine64):
 
 def test_submultiplicativity_is_the_ratio_of_the_pair_product(engine64):
     # The report reads the products it is given, one per pair, and else the
-    # FFT loop's: its homomorphism residual must not read the operator route,
-    # which would measure only the inversion round trip.
+    # FFT loop's, one call per pair: its homomorphism residual must not read
+    # the operator route, which would measure only the inversion round trip.
+    # The last three pairs share one left operand object; their products have
+    # the bits of one shared sweep.
     grid = engine64.symbol_grid
-    pairs = list(zip(funcs.gaussian_family(grid, 3), funcs.hermite_family(grid, 3)))
+    gaussians, hermites = funcs.gaussian_family(grid, 3), funcs.hermite_family(grid, 3)
+    pairs = list(zip(gaussians, hermites))
     pairs.append((SampledSymbol(grid, np.zeros(grid.shape)), pairs[0][0]))
+    pairs += [(hermites[1], b) for b in gaussians]
+
+    def scales():
+        for a, b in pairs:
+            scale = engine64.symbol_norm(a) * engine64.symbol_norm(b)
+            yield scale if scale > 0 else 1.0
 
     def ratios(products):
-        out = []
-        for (a, b), ab in zip(pairs, products):
-            scale = engine64.symbol_norm(a) * engine64.symbol_norm(b)
-            out.append(engine64.symbol_norm(ab) / (scale if scale > 0 else 1.0))
-        return out
+        return [engine64.symbol_norm(ab) / scale for ab, scale in zip(products, scales())]
 
-    swept = [_fft(engine64, a, [b])[0] for a, b in pairs]
-    assert engine64.identity_report([], pairs)["submultiplicativity"] == ratios(swept)
+    swept = [_fft(engine64, a, [b])[0] for a, b in pairs[:4]]
+    swept += _fft(engine64, hermites[1], gaussians)
+    report = engine64.identity_report([], pairs)
+    assert report["submultiplicativity"] == ratios(swept)
+    assert report["homomorphism"] == [
+        r / scale for r, scale in zip(report["homomorphism_hs"], scales())]
     given = [SampledSymbol(grid, 1j * ab.values) for ab in swept[1:] + swept[:1]]
     assert engine64.identity_report([], pairs, given)["submultiplicativity"] == ratios(given)
     with pytest.raises(ValueError):
@@ -104,7 +113,7 @@ def test_zero_symbols_give_zero_residuals(engine64):
     z = SampledSymbol(grid, np.zeros(grid.shape))
     report = engine64.identity_report([z], [(z, z)])
     for key in ("trace", "adjoint", "hs_isometry", "inversion",
-                "homomorphism", "pairing"):
+                "homomorphism", "homomorphism_hs", "pairing"):
         assert all(v == 0.0 for v in report[key])
 
 
