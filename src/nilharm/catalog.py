@@ -1,12 +1,15 @@
 """Built-in algebra catalog and standard orbit setups.
 
-Every entry passes full validation at construction time.  Flat entries pair
-an algebra with the canonical orbit data used by the grid suites.
+Every entry passes full validation at construction time, once per process:
+the ``CORE`` entries that ``core_algebras``, ``flat_orbits`` and
+``get_algebra`` hand out are shared frozen values.  Flat entries pair an
+algebra with the canonical orbit data used by the grid suites.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import lie_core as lc
 from . import orbits as ob
@@ -72,14 +75,21 @@ CORE = {
 }
 
 
+@lru_cache(maxsize=None)
+def _core(name: str) -> lc.LieAlgebra:
+    """The ``CORE`` entry ``name``, built and validated once per process."""
+    return CORE[name]()
+
+
 def core_algebras() -> dict[str, lc.LieAlgebra]:
-    """Catalog used by the exact-identity sweeps."""
-    return {name: build() for name, build in CORE.items()}
+    """Catalog used by the exact-identity sweeps: a new dict of the shared
+    algebras on each call."""
+    return {name: _core(name) for name in CORE}
 
 
 def flat_orbits() -> dict[str, ob.OrbitData]:
     """Catalog entries with flat generic orbits, with their standard orbit data."""
-    return {name: ob.standard_orbit(CORE[name]())
+    return {name: ob.standard_orbit(_core(name))
             for name in ("h3", "ext_g0st_1_1", "ext_triangle", "ext_nonhomog")}
 
 
@@ -112,4 +122,4 @@ def get_algebra(name: str, **params) -> lc.LieAlgebra:
         return extended_g0st(params.get("s", 1), params.get("t", 1))
     if name == "ext_nonhomog":
         return extended_nonhomog(params.get("a", 1), params.get("b", 1))
-    return CORE[name]()
+    return _core(name)

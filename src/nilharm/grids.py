@@ -43,6 +43,11 @@ class Grid:
         if not math.isfinite(math.prod([self.h] * self.dim)):
             raise ValueError(f"the box L = {self.half_width:g}, N = {self.points} has a "
                              f"cell volume h^{self.dim} past the largest double")
+        # Squared norms of node offsets reach the squared diagonal dim*(2L)^2.
+        side = 2.0 * self.half_width
+        if not math.isfinite(self.dim * (side * side)):
+            raise ValueError(f"the box L = {self.half_width:g}, N = {self.points} has a "
+                             f"squared diagonal {self.dim}*(2L)^2 past the largest double")
 
     @property
     def h(self) -> float:

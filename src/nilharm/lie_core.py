@@ -18,6 +18,9 @@ Fraction vectors are converted once on the way in and once on the way out.
 extension's table, the 2-cocycle test.  ``_ascending_flag`` is the one
 common-flag construction: over ad(X_1), ..., ad(X_n) it builds the
 Jordan-Holder flag, over a basis of the derivations the Engel certificate.
+Flags, derivation spaces and Engel certificates depend on the algebra value
+alone, so each is built once per value and shared, as the compiled group
+law is.
 """
 
 from __future__ import annotations
@@ -351,12 +354,20 @@ def _ascending_flag(n: int, maps, chosen: list[Vector]) -> list[Vector]:
 def jordan_holder_flag(L: LieAlgebra, preferred_first: Vector | None = None) -> FlagSequence:
     """Ascending central construction, ``_ascending_flag`` over the maps
     ad(X_i): each vector is central modulo the span of those before it.
-    ``preferred_first`` overrides the first choice and must be central."""
+    ``preferred_first`` overrides the first choice and must be central.
+    Built once per (algebra value, first vector as Fractions)."""
+    if preferred_first is not None:
+        if len(preferred_first) != L.dim:
+            raise ValueError("vector dimension does not match the algebra")
+        preferred_first = tuple(Fraction(c) for c in preferred_first)
+    return _central_flag(L, preferred_first)
+
+
+@lru_cache(maxsize=64)
+def _central_flag(L: LieAlgebra, preferred_first: Vector | None) -> FlagSequence:
     n = L.dim
     chosen: list[Vector] = []
     if preferred_first is not None:
-        if len(preferred_first) != n:
-            raise ValueError("vector dimension does not match the algebra")
         for i in range(n):
             if any(_ad_direction(L, i, preferred_first)):
                 raise PreferredVectorNotCentral(
@@ -399,10 +410,12 @@ class DerivationSpace:
     basis: tuple[Matrix, ...]
 
 
+@lru_cache(maxsize=64)
 def derivation_space(L: LieAlgebra) -> DerivationSpace:
     """Exact basis of the Leibniz-identity solution space: one nullspace of
     the integer rows of D [X_i, X_j] - [D X_i, X_j] - [X_i, D X_j] = 0, read
-    from the ad-columns (a kernel does not depend on their common scale)."""
+    from the ad-columns (a kernel does not depend on their common scale).
+    Solved once per algebra value."""
     n = L.dim
     cols = L._ad_columns
     rows: list[list[int]] = []
@@ -467,8 +480,10 @@ class EngelCertificate:
     failed_stage: int | None = None
 
 
+@lru_cache(maxsize=64)
 def is_characteristically_nilpotent(derivs: DerivationSpace) -> EngelCertificate:
-    """Engel-style flag extraction: ``_ascending_flag`` over the derivation basis.
+    """Engel-style flag extraction: ``_ascending_flag`` over the derivation
+    basis, once per derivation space value.
 
     SUCCESS returns a full common flag (every derivation strictly triangular,
     hence nilpotent); FAILURE reports the stage where the derivations, on the

@@ -50,11 +50,28 @@ def rng(name: str, seed: int = DEFAULT_SEED) -> np.random.Generator:
     return np.random.default_rng(_derive(seed, name))
 
 
+def _randint(getrandbits, low: int, high: int) -> int:
+    """``randint(low, high)`` of the Random whose ``getrandbits`` this is,
+    by CPython's own rejection rule: k = the bit length of the width, and
+    draw k bits again while they reach the width.  The same draws, and the
+    same state after them, without randint's argument handling."""
+    width = high - low + 1
+    if width < 1:
+        raise ValueError(f"empty range [{low}, {high}]")
+    k = width.bit_length()
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return low + r
+
+
 def random_fraction(rnd: random.Random, max_num: int = 6, max_den: int = 4,
                     nonzero: bool = False) -> Fraction:
-    """Small random rational; small bounds keep exact arithmetic fast."""
+    """Small random rational; small bounds keep exact arithmetic fast.
+    Draws as ``Fraction(rnd.randint(-max_num, max_num), rnd.randint(1, max_den))``."""
+    bits = rnd.getrandbits
     while True:
-        q = Fraction(rnd.randint(-max_num, max_num), rnd.randint(1, max_den))
+        q = Fraction(_randint(bits, -max_num, max_num), _randint(bits, 1, max_den))
         if q != 0 or not nonzero:
             return q
 
@@ -62,12 +79,13 @@ def random_fraction(rnd: random.Random, max_num: int = 6, max_den: int = 4,
 def random_int_vector(rnd: random.Random, n: int, max_num: int = 6,
                       max_den: int = 4) -> IntVector:
     """n ``random_fraction`` draws as one integer form (d, X): the same
-    randint calls in the same order, numerator then denominator, with no
-    Fraction built."""
+    draws in the same order, numerator then denominator, with no Fraction
+    built."""
+    bits = rnd.getrandbits
     nums, dens = [], []
     for _ in range(n):
-        nums.append(rnd.randint(-max_num, max_num))
-        dens.append(rnd.randint(1, max_den))
+        nums.append(_randint(bits, -max_num, max_num))
+        dens.append(_randint(bits, 1, max_den))
     d = lcm(*dens)
     return canonical(d, [a * (d // b) for a, b in zip(nums, dens)])
 

@@ -96,9 +96,8 @@ def exact_suite(seed: int = 0, samples: int = 100) -> Report:
     rep = Report(command="verify exact", seed=seed)
     algebras = cat.core_algebras()
 
-    # Sample points are integer forms (d, X), drawn from the same randint
-    # stream as Fraction vectors; canonical forms compare equal exactly when
-    # their vectors do.
+    # Sample points are integer forms (d, X), the same draws as Fraction
+    # vectors; canonical forms compare equal exactly when their vectors do.
     for name, L in algebras.items():
         rnd = stream(f"exact.jacobi.{name}", seed)
         bad = 0
@@ -179,13 +178,17 @@ def examples_suite(seed: int = 0) -> Report:
         s = random_fraction(rnd, max_num=5, max_den=3, nonzero=True)
         t = random_fraction(rnd, max_num=5, max_den=3, nonzero=True)
         pairs.append((s, t))
+    # One Jacobi sweep of the extended table both builds the extension and
+    # decides the cocycle identity (see sp.central_extension).
     cocycle_ok = nondeg_ok = ext_ok = 0
     for s, t in pairs:
         L0, omega = sp.family_g0st(s, t)
-        ok, _ = sp.is_two_cocycle(L0, omega)
-        cocycle_ok += ok
         nondeg_ok += omega.is_nondegenerate()
-        ext = sp.central_extension(L0, omega)
+        try:
+            ext = sp.central_extension(L0, omega)
+        except sp.NotACocycle:
+            continue
+        cocycle_ok += 1
         ext_ok += (len(lc.center(ext)) == 1 and ext.step == L0.step + 1)
     rep.check_true("g0st_cocycle_20_samples", cocycle_ok == 20, value=cocycle_ok)
     rep.check_true("g0st_nondegenerate_20_samples", nondeg_ok == 20, value=nondeg_ok)
@@ -203,7 +206,7 @@ def examples_suite(seed: int = 0) -> Report:
     rep.check_true("two_triangles_exists",
                    sp.symplectic_exists_graph(two_triangles))
 
-    g = cat.nonhomog()
+    g = cat.get_algebra("nonhomog")
     ders = lc.derivation_space(g)
     cert = lc.is_characteristically_nilpotent(ders)
     rep.check_true("nonhomog_characteristically_nilpotent", cert.success)

@@ -1,10 +1,23 @@
 import pytest
 
 from nilharm import catalog as cat
+from nilharm import lie_core as lc
 from nilharm import orbits as ob
 from nilharm import pedersen as pe
 from nilharm import twist as tw
 from nilharm.grids import Grid
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every per-process cache of the exact layer's seed-independent
+    values (catalog algebras, compiled laws, standard orbits, flags,
+    derivation spaces, Engel certificates), so that the test builds them
+    again, as a fresh process would."""
+    for cached in (cat._core, lc._compile_group_law, ob._compile_law, ob.standard_orbit,
+                   lc._central_flag, lc.derivation_space,
+                   lc.is_characteristically_nilpotent):
+        cached.cache_clear()
 
 
 @pytest.fixture(scope="session")

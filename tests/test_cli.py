@@ -509,6 +509,21 @@ def test_cell_volume_past_the_largest_double_exits_2(action):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("command", [("twist", "conv"), ("twist", "pedersen"),
+                                     ("twist", "delta"), ("cz", "multiplier"),
+                                     ("cz", "kernel-check"), ("cz", "weak11")])
+@pytest.mark.parametrize("half_width", ["1e154", "6e153"])
+def test_squared_diagonal_past_the_largest_double_exits_2(command, half_width):
+    # h^2 is finite at both; (2L)^2 overflows at 1e154, and 2 (2L)^2, the
+    # squared norm of the longest node offset, at 6e153.
+    out = run_cli(*command, "--grid", f"{half_width},16")
+    assert out.returncode == 2
+    assert (f"the box L = {float(half_width):g}, N = 16 has a squared diagonal "
+            "2*(2L)^2 past the largest double" in out.stderr)
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
 def test_c2_whose_products_overflow_warns_nothing():
     # c2 = 3e307 is finite and above 2 quasi, and c2 m(u) overflows to inf
     # for every u with m(u) > 6: no u is live, as for any c2 past max m.

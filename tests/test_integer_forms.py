@@ -2,6 +2,8 @@
 integer kernels of the bracket, the group laws and the orbit laws against
 their Fraction references."""
 
+import json
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -22,20 +24,35 @@ def assert_canonical(v, fractions):
     assert fraction_form(v) == tuple(fractions)
 
 
+def randint_fraction(rnd, max_num, max_den, nonzero=False):
+    """The reference draw of ``seeds.random_fraction``, made with randint."""
+    while True:
+        q = Fraction(rnd.randint(-max_num, max_num), rnd.randint(1, max_den))
+        if q != 0 or not nonzero:
+            return q
+
+
 # (max_num, max_den) of the vector draws in verify and the benchmark probe,
-# of the scalar draws in verify.examples_suite, and the defaults.
-@pytest.mark.parametrize("max_num, max_den", [(3, 3), (5, 3), (6, 4)])
+# of the scalar draws in verify.examples_suite, the defaults, and the
+# narrowest range: randint(1, 1) still consumes bits.
+@pytest.mark.parametrize("max_num, max_den", [(3, 3), (5, 3), (6, 4), (1, 1)])
 def test_integer_draws_are_fraction_draws(max_num, max_den):
-    streams = [seeds.stream("draws", 0) for _ in range(3)]
+    streams = [seeds.stream("draws", 0) for _ in range(4)]
     for n in (1, 2, 3, 6, 9):
         for _ in range(40):
             v = seeds.random_int_vector(streams[0], n, max_num, max_den)
             w = seeds.random_fraction_vector(streams[1], n, max_num, max_den)
             expected = tuple(seeds.random_fraction(streams[2], max_num, max_den)
                              for _ in range(n))
+            assert expected == tuple(randint_fraction(streams[3], max_num, max_den)
+                                     for _ in range(n))
             assert w == expected
             assert_canonical(v, expected)
-            assert streams[0].getstate() == streams[1].getstate() == streams[2].getstate()
+            for nonzero in (False, True):
+                q = randint_fraction(streams[3], max_num, max_den, nonzero)
+                assert [seeds.random_fraction(rnd, max_num, max_den, nonzero)
+                        for rnd in streams[:3]] == [q] * 3
+            assert all(rnd.getstate() == streams[3].getstate() for rnd in streams[:3])
 
 
 def group_law_polys(L) -> list[Poly]:
@@ -127,9 +144,9 @@ def failed_checks(rep) -> dict:
 
 @pytest.mark.parametrize("name", list(catalog.CORE))
 def test_a_perturbed_group_law_fails_associativity(monkeypatch, name):
-    # The suite's algebras are equal values, so they share the compiled law.
-    L = catalog.CORE[name]()
-    perturb(lc._compile_group_law(L), group_law_polys(L), monkeypatch)
+    # The suite reads the shared catalog algebra, and with it its compiled law.
+    L = catalog.core_algebras()[name]
+    perturb(L._group_law, group_law_polys(L), monkeypatch)
     failed = failed_checks(verify.exact_suite(0, samples=25))
     assert failed.get(f"bch_associativity_exact[{name}]", 0) > 0, failed
     assert all(f"[{name}]" in check for check in failed), failed
@@ -142,3 +159,33 @@ def test_a_perturbed_orbit_law_fails_the_cocycle_identity(monkeypatch):
     failed = failed_checks(verify.exact_suite(0, samples=25))
     assert failed.get("cocycle_identity_exact[ext_nonhomog]", 0) > 0, failed
     assert all("[ext_nonhomog]" in check for check in failed), failed
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_warm_caches_change_no_report_byte(cold_caches, seed):
+    def report_bytes():
+        return [json.dumps(rep.to_dict(), sort_keys=True)
+                for rep in (verify.exact_suite(seed, samples=25), verify.examples_suite(seed))]
+
+    assert report_bytes() == report_bytes()
+
+
+def test_the_catalog_hands_out_shared_algebras_in_new_dicts(cold_caches):
+    algebras = catalog.core_algebras()
+    assert algebras["h3"] is catalog.get_algebra("h3")
+    algebras["h3"] = catalog.abelian(3)
+    del algebras["nonhomog"]
+    again = catalog.core_algebras()
+    assert list(again) == list(catalog.CORE)
+    assert again["h3"] == catalog.heisenberg3()
+    for name, orbit in catalog.flat_orbits().items():
+        assert orbit.algebra is again[name]
+
+
+def test_warm_caches_replay_no_examples_check(monkeypatch):
+    # The caches hold algebra values, never verdicts: after a warm run, a
+    # defect in a residual the suite reads still fails its check.
+    verify.examples_suite(0)
+    monkeypatch.setattr(lc, "leibniz_residuals", lambda L, D: {(0, 1): (Fraction(1),)})
+    assert list(failed_checks(verify.examples_suite(0))) == [
+        "nonhomog_derivation_leibniz_exact"]
