@@ -134,9 +134,8 @@ def cmd_algebra(args) -> int:
         rep.check_true("jacobi_and_nilpotency", True)
         rep.measure("step", L.step)
     elif args.action == "series":
-        series = lc.lower_central_series(L)
         rep.measure("step", L.step)
-        rep.measure("series_dims", [len(s) for s in series])
+        rep.measure("series_dims", list(L.series_dims))
         center = lc.center(L)
         rep.measure("center_dim", len(center))
         rep.data["center"] = [[format_rational(a) for a in v] for v in center]

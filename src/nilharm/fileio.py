@@ -1,9 +1,10 @@
 """JSON file formats: algebras, graphs, skew forms, sampled symbols.
 
-Rationals travel as strings "p/q" or "p"; bracket tables list pairs i < j
-with 1-based indices; symbol values are [re, im] pairs in row-major order
-with the last axis varying fastest.  Each file holds one JSON object; a
-file of another shape is a ValueError that names it.
+Rationals travel as strings "p/q" or "p"; dimensions, indices and point
+counts as JSON integers; labels as a list of strings; bracket tables list
+pairs i < j with 1-based indices; symbol values are [re, im] pairs in
+row-major order with the last axis varying fastest.  Each file holds one
+JSON object; a file of another shape is a ValueError that names it.
 """
 
 from __future__ import annotations
@@ -37,28 +38,39 @@ def _load(path: str, from_dict):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _integer(value, field: str) -> int:
+    """``value``, which must be a JSON integer: 3.0, 3.9, "3" and true are
+    refused rather than cast, as "0.75" is refused as a rational."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {field} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def load_algebra(path: str) -> lc.LieAlgebra:
     return _load(path, algebra_from_dict)
 
 
 def algebra_from_dict(doc: dict) -> lc.LieAlgebra:
-    dim = int(doc["dim"])
+    dim = _integer(doc["dim"], "dim")
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for entry in doc.get("brackets", []):
-        i, j = int(entry["i"]), int(entry["j"])
+    for n, entry in enumerate(doc.get("brackets", [])):
+        i, j = (_integer(entry[f], f"brackets[{n}].{f}") for f in "ij")
         if not (1 <= i < j <= dim):
             raise ValueError(f"bracket pair ({i}, {j}) must satisfy 1 <= i < j <= dim")
         if (i - 1, j - 1) in brackets:
             raise ValueError(f"duplicate bracket pair ({i}, {j})")
         terms = {}
-        for t in entry["terms"]:
-            k = int(t["k"])
+        for m, t in enumerate(entry["terms"]):
+            k = _integer(t["k"], f"brackets[{n}].terms[{m}].k")
             if not 1 <= k <= dim:
                 raise ValueError(f"target index {k} out of range")
             terms[k - 1] = parse_rational(str(t["c"]))
         brackets[(i - 1, j - 1)] = terms
-    labels = tuple(doc["labels"]) if "labels" in doc else None
-    return lc.validate(dim, brackets, labels=labels)
+    labels = doc.get("labels")
+    if "labels" in doc and not (isinstance(labels, list)
+                                and all(isinstance(a, str) for a in labels)):
+        raise ValueError(f"field labels must be a list of strings, got {json.dumps(labels)}")
+    return lc.validate(dim, brackets, labels=None if labels is None else tuple(labels))
 
 
 def algebra_to_dict(L: lc.LieAlgebra) -> dict:
@@ -88,10 +100,10 @@ def load_form(path: str) -> sp.SymplecticForm:
 
 
 def form_from_dict(doc: dict) -> sp.SymplecticForm:
-    dim = int(doc["dim"])
+    dim = _integer(doc["dim"], "dim")
     pairs = {}
-    for entry in doc["entries"]:
-        i, j = int(entry["i"]), int(entry["j"])
+    for n, entry in enumerate(doc["entries"]):
+        i, j = (_integer(entry[f], f"entries[{n}].{f}") for f in "ij")
         if not (1 <= i < j <= dim):
             raise ValueError(f"form pair ({i}, {j}) must satisfy 1 <= i < j <= dim")
         if (i - 1, j - 1) in pairs:
@@ -105,8 +117,8 @@ def load_symbol(path: str) -> SampledSymbol:
 
 
 def symbol_from_dict(doc: dict) -> SampledSymbol:
-    d = int(doc["d"])
-    grid = Grid(dim=d, half_width=float(doc["L"]), points=int(doc["N"]))
+    d = _integer(doc["d"], "d")
+    grid = Grid(dim=d, half_width=float(doc["L"]), points=_integer(doc["N"], "N"))
     raw = np.asarray(doc["values"], dtype=float)
     if raw.shape != (grid.points ** d, 2):
         raise ValueError("symbol values must list [re, im] pairs, one per node")

@@ -18,9 +18,10 @@ Fraction vectors are converted once on the way in and once on the way out.
 extension's table, the 2-cocycle test.  ``_ascending_flag`` is the one
 common-flag construction: over ad(X_1), ..., ad(X_n) it builds the
 Jordan-Holder flag, over a basis of the derivations the Engel certificate.
-Flags, derivation spaces and Engel certificates depend on the algebra value
-alone, so each is built once per value and shared, as the compiled group
-law is.
+The lower central series dimensions and the compiled group law are cached on
+the algebra object, which the catalog shares.  Flags, derivation spaces and
+Engel certificates depend on the algebra value alone, so each is built once
+per value and shared.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ class LieAlgebra:
     dim: int
     entries: tuple[Entry, ...]          # (i, j, ((k, c), ...)) with i < j, 0-based
     labels: tuple[str, ...]
-    step: int                            # nilpotency step
 
     @cached_property
     def _integer_form(self) -> tuple[int, tuple[tuple[int, int, IntTerms], ...]]:
@@ -93,6 +93,30 @@ class LieAlgebra:
             cols[i][j] = terms
             cols[j][i] = tuple((k, -c) for k, c in terms)
         return tuple(cols)
+
+    @cached_property
+    def series_dims(self) -> tuple[int, ...]:
+        """Dimensions of the lower central series g^0 = g, g^k = [g, g^{k-1}],
+        until the dimension stops falling; the last is 0 iff nilpotent.
+
+        g^k is spanned by the integer images D [X_i, v] over the echelon rows
+        v of g^{k-1}: spans ignore scale, so each term stays the integer rows
+        of one Bareiss echelon."""
+        dims = [self.dim]
+        current = [[int(s == t) for t in range(self.dim)] for s in range(self.dim)]
+        while True:
+            images = [_ad_integers(self, i, enumerate(v))
+                      for i in range(self.dim) for v in current]
+            rows, piv, _ = ela.bareiss_echelon(images)
+            dims.append(len(piv))
+            if len(piv) in (0, len(current)):
+                return tuple(dims)
+            current = rows[:len(piv)]
+
+    @property
+    def step(self) -> int:
+        """Nilpotency step: the number of nonzero terms of the series."""
+        return len(self.series_dims) - 1
 
     @cached_property
     def _group_law(self) -> ExactMap:
@@ -179,30 +203,6 @@ def _ad_direction(L: LieAlgebra, i: int, v: Vector) -> list[int]:
     return _ad_integers(L, i, enumerate(over_common_denominator(v)[1]))
 
 
-def lower_central_series(L: LieAlgebra) -> list[list[Vector]]:
-    """[g^0, g^1, ...] as exact rref bases, g^k = [g, g^{k-1}], until the
-    dimension stops falling; the final element is empty iff nilpotent."""
-    dim = L.dim
-    full = [unit_vector(dim, s) for s in range(dim)]
-    series = [full]
-    current = full
-    while True:
-        # Spans ignore scale, so the brackets enter as integer directions.
-        generated = [
-            _ad_direction(L, i, v)
-            for i in range(dim)
-            for v in current
-        ]
-        nxt = ela.span_basis(generated)
-        series.append(nxt)
-        if len(nxt) == len(current):
-            break
-        if not nxt:
-            break
-        current = nxt
-    return series
-
-
 def jacobi_sweep(L: LieAlgebra) -> None:
     """Raise ``JacobiViolation`` on the first basis triple i < j < k whose
     cyclic sum [X_i, [X_j, X_k]] + [X_j, [X_k, X_i]] + [X_k, [X_i, X_j]] is
@@ -233,13 +233,11 @@ def validate(dim: int, brackets, labels: tuple[str, ...] | None = None) -> LieAl
     if len(labels) != dim:
         raise ValueError("labels length must equal dim")
 
-    probe = LieAlgebra(dim=dim, entries=entries, labels=labels, step=0)
-    jacobi_sweep(probe)
-    series = lower_central_series(probe)
-    if series[-1]:
-        raise NotNilpotent(len(series[-1]))
-    step = len(series) - 1
-    return LieAlgebra(dim=dim, entries=entries, labels=labels, step=step)
+    L = LieAlgebra(dim=dim, entries=entries, labels=labels)
+    jacobi_sweep(L)
+    if L.series_dims[-1]:
+        raise NotNilpotent(L.series_dims[-1])
+    return L
 
 
 def _kernel(maps, n: int, project) -> list[Vector]:
@@ -379,13 +377,12 @@ def _central_flag(L: LieAlgebra, preferred_first: Vector | None) -> FlagSequence
     return FlagSequence(algebra=L, vectors=tuple(flag))
 
 
-@lru_cache(maxsize=64)
 def _compile_group_law(L: LieAlgebra) -> ExactMap:
     """The truncated Dynkin series as one exact polynomial map of (x, y),
-    compiled once per algebra value."""
+    compiled once per algebra object (``LieAlgebra._group_law``)."""
     n = L.dim
     xy = [Poly.variable(2 * n, v) for v in range(2 * n)]
-    law = _bch.bch_apply_generic(L.entries, n, max(L.step, 1), xy[:n], xy[n:],
+    law = _bch.bch_apply_generic(L.entries, n, L.step, xy[:n], xy[n:],
                                  Poly.zero(2 * n))
     return ExactMap(law, n)
 

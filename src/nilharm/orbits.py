@@ -64,7 +64,10 @@ class OrbitData:
 
     @cached_property
     def _law(self) -> ExactMap:
-        return _compile_law(self)
+        """Reduced product and cocycle of a flat orbit as one exact map,
+        compiled on first use."""
+        product_polys, alpha_poly = polynomial_law(self)
+        return ExactMap(product_polys + (alpha_poly,), self.d)
 
     def embed(self, x, zero=Fraction(0)) -> tuple:
         """Predual coordinates -> ambient coordinates, in any ring whose
@@ -168,17 +171,10 @@ def polynomial_law(orbit: OrbitData) -> tuple[tuple[Poly, ...], Poly]:
     zero = Poly.zero(nv)
     xs = [Poly.variable(nv, a) for a in range(orbit.d)]
     ys = [Poly.variable(nv, orbit.d + a) for a in range(orbit.d)]
-    w = _bch.bch_apply_generic(L.entries, L.dim, max(L.step, 1),
+    w = _bch.bch_apply_generic(L.entries, L.dim, L.step,
                                orbit.embed(xs, zero), orbit.embed(ys, zero), zero)
     product, central = orbit.split(w, zero)
     return product, central * orbit.xi0.pair(orbit.flag.vectors[0])
-
-
-@lru_cache(maxsize=64)
-def _compile_law(orbit: OrbitData) -> ExactMap:
-    """Reduced product and cocycle of a flat orbit as one exact map."""
-    product_polys, alpha_poly = polynomial_law(orbit)
-    return ExactMap(product_polys + (alpha_poly,), orbit.d)
 
 
 @lru_cache(maxsize=64)

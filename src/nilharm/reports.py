@@ -37,25 +37,20 @@ class Report:
     data: dict = field(default_factory=dict)
     version: str = VERSION
 
-    def add(self, name: str, status: str, value=None, tolerance=None,
-            runtime: float | None = None) -> Check:
-        chk = Check(name=name, status=status, value=value,
-                    tolerance=tolerance, runtime=runtime)
+    def add(self, name: str, status: str, value=None, tolerance=None) -> Check:
+        chk = Check(name=name, status=status, value=value, tolerance=tolerance)
         self.checks.append(chk)
         return chk
 
-    def check_bound(self, name: str, value: float, tolerance: float,
-                    runtime: float | None = None) -> Check:
+    def check_bound(self, name: str, value: float, tolerance: float) -> Check:
         status = PASS if value <= tolerance else FAIL
-        return self.add(name, status, value=value, tolerance=tolerance,
-                        runtime=runtime)
+        return self.add(name, status, value=value, tolerance=tolerance)
 
-    def check_true(self, name: str, ok: bool, value=None,
-                   runtime: float | None = None) -> Check:
-        return self.add(name, PASS if ok else FAIL, value=value, runtime=runtime)
+    def check_true(self, name: str, ok: bool, value=None) -> Check:
+        return self.add(name, PASS if ok else FAIL, value=value)
 
-    def measure(self, name: str, value, runtime: float | None = None) -> Check:
-        return self.add(name, MEASURED, value=value, runtime=runtime)
+    def measure(self, name: str, value) -> Check:
+        return self.add(name, MEASURED, value=value)
 
     @property
     def all_passed(self) -> bool:

@@ -84,7 +84,7 @@ def is_two_cocycle(L0: lc.LieAlgebra, omega: SymplecticForm) -> tuple[bool, tupl
     table = _extended_table(L0, omega)
     try:
         lc.jacobi_sweep(lc.LieAlgebra(dim=L0.dim + 1, entries=table,
-                                      labels=("Z",) + L0.labels, step=0))
+                                      labels=("Z",) + L0.labels))
     except lc.JacobiViolation as exc:
         return False, tuple(t - 1 for t in exc.triple)
     return True, None

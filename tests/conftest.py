@@ -11,11 +11,11 @@ from nilharm.grids import Grid
 @pytest.fixture
 def cold_caches():
     """Empty every per-process cache of the exact layer's seed-independent
-    values (catalog algebras, compiled laws, standard orbits, flags,
-    derivation spaces, Engel certificates), so that the test builds them
-    again, as a fresh process would."""
-    for cached in (cat._core, lc._compile_group_law, ob._compile_law, ob.standard_orbit,
-                   lc._central_flag, lc.derivation_space,
+    values (catalog algebras, standard orbits, flags, derivation spaces,
+    Engel certificates), so that the test builds them again, as a fresh
+    process would.  Series and compiled laws are cached on the algebra and
+    orbit objects, which the emptied catalog and orbit caches hand out anew."""
+    for cached in (cat._core, ob.standard_orbit, lc._central_flag, lc.derivation_space,
                    lc.is_characteristically_nilpotent):
         cached.cache_clear()
 

@@ -1,9 +1,10 @@
 """Hypothesis strategies for random nilpotent algebras and rational points,
 and the plain-Fraction references the integer kernels are tested against:
 the BCH walk for the compiled group laws, the structure-constant loop for
-the bracket, the cyclic sum of the form, each value by its full double sum,
-for the cocycle check and the term-by-term value of a polynomial at a
-rational point.  The row loops of the centre, the isotropy algebra and the
+the bracket and, rank by rank over its brackets, for the lower central
+series dimensions, the cyclic sum of the form, each value by its full
+double sum, for the cocycle check and the term-by-term value of a
+polynomial at a rational point.  The row loops of the centre, the isotropy algebra and the
 flag, and the rank-by-rank jump set, are the references of
 ``lie_core.bracket_kernel`` and of the single echelon in
 ``orbits.jump_indices``.  The rank-by-rank flag checks (whose first
@@ -159,6 +160,25 @@ def fraction_cocycle_check(L0, omega) -> tuple[bool, tuple[int, int, int] | None
                         + form_value(omega, e[k], L0.basis_bracket(i, j))) != 0:
                     return False, (i + 1, j + 1, k + 1)
     return True, None
+
+
+def reference_series_dims(L) -> tuple[int, ...]:
+    """Dimensions of g^0 = g, g^k = [g, g^{k-1}] until they stop falling:
+    g^k is spanned by the Fraction brackets [X_i, v] over a basis v of
+    g^{k-1}, each bracket kept when it raises the rank."""
+    e = [tuple(Fraction(int(t == s)) for t in range(L.dim)) for s in range(L.dim)]
+    dims, current = [L.dim], e
+    while True:
+        nxt = []
+        for x in e:
+            for v in current:
+                w = fraction_bracket(L, x, v)
+                if ela.rank(nxt + [w]) > len(nxt):
+                    nxt.append(w)
+        dims.append(len(nxt))
+        if len(nxt) in (0, len(current)):
+            return tuple(dims)
+        current = nxt
 
 
 def in_span(vectors, v) -> bool:

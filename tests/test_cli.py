@@ -147,9 +147,10 @@ def test_usage_error_exits_2():
                                                     {"i": 1, "j": 2, "v": "5"}]}),
     (("twist", "conv", "--grid", "8,32", "--symbol", "{}"), [1, 2]),
     (("cz", "decompose", "--grid", "8,32", "--symbol", "{}"), {"d": 2, "L": 8}),
+    (("algebra", "validate", "{}"), {"dim": 3.9, "brackets": []}),
 ], ids=["algebra-list", "algebra-brackets-int", "graph-vertices-int",
         "form-missing-entries", "form-index-0", "form-duplicate-pair", "symbol-list",
-        "symbol-missing-N"])
+        "symbol-missing-N", "algebra-dim-float"])
 def test_malformed_json_exits_2(tmp_path, args, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -1,6 +1,7 @@
 """File format contracts: 1-based indices, duplicates rejected, round trips."""
 
 import json
+import re
 
 import pytest
 
@@ -54,3 +55,58 @@ def test_rational_strings():
 def test_form_indices_are_one_based():
     with pytest.raises(ValueError, match=r"form pair \(0, 1\) must satisfy 1 <= i < j <= dim"):
         fileio.form_from_dict({"dim": 3, "entries": [{"i": 0, "j": 1, "v": "1"}]})
+
+
+H3 = {"dim": 3, "brackets": [{"i": 2, "j": 3, "terms": [{"k": 1, "c": "-1"}]}]}
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("dim", 3.9, "dim"),
+    ("dim", 3.0, "dim"),
+    ("dim", "3", "dim"),
+    ("dim", True, "dim"),
+    ("i", 2.0, "brackets[0].i"),
+    ("j", False, "brackets[0].j"),
+    ("k", "1", "brackets[0].terms[0].k"),
+])
+def test_algebra_integer_fields_must_be_json_integers(field, value, where):
+    doc = json.loads(json.dumps(H3))
+    if field == "dim":
+        doc["dim"] = value
+    elif field == "k":
+        doc["brackets"][0]["terms"][0]["k"] = value
+    else:
+        doc["brackets"][0][field] = value
+    with pytest.raises(ValueError, match=rf"field {re.escape(where)} must be a JSON integer"):
+        fileio.algebra_from_dict(doc)
+
+
+@pytest.mark.parametrize("labels", ["XYZ", ["X", "Y", 3], None, {"X": 1}])
+def test_algebra_labels_must_be_a_list_of_strings(labels):
+    with pytest.raises(ValueError, match="field labels must be a list of strings"):
+        fileio.algebra_from_dict({**H3, "labels": labels})
+    assert fileio.algebra_from_dict({**H3, "labels": ["P", "Q", "Z"]}).labels == ("P", "Q", "Z")
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"dim": 2.0, "entries": []}, "dim"),
+    ({"dim": 2, "entries": [{"i": 1, "j": True, "v": "1"}]}, "entries[0].j"),
+    ({"dim": 2, "entries": [{"i": 1.5, "j": 2, "v": "1"}]}, "entries[0].i"),
+])
+def test_form_integer_fields_must_be_json_integers(doc, where):
+    with pytest.raises(ValueError, match=rf"field {re.escape(where)} must be a JSON integer"):
+        fileio.form_from_dict(doc)
+
+
+@pytest.mark.parametrize("field, value", [("d", 2.0), ("N", 4.5), ("N", True)])
+def test_symbol_integer_fields_must_be_json_integers(field, value):
+    doc = {"d": 2, "L": 8.0, "N": 4, "values": [[0.0, 0.0]] * 16, field: value}
+    with pytest.raises(ValueError, match=rf"field {field} must be a JSON integer"):
+        fileio.symbol_from_dict(doc)
+
+
+def test_load_names_the_file_and_the_field(tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({**H3, "dim": 3.9}))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: field dim must be"):
+        fileio.load_algebra(str(path))

@@ -141,9 +141,38 @@ def test_abelian_center_is_everything():
 
 
 def test_h3_series_and_center(h3):
-    series = lc.lower_central_series(h3)
-    assert [len(s) for s in series] == [3, 1, 0]
+    assert h3.series_dims == (3, 1, 0)
     assert lc.center(h3) == [basis_vec(3, 0)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_algebras.algebras)
+def test_series_dims_match_the_rank_reference(L):
+    assert L.series_dims == random_algebras.reference_series_dims(L)
+    assert L.step == len(L.series_dims) - 1 and L.series_dims[-1] == 0
+
+
+@pytest.mark.parametrize("dim, brackets, series", [
+    (2, {(0, 1): {1: F(1)}}, (2, 1, 1)),                       # [X1,X2] = X2
+    (3, {(0, 1): {2: F(1)}, (0, 2): {1: F(1)}}, (3, 2, 2)),
+    (5, {(0, 1): {1: F(1)}, (3, 4): {2: F(1)}}, (5, 2, 1, 1)),  # affine + h3
+])
+def test_non_nilpotent_series_stall_at_the_reference(dim, brackets, series):
+    entries = lc._normalize_entries(dim, brackets)
+    L = lc.LieAlgebra(dim=dim, entries=entries, labels=tuple("ABCDE"[:dim]))
+    assert L.series_dims == random_algebras.reference_series_dims(L) == series
+    with pytest.raises(lc.NotNilpotent) as err:
+        lc.validate(dim, brackets)
+    assert err.value.stable_dim == series[-1]
+
+
+def test_validate_returns_the_algebra_it_checked(monkeypatch):
+    swept = []
+    inner = lc.jacobi_sweep
+    monkeypatch.setattr(lc, "jacobi_sweep", lambda L: swept.append(L) or inner(L))
+    L = lc.validate(3, {(1, 2): {0: F(-1)}})
+    assert len(swept) == 1 and swept[0] is L
+    assert vars(L)["series_dims"] == (3, 1, 0)
 
 
 # -- flags ---------------------------------------------------------------

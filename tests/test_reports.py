@@ -22,7 +22,7 @@ def test_report_json_is_canonical_and_stable():
 
 def test_timings_flag_adds_runtime_field():
     rep = Report(command="demo", seed=0)
-    rep.check_bound("residual", 0.5, 1.0, runtime=0.01)
+    rep.check_bound("residual", 0.5, 1.0).runtime = 0.01
     doc = json.loads(rep.to_json(timings=True))
     assert doc["checks"][0]["runtime"] == 0.01
 
