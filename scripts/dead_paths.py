@@ -36,9 +36,10 @@ import nilharm  # noqa: E402
 from nilharm import cli, fileio, funcs, verify  # noqa: E402
 from nilharm.grids import Grid  # noqa: E402
 
-# Only tests and perfbench/ call these; they leave src/ with the benchmark's
-# own change.
-HELD_BACK = ("exactlinalg.rank", "multipliers.multiplier_check",
+# Only tests and perfbench/ call these; each may leave src/ once the
+# benchmark no longer calls it.
+HELD_BACK = ("exactlinalg.rank", "lie_core.bch_product", "multipliers.multiplier_check",
+             "orbits.alpha", "orbits.product_and_alpha", "orbits.verify_cocycle_identity",
              "seeds.random_fraction_vector")
 
 GRID = "8,32"

@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("report", help="run the full verification battery")
     p.add_argument("--quick", action="store_true",
-                   help="small grids and fewer samples")
+                   help="small grids (N=32) for the grid suites")
     p.set_defaults(func=cmd_report)
     return top
 

@@ -1,7 +1,8 @@
 """JSON file formats: algebras, graphs, skew forms, sampled symbols.
 
 Rationals travel as strings "p/q" or "p"; dimensions, indices and point
-counts as JSON integers; labels as a list of strings; bracket tables list
+counts as JSON integers; a half width as a JSON number; labels and
+vertices as lists of strings, an edge as a list of two; bracket tables list
 pairs i < j with 1-based indices; symbol values are [re, im] pairs in
 row-major order with the last axis varying fastest.  Each file holds one
 JSON object; a file of another shape is a ValueError that names it.
@@ -46,6 +47,24 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _number(value, field: str) -> float:
+    """``value``, which must be a JSON number: "8" and true are refused
+    rather than cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {field} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _strings(value, field: str, count: int | None = None) -> tuple[str, ...]:
+    """``value``, which must be a JSON list of strings, of ``count`` of them
+    if given: "abc" and [1, 2.5] are refused rather than cast."""
+    if not (isinstance(value, list) and all(isinstance(a, str) for a in value)
+            and count in (None, len(value))):
+        what = "strings" if count is None else f"{count} strings"
+        raise ValueError(f"field {field} must be a list of {what}, got {json.dumps(value)}")
+    return tuple(value)
+
+
 def load_algebra(path: str) -> lc.LieAlgebra:
     return _load(path, algebra_from_dict)
 
@@ -66,11 +85,8 @@ def algebra_from_dict(doc: dict) -> lc.LieAlgebra:
                 raise ValueError(f"target index {k} out of range")
             terms[k - 1] = parse_rational(str(t["c"]))
         brackets[(i - 1, j - 1)] = terms
-    labels = doc.get("labels")
-    if "labels" in doc and not (isinstance(labels, list)
-                                and all(isinstance(a, str) for a in labels)):
-        raise ValueError(f"field labels must be a list of strings, got {json.dumps(labels)}")
-    return lc.validate(dim, brackets, labels=None if labels is None else tuple(labels))
+    labels = _strings(doc["labels"], "labels") if "labels" in doc else None
+    return lc.validate(dim, brackets, labels=labels)
 
 
 def algebra_to_dict(L: lc.LieAlgebra) -> dict:
@@ -90,8 +106,11 @@ def load_graph(path: str) -> sp.Graph:
 
 
 def graph_from_dict(doc: dict) -> sp.Graph:
-    return sp.Graph(vertices=tuple(str(v) for v in doc["vertices"]),
-                    edges=tuple((str(a), str(b)) for a, b in doc["edges"]))
+    edges = doc["edges"]
+    if not isinstance(edges, list):
+        raise ValueError(f"field edges must be a list of vertex pairs, got {json.dumps(edges)}")
+    return sp.Graph(vertices=_strings(doc["vertices"], "vertices"),
+                    edges=tuple(_strings(e, f"edges[{n}]", 2) for n, e in enumerate(edges)))
 
 
 def load_form(path: str) -> sp.SymplecticForm:
@@ -118,7 +137,7 @@ def load_symbol(path: str) -> SampledSymbol:
 
 def symbol_from_dict(doc: dict) -> SampledSymbol:
     d = _integer(doc["d"], "d")
-    grid = Grid(dim=d, half_width=float(doc["L"]), points=_integer(doc["N"], "N"))
+    grid = Grid(dim=d, half_width=_number(doc["L"], "L"), points=_integer(doc["N"], "N"))
     raw = np.asarray(doc["values"], dtype=float)
     if raw.shape != (grid.points ** d, 2):
         raise ValueError("symbol values must list [re, im] pairs, one per node")

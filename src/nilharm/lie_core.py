@@ -15,9 +15,11 @@ the BCH product compute on integer-form vectors (d, X)
 Fraction vectors are converted once on the way in and once on the way out.
 
 ``jacobi_sweep`` is the Jacobi check of ``validate`` and, on a central
-extension's table, the 2-cocycle test.  ``_ascending_flag`` is the one
-common-flag construction: over ad(X_1), ..., ad(X_n) it builds the
-Jordan-Holder flag, over a basis of the derivations the Engel certificate.
+extension's table, the 2-cocycle test; ``jacobi_defect`` proves the same
+identity as a polynomial over the integer table that ``bracket`` reads.
+``_ascending_flag`` is the one common-flag construction: over ad(X_1), ...,
+ad(X_n) it builds the Jordan-Holder flag, over a basis of the derivations
+the Engel certificate.
 The lower central series dimensions and the compiled group law are cached on
 the algebra object, which the catalog shares.  Flags, derivation spaces and
 Engel certificates depend on the algebra value alone, so each is built once
@@ -33,7 +35,7 @@ from math import lcm
 
 from . import bch as _bch
 from . import exactlinalg as ela
-from .polymap import ExactMap, Poly
+from .polymap import ExactMap, Packed, Poly
 from .rationals import (IntVector, Vector, canonical, dot, fraction_form, integer_forms,
                         over_common_denominator, unit_vector)
 
@@ -167,6 +169,19 @@ def _integer_pair(L: LieAlgebra, x, y) -> tuple[bool, IntVector, IntVector]:
     return fractions, x, y
 
 
+def _cross_sums(dim: int, table, X, Y) -> list:
+    """The cross products of X and Y against the integer constants of
+    ``table``: D [x, y] times dx dy for x = X/dx and y = Y/dy.  X and Y
+    hold ints, or ``Packed`` polynomials for ``jacobi_defect``."""
+    out = [0] * dim
+    for i, j, terms in table:
+        cross = X[i] * Y[j] - X[j] * Y[i]
+        if cross:
+            for k, c in terms:
+                out[k] += cross * c
+    return out
+
+
 def bracket(L: LieAlgebra, x, y):
     """[x, y]: bilinear, antisymmetric, exact.  x and y are both integer
     forms, and so is [x, y], or both Fraction vectors, and so is [x, y].
@@ -175,13 +190,7 @@ def bracket(L: LieAlgebra, x, y):
     and Y against the integer constants, over dx dy."""
     fractions, (dx, X), (dy, Y) = _integer_pair(L, x, y)
     D, table = L._integer_form
-    out = [0] * L.dim
-    for i, j, terms in table:
-        cross = X[i] * Y[j] - X[j] * Y[i]
-        if cross:
-            for k, c in terms:
-                out[k] += cross * c
-    z = canonical(D * dx * dy, out)
+    z = canonical(D * dx * dy, _cross_sums(L.dim, table, X, Y))
     return fraction_form(z) if fractions else z
 
 
@@ -221,6 +230,23 @@ def jacobi_sweep(L: LieAlgebra) -> None:
                                                     double(k, i, j))]
                 if any(res):
                     raise JacobiViolation(i + 1, j + 1, k + 1, fraction_form((D * D, res)))
+
+
+def jacobi_defect(L: LieAlgebra) -> int:
+    """How many components of [x, [y, z]] + [y, [z, x]] + [z, [x, y]] are
+    not the zero polynomial in the 3 dim variables of x, y and z: the
+    kernel of ``bracket`` run on ``Packed`` variables over the integer
+    table it reads.  0 is a proof of Jacobi."""
+    n = L.dim
+    _, table = L._integer_form
+
+    def br(u, v) -> list:
+        return _cross_sums(n, table, u, v)
+
+    vs = Packed.variables(3 * n, 2)
+    x, y, z = vs[:n], vs[n:2 * n], vs[2 * n:]
+    return sum(map(bool, map(Packed.total, zip(br(x, br(y, z)), br(y, br(z, x)),
+                                                  br(z, br(x, y))))))
 
 
 def validate(dim: int, brackets, labels: tuple[str, ...] | None = None) -> LieAlgebra:
@@ -392,7 +418,7 @@ def bch_product(L: LieAlgebra, x, y):
     the step.  Integer forms give an integer form, Fraction vectors give
     Fractions, as for ``bracket``."""
     fractions, x, y = _integer_pair(L, x, y)
-    z = L._group_law(x, y)
+    z = canonical(*L._group_law(x, y))
     return fraction_form(z) if fractions else z
 
 

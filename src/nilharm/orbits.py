@@ -118,28 +118,26 @@ def jump_indices(L: lc.LieAlgebra, flag: lc.FlagSequence, xi0: Functional) -> Or
                      flat=len(iso) == 1)
 
 
-def _evaluate(orbit: OrbitData, x: IntVector, y: IntVector) -> IntVector:
-    """The orbit's compiled map at integer forms (x, y): reduced product,
-    then cocycle."""
-    if not orbit.flat:
-        raise NotFlat("the reduced product and the cocycle require a flat orbit")
-    if len(x[1]) != orbit.d or len(y[1]) != orbit.d:
-        raise ValueError("vector dimension does not match the predual")
-    return orbit._law(x, y)
-
-
 def alpha(orbit: OrbitData, x, y) -> Fraction:
     """Central pairing of the BCH product: the additive group cocycle, at
     two integer forms or two Fraction vectors."""
+    if not orbit.flat:
+        raise NotFlat("the reduced product and the cocycle require a flat orbit")
     _, (x, y) = integer_forms(x, y)
-    d, out = _evaluate(orbit, x, y)
+    if len(x[1]) != orbit.d or len(y[1]) != orbit.d:
+        raise ValueError("vector dimension does not match the predual")
+    d, out = orbit._law(x, y)
     return Fraction(out[-1], d)
 
 
 def product_and_alpha(orbit: OrbitData, x, y) -> tuple[IntVector | Vector, Fraction]:
     """The reduced product, in the form of x and y, and the cocycle."""
+    if not orbit.flat:
+        raise NotFlat("the reduced product and the cocycle require a flat orbit")
     fractions, (x, y) = integer_forms(x, y)
-    d, out = _evaluate(orbit, x, y)
+    if len(x[1]) != orbit.d or len(y[1]) != orbit.d:
+        raise ValueError("vector dimension does not match the predual")
+    d, out = orbit._law(x, y)
     product = fraction_form((d, out[:-1])) if fractions else canonical(d, out[:-1])
     return product, Fraction(out[-1], d)
 

@@ -4,9 +4,12 @@ Just enough ring structure to push coordinate variables through the BCH
 series, producing exact closed forms for the group cocycle and the reduced
 product: Poly + Poly, Poly - Poly, Poly * Poly and Poly * scalar (an int or
 a Fraction); any other operand raises TypeError.  Plus compilation to exact
-integer-kernel evaluators (``ExactMap``) for the group laws, which take and
-return integer-form vectors.  Pure Python: the exact half of the package
-needs no numpy.
+integer-kernel evaluators (``ExactMap``) for the group laws, which take
+integer-form vectors, and the proofs of the laws' identities: each map
+runs on ``Packed`` integer polynomials as it runs on integers, so an
+identity of its tables is one substitution of variables into them, decided
+for every point at once.  Pure Python: the exact half of the package needs
+no numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
-
-from .rationals import IntVector, canonical
 
 Monomial = tuple[int, ...]  # exponents per variable
 
@@ -113,6 +114,66 @@ def _power_schedule(exponents, nvars: int) -> tuple[dict[Monomial, int], list[tu
     return nodes, steps
 
 
+class Packed(dict):
+    """A polynomial with integer coefficients, {monomial: coefficient}.
+
+    A monomial is one int that packs the exponents of its variables in
+    fields of ``bits`` bits (``Packed.variables``), so multiplying monomials
+    adds their ints; that is exact while every exponent stays below
+    2**bits.  The ring structure that ``ExactMap`` and the bracket kernel
+    need: + and - (an int on either side of +), * by a Packed or an int,
+    += in place, and ``total``.  A coefficient that cancels to 0 stays in
+    the dict; truth tests the coefficients."""
+
+    __slots__ = ()
+
+    @classmethod
+    def variables(cls, count: int, bits: int) -> list["Packed"]:
+        return [cls({1 << (bits * v): 1}) for v in range(count)]
+
+    @classmethod
+    def total(cls, terms) -> "Packed":
+        """The sum of ``terms`` (Packed or int), accumulated in one dict."""
+        out = cls()
+        for term in terms:
+            out += term
+        return out
+
+    def __bool__(self) -> bool:
+        return any(self.values())
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Packed({m: c * other for m, c in self.items()})
+        out = Packed()
+        get = out.get
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        return out
+
+    def __rmul__(self, other: int):
+        return self * other
+
+    def __iadd__(self, other):
+        get = self.get
+        for m, c in other.items() if isinstance(other, Packed) else ((0, other),):
+            self[m] = get(m, 0) + c
+        return self
+
+    def __add__(self, other):
+        out = Packed(self)
+        out += other
+        return out
+
+    def __radd__(self, other: int):
+        return self + other
+
+    def __sub__(self, other):
+        return self + other * -1
+
+
 class ExactMap:
     """Exact evaluator of polynomials in 2n variables at rational points (x, y).
 
@@ -120,10 +181,11 @@ class ExactMap:
     (``rationals.IntVector``): x = X/dx and y = Y/dy with integer X, Y.  With
     A and B the largest degrees in x and in y, a monomial x^a y^b is
     X^a dx^(A-|a|) Y^b dy^(B-|b|) over dx^A dy^B.  Each distinct lifted
-    x-part and y-part costs one integer multiplication per call.  The
-    coefficients of all components are integers over one common denominator
-    D, so each component sums them against products of parts over the one
-    denominator D dx^A dy^B, and one gcd makes the result an integer form.
+    x-part and y-part costs one multiplication per call.  The coefficients
+    of all components are integers over one common denominator D, so each
+    component sums them against products of parts over the one denominator
+    D dx^A dy^B.  X and Y may also hold ``Packed`` polynomials, and the
+    components are then polynomials over that denominator.
     """
 
     def __init__(self, polys, n: int):
@@ -148,20 +210,77 @@ class ExactMap:
             for p in polys]
 
     @staticmethod
-    def _parts(v: IntVector, steps) -> tuple[int, list[int]]:
+    def _parts(v, steps) -> tuple[int, list]:
         """The denominator of v and the values of every schedule node."""
         d, numerators = v
-        variables = (d,) + numerators
+        variables = (d, *numerators)
         vals = [1]
         for parent, k in steps:
             vals.append(vals[parent] * variables[k])
         return d, vals
 
-    def __call__(self, x: IntVector, y: IntVector) -> IntVector:
+    def __call__(self, x, y, total=sum) -> tuple[int, list]:
+        """(D dx^A dy^B, the numerators of the components over it), not
+        reduced: ``rationals.canonical`` of it is the integer form.  On
+        Packed numerators ``total`` is ``Packed.total``, which sums each
+        component in one dict."""
         dx, xv = self._parts(x, self._x_steps)
         dy, yv = self._parts(y, self._y_steps)
-        return canonical(
-            self._den * dx ** self._A * dy ** self._B,
-            [sum(map(mul, coeffs, map(mul, map(xv.__getitem__, xs),
-                                      map(yv.__getitem__, ys))))
-             for coeffs, xs, ys in self._components])
+        return self._den * dx ** self._A * dy ** self._B, [
+            total(map(mul, coeffs, map(mul, map(xv.__getitem__, xs), map(yv.__getitem__, ys))))
+            for coeffs, xs, ys in self._components]
+
+
+# ---------------------------------------------------------------------------
+# Proofs: identities of a map's tables, as polynomials
+# ---------------------------------------------------------------------------
+
+
+def _variables(law: ExactMap, count: int) -> list[Packed]:
+    """``count`` Packed variables, wide enough for the proofs below: the
+    law substituted into itself has degree at most (A + B)^2, and on a ray
+    (x, y) = (lam x, mu x) at most 2 (A + B)."""
+    return Packed.variables(count, (2 * (law._A + law._B) ** 2).bit_length())
+
+
+def _differ(a: Packed, da: int, b: Packed, db: int) -> bool:
+    """Whether a / da and b / db are different polynomials."""
+    return bool(a * db - b * da)
+
+
+def associativity_defect(law: ExactMap, n: int) -> int:
+    """How many components of (x y) z - x (y z), x y = law(x, y) on n
+    coordinates each, are not the zero polynomial in the 3n variables of x,
+    y and z; 0 is a proof of associativity.  A law with n + 1 components is
+    a reduced product and a cocycle a: its last count is that of the
+    cocycle identity a(x, y) + a(x y, z) - a(x, y z) - a(y, z), and the
+    whole is the associativity of (x, s)(y, t) = (x y, s + t + a(x, y))."""
+    vs = _variables(law, 3 * n)
+    x, y, z = ((1, vs[k * n:(k + 1) * n]) for k in range(3))
+    (dxy, xy), (dyz, yz) = law(x, y, Packed.total), law(y, z, Packed.total)
+    dl, left = law((dxy, xy[:n]), z, Packed.total)
+    dr, right = law(x, (dyz, yz[:n]), Packed.total)
+    bad = sum(_differ(a, dl, b, dr) for a, b in zip(left[:n], right[:n]))
+    if len(left) > n:
+        bad += _differ(left[n] * dxy + xy[n] * dl, dl * dxy,
+                       right[n] * dyz + yz[n] * dr, dr * dyz)
+    return bad
+
+
+def inverse_unit_defect(law: ExactMap, n: int) -> int:
+    """How many components of x (-x) and of 0 x - x, on n coordinates, are
+    not the zero polynomial in x: 0 proves that 0 is the unit and -x the
+    inverse."""
+    xs = _variables(law, n)
+    _, inverse = law((1, xs), (1, [v * -1 for v in xs]), Packed.total)
+    d, unit = law((1, [0] * n), (1, xs), Packed.total)
+    return sum(map(bool, inverse)) + sum(_differ(u, d, v, 1) for u, v in zip(unit, xs))
+
+
+def ray_defect(law: ExactMap, n: int) -> int:
+    """1 if the last component at (lam x, mu x), x on n coordinates, is not
+    the zero polynomial in x, lam and mu, else 0: 0 proves that the cocycle
+    vanishes on every ray."""
+    *xs, lam, mu = _variables(law, n + 2)
+    _, out = law((1, [v * lam for v in xs]), (1, [v * mu for v in xs]), Packed.total)
+    return int(bool(out[-1]))

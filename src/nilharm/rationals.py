@@ -103,15 +103,3 @@ def integer_forms(*vectors) -> tuple[bool, tuple[IntVector, ...]]:
     if len(v) == 2 and type(v[1]) is tuple:
         return False, vectors
     return True, tuple(map(integer_form, vectors))
-
-
-def int_vec_add(u: IntVector, v: IntVector) -> IntVector:
-    (du, U), (dv, V) = u, v
-    d = lcm(du, dv)
-    mu, mv = d // du, d // dv
-    return canonical(d, [a * mu + b * mv for a, b in zip(U, V, strict=True)])
-
-
-def int_vec_scale(c: Fraction, v: IntVector) -> IntVector:
-    d, X = v
-    return canonical(c.denominator * d, [c.numerator * a for a in X])

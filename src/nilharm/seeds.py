@@ -12,11 +12,10 @@ import hashlib
 import os
 import random
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
-from .rationals import IntVector, Vector, canonical, fraction_form
+from .rationals import Vector
 
 DEFAULT_SEED = 0
 ENV_VAR = "NILHARM_SEED"
@@ -76,20 +75,7 @@ def random_fraction(rnd: random.Random, max_num: int = 6, max_den: int = 4,
             return q
 
 
-def random_int_vector(rnd: random.Random, n: int, max_num: int = 6,
-                      max_den: int = 4) -> IntVector:
-    """n ``random_fraction`` draws as one integer form (d, X): the same
-    draws in the same order, numerator then denominator, with no Fraction
-    built."""
-    bits = rnd.getrandbits
-    nums, dens = [], []
-    for _ in range(n):
-        nums.append(_randint(bits, -max_num, max_num))
-        dens.append(_randint(bits, 1, max_den))
-    d = lcm(*dens)
-    return canonical(d, [a * (d // b) for a, b in zip(nums, dens)])
-
-
 def random_fraction_vector(rnd: random.Random, n: int, max_num: int = 6,
                            max_den: int = 4) -> Vector:
-    return fraction_form(random_int_vector(rnd, n, max_num, max_den))
+    """n ``random_fraction`` draws."""
+    return tuple(random_fraction(rnd, max_num, max_den) for _ in range(n))

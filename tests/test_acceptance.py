@@ -56,7 +56,7 @@ def test_quick_full_report_runs_every_criterion_smaller(monkeypatch):
         for label, budget, suite, kw in verify.ACCEPTANCE_CRITERIA))
     rep = verify.full_report(0, quick=True)
     assert calls == [
-        ("exact_suite", {"samples": 25}),
+        ("exact_suite", {}),
         ("examples_suite", {}),
         ("twist_suite", {"half_width": 8.0, "points": 32}),
         ("cz_suite", {"half_width": 8.0, "points": 32}),

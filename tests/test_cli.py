@@ -135,8 +135,8 @@ def test_usage_error_exits_2():
 
 # JSON of the wrong shape, each given where the command reads its file: a
 # top level that is not an object, a missing field, a field of the wrong
-# type, a 0-based form index and a form pair given twice.  Each error names
-# the file.
+# type, a 0-based form index, a form pair given twice and an edge given as
+# a string rather than a pair.  Each error names the file.
 @pytest.mark.parametrize("args, doc", [
     (("algebra", "validate", "{}"), [1, 2]),
     (("algebra", "validate", "{}"), {"dim": 3, "brackets": 5}),
@@ -148,9 +148,10 @@ def test_usage_error_exits_2():
     (("twist", "conv", "--grid", "8,32", "--symbol", "{}"), [1, 2]),
     (("cz", "decompose", "--grid", "8,32", "--symbol", "{}"), {"d": 2, "L": 8}),
     (("algebra", "validate", "{}"), {"dim": 3.9, "brackets": []}),
+    (("graph-lie", "{}"), {"vertices": ["a", "b"], "edges": ["ab"]}),
 ], ids=["algebra-list", "algebra-brackets-int", "graph-vertices-int",
         "form-missing-entries", "form-index-0", "form-duplicate-pair", "symbol-list",
-        "symbol-missing-N", "algebra-dim-float"])
+        "symbol-missing-N", "algebra-dim-float", "graph-edge-string"])
 def test_malformed_json_exits_2(tmp_path, args, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

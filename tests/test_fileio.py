@@ -105,6 +105,35 @@ def test_symbol_integer_fields_must_be_json_integers(field, value):
         fileio.symbol_from_dict(doc)
 
 
+@pytest.mark.parametrize("value", [True, "8", None, [8.0]])
+def test_symbol_half_width_must_be_a_json_number(value):
+    doc = {"d": 2, "L": value, "N": 8, "values": [[0.0, 0.0]] * 64}
+    with pytest.raises(ValueError, match="field L must be a JSON number"):
+        fileio.symbol_from_dict(doc)
+    assert fileio.symbol_from_dict({**doc, "L": 8}).grid.half_width == 8.0
+
+
+TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}
+
+
+@pytest.mark.parametrize("field, value, where, what", [
+    ("vertices", "abc", "vertices", "strings"),
+    ("vertices", [1, 2.5, True], "vertices", "strings"),
+    ("edges", ["ab", ["b", "c"]], "edges[0]", "2 strings"),
+    ("edges", [["a", "b"], ["b", "c", "a"]], "edges[1]", "2 strings"),
+    ("edges", [["a", 1]], "edges[0]", "2 strings"),
+])
+def test_graph_fields_must_be_lists_of_strings(field, value, where, what):
+    with pytest.raises(ValueError, match=rf"field {re.escape(where)} must be a list of {what}"):
+        fileio.graph_from_dict({**TRIANGLE, field: value})
+    assert fileio.graph_from_dict(TRIANGLE).vertices == ("a", "b", "c")
+
+
+def test_graph_edges_must_be_a_list():
+    with pytest.raises(ValueError, match="field edges must be a list of vertex pairs"):
+        fileio.graph_from_dict({**TRIANGLE, "edges": "ab"})
+
+
 def test_load_names_the_file_and_the_field(tmp_path):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps({**H3, "dim": 3.9}))
