@@ -47,15 +47,18 @@ up to 8.7e-5 (N = 64), 6.0e-6 (128) and 1.4e-5 (256) against Gaussians, and
 5.3e-5, 2.6e-6 and 1.0e-5 for those products against Hermites.  The last two
 are set by the box, not the step; tests/test_pedersen.py holds the bounds.
 
-Cost.  A realization builds its grid-only tables once, before calibration,
-and holds them read-only: the transform's (q, midpoint) phases, N x (2N-1);
-the inverse's h exp(i q p / 2) on (q, p), N x N; and the two fixed gather
-indices, N x N each (0.52 MB + 0.26 MB + 2 x 0.13 MB at N = 128, four times
-that at N = 256).  A transform is one N x N by N x (2N-1) product, b's N
-p-node rows against the phases, and one gather of the N^2 kernel entries.  An
-inverse is one gather of the operator's diagonals, one N x N product with the
-exp(-i q x_j) table, which is conj(phases[:, ::2]) bit for bit and is derived
-per call, and one elementwise multiply.
+Cost.  The grid-only tables and the calibrated density read no twist: they
+are built once per grid (about 2 ms at N = 128) in ``_grid_tables``, which
+keeps the last grid, and every realization on that grid shares them
+read-only.  The tables are the transform's (q, midpoint) phases,
+N x (2N-1); the inverse's h exp(i q p / 2) on (q, p), N x N; and the two
+fixed gather indices, N x N each (0.52 MB + 0.26 MB + 2 x 0.13 MB at
+N = 128, four times that at N = 256).  A transform is one N x N by
+N x (2N-1) product, b's N p-node rows against the phases, and one gather of
+the N^2 kernel entries.  An inverse is one gather of the operator's
+diagonals, one N x N product with the exp(-i q x_j) table, which is
+conj(phases[:, ::2]) bit for bit and is derived per call, and one
+elementwise multiply.
 
 The checks that compare a product with operator composition never take it
 from the operator route, where the product is inverse(T(a) . T(b)) and the
@@ -69,6 +72,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,6 +137,56 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
+def _kernel(grid: Grid, phases: np.ndarray, kernel_index: np.ndarray,
+            values: np.ndarray, density: float) -> np.ndarray:
+    """Kernel K(x_j, x_k) = density * h * sum_q b(q, (k-j) h) exp(i q (x_j+x_k)/2),
+    one gather from the (p node, midpoint) table."""
+    n = grid.points
+    table = np.empty((n + 1, 2 * n - 1), dtype=complex)
+    np.matmul(values.T, phases, out=table[:n])
+    table[n] = 0.0
+    return density * grid.h * table.ravel()[kernel_index]
+
+
+@lru_cache(maxsize=1)
+def _grid_tables(grid: Grid) -> tuple:
+    """The read-only tables of the module docstring's cost paragraph and the
+    calibrated density, for one symbol grid.  None of them reads the twist, so
+    every realization on the grid shares them."""
+    n = grid.points
+    h = grid.h
+    ax = grid.axis
+    j = np.arange(n)[:, None]
+    k = np.arange(n)[None, :]
+    # The transform's (q, midpoint) phases exp(i q (x_j + x_k)/2) at the
+    # 2n-1 midpoints; every other midpoint is a node, so conj(phases[:, ::2])
+    # is the inverse's exp(-i q x_j) table.
+    mids = -grid.half_width + 0.5 * h * np.arange(2 * n - 1)
+    phases = _read_only(np.exp(1j * np.outer(ax, mids)))
+    # Flat index of kernel entry (j, k) in the (p node, midpoint) table with
+    # one zero row n appended: column j + k of row k - j + n/2, or of row n
+    # where (k - j) h is not a node.
+    rows = k - j + n // 2
+    kernel_index = _read_only(
+        np.where((rows >= 0) & (rows < n), rows, n) * (2 * n - 1) + j + k)
+    # The inverse's h exp(i q p / 2) on (q, p), and the flat index of
+    # B[j - s, j], the p-step s = k - n/2, in B.matrix with one zero
+    # appended (entry n^2 where j - s is off the grid).
+    half_phases = _read_only(h * np.exp(0.5j * np.outer(ax, ax)))
+    rows = j - k + n // 2
+    diagonal_index = _read_only(np.where((rows >= 0) & (rows < n), rows * n + j, n * n))
+    # The density for which trace(transform(b)) = b(0), b a standard Gaussian.
+    probe = funcs.sample(grid, funcs.gaussian())
+    trace = DiscretizedOperator(grid.axis_grid(),
+                                _kernel(grid, phases, kernel_index, probe.values, 1.0)).trace()
+    if abs(trace) == 0.0:
+        raise ValueError(
+            f"the grid L = {grid.half_width:g}, N = {n} cannot calibrate the "
+            "operator transform: the Gaussian probe has zero raw trace")
+    density = float((probe.at_origin() / trace).real)
+    return phases, kernel_index, half_phases, diagonal_index, density
+
+
 class HeisenbergRealization:
     """Operator calculus bound to one twist structure and one grid pair."""
 
@@ -142,37 +196,8 @@ class HeisenbergRealization:
         self.twist = twist
         self.symbol_grid = symbol_grid
         self.state_grid = symbol_grid.axis_grid()
-        n = symbol_grid.points
-        h = symbol_grid.h
-        ax = symbol_grid.axis
-        j = np.arange(n)[:, None]
-        k = np.arange(n)[None, :]
-        # The transform's (q, midpoint) phases exp(i q (x_j + x_k)/2) at the
-        # 2n-1 midpoints; every other midpoint is a node, so conj(phases[:, ::2])
-        # is the inverse's exp(-i q x_j) table.
-        mids = -symbol_grid.half_width + 0.5 * h * np.arange(2 * n - 1)
-        self._phases = _read_only(np.exp(1j * np.outer(ax, mids)))
-        # Flat index of kernel entry (j, k) in the (p node, midpoint) table with
-        # one zero row n appended: column j + k of row k - j + n/2, or of row n
-        # where (k - j) h is not a node.
-        rows = k - j + n // 2
-        self._kernel_index = _read_only(
-            np.where((rows >= 0) & (rows < n), rows, n) * (2 * n - 1) + j + k)
-        # The inverse's h exp(i q p / 2) on (q, p), and the flat index of
-        # B[j - s, j], the p-step s = k - n/2, in B.matrix with one zero
-        # appended (entry n^2 where j - s is off the grid).
-        self._half_phases = _read_only(h * np.exp(0.5j * np.outer(ax, ax)))
-        rows = j - k + n // 2
-        self._diagonal_index = _read_only(
-            np.where((rows >= 0) & (rows < n), rows * n + j, n * n))
-        # The density for which trace(transform(b)) = b(0), b a standard Gaussian.
-        probe = funcs.sample(symbol_grid, funcs.gaussian())
-        trace = self._assemble(probe, density=1.0).trace()
-        if abs(trace) == 0.0:
-            raise ValueError(
-                f"the grid L = {symbol_grid.half_width:g}, N = {n} cannot calibrate the "
-                "operator transform: the Gaussian probe has zero raw trace")
-        self.density = float((probe.at_origin() / trace).real)
+        (self._phases, self._kernel_index, self._half_phases, self._diagonal_index,
+         self.density) = _grid_tables(symbol_grid)
 
     # -- representation ---------------------------------------------------
 
@@ -203,20 +228,11 @@ class HeisenbergRealization:
 
     # -- transform and inverse --------------------------------------------
 
-    def _assemble(self, b: SampledSymbol, density: float) -> DiscretizedOperator:
+    def transform(self, b: SampledSymbol) -> DiscretizedOperator:
         if not b.grid.same_box(self.symbol_grid) or b.grid.dim != 2:
             raise GridMismatch("symbol grid does not match the realization")
-        n = self.symbol_grid.points
-        # Kernel K(x_j, x_k) = density * h * sum_q b(q, (k-j) h) exp(i q (x_j+x_k)/2),
-        # one gather from the (p node, midpoint) table.
-        table = np.empty((n + 1, 2 * n - 1), dtype=complex)
-        np.matmul(b.values.T, self._phases, out=table[:n])
-        table[n] = 0.0
-        kernel = density * self.symbol_grid.h * table.ravel()[self._kernel_index]
-        return DiscretizedOperator(self.state_grid, kernel)
-
-    def transform(self, b: SampledSymbol) -> DiscretizedOperator:
-        return self._assemble(b, density=self.density)
+        return DiscretizedOperator(self.state_grid, _kernel(
+            self.symbol_grid, self._phases, self._kernel_index, b.values, self.density))
 
     def inverse(self, B: DiscretizedOperator) -> SampledSymbol:
         """Symbol recovery b(q,p) = trace(rep(q,p)^{-1} B); no density factor."""
@@ -277,7 +293,9 @@ class HeisenbergRealization:
         three read one product a * b per pair: the i-th of ``products`` for
         pairs[i] when given, else the FFT loop's, one call per pair, not
         ``convolve_each`` (module docstring).  Each product is read as its
-        pair comes up, so a generator holds one at a time."""
+        pair comes up, so a generator holds one at a time.  Consecutive pairs
+        with one left operand, such as a multiplier u against each phi, share
+        its transform."""
         report: dict = {"density": self.density, "trace": [], "adjoint": [],
                         "hs_isometry": [], "pairing": [], "inversion": [], "homomorphism": [],
                         "homomorphism_hs": [], "submultiplicativity": []}
@@ -296,8 +314,11 @@ class HeisenbergRealization:
         if products is None:
             products = (twisted_convolve(self.twist, a, [b], density=self.density)[0]
                         for a, b in pairs)
+        last_a = Ta = None
         for (a, b), conv in zip(pairs, products, strict=True):
-            Ta, Tb = self.transform(a), self.transform(b)
+            if a is not last_a:
+                last_a, Ta = a, self.transform(a)
+            Tb = self.transform(b)
             resid = (self.transform(conv) - Ta.compose(Tb)).hs_norm()
             scale = self.symbol_norm(a) * self.symbol_norm(b)
             if scale == 0.0:

@@ -10,13 +10,14 @@ from nilharm.grids import Grid
 
 @pytest.fixture
 def cold_caches():
-    """Empty every per-process cache of the exact layer's seed-independent
-    values (catalog algebras, standard orbits, flags, derivation spaces,
-    Engel certificates), so that the test builds them again, as a fresh
-    process would.  Series and compiled laws are cached on the algebra and
+    """Empty every per-process cache of seed-independent values, so that the
+    test builds them again, as a fresh process would: the exact layer's
+    catalog algebras, standard orbits, flags, derivation spaces and Engel
+    certificates, and the grid engine's per-grid realization tables and gauge
+    phase tables.  Series and compiled laws are cached on the algebra and
     orbit objects, which the emptied catalog and orbit caches hand out anew."""
     for cached in (cat._core, ob.standard_orbit, lc._central_flag, lc.derivation_space,
-                   lc.is_characteristically_nilpotent):
+                   lc.is_characteristically_nilpotent, pe._grid_tables, tw._gauge_tables):
         cached.cache_clear()
 
 

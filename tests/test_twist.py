@@ -2,6 +2,8 @@
 takes and refuses, degenerate cases, delta action."""
 
 import dataclasses
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,7 +190,8 @@ def test_fft_path_skips_only_exact_zero_terms(h3_twist, points):
     cases = _support_cases(grid).values()
     lefts = list({id(a): a for a, _ in cases}.values())
     rights = list({id(b): b for _, b in cases}.values())
-    for twist in (h3_twist, _bilinear_twist(NON_SKEW)):
+    for twist in (h3_twist, _bilinear_twist(NON_SKEW), _bilinear_twist([[0.0, 0.3], [0.3, 0.0]]),
+                  tw.zero_twist(2)):
         for a in lefts:
             swept = tw.twisted_convolve(twist, a, rights, density=RHO)
             assert len(swept) == len(rights)
@@ -212,6 +215,27 @@ def test_gauge_tables_follow_the_grid_and_the_cocycle(h3_twist):
         for twist in twists:
             got = tw.twisted_convolve(twist, a, [b], density=RHO)[0].values
             assert _same_bits(got, full_loop_fft_2d(twist, a, b, RHO))
+
+
+def test_the_untwisted_sweep_transforms_its_offset_table_once(monkeypatch, h3_twist):
+    # Block FFTs are the 2-d calls, column FFTs of b2 the 1-d ones.  Under h3
+    # each of the 32 live columns transforms its own block; under the zero
+    # twist one call transforms the offset table's support rows.
+    grid = Grid(2, 8.0, 32)
+    a = funcs.sample(grid, funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1)))
+    b = funcs.sample(grid, funcs.gaussian((-0.2, 0.8), 0.9, (-0.3, 0.2)))
+    fft = np.fft.fft
+    calls = []
+
+    def counted(x, *args, **kw):
+        calls.append(np.ndim(x))
+        return fft(x, *args, **kw)
+
+    monkeypatch.setattr(tw.np.fft, "fft", counted)
+    for twist, blocks in ((h3_twist, 32), (tw.zero_twist(2), 1)):
+        calls.clear()
+        tw.twisted_convolve(twist, a, [b], density=RHO)
+        assert (calls.count(2), calls.count(1)) == (blocks, 32)
 
 
 def _family_evaluators(monkeypatch):
@@ -510,6 +534,57 @@ def test_twist_suite_fails_on_a_flipped_cocycle_matrix(monkeypatch):
     monkeypatch.setattr(tw, "from_orbit", flipped)
     assert _failed(verify.twist_suite(seed=0, points=32)) == {"homomorphism_rel_max",
                                                               "ccr_phase_residual_max"}
+
+
+def _report_bytes(points: int) -> list[str]:
+    return [json.dumps(suite(0, 8.0, points).to_dict(), sort_keys=True)
+            for suite in (verify.twist_suite, verify.multiplier_suite)]
+
+
+def test_warm_grid_caches_change_no_report_byte(cold_caches):
+    # The realization tables and the calibrated density are cached per grid,
+    # the gauge tables per grid and cocycle: the first run builds them, the
+    # second reads them.
+    assert _report_bytes(32) == _report_bytes(32)
+
+
+@pytest.mark.parametrize("points, factor", [(64, -1.0), (64, 2.0)],
+                         ids=["flipped", "rescaled"])
+def test_a_wrong_cocycle_matrix_is_seen_after_warm_suites(monkeypatch, points, factor):
+    # Only grid tables are cached, never the h3 realization: each suite
+    # compiles its twist anew, so a defect in from_orbit shows after both
+    # suites have run on its grid.
+    _report_bytes(points)
+    compile_twist = tw.from_orbit
+
+    def wrong(orbit):
+        twist = compile_twist(orbit)
+        return dataclasses.replace(twist, alpha_matrix=factor * twist.alpha_matrix)
+
+    monkeypatch.setattr(tw, "from_orbit", wrong)
+    assert _failed(verify.twist_suite(seed=0, points=points)) == {"homomorphism_rel_max",
+                                                                  "ccr_phase_residual_max"}
+
+
+def test_warm_operator_suites_memory_peak():
+    # The benchmark's operator-calculus battery at N = 128, both suites with
+    # their grid tables cached: 12.1 MB under tracemalloc, where the bound
+    # leaves 0.9 MB, less than four N = 128 operators of 0.26 MB.  A transform
+    # memo holding its last 12 operators added 3.7 MB.  A warm run keeps only
+    # the h3 gauge tables, 1.58 MB, which the gauge cache's one entry rebuilds
+    # after the twist suite's untwisted product.
+    suites = (verify.twist_suite, verify.multiplier_suite)
+    for suite in suites:
+        suite(0, 8.0, 128)
+    tracemalloc.start()
+    try:
+        for suite in suites:
+            suite(0, 8.0, 128)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.0e6
+    assert current < 1.7e6
 
 
 def test_twist_suite_sees_a_density_off_by_a_part_per_million(monkeypatch):
