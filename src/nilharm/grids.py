@@ -238,7 +238,12 @@ class TorusGridFunction:
 
     @cached_property
     def angle_samples(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.arange(self.angles) / self.angles)
+        return unit_circle_samples(self.angles)
+
+
+def unit_circle_samples(angles: int) -> np.ndarray:
+    """The uniform angle samples t_k = e^{2 pi i k / angles}, k = 0, ..., angles - 1."""
+    return np.exp(2j * np.pi * np.arange(angles) / angles)
 
 
 def _sum_by_halves(sums: list) -> float:

@@ -175,6 +175,12 @@ def _gauge_tables(grid: Grid, c1: float, c2: float):
     return tables
 
 
+# The untwisted phases: every entry of the three tables is 1 + 0j, and a
+# scalar 1 + 0j multiplies with the bits of such a table, signs of zeros
+# included.  Not caching them leaves the one cache entry to a twisted cocycle.
+_UNTWISTED_GAUGE = (1 + 0j, 1 + 0j, 1 + 0j)
+
+
 def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2s: list[SampledSymbol],
                      density: float) -> list[np.ndarray]:
     """The d=2 path in the polarized gauge, one sweep for all of b2s.
@@ -225,7 +231,8 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2s: list[SampledSymbo
     # neither does the table.
     c1 = float(twist.alpha_matrix[0, 1]) + 0.0
     c2 = float(twist.alpha_matrix[1, 0]) + 0.0
-    gauge_u, gauge_y, gauge_x = _gauge_tables(grid, c1, c2)
+    gauge_u, gauge_y, gauge_x = (_UNTWISTED_GAUGE if c1 == c2 == 0.0
+                                 else _gauge_tables(grid, c1, c2))
     specs = _spectra(b1, b2s, c1, c2, gauge_u, gauge_y)
     cell = density * grid.cell_volume
     for k, spec in enumerate(specs):
@@ -235,7 +242,8 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2s: list[SampledSymbo
 
 
 def _spectra(b1: SampledSymbol, b2s: list[SampledSymbol], c1: float, c2: float,
-             gauge_u: np.ndarray, gauge_y: np.ndarray) -> list[np.ndarray]:
+             gauge_u: np.ndarray | complex,
+             gauge_y: np.ndarray | complex) -> list[np.ndarray]:
     """The sweep of ``_convolve_fft_2d``: the y1-summed spectra, [x1, freq],
     one per b2.  Its offset table, block buffers and operand columns are
     freed when it returns, before the inverse FFTs allocate."""

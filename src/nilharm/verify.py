@@ -530,6 +530,17 @@ def multiplier_suite(seed: int = 0, half_width: float = 8.0,
     rep.check_bound("multiplier_vs_transform_residual_agreement", gap,
                     TOLERANCES["multiplier_vs_transform_residual_agreement"])
 
+    _transference_checks(rep, phis)
+    return rep
+
+
+def _transference_checks(rep: Report, phis: list[SampledSymbol]) -> None:
+    """The circle-extension checks of multiplier_suite on phis[0] (the lifted
+    psi) and phis[1], phis[2] (the other modes), added to rep.  They read only
+    the symbols, not the seed or the engine.
+
+    The test functions lift psi as sharp_map does, times the reciprocal
+    1 / s_k of each angle sample, so that the lift inside them has its bits."""
     angles = 64
     psi = phis[0]
     lifted = mult.sharp_map(psi, angles)
@@ -541,16 +552,17 @@ def multiplier_suite(seed: int = 0, half_width: float = 8.0,
     # The modes s^0 and s^2 of psi/s + a + b s^2 integrate to zero against s
     # over the uniform angles, so its projection is psi^sharp.
     a, b = phis[1], phis[2]
-    known = TorusGridFunction(grid, angles, lambda: (
-        psi.values / s_k + a.values + b.values * s_k ** 2
-        for s_k in lifted.angle_samples))
+    s = lifted.angle_samples
+    r = 1 / s
+    known = TorusGridFunction(psi.grid, angles, lambda: (
+        psi.values * r_k + a.values + b.values * s_k ** 2 for s_k, r_k in zip(s, r)))
     rep.check_bound("flat_sharp_equals_projection",
                     torus_sup_distance(mult.proj_p(known), lifted),
                     TOLERANCES["flat_sharp_equals_projection"])
     # psi/s + a s projects to psi^sharp; its s^1 mode is the one a flat map
     # integrating against s^-1 would read, so idempotence fails under that defect.
-    mixed = TorusGridFunction(grid, angles, lambda: (
-        psi.values / s_k + a.values * s_k for s_k in lifted.angle_samples))
+    mixed = TorusGridFunction(psi.grid, angles, lambda: (
+        psi.values * r_k + a.values * s_k for s_k, r_k in zip(s, r)))
     proj = mult.proj_p(mixed)
     twice = mult.proj_p(proj)
     rep.check_bound("projection_idempotent", torus_sup_distance(twice, proj),
@@ -561,7 +573,6 @@ def multiplier_suite(seed: int = 0, half_width: float = 8.0,
         rhs = lp_norm(psi, p)
         rep.check_bound(f"sharp_isometric_lp[p={p}]",
                         abs(lhs - rhs) / rhs, TOLERANCES["sharp_isometric_lp"])
-    return rep
 
 
 # ---------------------------------------------------------------------------

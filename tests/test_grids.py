@@ -32,8 +32,9 @@ def dense_random_torus(grid, angles, seed):
 
 
 def dense_lift(psi, angles):
+    """psi^sharp as one array: psi times the reciprocal 1 / t_k of each angle."""
     t = np.exp(2j * np.pi * np.arange(angles) / angles)
-    return psi.values[None, ...] / t.reshape((angles,) + (1,) * psi.grid.dim)
+    return psi.values[None, ...] * (1 / t).reshape((angles,) + (1,) * psi.grid.dim)
 
 
 def torus(grid, values):

@@ -7,7 +7,9 @@ import pytest
 from test_grids import dense_lift, dense_random_torus, torus
 
 from nilharm import funcs, multipliers as mult, pedersen as pe, twist as tw, verify
-from nilharm.grids import Grid, SampledSymbol, lp_norm, torus_lp_norms, torus_sup_distance
+from nilharm.grids import (Grid, SampledSymbol, TorusGridFunction, lp_norm, torus_lp_norms,
+                           torus_sup_distance, unit_circle_samples)
+from nilharm.reports import Report
 
 
 # -- dense references: the maps on whole (angles,) + grid.shape arrays --------------
@@ -74,6 +76,25 @@ def test_multiplier_checks_match_one_check_per_multiplier(engine64):
           funcs.sample(grid, funcs.truncated_power(1.5, 0.25, 6.0))]
     assert mult.multiplier_checks(engine64, us, phis, psis) == [
         mult.multiplier_check(engine64, u, phis, psis) for u in us]
+
+
+def test_multiplier_checks_take_each_phi_norm_once(engine64, monkeypatch):
+    # ||phi||_p once per phi and p (2 x 3) and ||u * phi||_p per multiplier
+    # (3 x 2 x 3): 24 norms, where a norm of phi per multiplier would make 36.
+    grid = engine64.symbol_grid
+    phis = funcs.gaussian_family(grid, 2)
+    us = [funcs.discrete_delta(grid, engine64.density),
+          SampledSymbol(grid, np.zeros(grid.shape)),
+          funcs.sample(grid, funcs.truncated_power(1.5, 0.25, 6.0))]
+    calls = []
+
+    def counted(sym, p, density=1.0):
+        calls.append(p)
+        return lp_norm(sym, p, density)
+
+    monkeypatch.setattr(mult, "lp_norm", counted)
+    mult.multiplier_checks(engine64, us, phis, phis)
+    assert len(calls) == 24
 
 
 def test_multiplier_checks_need_one_psi_per_phi(engine64):
@@ -154,12 +175,65 @@ def test_multiplier_suite_sees_a_defective_flat_map(monkeypatch, defect, failing
     assert {c.name for c in rep.checks if c.status == "fail"} == failing
 
 
+def _sharp_in_the_wrong_mode(psi, angles=64):
+    """sharp_map multiplying by t_k instead of 1 / t_k: the lift psi s in
+    the s^{+1} mode."""
+    t = unit_circle_samples(angles)
+    return TorusGridFunction(psi.grid, angles, lambda: (psi.values * t_k for t_k in t))
+
+
+def test_multiplier_suite_sees_a_defective_sharp_map(monkeypatch):
+    # flat_map reads the s^{-1} mode, which psi s leaves empty: the round
+    # trip gives 0, and the projection of the mixed function, psi s, projects
+    # to 0.  The projection of the known function is compared with a lift made
+    # by the same defective map, so that check holds; the moduli are |psi|,
+    # so the L^p isometry holds too.
+    monkeypatch.setattr(mult, "sharp_map", _sharp_in_the_wrong_mode)
+    rep = verify.multiplier_suite(0, 8.0, 32)
+    assert {c.name for c in rep.checks if c.status == "fail"} == {
+        "sharp_flat_roundtrip", "projection_idempotent"}
+
+
+# multiplier_suite's torus checks at seed 0 when sharp_map and the test
+# functions divided each slab by t_k: (sharp_flat_roundtrip,
+# flat_sharp_equals_projection, projection_idempotent) and the four
+# sharp_isometric_lp values, p = 1, 1.5, 2, 4.
+DIVIDED_TORUS_CHECKS = {
+    32: ((1.554560032361923e-15, 4.518280359883027e-16, 1.6662594659381951e-15),
+         (1.4135798584284065e-16, 1.709009518609535e-16, 0.0, 0.0)),
+    64: ((1.554560032361923e-15, 6.087272963323594e-16, 1.6662594659381951e-15),
+         (0.0, 0.0, 0.0, 0.0)),
+    128: ((1.554560032361923e-15, 6.280369834735101e-16, 1.7377739072730912e-15),
+          (1.4135798584283054e-16, 1.709009518609535e-16, 0.0, 0.0)),
+    256: ((1.5553031891404221e-15, 7.216449660063518e-16, 1.7377739072730912e-15),
+          (0.0, 0.0, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("points", sorted(DIVIDED_TORUS_CHECKS))
+def test_reciprocal_angles_stay_within_2_5e_16_of_dividing(points):
+    # Multiplying by 1 / t_k moves the three checks through flat_map by at
+    # most 2.5e-16 and keeps them below 2e-15, far inside their 1e-12 bounds;
+    # the isometry values keep their bits.  The torus checks read only the
+    # symbols, so N = 256 needs no engine.
+    rep = Report(command="verify multiplier", seed=0)
+    verify._transference_checks(rep, funcs.gaussian_family(Grid(2, 8.0, points), 3))
+    values = {c.name: c.value for c in rep.checks}
+    moved, isometric = DIVIDED_TORUS_CHECKS[points]
+    names = ("sharp_flat_roundtrip", "flat_sharp_equals_projection", "projection_idempotent")
+    for name, old in zip(names, moved):
+        assert abs(values[name] - old) <= 2.5e-16 and values[name] < 2e-15, name
+    assert [values[f"sharp_isometric_lp[p={p}]"] for p in (1.0, 1.5, 2.0, 4.0)] \
+        == list(isometric)
+
+
 def test_sharp_map_values(grid32):
     psi = funcs.sample(grid32, funcs.gaussian((0.4, 0.0)))
     lifted = mult.sharp_map(psi, angles=8)
     t = lifted.angle_samples
     slabs = dense(lifted)
     for k in (0, 3, 5):
+        assert np.array_equal(slabs[k], psi.values * (1 / t[k]))
         assert np.allclose(slabs[k], psi.values / t[k])
 
 
@@ -196,8 +270,9 @@ def test_projection_fixes_sharp_image(grid32):
 @pytest.mark.parametrize("points, angles",
                          [(32, 8), (32, 64), (64, 8), (64, 64), (8, 8), (32, 12)])
 def test_torus_maps_match_dense_references(points, angles):
-    # Dividing by t_k slab by slab and adding slab_k * s_k in angle order is
-    # the arithmetic of the dense maps at every grid size and angle count.
+    # Multiplying by 1 / t_k slab by slab and adding slab_k * s_k in angle
+    # order is the arithmetic of the dense maps at every grid size and angle
+    # count.
     grid = Grid(2, 8.0, points)
     for psi in (funcs.sample(grid, funcs.gaussian((0.2, -0.5), 0.9, (0.3, 0.1))),
                 funcs.hermite_family(grid, 3)[2]):

@@ -217,6 +217,19 @@ def test_gauge_tables_follow_the_grid_and_the_cocycle(h3_twist):
             assert _same_bits(got, full_loop_fft_2d(twist, a, b, RHO))
 
 
+def test_an_untwisted_product_leaves_the_gauge_cache_alone(h3_twist, cold_caches):
+    # The zero twist multiplies by 1 + 0j in place of all-ones tables, so the
+    # h3 tables stay the one cache entry across an untwisted product.
+    grid = Grid(2, 8.0, 32)
+    a = funcs.sample(grid, funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1)))
+    b = funcs.sample(grid, funcs.gaussian((-0.2, 0.8), 0.9, (-0.3, 0.2)))
+    tw.twisted_convolve(h3_twist, a, [b], density=RHO)
+    tw.twisted_convolve(tw.zero_twist(2), a, [b], density=RHO)
+    tw.twisted_convolve(h3_twist, a, [b], density=RHO)
+    info = tw._gauge_tables.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
 def test_the_untwisted_sweep_transforms_its_offset_table_once(monkeypatch, h3_twist):
     # Block FFTs are the 2-d calls, column FFTs of b2 the 1-d ones.  Under h3
     # each of the 32 live columns transforms its own block; under the zero
