@@ -24,11 +24,11 @@ The table is algebra-independent and cached per truncation degree.  Summing
 the series costs one right-nested bracket per word, shared across words
 through their common suffixes.
 
-The sum runs over any commutative ring.  With polynomial coordinates it
-compiles an algebra's group law (and a flat orbit's reduced product and
-cocycle) into exact polynomials once, which ``polymap.ExactMap`` then
-evaluates in integer arithmetic; with Fraction coordinates it is the
-independent reference for those compiled maps.
+The sum runs over any commutative ring.  With ``polymap.Packed`` variables
+as coordinates it compiles an algebra's group law (and a flat orbit's
+reduced product and cocycle) into exact polynomials once, which
+``polymap.ExactMap`` then evaluates in integer arithmetic; with Fraction
+coordinates it is the independent reference for those compiled maps.
 """
 
 from __future__ import annotations

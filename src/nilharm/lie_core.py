@@ -35,7 +35,7 @@ from math import lcm
 
 from . import bch as _bch
 from . import exactlinalg as ela
-from .polymap import ExactMap, Packed, Poly
+from .polymap import ExactMap, Packed
 from .rationals import (IntVector, Vector, canonical, dot, fraction_form, integer_forms,
                         over_common_denominator, unit_vector)
 
@@ -120,9 +120,16 @@ class LieAlgebra:
         """Nilpotency step: the number of nonzero terms of the series."""
         return len(self.series_dims) - 1
 
+    @property
+    def law_bits(self) -> int:
+        """Field width of the packed monomials of the group and orbit laws:
+        a monomial's degree, and so each exponent, is at most the step."""
+        return self.step.bit_length()
+
     @cached_property
     def _group_law(self) -> ExactMap:
-        return _compile_group_law(self)
+        """The group law compiled once per algebra object."""
+        return ExactMap(polynomial_group_law(self), self.dim, self.law_bits)
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[X_i, X_j], any index order, read from the ad-columns of X_i."""
@@ -403,14 +410,13 @@ def _central_flag(L: LieAlgebra, preferred_first: Vector | None) -> FlagSequence
     return FlagSequence(algebra=L, vectors=tuple(flag))
 
 
-def _compile_group_law(L: LieAlgebra) -> ExactMap:
-    """The truncated Dynkin series as one exact polynomial map of (x, y),
-    compiled once per algebra object (``LieAlgebra._group_law``)."""
+def polynomial_group_law(L: LieAlgebra) -> list[Packed]:
+    """Exact polynomials for the group law, as functions of
+    (x_1..x_n, y_1..y_n) packed in fields of ``L.law_bits`` bits: the
+    truncated Dynkin series of the variables."""
     n = L.dim
-    xy = [Poly.variable(2 * n, v) for v in range(2 * n)]
-    law = _bch.bch_apply_generic(L.entries, n, L.step, xy[:n], xy[n:],
-                                 Poly.zero(2 * n))
-    return ExactMap(law, n)
+    xy = Packed.variables(2 * n, L.law_bits)
+    return _bch.bch_apply_generic(L.entries, n, L.step, xy[:n], xy[n:], Packed())
 
 
 def bch_product(L: LieAlgebra, x, y):

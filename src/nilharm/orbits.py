@@ -3,7 +3,10 @@
 Isotropy algebras, jump indices with respect to a flag, the predual
 decomposition, flat-orbit detection, and the polynomial group cocycle
 obtained by pairing the functional with the central component of the BCH
-product of predual elements.  All identities here are exact rational facts.
+product of predual elements.  The reduced product and the cocycle are
+compiled once per flat orbit from their closed forms over ``polymap.Packed``
+variables, the polynomial type of the group laws.  All identities here are
+exact rational facts.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import cached_property, lru_cache
 from . import bch as _bch
 from . import exactlinalg as ela
 from . import lie_core as lc
-from .polymap import ExactMap, Poly
+from .polymap import ExactMap, Packed
 from .rationals import IntVector, Vector, canonical, dot, fraction_form, integer_forms
 
 
@@ -67,7 +70,7 @@ class OrbitData:
         """Reduced product and cocycle of a flat orbit as one exact map,
         compiled on first use."""
         product_polys, alpha_poly = polynomial_law(self)
-        return ExactMap(product_polys + (alpha_poly,), self.d)
+        return ExactMap(product_polys + (alpha_poly,), self.d, self.algebra.law_bits)
 
     def embed(self, x, zero=Fraction(0)) -> tuple:
         """Predual coordinates -> ambient coordinates, in any ring whose
@@ -158,19 +161,18 @@ def verify_cocycle_identity(orbit: OrbitData, x, y, z) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def polynomial_law(orbit: OrbitData) -> tuple[tuple[Poly, ...], Poly]:
+def polynomial_law(orbit: OrbitData) -> tuple[tuple[Packed, ...], Packed]:
     """Exact polynomials for the reduced product (d components) and the cocycle,
     as functions of (x_1..x_d, y_1..y_d): the split of the BCH product of the
-    embedded variables, with its central part paired against xi0."""
+    embedded variables, with its central part paired against xi0, packed in
+    fields of ``law_bits`` bits."""
     if not orbit.flat:
         raise NotFlat("polynomial twist data requires a flat orbit")
     L = orbit.algebra
-    nv = 2 * orbit.d
-    zero = Poly.zero(nv)
-    xs = [Poly.variable(nv, a) for a in range(orbit.d)]
-    ys = [Poly.variable(nv, orbit.d + a) for a in range(orbit.d)]
-    w = _bch.bch_apply_generic(L.entries, L.dim, L.step,
-                               orbit.embed(xs, zero), orbit.embed(ys, zero), zero)
+    zero = Packed()
+    xy = Packed.variables(2 * orbit.d, L.law_bits)
+    w = _bch.bch_apply_generic(L.entries, L.dim, L.step, orbit.embed(xy[:orbit.d], zero),
+                               orbit.embed(xy[orbit.d:], zero), zero)
     product, central = orbit.split(w, zero)
     return product, central * orbit.xi0.pair(orbit.flag.vectors[0])
 

@@ -119,7 +119,11 @@ class DiscretizedOperator:
         return DiscretizedOperator(self.grid, self.matrix.conj().T)
 
     def hs_norm(self) -> float:
-        return float(self.weight * np.linalg.norm(self.matrix))
+        """The Hilbert-Schmidt norm, summed by numpy's pairwise ufunc
+        reduction: ``np.linalg.norm`` reduces through BLAS, whose partial
+        sums, and so the last bits of the norm, depend on its thread count."""
+        m = self.matrix
+        return float(self.weight * np.sqrt(np.sum(m.real * m.real + m.imag * m.imag)))
 
     def trace(self) -> complex:
         return complex(self.weight * np.trace(self.matrix))

@@ -1,93 +1,24 @@
-"""Sparse multivariate polynomials over the rationals.
+"""Sparse multivariate polynomials over the rationals, with packed monomials.
 
-Just enough ring structure to push coordinate variables through the BCH
-series, producing exact closed forms for the group cocycle and the reduced
-product: Poly + Poly, Poly - Poly, Poly * Poly and Poly * scalar (an int or
-a Fraction); any other operand raises TypeError.  Plus compilation to exact
-integer-kernel evaluators (``ExactMap``) for the group laws, which take
-integer-form vectors, and the proofs of the laws' identities: each map
-runs on ``Packed`` integer polynomials as it runs on integers, so an
-identity of its tables is one substitution of variables into them, decided
-for every point at once.  Pure Python: the exact half of the package needs
-no numpy.
+``Packed`` is the one polynomial type of the exact half.  With Fraction
+coefficients it carries coordinate variables through the BCH series and
+gives the exact closed forms of the group laws, and of a flat orbit's
+reduced product and cocycle; ``terms`` unpacks them into sorted
+(exponents, coefficient) terms, and ``ExactMap`` compiles those into an
+exact integer-kernel evaluator, which takes integer-form vectors.  With
+integer coefficients it carries the proofs of the laws' identities: each
+map runs on ``Packed`` polynomials as it runs on integers, so an identity
+of its tables is one substitution of variables into them, decided for every
+point at once.  Pure Python: the exact half of the package needs no numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import mul
 
 Monomial = tuple[int, ...]  # exponents per variable
-
-
-@dataclass(frozen=True)
-class Poly:
-    nvars: int
-    terms: tuple[tuple[Monomial, Fraction], ...]  # sorted, nonzero coefficients
-
-    @staticmethod
-    def _make(nvars: int, data: dict[Monomial, Fraction]) -> "Poly":
-        return Poly(nvars, tuple(sorted(item for item in data.items() if item[1])))
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars, ())
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "Poly":
-        m = tuple(1 if v == index else 0 for v in range(nvars))
-        return cls(nvars, ((m, Fraction(1)),))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        data = dict(self.terms)
-        for m, c in other.terms:
-            data[m] = data[m] + c if m in data else c
-        return Poly._make(self.nvars, data)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if not other.terms:
-            return self
-        data = dict(self.terms)
-        for m, c in other.terms:
-            data[m] = data[m] - c if m in data else -c
-        return Poly._make(self.nvars, data)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 1:
-                return self
-            c0 = Fraction(other)
-            if c0 == 0:
-                return Poly.zero(self.nvars)
-            return Poly(self.nvars, tuple((m, c * c0) for m, c in self.terms))
-        other = self._coerce(other)
-        if not self.terms or not other.terms:
-            return Poly.zero(self.nvars)
-        data: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(map(add, m1, m2))
-                c = c1 * c2
-                data[m] = data[m] + c if m in data else c
-        return Poly._make(self.nvars, data)
-
-    def _coerce(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            raise TypeError(f"not a Poly: {type(other).__name__}")
-        if other.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
-        return other
 
 
 def _power_schedule(exponents, nvars: int) -> tuple[dict[Monomial, int], list[tuple[int, int]]]:
@@ -115,15 +46,16 @@ def _power_schedule(exponents, nvars: int) -> tuple[dict[Monomial, int], list[tu
 
 
 class Packed(dict):
-    """A polynomial with integer coefficients, {monomial: coefficient}.
+    """A polynomial with int or Fraction coefficients, {monomial: coefficient}.
 
     A monomial is one int that packs the exponents of its variables in
     fields of ``bits`` bits (``Packed.variables``), so multiplying monomials
     adds their ints; that is exact while every exponent stays below
-    2**bits.  The ring structure that ``ExactMap`` and the bracket kernel
-    need: + and - (an int on either side of +), * by a Packed or an int,
-    += in place, and ``total``.  A coefficient that cancels to 0 stays in
-    the dict; truth tests the coefficients."""
+    2**bits.  The ring structure that the BCH walk, ``ExactMap`` and the
+    bracket kernel need: + and - (an int on either side of +), * by a Packed
+    or by a scalar (an int or a Fraction) on either side, += in place, and
+    ``total``.  A coefficient that cancels to 0 stays in the dict; truth
+    tests the coefficients."""
 
     __slots__ = ()
 
@@ -143,7 +75,7 @@ class Packed(dict):
         return any(self.values())
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, Packed):
             return Packed({m: c * other for m, c in self.items()})
         out = Packed()
         get = out.get
@@ -153,7 +85,7 @@ class Packed(dict):
                 out[m] = get(m, 0) + c1 * c2
         return out
 
-    def __rmul__(self, other: int):
+    def __rmul__(self, other):
         return self * other
 
     def __iadd__(self, other):
@@ -174,6 +106,15 @@ class Packed(dict):
         return self + other * -1
 
 
+def terms(p: Packed, nvars: int, bits: int) -> tuple[tuple[Monomial, Fraction], ...]:
+    """The nonzero terms of p, a polynomial in ``nvars`` variables packed in
+    fields of ``bits`` bits, as (exponents, Fraction coefficient), sorted by
+    exponents."""
+    mask = (1 << bits) - 1
+    return tuple(sorted((tuple(m >> (bits * v) & mask for v in range(nvars)), Fraction(c))
+                        for m, c in p.items() if c))
+
+
 class ExactMap:
     """Exact evaluator of polynomials in 2n variables at rational points (x, y).
 
@@ -186,12 +127,16 @@ class ExactMap:
     component sums them against products of parts over the one denominator
     D dx^A dy^B.  X and Y may also hold ``Packed`` polynomials, and the
     components are then polynomials over that denominator.
+
+    The components are ``Packed`` polynomials in fields of ``bits`` bits,
+    read through ``terms``.
     """
 
-    def __init__(self, polys, n: int):
-        terms = [m for p in polys for m, _ in p.terms]
-        self._A = max((sum(m[:n]) for m in terms), default=0)
-        self._B = max((sum(m[n:]) for m in terms), default=0)
+    def __init__(self, polys, n: int, bits: int):
+        polys = [terms(p, 2 * n, bits) for p in polys]
+        monomials = [m for p in polys for m, _ in p]
+        self._A = max((sum(m[:n]) for m in monomials), default=0)
+        self._B = max((sum(m[n:]) for m in monomials), default=0)
         # A lifted part lists the homogenizing exponent first, so the powers
         # of dx (of dy) are prefixes shared by all parts.
         def x_part(m):
@@ -200,13 +145,13 @@ class ExactMap:
         def y_part(m):
             return (self._B - sum(m[n:]),) + m[n:]
 
-        x_node, self._x_steps = _power_schedule({x_part(m) for m in terms}, n + 1)
-        y_node, self._y_steps = _power_schedule({y_part(m) for m in terms}, n + 1)
-        self._den = lcm(*(c.denominator for p in polys for _, c in p.terms))
+        x_node, self._x_steps = _power_schedule({x_part(m) for m in monomials}, n + 1)
+        y_node, self._y_steps = _power_schedule({y_part(m) for m in monomials}, n + 1)
+        self._den = lcm(*(c.denominator for p in polys for _, c in p))
         self._components = [
-            (tuple(c.numerator * (self._den // c.denominator) for _, c in p.terms),
-             tuple(x_node[x_part(m)] for m, _ in p.terms),
-             tuple(y_node[y_part(m)] for m, _ in p.terms))
+            (tuple(c.numerator * (self._den // c.denominator) for _, c in p),
+             tuple(x_node[x_part(m)] for m, _ in p),
+             tuple(y_node[y_part(m)] for m, _ in p))
             for p in polys]
 
     @staticmethod

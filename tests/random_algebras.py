@@ -22,7 +22,7 @@ from operator import mul
 from hypothesis import strategies as st
 
 from nilharm import bch, exactlinalg as ela, symplectic as sp
-from nilharm.polymap import _power_schedule
+from nilharm.polymap import _power_schedule, terms
 from nilharm.rationals import over_common_denominator
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -69,10 +69,11 @@ def fraction_bch(L, x, y) -> tuple[Fraction, ...]:
                                        Fraction(0)))
 
 
-def fraction_poly_value(p, point) -> Fraction:
-    """The polynomial p at a rational point, one Fraction product per factor."""
+def fraction_poly_value(p, point, bits: int) -> Fraction:
+    """The packed polynomial p (fields of ``bits`` bits) at a rational point,
+    one Fraction product per factor."""
     total = Fraction(0)
-    for m, c in p.terms:
+    for m, c in terms(p, len(point), bits):
         val = c
         for v, e in enumerate(m):
             for _ in range(e):
@@ -86,10 +87,11 @@ class FractionExactMap:
     their common denominators, each component sums its coefficients over
     their own common denominator and becomes one Fraction."""
 
-    def __init__(self, polys, n: int):
-        terms = [m for p in polys for m, _ in p.terms]
-        self._A = max((sum(m[:n]) for m in terms), default=0)
-        self._B = max((sum(m[n:]) for m in terms), default=0)
+    def __init__(self, polys, n: int, bits: int):
+        polys = [terms(p, 2 * n, bits) for p in polys]
+        monomials = [m for p in polys for m, _ in p]
+        self._A = max((sum(m[:n]) for m in monomials), default=0)
+        self._B = max((sum(m[n:]) for m in monomials), default=0)
 
         def x_part(m):
             return (self._A - sum(m[:n]),) + m[:n]
@@ -97,16 +99,16 @@ class FractionExactMap:
         def y_part(m):
             return (self._B - sum(m[n:]),) + m[n:]
 
-        x_node, self._x_steps = _power_schedule({x_part(m) for m in terms}, n + 1)
-        y_node, self._y_steps = _power_schedule({y_part(m) for m in terms}, n + 1)
+        x_node, self._x_steps = _power_schedule({x_part(m) for m in monomials}, n + 1)
+        y_node, self._y_steps = _power_schedule({y_part(m) for m in monomials}, n + 1)
         self._components = []
         for p in polys:
-            den = lcm(*(c.denominator for _, c in p.terms))
+            den = lcm(*(c.denominator for _, c in p))
             self._components.append((
                 den,
-                tuple(c.numerator * (den // c.denominator) for _, c in p.terms),
-                tuple(x_node[x_part(m)] for m, _ in p.terms),
-                tuple(y_node[y_part(m)] for m, _ in p.terms)))
+                tuple(c.numerator * (den // c.denominator) for _, c in p),
+                tuple(x_node[x_part(m)] for m, _ in p),
+                tuple(y_node[y_part(m)] for m, _ in p)))
 
     @staticmethod
     def _parts(coords, steps) -> tuple[int, list[int]]:

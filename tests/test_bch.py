@@ -17,8 +17,8 @@ import pytest
 import random_algebras
 from hypothesis import given, settings, strategies as st
 
-from nilharm import bch, catalog as cat, lie_core as lc, orbits as ob, seeds
-from nilharm.polymap import Poly
+from nilharm import bch, catalog as cat, lie_core as lc, orbits as ob, polymap as pm, seeds
+from nilharm.polymap import Packed, terms
 
 
 def free_nilpotent_2_4() -> lc.LieAlgebra:
@@ -89,12 +89,15 @@ def test_word_table_matches_the_block_sequence_sum(degree):
     assert bch.word_coefficients(degree) == dynkin_table_by_block_sequences(degree)
 
 
-def _digest(polys) -> str:
-    return hashlib.sha256(repr(tuple(p.terms for p in polys)).encode()).hexdigest()
+def _digest(polys, n: int, L) -> str:
+    """sha256 of the terms of polynomials in 2n variables, packed as L's laws."""
+    unpacked = tuple(terms(p, 2 * n, L.law_bits) for p in polys)
+    return hashlib.sha256(repr(unpacked).encode()).hexdigest()
 
 
 # sha256 of repr(terms) of every compiled polynomial, pinned when the word
-# table was still summed block sequence by block sequence.
+# table was still summed block sequence by block sequence and the laws were
+# compiled over a polynomial type with tuple monomials.
 ORBIT_LAW_DIGESTS = {
     "h3": "613e23da8e39086b32b34557ea3363d471916cca9118489bea6e2c8cbf42a13a",
     "ext_g0st_1_1": "40e46dfe1cb5cc7dc2414818ceba64bc194c4d49f4925709f8869da4f5aec4a1",
@@ -116,15 +119,14 @@ GROUP_LAW_DIGESTS = {
 def test_flat_orbit_laws_keep_their_terms():
     for name, orbit in cat.flat_orbits().items():
         product_polys, alpha_poly = ob.polynomial_law(orbit)
-        assert _digest(product_polys + (alpha_poly,)) == ORBIT_LAW_DIGESTS[name], name
+        assert _digest(product_polys + (alpha_poly,), orbit.d, orbit.algebra) \
+            == ORBIT_LAW_DIGESTS[name], name
 
 
-def test_group_laws_keep_their_terms(monkeypatch):
-    # _compile_group_law hands its polynomials to ExactMap; keep them instead.
-    monkeypatch.setattr(lc, "ExactMap", lambda polys, n: polys)
+def test_group_laws_keep_their_terms():
     for name, build in cat.CORE.items():
-        law = lc._compile_group_law(build())
-        assert _digest(law) == GROUP_LAW_DIGESTS[name], name
+        L = build()
+        assert _digest(lc.polynomial_group_law(L), L.dim, L) == GROUP_LAW_DIGESTS[name], name
 
 
 def test_degree2_aggregate_coefficient():
@@ -165,11 +167,12 @@ def test_generic_ring_path_matches_int_path():
     rnd = seeds.stream("bch.generic", 0)
     x = seeds.random_fraction_vector(rnd, 7)
     y = seeds.random_fraction_vector(rnd, 7)
-    zero = Poly.zero(0)
-    px = [Poly(0, (((), c),)) if c else zero for c in x]
-    py = [Poly(0, (((), c),)) if c else zero for c in y]
+    # Constant polynomials in no variables: the one monomial is 0.
+    zero = Packed()
+    px = [Packed({0: c}) if c else zero for c in x]
+    py = [Packed({0: c}) if c else zero for c in y]
     out = bch.bch_apply_generic(L.entries, 7, L.step, px, py, zero)
-    as_fractions = tuple(random_algebras.fraction_poly_value(p, ()) for p in out)
+    as_fractions = tuple(random_algebras.fraction_poly_value(p, (), 1) for p in out)
     assert as_fractions == lc.bch_product(L, x, y)
 
 
@@ -180,3 +183,18 @@ def test_compiled_law_matches_fraction_walk(L, data):
         x = data.draw(random_algebras.points(L.dim))
         y = data.draw(random_algebras.points(L.dim))
         assert lc.bch_product(L, x, y) == random_algebras.fraction_bch(L, x, y)
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_filiform_group_laws_across_exponent_field_widths(n):
+    # Filiform L_n, [e1, ek] = e_{k+1}, has step n - 1, so its laws pack
+    # monomials in fields of 2 bits (step 3), 3 bits (steps 4-7) and 4 bits
+    # (steps 8-10).  Its largest exponent is step - 1, on x_1 or y_1: a field
+    # too narrow for it carries into the next variable's and breaks the law.
+    L = lc.validate(n, {(0, k): {k + 1: 1} for k in range(1, n - 1)})
+    assert L.step == n - 1
+    assert pm.associativity_defect(L._group_law, n) == 0
+    x = tuple(Fraction(k + 1, 3) for k in range(n))
+    y = tuple(Fraction(-2, k + 2) for k in range(n))
+    for a, b in ((x, y), (y, x), (x, x)):
+        assert lc.bch_product(L, a, b) == random_algebras.fraction_bch(L, a, b)

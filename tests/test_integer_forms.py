@@ -10,8 +10,7 @@ import pytest
 import random_algebras
 from hypothesis import given, settings, strategies as st
 
-from nilharm import bch, catalog, lie_core as lc, orbits as ob, polymap as pm, seeds, verify
-from nilharm.polymap import Poly
+from nilharm import catalog, lie_core as lc, orbits as ob, polymap as pm, seeds, verify
 from nilharm.rationals import canonical, fraction_form, integer_form, over_common_denominator
 
 
@@ -53,18 +52,11 @@ def test_integer_draws_are_fraction_draws(max_num, max_den):
             assert all(rnd.getstate() == streams[2].getstate() for rnd in streams[:2])
 
 
-def group_law_polys(L) -> list[Poly]:
-    """The polynomials that ``lie_core`` compiles into L's group law."""
-    n = L.dim
-    xy = [Poly.variable(2 * n, v) for v in range(2 * n)]
-    return bch.bch_apply_generic(L.entries, n, max(L.step, 1), xy[:n], xy[n:],
-                                 Poly.zero(2 * n))
-
-
 def assert_integer_path_matches_fractions(L, points):
     """Bracket, group law and, on a flat standard orbit, the orbit law at
     integer forms, against the Fraction references at the same points."""
-    group_law = random_algebras.FractionExactMap(group_law_polys(L), L.dim)
+    bits = L.law_bits
+    group_law = random_algebras.FractionExactMap(lc.polynomial_group_law(L), L.dim, bits)
     for xf, yf in points(L.dim):
         x, y = integer_form(xf), integer_form(yf)
         br = lc.bracket(L, x, y)
@@ -77,7 +69,7 @@ def assert_integer_path_matches_fractions(L, points):
     if not orbit.flat:
         return
     product_polys, alpha_poly = ob.polynomial_law(orbit)
-    orbit_law = random_algebras.FractionExactMap(product_polys + (alpha_poly,), orbit.d)
+    orbit_law = random_algebras.FractionExactMap(product_polys + (alpha_poly,), orbit.d, bits)
     for xf, yf in points(orbit.d):
         x, y = integer_form(xf), integer_form(yf)
         *product, a = orbit_law(xf, yf)
@@ -136,16 +128,22 @@ def test_equal_vectors_compare_equal_once_canonical():
     assert canonical(4, (0, 0, 0)) == (1, (0, 0, 0))
 
 
-def perturb(law, polys, monkeypatch):
+def perturb(law, first, n, bits, monkeypatch):
     """For the rest of the test, add 1 to the integer coefficient of y_1 in
-    the first component of the compiled law of ``polys``: the law then scales
+    the first component of the compiled law ``law`` on n coordinates, whose
+    polynomial is ``first`` in fields of ``bits`` bits: the law then scales
     y_1 by 1 + 1/D there, which no group law or cocycle absorbs."""
-    n = polys[0].nvars // 2
-    t = [m for m, _ in polys[0].terms].index(tuple(int(v == n) for v in range(2 * n)))
+    t = [m for m, _ in pm.terms(first, 2 * n, bits)].index(
+        tuple(int(v == n) for v in range(2 * n)))
     comps = list(law._components)
     coeffs, xs, ys = comps[0]
     comps[0] = (coeffs[:t] + (coeffs[t] + 1,) + coeffs[t + 1:], xs, ys)
     monkeypatch.setattr(law, "_components", comps)
+
+
+def perturb_group_law(L, monkeypatch):
+    perturb(L._group_law, lc.polynomial_group_law(L)[0], L.dim, L.law_bits,
+            monkeypatch)
 
 
 def failed_checks(rep) -> dict:
@@ -156,7 +154,7 @@ def failed_checks(rep) -> dict:
 def test_a_perturbed_group_law_fails_associativity(monkeypatch, name):
     # The suite reads the shared catalog algebra, and with it its compiled law.
     L = catalog.core_algebras()[name]
-    perturb(L._group_law, group_law_polys(L), monkeypatch)
+    perturb_group_law(L, monkeypatch)
     failed = failed_checks(verify.exact_suite(0))
     assert failed.get(f"bch_associativity_exact[{name}]", 0) > 0, failed
     assert all(f"[{name}]" in check for check in failed), failed
@@ -164,8 +162,9 @@ def test_a_perturbed_group_law_fails_associativity(monkeypatch, name):
 
 def test_a_perturbed_orbit_law_fails_the_cocycle_identity(monkeypatch):
     orbit = catalog.flat_orbits()["ext_nonhomog"]
-    product_polys, alpha_poly = ob.polynomial_law(orbit)
-    perturb(orbit._law, product_polys + (alpha_poly,), monkeypatch)
+    product_polys, _ = ob.polynomial_law(orbit)
+    perturb(orbit._law, product_polys[0], orbit.d, orbit.algebra.law_bits,
+            monkeypatch)
     failed = failed_checks(verify.exact_suite(0))
     assert failed.get("cocycle_identity_exact[ext_nonhomog]", 0) > 0, failed
     assert all("[ext_nonhomog]" in check for check in failed), failed
@@ -175,7 +174,7 @@ def test_a_perturbed_orbit_law_fails_the_cocycle_identity(monkeypatch):
 def test_a_perturbed_group_law_fails_inverse_and_unit(monkeypatch, name):
     # 0 y = (1 + 1/D) y_1 in the first component.
     L = catalog.core_algebras()[name]
-    perturb(L._group_law, group_law_polys(L), monkeypatch)
+    perturb_group_law(L, monkeypatch)
     assert f"bch_inverse_and_unit[{name}]" in failed_checks(verify.exact_suite(0))
 
 
@@ -223,9 +222,10 @@ def add_x1_y1_to_the_h3_cocycle(monkeypatch):
     """For the rest of the test, add x_1 y_1 to the cocycle component of the
     h3 orbit law, whose cocycle is (x_2 y_1 - x_1 y_2) / 2: reuse the node
     of x_1 from one term and that of y_1 from the other."""
-    law = catalog.flat_orbits()["h3"]._law
-    _, alpha_poly = ob.polynomial_law(catalog.flat_orbits()["h3"])
-    monomials = [m for m, _ in alpha_poly.terms]
+    orbit = catalog.flat_orbits()["h3"]
+    law = orbit._law
+    _, alpha_poly = ob.polynomial_law(orbit)
+    monomials = [m for m, _ in pm.terms(alpha_poly, 4, orbit.algebra.law_bits)]
     with_x1 = next(t for t, m in enumerate(monomials) if m[0])
     with_y1 = next(t for t, m in enumerate(monomials) if m[2])
     *product, (coeffs, xs, ys) = law._components
@@ -246,7 +246,7 @@ def test_a_perturbation_after_a_warm_suite_still_fails_the_proofs(monkeypatch):
     # again on the tables as they are.
     assert verify.exact_suite(0).all_passed
     L = catalog.core_algebras()["ext_nonhomog"]
-    perturb(L._group_law, group_law_polys(L), monkeypatch)
+    perturb_group_law(L, monkeypatch)
     perturb_table(catalog.core_algebras()["nonhomog"], monkeypatch)
     add_x1_y1_to_the_h3_cocycle(monkeypatch)
     assert set(failed_checks(verify.exact_suite(0))) == {

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilharm import catalog as cat, exactlinalg as ela, lie_core as lc
 from nilharm import orbits as ob, seeds
-from nilharm.polymap import Poly
+from nilharm.polymap import Packed, terms
 from nilharm.rationals import integer_form, unit_vector
 
 F = Fraction
@@ -233,12 +233,13 @@ def test_embed_and_split_follow_the_split_basis(L, data):
 
 
 def test_embed_and_split_over_polynomials():
-    # The ring-generic maps over Poly variables: split undoes embed exactly,
-    # with a central part that is the ring's zero.
+    # The ring-generic maps over Packed variables: split undoes embed exactly,
+    # with a central part that is the zero polynomial.
     for name, orbit in cat.flat_orbits().items():
-        zero = Poly.zero(orbit.d)
-        xs = tuple(Poly.variable(orbit.d, a) for a in range(orbit.d))
-        assert orbit.split(orbit.embed(xs, zero), zero) == (xs, zero), name
+        xs = Packed.variables(orbit.d, 1)
+        x, c = orbit.split(orbit.embed(xs, Packed()), Packed())
+        assert [terms(p, orbit.d, 1) for p in x] == [terms(v, orbit.d, 1) for v in xs], name
+        assert not c, name
 
 
 @settings(max_examples=8, deadline=None)
@@ -360,17 +361,19 @@ def test_gamma_identities_extension(ext7_orbit):
 def test_h3_alpha_polynomial(h3_orbit):
     poly = ob.polynomial_law(h3_orbit)[1]
     # alpha = (x2 y1 - x1 y2)/2 with predual variables (x1, x2, y1, y2).
-    assert dict(poly.terms) == {(0, 1, 1, 0): F(1, 2), (1, 0, 0, 1): F(-1, 2)}
+    assert terms(poly, 4, h3_orbit.algebra.law_bits) == (
+        ((0, 1, 1, 0), F(1, 2)), ((1, 0, 0, 1), F(-1, 2)))
 
 
 def test_polynomials_match_pointwise_alpha(ext7_orbit):
     ppolys, apoly = ob.polynomial_law(ext7_orbit)
+    bits = ext7_orbit.algebra.law_bits
     rnd = seeds.stream("orb.polycheck", 0)
     for _ in range(10):
         x = seeds.random_fraction_vector(rnd, 6)
         y = seeds.random_fraction_vector(rnd, 6)
         point = x + y
         prod, a = ob.product_and_alpha(ext7_orbit, x, y)
-        assert random_algebras.fraction_poly_value(apoly, point) == a
-        assert tuple(random_algebras.fraction_poly_value(p, point)
+        assert random_algebras.fraction_poly_value(apoly, point, bits) == a
+        assert tuple(random_algebras.fraction_poly_value(p, point, bits)
                      for p in ppolys) == prod
