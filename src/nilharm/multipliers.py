@@ -38,17 +38,30 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
     approximate identity.  u * phi comes from one FFT sweep per u: the operator
     route would make the intertwining residual a round trip of the transform.
     phi * psi and the norms ||phi||_p do not depend on u; they are computed
-    once for all multipliers."""
+    once for all multipliers.
+
+    Each operator is built once and handed on to every product that reads it:
+    T(phi) and T(psi) for all multipliers, and per u, T(u) and T(u * phi),
+    which the identity report and the right commutation's products share.
+    T(psi) is read only where phi * psi and u * phi * psi take the operator
+    route.  Each u's operators and products are freed before the next u's
+    sweep."""
     if len(psis) != len(phis):
         raise ValueError(f"need one psi per phi, got {len(psis)} psis "
                          f"for {len(phis)} phis")
-    phi_psis = [engine.convolve(phi, psi) for phi, psi in zip(phis, psis)]
+    held = engine.hold((*phis, *psis))
+    phi_psis = [engine.convolve(phi, psi, held) for phi, psi in zip(phis, psis)]
     ps = (1.25, 1.5, 2.0)
     phi_norms = [{p: lp_norm(phi, p, density=engine.density) for p in ps} for phi in phis]
-    reports = []
-    for u in us:
+
+    def report_for(u: SampledSymbol) -> dict:
         cphis = tw.twisted_convolve(engine.twist, u, phis, density=engine.density)
-        idrep = engine.identity_report([], [(u, phi) for phi in phis], cphis)
+        ops = {**held, **engine.hold([u])}
+        lhss = engine.convolve_each(u, phi_psis, ops)
+        # Built after the products u * (phi * psi), whose sweep they would
+        # otherwise add to.
+        ops.update(engine.hold(cphis))
+        idrep = engine.identity_report([], [(u, phi) for phi in phis], cphis, ops)
         report: dict = {"intertwining_hs": idrep["homomorphism_hs"],
                         "intertwining_rel": idrep["homomorphism"], "right_commutation_l2": [],
                         "identity_gap": [], "lp_ratios": {p: [] for p in ps}}
@@ -60,13 +73,13 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
                 denom = norms[p]
                 report["lp_ratios"][p].append(
                     lp_norm(cphi, p, density=engine.density) / denom if denom else 0.0)
-        lhss = engine.convolve_each(u, phi_psis)
         for cphi, lhs, psi in zip(cphis, lhss, psis):
-            rhs = engine.convolve(cphi, psi)
+            rhs = engine.convolve(cphi, psi, ops)
             diff = SampledSymbol(lhs.grid, lhs.values - rhs.values)
             report["right_commutation_l2"].append(engine.symbol_norm(diff))
-        reports.append(report)
-    return reports
+        return report
+
+    return [report_for(u) for u in us]
 
 
 def multiplier_check(engine: HeisenbergRealization, u: SampledSymbol,

@@ -58,7 +58,13 @@ N x (2N-1) product, b's N p-node rows against the phases, and one gather of
 the N^2 kernel entries.  An inverse is one gather of the operator's
 diagonals, one N x N product with the exp(-i q x_j) table, which is
 conj(phases[:, ::2]) bit for bit and is derived per call, and one
-elementwise multiply.
+elementwise multiply.  No operator is cached.  A caller that holds
+transforms hands them to ``identity_report`` and ``convolve_each`` as
+``held``, the mapping ``hold`` builds, and they read those instead of
+transforming the symbol again; an operator lives as long as the caller's
+mapping.  So the twist and multiplier suites make 25 and 21 transforms at
+N = 128, where they made 50 and 43 when each product transformed its own
+operands.
 
 The checks that compare a product with operator composition never take it
 from the operator route, where the product is inverse(T(a) . T(b)) and the
@@ -191,6 +197,10 @@ def _grid_tables(grid: Grid) -> tuple:
     return phases, kernel_index, half_phases, diagonal_index, density
 
 
+# id(s) -> (s, transform(s)) for symbols s a caller holds (``hold``).
+Held = dict[int, tuple[SampledSymbol, DiscretizedOperator]]
+
+
 class HeisenbergRealization:
     """Operator calculus bound to one twist structure and one grid pair."""
 
@@ -249,17 +259,28 @@ class HeisenbergRealization:
 
     # -- convolution and norms ---------------------------------------------
 
-    def convolve(self, a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
-        return self.convolve_each(a, [b])[0]
+    def hold(self, symbols: Iterable[SampledSymbol]) -> Held:
+        """{id(s): (s, transform(s))} for the symbols: the ``held`` mapping
+        that ``convolve_each`` and ``identity_report`` read.  Each entry keeps
+        its symbol, and is read only for that symbol object, so an id that a
+        freed symbol's successor reuses finds no operator."""
+        return {id(s): (s, self.transform(s)) for s in symbols}
 
-    def convolve_each(self, a: SampledSymbol, bs: list[SampledSymbol]) -> list[SampledSymbol]:
+    def convolve(self, a: SampledSymbol, b: SampledSymbol,
+                 held: Held | None = None) -> SampledSymbol:
+        return self.convolve_each(a, [b], held)[0]
+
+    def convolve_each(self, a: SampledSymbol, bs: list[SampledSymbol],
+                      held: Held | None = None) -> list[SampledSymbol]:
         """[a * b for b in bs], each by the route the module docstring states.
 
         A dense product on a grid that resolves the calculus, under the twist
         that ``rep_apply`` realizes, is inverse(transform(a) . transform(b)),
         with transform(a) built once per call.  The other products share one
         FFT sweep of a's offset blocks.  The route depends on a and that b
-        alone, so each result is the one that bs = [b] gives."""
+        alone, so each result is the one that bs = [b] gives.  The operator
+        route reads the operators of a and b from ``held`` (``hold``) when it
+        has them, instead of transforming again."""
         bs = list(bs)
         grid = self.symbol_grid
         n = grid.points
@@ -275,9 +296,22 @@ class HeisenbergRealization:
         fft_bs = [b for b, d in zip(bs, dense) if not d]
         swept = iter(twisted_convolve(self.twist, a, fft_bs, density=self.density)
                      if fft_bs else ())
-        Ta = self.transform(a) if any(dense) else None
-        return [self.inverse(Ta.compose(self.transform(b))) if d else next(swept)
+        held = held or {}
+        Ta = self._operator(a, held) if any(dense) else None
+        return [self.inverse(Ta.compose(self._operator(b, held))) if d else next(swept)
                 for b, d in zip(bs, dense)]
+
+    def _operator(self, b: SampledSymbol, held: Held,
+                  store: bool = False) -> DiscretizedOperator:
+        """transform(b): the operator ``held`` has for b itself, else a new
+        one, which ``store`` adds to ``held``."""
+        entry = held.get(id(b))
+        if entry is not None and entry[0] is b:
+            return entry[1]
+        T = self.transform(b)
+        if store:
+            held[id(b)] = (b, T)
+        return T
 
     def symbol_norm(self, b: SampledSymbol) -> float:
         """L^2 norm in the calibrated measure (density * Lebesgue)."""
@@ -287,7 +321,8 @@ class HeisenbergRealization:
 
     def identity_report(self, symbols: list[SampledSymbol],
                         pairs: list[tuple[SampledSymbol, SampledSymbol]],
-                        products: Iterable[SampledSymbol] | None = None) -> dict:
+                        products: Iterable[SampledSymbol] | None = None,
+                        held: Held | None = None) -> dict:
         """Residuals of the trace, adjoint, isometry, pairing, inversion and
         homomorphism identities on the given test family.
 
@@ -297,14 +332,21 @@ class HeisenbergRealization:
         three read one product a * b per pair: the i-th of ``products`` for
         pairs[i] when given, else the FFT loop's, one call per pair, not
         ``convolve_each`` (module docstring).  Each product is read as its
-        pair comes up, so a generator holds one at a time.  Consecutive pairs
-        with one left operand, such as a multiplier u against each phi, share
-        its transform."""
+        pair comes up, so a generator holds one at a time.
+
+        Each symbol and pair operand is transformed once per call, and not at
+        all when ``held`` (``hold``) has its operator; a product is
+        transformed unless ``held`` has it.
+        The twist suite hands in the transforms of both families, which its
+        later products read too, and the multiplier checks T(u), T(phi) and
+        T(u * phi)."""
         report: dict = {"density": self.density, "trace": [], "adjoint": [],
                         "hs_isometry": [], "pairing": [], "inversion": [], "homomorphism": [],
                         "homomorphism_hs": [], "submultiplicativity": []}
+        # The held operators and those of this call's symbols and pair operands.
+        ops = dict(held or {})
         for b in symbols:
-            T = self.transform(b)
+            T = self._operator(b, ops, store=True)
             b0 = b.at_origin()
             report["trace"].append(abs(T.trace() - b0) / (1.0 + abs(b0)))
             report["adjoint"].append(
@@ -318,12 +360,9 @@ class HeisenbergRealization:
         if products is None:
             products = (twisted_convolve(self.twist, a, [b], density=self.density)[0]
                         for a, b in pairs)
-        last_a = Ta = None
         for (a, b), conv in zip(pairs, products, strict=True):
-            if a is not last_a:
-                last_a, Ta = a, self.transform(a)
-            Tb = self.transform(b)
-            resid = (self.transform(conv) - Ta.compose(Tb)).hs_norm()
+            Ta, Tb = self._operator(a, ops, store=True), self._operator(b, ops, store=True)
+            resid = (self._operator(conv, ops) - Ta.compose(Tb)).hs_norm()
             scale = self.symbol_norm(a) * self.symbol_norm(b)
             if scale == 0.0:
                 scale = 1.0

@@ -37,13 +37,14 @@ exactly zero are skipped: a column y1 where b2 vanishes adds nothing to that
 b2's product, and neither does an output row whose offset rows fall outside
 the support of b1, so each product is bit for bit the one a call with that
 b2 alone gives.  The cost of a sweep is (columns where some b2 is nonzero) x
-(output rows inside b1's offset support) FFTs of length 2n, at most n^2,
-plus, for each b2, one FFT per column where it is nonzero and n inverse
-FFTs, against O(n^4) per product for the plain double sum.  Under a twist
-with c1 = c2, such as the zero twist, the modulation is exactly one and every
-block is a row slice of one spectrum: the sweep makes at most 2n - 1 block
-FFTs instead of n^2 (one untwisted Gaussian product at n = 128 takes 9-11 ms,
-against 31-33 ms with one block FFT per column).
+(output rows inside b1's offset support) FFT rows of length 2n, at most n^2,
+plus, for each b2, one FFT row per live column and n inverse FFTs, against
+O(n^4) per product for the plain double sum; the rows are transformed in
+packed calls of up to n rows.  Under a twist with c1 = c2, such as the zero
+twist, the modulation is exactly one and every block is a row slice of one
+spectrum: the sweep transforms at most 2n - 1 block rows instead of n^2 (one
+untwisted Gaussian product at n = 128 takes 9-11 ms, against 31-33 ms with
+one block FFT per column).
 
 This FFT loop is the reference for the operator route of
 ``pedersen.HeisenbergRealization.convolve_each``, which takes the dense
@@ -219,11 +220,20 @@ def _convolve_fft_2d(twist: TwistData, b1: SampledSymbol, b2s: list[SampledSymbo
     Cost: (columns y1 where some B is nonzero) x (output rows inside b1's
     offset support) forward FFTs of length 2n, at most n^2, or, when c1 = c2,
     the rows of D's support interval, at most 2n - 1; plus one for each
-    nonzero column of each B and n inverse FFTs per B.  The sweep's tables
-    are freed before the inverse FFTs, which run in place.  Arrays are held
-    transposed, index [axis 1, axis 0], so every FFT runs along the
-    contiguous last axis.  The gauge tables multiply from the left: numpy's
-    complex multiply is not bitwise commutative.
+    live column of each B and n inverse FFTs per B.  The calls are fewer:
+    ``_spectra`` packs consecutive blocks into calls of at most n rows, so a
+    dense sweep makes one call per column and a point mass, whose blocks are
+    one row high, one call per n columns; it transforms the B columns in
+    chunks of n // len(b2s) per call.  At N = 128 a point mass against three
+    operands makes 13 calls in place of 512.  In a dense sweep the FFTs are
+    the smaller part: at N = 128, a Gaussian against three operands, 12.5 ms
+    of 45 ms (18.7 of 55 ms with one call per block and per B column; one
+    BLAS thread, 2-vCPU box, medians of 9); the per-column modulation and
+    multiply-adds take the rest.  The sweep's tables are freed before the
+    inverse FFTs, which run in place.  Arrays are held transposed, index
+    [axis 1, axis 0], so every FFT runs along the contiguous last axis.  The
+    gauge tables multiply from the left: numpy's complex multiply is not
+    bitwise commutative.
     """
     grid = b1.grid
     n = grid.points
@@ -245,53 +255,97 @@ def _spectra(b1: SampledSymbol, b2s: list[SampledSymbol], c1: float, c2: float,
              gauge_u: np.ndarray | complex,
              gauge_y: np.ndarray | complex) -> list[np.ndarray]:
     """The sweep of ``_convolve_fft_2d``: the y1-summed spectra, [x1, freq],
-    one per b2.  Its offset table, block buffers and operand columns are
+    one per b2.
+
+    A zero b1 returns the zero spectra before any table is built.  Otherwise
+    the offset table covers the rows of b1's nonzero columns only.  The
+    blocks of consecutive live columns are packed into one n x 2n buffer,
+    at most n rows in all, and each pack is transformed in place in one
+    call.  The B columns are transformed in chunks of up to n // len(b2s)
+    live columns, one call per operand and chunk, into a second n x 2n
+    buffer.  The products of one block go to a buffer of the tallest
+    block's rows: one row for a point mass.  The multiply-adds stay one per
+    column and operand, in column order, so each spectrum row receives its
+    terms in the order of one call per block.  The tables and buffers are
     freed when it returns, before the inverse FFTs allocate."""
     grid = b1.grid
     n = grid.points
-    ax = grid.axis
-    # b1 at all lattice differences, offset m in [-(n-1), n-1] per axis; zero
-    # where m*h is not a node.  The gauge table is symmetric, so the table is
-    # built transposed and scaled in place.
-    u = grid.offset_axis
-    d_t = offset_values(b1.values.T, (0, 1))                                  # [u1, u0]
-    np.multiply(gauge_u, d_t, out=d_t)
-    b_ts = [(gauge_y * b2.values).T for b2 in b2s]                           # [y1, y0]
-    nonzero = [b_t.any(axis=1) for b_t in b_ts]                               # per y1
-
     m_fft = 2 * n
     specs = [np.zeros((n, m_fft), dtype=complex) for _ in b2s]               # [x1, freq]
-    support = np.flatnonzero(d_t.any(axis=1))      # offset rows where b1 is nonzero
-    live = np.flatnonzero(np.any(nonzero, axis=0)) if support.size and b2s else []
-    # Output buffers for the block FFTs and their products: blocks of varying
-    # height, each allocated afresh, fragment the heap and raise the peak RSS.
-    pbuf = np.empty((n, m_fft), dtype=complex)
-    unmodulated = c1 == c2 and len(live) > 0
+    cols = np.flatnonzero(b1.values.any(axis=0))
+    if not cols.size or not b2s:
+        return specs
+    # b1 at the lattice differences, offset m in [-(n-1), n-1] per axis, zero
+    # where m*h is not a node, on the offset rows from `top` that b1's nonzero
+    # columns span.  The gauge table is symmetric, so the rows are built
+    # transposed and scaled in place.
+    top = cols[0] + n // 2 - 1
+    d_t = offset_values(b1.values.T[cols[0]:cols[-1] + 1], (1,))              # [u1, u0]
+    if isinstance(gauge_u, np.ndarray):
+        gauge_u = gauge_u[top:top + len(d_t)]
+    np.multiply(gauge_u, d_t, out=d_t)
+    support = np.flatnonzero(d_t.any(axis=1))
+    if not support.size:
+        return specs
+    d_t = d_t[support[0]:support[-1] + 1]
+    top += support[0]
+
+    b_ts = [(gauge_y * b2.values).T for b2 in b2s]                           # [y1, y0]
+    nonzero = [b_t.any(axis=1) for b_t in b_ts]                               # per y1
+    # The live columns y1 and their output rows x1, those whose offset row
+    # x1 - y1 + n - 1 lies in the support rows.
+    live = np.flatnonzero(np.any(nonzero, axis=0))
+    lo = np.maximum(0, top - (n - 1) + live)
+    hi = np.minimum(n, top + len(d_t) - (n - 1) + live)
+    keep = lo < hi
+    live, lo, hi = live[keep], lo[keep], hi[keep]
+    if not live.size:
+        return specs
+    first = lo + n - 1 - live - top                  # first block row in d_t
+    packed = np.concatenate(([0], np.cumsum(hi - lo)))   # block rows before each column
+
+    width = max(1, n // len(b2s))                    # B columns per chunk
+    bspec = np.empty((len(b2s) * width, m_fft), dtype=complex)
+    pbuf = np.empty((max(hi - lo), m_fft), dtype=complex)   # products of one block
+    unmodulated = c1 == c2
     if unmodulated:
-        # Every block is a row slice of one spectrum of b1's offset rows,
-        # taken over their support interval.
-        top = support[0]
-        spectrum = np.fft.fft(d_t[top:support[-1] + 1], n=m_fft, axis=-1)
+        # Every block is a row slice of one spectrum of the support rows.
+        spectrum = np.fft.fft(d_t, n=m_fft, axis=-1)
     else:
-        block = np.zeros((n, m_fft), dtype=complex)    # last column stays the zero pad
-        fbuf = np.empty((n, m_fft), dtype=complex)
-    for j in live:
-        # Rows x1 whose offset row x1 - y1 + n - 1 lies in the support interval.
-        lo = max(0, support[0] - (n - 1) + j)
-        hi = min(n, support[-1] - (n - 1) + j + 1)
-        if lo >= hi:
-            continue
+        block = np.empty((n, m_fft), dtype=complex)  # last column: the zero pad
+        ax, u = grid.axis, grid.offset_axis
+    start = b_end = 0
+    while start < len(live):
         if unmodulated:
-            fblock = spectrum[lo + n - 1 - j - top:hi + n - 1 - j - top]
+            end = len(live)
         else:
-            # Columns x1 - y1, modulated by e^{i (c1 - c2) u0 y1}.
-            np.multiply(d_t[lo + n - 1 - j:hi + n - 1 - j],
-                        np.exp(1j * (c1 - c2) * ax[j] * u), out=block[lo:hi, :-1])
-            fblock = np.fft.fft(block[lo:hi], axis=-1, out=fbuf[lo:hi])
-        for b_t, live_k, spec in zip(b_ts, nonzero, specs):
-            if live_k[j]:
-                term = np.multiply(fblock, np.fft.fft(b_t[j], n=m_fft), out=pbuf[lo:hi])
-                spec[lo:hi] += term
+            # Columns x1 - y1 of each block, modulated by e^{i (c1 - c2) u0 y1}.
+            end = np.searchsorted(packed, packed[start] + n, side="right") - 1
+            for p in range(start, end):
+                r = packed[p] - packed[start]
+                np.multiply(d_t[first[p]:first[p] + hi[p] - lo[p]],
+                            np.exp(1j * (c1 - c2) * ax[live[p]] * u),
+                            out=block[r:r + hi[p] - lo[p], :-1])
+            pack = block[:packed[end] - packed[start]]
+            pack[:, -1] = 0.0
+            np.fft.fft(pack, axis=-1, out=pack)
+        for c in range(start, end):
+            if c == b_end:
+                b_start, b_end = c, min(c + width, len(live))
+                chunk = live[b_start:b_end]
+                for k, b_t in enumerate(b_ts):
+                    if nonzero[k][chunk].any():
+                        np.fft.fft(b_t[chunk], n=m_fft, axis=-1,
+                                   out=bspec[k * width:k * width + len(chunk)])
+            rows = slice(packed[c] - packed[start], packed[c + 1] - packed[start])
+            fblock = (spectrum[first[c]:first[c] + hi[c] - lo[c]] if unmodulated
+                      else block[rows])
+            for k, spec in enumerate(specs):
+                if nonzero[k][live[c]]:
+                    term = np.multiply(fblock, bspec[k * width + c - b_start],
+                                       out=pbuf[:hi[c] - lo[c]])
+                    spec[lo[c]:hi[c]] += term
+        start = end
     return specs
 
 

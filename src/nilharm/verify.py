@@ -256,6 +256,9 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     symbols = funcs.hermite_family(grid, 5)
     gsyms = funcs.gaussian_family(grid, 5)
     pairs = list(zip(gsyms, symbols))
+    # The transforms of both families, built once and handed on to the
+    # identity report and to the operator route of the products below.
+    held = eng.hold((*symbols, *gsyms))
     # Each g_k * h_k is the exact product under the twist's own cocycle matrix,
     # so the homomorphism residual compares T and compose with the integral.
     # identity_report samples them one at a time, as it reaches each pair.
@@ -263,7 +266,7 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     closed = (funcs.sample(grid, funcs.twisted_gaussian_product(
         A, eng.density, funcs.GAUSSIAN_PARAMS[k], orders=funcs.HERMITE_ORDERS[k]))
         for k in range(len(pairs)))
-    idrep = eng.identity_report(symbols, pairs, closed)
+    idrep = eng.identity_report(symbols, pairs, closed, held)
     rep.check_bound("trace_identity_max", max(idrep["trace"]),
                     TOLERANCES["trace_identity"])
     rep.check_bound("adjoint_identity_hs_max", max(idrep["adjoint"]),
@@ -312,7 +315,7 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     # form; the reversed pairs are convolved here.
     slack = max(idrep["submultiplicativity"])
     for a, b in zip(symbols, gsyms):
-        conv = eng.convolve(a, b)
+        conv = eng.convolve(a, b, held)
         slack = max(slack, eng.symbol_norm(conv)
                     / (eng.symbol_norm(a) * eng.symbol_norm(b)))
     rep.check_bound("l2_submultiplicativity_slack", slack,
@@ -321,14 +324,15 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     assoc_worst = 0.0
     triples = [(gsyms[0], gsyms[1], gsyms[2]), (gsyms[3], symbols[1], gsyms[4])]
     for a, b, c in triples:
-        ab, right = eng.convolve_each(a, [b, eng.convolve(b, c)])
-        left = eng.convolve(ab, c)
+        ab, right = eng.convolve_each(a, [b, eng.convolve(b, c, held)], held)
+        left = eng.convolve(ab, c, held)
         num = lp_norm(SampledSymbol(grid, left.values - right.values), 2,
                       density=eng.density)
         den = (eng.symbol_norm(a) * eng.symbol_norm(b) * eng.symbol_norm(c))
         assoc_worst = max(assoc_worst, num / den)
     rep.check_bound("twisted_convolution_associativity", assoc_worst,
                     TOLERANCES["twisted_convolution_associativity"])
+    del held
 
     delta = funcs.discrete_delta(grid, eng.density)
     out = eng.convolve(gsyms[0], delta)

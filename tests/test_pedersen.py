@@ -310,6 +310,30 @@ def test_each_product_takes_its_own_route(engine64):
     assert all(np.array_equal(x.values, y.values) for x, y in zip(both, alone))
 
 
+def test_held_operators_serve_only_their_own_symbols(monkeypatch, engine64):
+    # convolve and identity_report read a held operator for its own symbol
+    # object and give the bits they give without it.  An entry under g's id
+    # that holds another symbol, as a freed symbol's reused id would, is
+    # passed over and g is transformed.
+    grid = engine64.symbol_grid
+    a, g = funcs.gaussian_family(grid, 2)
+    h = funcs.hermite_family(grid, 2)[1]
+    held = engine64.hold([a, g])
+    stale = {id(a): held[id(a)], id(g): (h, engine64.transform(h))}
+    plain = engine64.convolve(a, g).values
+    report = engine64.identity_report([a], [(a, g)])
+    transform = pe.HeisenbergRealization.transform
+    calls = []
+    monkeypatch.setattr(pe.HeisenbergRealization, "transform",
+                        lambda self, b: calls.append(b) or transform(self, b))
+    assert np.array_equal(engine64.convolve(a, g, held).values, plain) and calls == []
+    assert np.array_equal(engine64.convolve(a, g, stale).values, plain) and calls == [g]
+    calls.clear()
+    # The product and the involution of a are transformed, not a or g.
+    assert engine64.identity_report([a], [(a, g)], None, held) == report
+    assert len(calls) == 2 and not any(b is a or b is g for b in calls)
+
+
 def _operands(grid, density) -> dict:
     g = funcs.gaussian_family(grid, 1)[0]
     one_column = np.zeros(grid.shape, dtype=complex)

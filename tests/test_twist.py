@@ -230,25 +230,65 @@ def test_an_untwisted_product_leaves_the_gauge_cache_alone(h3_twist, cold_caches
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
-def test_the_untwisted_sweep_transforms_its_offset_table_once(monkeypatch, h3_twist):
-    # Block FFTs are the 2-d calls, column FFTs of b2 the 1-d ones.  Under h3
-    # each of the 32 live columns transforms its own block; under the zero
-    # twist one call transforms the offset table's support rows.
-    grid = Grid(2, 8.0, 32)
-    a = funcs.sample(grid, funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1)))
-    b = funcs.sample(grid, funcs.gaussian((-0.2, 0.8), 0.9, (-0.3, 0.2)))
+def _fft_calls_by_row_length(monkeypatch) -> list[int]:
+    """The length of the rows each np.fft.fft call of the sweep transforms:
+    2n for packed blocks, 2n - 1 for the spectrum of the offset rows, n for
+    a chunk of B columns."""
     fft = np.fft.fft
     calls = []
 
     def counted(x, *args, **kw):
-        calls.append(np.ndim(x))
+        calls.append(np.shape(x)[-1])
         return fft(x, *args, **kw)
 
     monkeypatch.setattr(tw.np.fft, "fft", counted)
-    for twist, blocks in ((h3_twist, 32), (tw.zero_twist(2), 1)):
+    return calls
+
+
+def test_the_untwisted_sweep_transforms_its_offset_table_once(monkeypatch, h3_twist):
+    # Under h3 each of the 32 live columns has a full-height block, so each
+    # pack holds one block; under the zero twist one call transforms the
+    # offset table's support rows.  With one operand its 32 columns are one
+    # chunk: one call, where the sweep used to make one per column.
+    grid = Grid(2, 8.0, 32)
+    a = funcs.sample(grid, funcs.gaussian((0.5, -0.3), 1.2, (0.4, 0.1)))
+    b = funcs.sample(grid, funcs.gaussian((-0.2, 0.8), 0.9, (-0.3, 0.2)))
+    calls = _fft_calls_by_row_length(monkeypatch)
+    for twist, expected in ((h3_twist, {64: 32, 32: 1}), (tw.zero_twist(2), {63: 1, 32: 1})):
         calls.clear()
         tw.twisted_convolve(twist, a, [b], density=RHO)
-        assert (calls.count(2), calls.count(1)) == (blocks, 32)
+        assert {m: calls.count(m) for m in set(calls)} == expected
+
+
+def test_a_point_mass_sweep_packs_its_one_row_blocks(monkeypatch, h3_twist):
+    # The point mass has one offset row, so each of the 128 live columns has
+    # a one-row block and all 128 fit one pack: one block call, where the
+    # sweep used to make 128.  The three operands' columns come in chunks of
+    # 128 // 3 = 42, four chunks each: 12 calls, where it used to make 384.
+    grid = Grid(2, 8.0, 128)
+    delta = funcs.discrete_delta(grid, RHO)
+    phis = funcs.gaussian_family(grid, 3)
+    calls = _fft_calls_by_row_length(monkeypatch)
+    tw.twisted_convolve(h3_twist, delta, phis, density=RHO)
+    assert (calls.count(256), calls.count(128), len(calls)) == (1, 12, 13)
+
+
+def test_a_zero_left_operand_builds_no_offset_table(monkeypatch, h3_twist):
+    # zero_u * phi returns its zero spectra before it builds the offset table
+    # or transforms anything; the inverse FFT and the output gauge still run
+    # and set the signs of the zeros, which the gauss*zero and zero*zero
+    # cases of test_fft_path_skips_only_exact_zero_terms pin.
+    grid = Grid(2, 8.0, 32)
+    zero = SampledSymbol(grid, np.zeros(grid.shape))
+    phis = funcs.gaussian_family(grid, 3)
+    tables = []
+    offset_values = tw.offset_values
+    monkeypatch.setattr(tw, "offset_values", lambda *a: tables.append(a) or offset_values(*a))
+    calls = _fft_calls_by_row_length(monkeypatch)
+    out = tw.twisted_convolve(h3_twist, zero, phis, density=RHO)
+    assert (len(tables), len(calls)) == (0, 0)
+    for b, got in zip(phis, out):
+        assert _same_bits(got.values, full_loop_fft_2d(h3_twist, zero, b, RHO))
 
 
 def _family_evaluators(monkeypatch):
@@ -579,13 +619,54 @@ def test_a_wrong_cocycle_matrix_is_seen_after_warm_suites(monkeypatch, points, f
                                                                   "ccr_phase_residual_max"}
 
 
+@pytest.mark.parametrize("points, transforms", [(32, (21, 18)), (64, (25, 21))])
+def test_suites_keep_the_fft_loop_bits_and_transform_each_symbol_once(monkeypatch, points,
+                                                                      transforms):
+    # Every product the FFT loop makes in the twist and multiplier suites is
+    # the full loop's, bit for bit.  Each suite transforms each symbol once,
+    # by its bytes, except the multiplier suite's three products
+    # zero_u * phi_k: equal zero symbols, one transform each, so 2 repeats.
+    # At N = 32 no product takes the operator route, which the multiplier
+    # suite's T(psi) are built for.
+    products = []
+    inner = tw.twisted_convolve
+
+    def recorded(twist, b1, b2s, density=1.0):
+        b2s = list(b2s)
+        out = inner(twist, b1, b2s, density)
+        products.extend((twist, b1, b2, density, c) for b2, c in zip(b2s, out))
+        return out
+
+    transform = pe.HeisenbergRealization.transform
+    symbols = []
+
+    def counted(self, b):
+        symbols.append(b.values.tobytes())
+        return transform(self, b)
+
+    monkeypatch.setattr(tw, "twisted_convolve", recorded)
+    monkeypatch.setattr(pe, "twisted_convolve", recorded)
+    monkeypatch.setattr(pe.HeisenbergRealization, "transform", counted)
+    suites = ((verify.twist_suite, 0), (verify.multiplier_suite, 2))
+    for (suite, repeats), calls in zip(suites, transforms):
+        products.clear()
+        symbols.clear()
+        assert not _failed(suite(0, 8.0, points))
+        assert (len(symbols), len(symbols) - len(set(symbols))) == (calls, repeats)
+        assert products
+        for twist, b1, b2, density, got in products:
+            assert _same_bits(got.values, full_loop_fft_2d(twist, b1, b2, density))
+
+
 def test_warm_operator_suites_memory_peak():
     # The benchmark's operator-calculus battery at N = 128, both suites with
-    # their grid tables cached: 12.1 MB under tracemalloc, where the bound
-    # leaves 0.9 MB, less than four N = 128 operators of 0.26 MB.  A transform
-    # memo holding its last 12 operators added 3.7 MB.  A warm run keeps only
-    # the h3 gauge tables, 1.58 MB, which the gauge cache's one entry rebuilds
-    # after the twist suite's untwisted product.
+    # their grid tables cached: 9.3 MB under tracemalloc, where the bound
+    # leaves 3.7 MB, about fourteen N = 128 operators of 0.26 MB.  The peak is
+    # set in the multiplier suite's point-mass sweep of u * (phi * psi), with
+    # T(phi), T(psi) and T(u) held (7 x 0.26 MB); the twist suite, holding
+    # the transforms of both families, peaks at 8.4 MB.  A warm run keeps
+    # only the h3 gauge tables, 1.58 MB, which the gauge cache's one entry
+    # rebuilds after the twist suite's untwisted product.
     suites = (verify.twist_suite, verify.multiplier_suite)
     for suite in suites:
         suite(0, 8.0, 128)
@@ -685,10 +766,12 @@ def test_resolved_grid_sees_a_density_off_by_a_part_per_million(monkeypatch):
     # identity reads 1e-6 against 1e-12.  The dense products take the
     # operator route and come out (1 + 1e-6)^2 times too large, which
     # associativity, with both sides scaled alike, does not see.  The
-    # homomorphism reads the closed-form products, past convolve_each.
+    # homomorphism reads the closed-form products, past convolve_each.  The
+    # operators the suite holds were built at the true density, so the
+    # scaled products are handed none of them.
     convolve_each = pe.HeisenbergRealization.convolve_each
 
-    def scaled(self, a, bs):
+    def scaled(self, a, bs, held=None):
         density = self.density
         self.density = density * (1 + 1e-6)
         try:
@@ -710,13 +793,13 @@ def test_resolved_grid_sees_one_dropped_convolution_term(monkeypatch):
     # products, past convolve_each.
     convolve_each = pe.HeisenbergRealization.convolve_each
 
-    def dropped(self, a, bs):
+    def dropped(self, a, bs, held=None):
         cut = []
         for b in bs:
             values = b.values.copy()
             values[tuple(np.searchsorted(b.grid.axis, (4.0, 0.0)))] = 0.0
             cut.append(SampledSymbol(b.grid, values))
-        return convolve_each(self, a, cut)
+        return convolve_each(self, a, cut, held)
 
     monkeypatch.setattr(pe.HeisenbergRealization, "convolve_each", dropped)
     rep = verify.twist_suite(seed=0, points=64)
@@ -788,7 +871,8 @@ def test_closed_form_products_move_only_the_homomorphism_residual(monkeypatch, p
     new = verify.twist_suite(seed=0, points=points)
     report = pe.HeisenbergRealization.identity_report
     monkeypatch.setattr(pe.HeisenbergRealization, "identity_report",
-                        lambda self, symbols, pairs, products: report(self, symbols, pairs))
+                        lambda self, symbols, pairs, products, held:
+                        report(self, symbols, pairs, None, held))
     old = verify.twist_suite(seed=0, points=points)
     assert [c.name for c in new.checks] == [c.name for c in old.checks]
     for was, now in zip(old.checks, new.checks):
