@@ -3,7 +3,7 @@
 Every entry passes full validation at construction time, once per process:
 the ``CORE`` entries that ``core_algebras``, ``flat_orbits`` and
 ``get_algebra`` hand out are shared frozen values.  Flat entries pair an
-algebra with the canonical orbit data used by the grid suites.
+algebra with the standard orbit data used by the grid suites.
 """
 
 from __future__ import annotations

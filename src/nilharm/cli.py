@@ -447,6 +447,10 @@ def main(argv=None) -> int:
             cz.AlphaNonPositive, cz.C2TooSmall) as exc:
         print(f"nilharm: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"nilharm: error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

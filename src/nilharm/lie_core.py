@@ -10,9 +10,9 @@ The bilinear layer (bracket, Jacobi check, kernels, series, flags,
 derivations) runs on one integer form of the structure constants per
 algebra, cached on first use: a common denominator D, the constants times D,
 and per basis vector X_i the integer columns of D ad(X_i).  The bracket and
-the BCH product compute on integer-form vectors (d, X)
-(``rationals.IntVector``) and return one, made canonical by one gcd;
-Fraction vectors are converted once on the way in and once on the way out.
+the BCH product take and return Fraction vectors and compute on their
+integer forms (d, X) (``rationals.IntVector``), converted once on the way in
+and once on the way out.
 
 ``jacobi_sweep`` is the Jacobi check of ``validate`` and, on a central
 extension's table, the 2-cocycle test; ``jacobi_defect`` proves the same
@@ -36,8 +36,8 @@ from math import lcm
 from . import bch as _bch
 from . import exactlinalg as ela
 from .polymap import ExactMap, Packed
-from .rationals import (IntVector, Vector, canonical, dot, fraction_form, integer_forms,
-                        over_common_denominator, unit_vector)
+from .rationals import (Vector, dot, fraction_form, integer_inputs, over_common_denominator,
+                        unit_vector)
 
 Terms = tuple[tuple[int, Fraction], ...]
 Entry = tuple[int, int, Terms]
@@ -168,14 +168,6 @@ def _normalize_entries(dim: int, brackets) -> tuple[Entry, ...]:
     return tuple(sorted(entries))
 
 
-def _integer_pair(L: LieAlgebra, x, y) -> tuple[bool, IntVector, IntVector]:
-    """(whether x and y are Fraction vectors, x and y as integer forms)."""
-    fractions, (x, y) = integer_forms(x, y)
-    if len(x[1]) != L.dim or len(y[1]) != L.dim:
-        raise ValueError("vector dimension does not match the algebra")
-    return fractions, x, y
-
-
 def _cross_sums(dim: int, table, X, Y) -> list:
     """The cross products of X and Y against the integer constants of
     ``table``: D [x, y] times dx dy for x = X/dx and y = Y/dy.  X and Y
@@ -189,16 +181,14 @@ def _cross_sums(dim: int, table, X, Y) -> list:
     return out
 
 
-def bracket(L: LieAlgebra, x, y):
-    """[x, y]: bilinear, antisymmetric, exact.  x and y are both integer
-    forms, and so is [x, y], or both Fraction vectors, and so is [x, y].
+def bracket(L: LieAlgebra, x: Vector, y: Vector) -> Vector:
+    """[x, y]: bilinear, antisymmetric, exact, on Fraction vectors.
 
-    x = X/dx and y = Y/dy, so D [x, y] is the integer cross products of X
-    and Y against the integer constants, over dx dy."""
-    fractions, (dx, X), (dy, Y) = _integer_pair(L, x, y)
+    Over their integer forms x = X/dx and y = Y/dy, D [x, y] is the integer
+    cross products of X and Y against the integer constants, over dx dy."""
+    (dx, X), (dy, Y) = integer_inputs(L.dim, "algebra", x, y)
     D, table = L._integer_form
-    z = canonical(D * dx * dy, _cross_sums(L.dim, table, X, Y))
-    return fraction_form(z) if fractions else z
+    return fraction_form((D * dx * dy, _cross_sums(L.dim, table, X, Y)))
 
 
 def _ad_integers(L: LieAlgebra, i: int, w) -> list[int]:
@@ -419,13 +409,11 @@ def polynomial_group_law(L: LieAlgebra) -> list[Packed]:
     return _bch.bch_apply_generic(L.entries, n, L.step, xy[:n], xy[n:], Packed())
 
 
-def bch_product(L: LieAlgebra, x, y):
+def bch_product(L: LieAlgebra, x: Vector, y: Vector) -> Vector:
     """Group product in exponential coordinates: Dynkin series truncated at
-    the step.  Integer forms give an integer form, Fraction vectors give
-    Fractions, as for ``bracket``."""
-    fractions, x, y = _integer_pair(L, x, y)
-    z = canonical(*L._group_law(x, y))
-    return fraction_form(z) if fractions else z
+    the step, on Fraction vectors, computed by the compiled law on their
+    integer forms."""
+    return fraction_form(L._group_law(*integer_inputs(L.dim, "algebra", x, y)))
 
 
 Matrix = tuple[tuple[Fraction, ...], ...]

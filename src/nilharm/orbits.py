@@ -19,7 +19,7 @@ from . import bch as _bch
 from . import exactlinalg as ela
 from . import lie_core as lc
 from .polymap import ExactMap, Packed
-from .rationals import IntVector, Vector, canonical, dot, fraction_form, integer_forms
+from .rationals import Vector, dot, fraction_form, integer_inputs
 
 
 class PairingNotOne(Exception):
@@ -121,34 +121,26 @@ def jump_indices(L: lc.LieAlgebra, flag: lc.FlagSequence, xi0: Functional) -> Or
                      flat=len(iso) == 1)
 
 
-def alpha(orbit: OrbitData, x, y) -> Fraction:
+def alpha(orbit: OrbitData, x: Vector, y: Vector) -> Fraction:
     """Central pairing of the BCH product: the additive group cocycle, at
-    two integer forms or two Fraction vectors."""
+    two Fraction vectors."""
     if not orbit.flat:
         raise NotFlat("the reduced product and the cocycle require a flat orbit")
-    _, (x, y) = integer_forms(x, y)
-    if len(x[1]) != orbit.d or len(y[1]) != orbit.d:
-        raise ValueError("vector dimension does not match the predual")
-    d, out = orbit._law(x, y)
+    d, out = orbit._law(*integer_inputs(orbit.d, "predual", x, y))
     return Fraction(out[-1], d)
 
 
-def product_and_alpha(orbit: OrbitData, x, y) -> tuple[IntVector | Vector, Fraction]:
-    """The reduced product, in the form of x and y, and the cocycle."""
+def product_and_alpha(orbit: OrbitData, x: Vector, y: Vector) -> tuple[Vector, Fraction]:
+    """The reduced product, a Fraction vector, and the cocycle."""
     if not orbit.flat:
         raise NotFlat("the reduced product and the cocycle require a flat orbit")
-    fractions, (x, y) = integer_forms(x, y)
-    if len(x[1]) != orbit.d or len(y[1]) != orbit.d:
-        raise ValueError("vector dimension does not match the predual")
-    d, out = orbit._law(x, y)
-    product = fraction_form((d, out[:-1])) if fractions else canonical(d, out[:-1])
-    return product, Fraction(out[-1], d)
+    d, out = orbit._law(*integer_inputs(orbit.d, "predual", x, y))
+    return fraction_form((d, out[:-1])), Fraction(out[-1], d)
 
 
-def verify_cocycle_identity(orbit: OrbitData, x, y, z) -> bool:
-    """alpha(x,y) + alpha(x*y, z) == alpha(x, y*z) + alpha(y, z), exactly;
-    Fraction vectors are converted to integer forms once."""
-    _, (x, y, z) = integer_forms(x, y, z)
+def verify_cocycle_identity(orbit: OrbitData, x: Vector, y: Vector, z: Vector) -> bool:
+    """alpha(x,y) + alpha(x*y, z) == alpha(x, y*z) + alpha(y, z), exactly,
+    at three Fraction vectors."""
     xy, a_xy = product_and_alpha(orbit, x, y)
     yz, a_yz = product_and_alpha(orbit, y, z)
     lhs = a_xy + alpha(orbit, xy, z)
@@ -182,8 +174,8 @@ def standard_orbit(L: lc.LieAlgebra) -> OrbitData:
     """Convenience: flag with a central first vector and the dual functional,
     built once per algebra value.
 
-    The flag starts at the canonical central vector and xi0 is read off as
-    the dual coordinate vector pairing to 1 with it.
+    The flag starts at the first basis vector of the centre and xi0 is read
+    off as the dual coordinate vector pairing to 1 with it.
     """
     center = lc.center(L)
     flag = lc.jordan_holder_flag(L, preferred_first=center[0] if center else None)

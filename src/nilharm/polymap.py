@@ -166,8 +166,8 @@ class ExactMap:
 
     def __call__(self, x, y, total=sum) -> tuple[int, list]:
         """(D dx^A dy^B, the numerators of the components over it), not
-        reduced: ``rationals.canonical`` of it is the integer form.  On
-        Packed numerators ``total`` is ``Packed.total``, which sums each
+        reduced: ``rationals.fraction_form`` of it is the Fraction vector.
+        On Packed numerators ``total`` is ``Packed.total``, which sums each
         component in one dict."""
         dx, xv = self._parts(x, self._x_steps)
         dy, yv = self._parts(y, self._y_steps)

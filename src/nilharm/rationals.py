@@ -1,15 +1,13 @@
 """Rational scalars and vectors: parsing, formatting, and common helpers.
 
 Exact scalars are ``fractions.Fraction``s (lowest terms, positive
-denominator, arbitrary precision).  Exact vectors have two forms: a tuple of
-Fractions, and the integer form (d, X), the vector X / d with d > 0 and
-gcd(d, *X) == 1.  The integer form of a value is unique, so two integer
-forms are equal exactly when their vectors are, and its d is the least
-common denominator of the Fraction entries (``over_common_denominator``).
-The compiled group laws and the bracket compute on integer forms; a
-function that also takes Fraction vectors converts them once, on the way in
-with ``integer_forms`` and on the way out with ``fraction_form``.  Files and
-CLI flags carry rationals as strings "p/q" or "p" to avoid floating
+denominator, arbitrary precision), and exact vectors are tuples of them;
+ints are accepted wherever a Fraction is.  Inside the kernels of the
+bracket and the group and orbit laws a vector takes the integer form (d, X),
+the vector X / d with d > 0: ``integer_inputs`` checks the lengths of a
+kernel's Fraction arguments and converts them, and ``fraction_form`` turns
+the kernel's result back into Fractions, each entry in lowest terms.  Files
+and CLI flags carry rationals as strings "p/q" or "p" to avoid floating
 mangling.
 """
 
@@ -17,10 +15,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 Vector = tuple[Fraction, ...]
-IntVector = tuple[int, tuple[int, ...]]  # (d, X): the vector X / d, canonical
+IntVector = tuple[int, tuple[int, ...]]  # (d, X): the vector X / d, d > 0
 
 _ZERO = Fraction(0)
 
@@ -73,14 +71,6 @@ def over_common_denominator(x) -> tuple[int, list[int]]:
     return d, [a.numerator * (d // a.denominator) for a in x]
 
 
-def canonical(d: int, X) -> IntVector:
-    """The integer form of X / d, for d > 0: one gcd divides both out."""
-    g = gcd(d, *X)
-    if g == 1:
-        return d, tuple(X)
-    return d // g, tuple(a // g for a in X)
-
-
 def integer_form(x: Vector) -> IntVector:
     """The integer form of a Fraction vector: over its least common
     denominator the numerators already share no factor with it."""
@@ -94,12 +84,9 @@ def fraction_form(v: IntVector) -> Vector:
     return tuple(Fraction(a, d) if a else _ZERO for a in X)
 
 
-def integer_forms(*vectors) -> tuple[bool, tuple[IntVector, ...]]:
-    """The way in of a function that takes integer forms or Fraction
-    vectors, all in one form: whether they are Fraction vectors, and their
-    integer forms.  A pair (d, X) is told from a vector of scalars by its
-    second entry, which a vector's entries never are: a tuple."""
-    v = vectors[0]
-    if len(v) == 2 and type(v[1]) is tuple:
-        return False, vectors
-    return True, tuple(map(integer_form, vectors))
+def integer_inputs(n: int, space: str, *vectors: Vector) -> tuple[IntVector, ...]:
+    """The integer forms of Fraction vectors of length n each, the way into
+    an integer kernel; a ValueError names ``space`` when a length differs."""
+    if any(len(v) != n for v in vectors):
+        raise ValueError(f"vector dimension does not match the {space}")
+    return tuple(map(integer_form, vectors))

@@ -49,28 +49,11 @@ def rng(name: str, seed: int = DEFAULT_SEED) -> np.random.Generator:
     return np.random.default_rng(_derive(seed, name))
 
 
-def _randint(getrandbits, low: int, high: int) -> int:
-    """``randint(low, high)`` of the Random whose ``getrandbits`` this is,
-    by CPython's own rejection rule: k = the bit length of the width, and
-    draw k bits again while they reach the width.  The same draws, and the
-    same state after them, without randint's argument handling."""
-    width = high - low + 1
-    if width < 1:
-        raise ValueError(f"empty range [{low}, {high}]")
-    k = width.bit_length()
-    r = getrandbits(k)
-    while r >= width:
-        r = getrandbits(k)
-    return low + r
-
-
 def random_fraction(rnd: random.Random, max_num: int = 6, max_den: int = 4,
                     nonzero: bool = False) -> Fraction:
-    """Small random rational; small bounds keep exact arithmetic fast.
-    Draws as ``Fraction(rnd.randint(-max_num, max_num), rnd.randint(1, max_den))``."""
-    bits = rnd.getrandbits
+    """Small random rational; small bounds keep exact arithmetic fast."""
     while True:
-        q = Fraction(_randint(bits, -max_num, max_num), _randint(bits, 1, max_den))
+        q = Fraction(rnd.randint(-max_num, max_num), rnd.randint(1, max_den))
         if q != 0 or not nonzero:
             return q
 

@@ -17,7 +17,8 @@ from unittest import mock
 
 import pytest
 
-from nilharm import cli
+from nilharm import cli, pedersen as pe
+from nilharm.grids import Grid
 
 H3_DOC = {
     "dim": 3,
@@ -460,6 +461,26 @@ def test_wrong_sizes_exit_2(args, message):
     assert message in out.stderr
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
+
+
+# A grid too large for memory fails in numpy's allocation, as 8,1048576
+# does under a capped address space; here the first large table of each
+# command raises instead, so the test allocates nothing.
+@pytest.mark.parametrize("args, target", [
+    (("twist", "verify", "--grid", "8,32"), (pe, "_grid_tables")),
+    (("cz", "cover", "--grid", "8,32"), (Grid, "nodes")),
+])
+def test_a_grid_too_large_for_memory_exits_2(monkeypatch, args, target):
+    message = "Unable to allocate 16.0 TiB for an array with shape (1048576, 2097151)"
+
+    def allocate(*_):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(*target, allocate)
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"nilharm: error: out of memory: {message}\n"
 
 
 # Each pair of invocations differs in one option that the command reads, so

@@ -1,34 +1,21 @@
-"""Integer-form vectors (d, X): the seeded draw, the canonical form, and the
-integer kernels of the bracket, the group laws and the orbit laws against
-their Fraction references."""
+"""The seeded draws, and the integer kernels of the bracket, the group laws
+and the orbit laws, called with Fraction vectors, against their Fraction
+references; the proofs of the exact suite and the faults that fail them."""
 
 import json
 from fractions import Fraction
-from math import gcd
 
 import pytest
 import random_algebras
 from hypothesis import given, settings, strategies as st
 
 from nilharm import catalog, lie_core as lc, orbits as ob, polymap as pm, seeds, verify
-from nilharm.rationals import canonical, fraction_form, integer_form, over_common_denominator
 
 
-def assert_canonical(v, fractions):
-    """v is the integer form of the Fraction vector ``fractions``."""
-    d, X = v
-    assert type(d) is int and type(X) is tuple
-    assert d > 0 and gcd(d, *X) == 1
-    assert d == over_common_denominator(fractions)[0]
-    assert fraction_form(v) == tuple(fractions)
-
-
-def randint_fraction(rnd, max_num, max_den, nonzero=False):
-    """The reference draw of ``seeds.random_fraction``, made with randint."""
-    while True:
-        q = Fraction(rnd.randint(-max_num, max_num), rnd.randint(1, max_den))
-        if q != 0 or not nonzero:
-            return q
+def assert_fraction_vector(v, expected):
+    """v is the vector ``expected`` as a tuple of Fractions."""
+    assert type(v) is tuple and all(type(a) is Fraction for a in v)
+    assert v == tuple(expected)
 
 
 # (max_num, max_den) of the vector draws in the benchmark probe, of the
@@ -36,47 +23,39 @@ def randint_fraction(rnd, max_num, max_den, nonzero=False):
 # range: randint(1, 1) still consumes bits.
 @pytest.mark.parametrize("max_num, max_den", [(3, 3), (5, 3), (6, 4), (1, 1)])
 def test_integer_draws_are_fraction_draws(max_num, max_den):
-    streams = [seeds.stream("draws", 0) for _ in range(3)]
+    streams = [seeds.stream("draws", 0) for _ in range(2)]
     for n in (1, 2, 3, 6, 9):
         for _ in range(40):
             w = seeds.random_fraction_vector(streams[0], n, max_num, max_den)
-            expected = tuple(seeds.random_fraction(streams[1], max_num, max_den)
-                             for _ in range(n))
-            assert expected == tuple(randint_fraction(streams[2], max_num, max_den)
-                                     for _ in range(n))
-            assert w == expected
+            assert w == tuple(seeds.random_fraction(streams[1], max_num, max_den)
+                              for _ in range(n))
             for nonzero in (False, True):
-                q = randint_fraction(streams[2], max_num, max_den, nonzero)
-                assert [seeds.random_fraction(rnd, max_num, max_den, nonzero)
-                        for rnd in streams[:2]] == [q] * 2
-            assert all(rnd.getstate() == streams[2].getstate() for rnd in streams[:2])
+                q, r = (seeds.random_fraction(rnd, max_num, max_den, nonzero)
+                        for rnd in streams)
+                assert q == r and (q != 0 or not nonzero)
+                assert abs(q.numerator) <= max_num and q.denominator <= max_den
+            assert streams[0].getstate() == streams[1].getstate()
 
 
 def assert_integer_path_matches_fractions(L, points):
-    """Bracket, group law and, on a flat standard orbit, the orbit law at
-    integer forms, against the Fraction references at the same points."""
+    """Bracket, group law and, on a flat standard orbit, the orbit law, each
+    run by its integer kernel from Fraction vectors, against the Fraction
+    references at the same points."""
     bits = L.law_bits
     group_law = random_algebras.FractionExactMap(lc.polynomial_group_law(L), L.dim, bits)
-    for xf, yf in points(L.dim):
-        x, y = integer_form(xf), integer_form(yf)
-        br = lc.bracket(L, x, y)
-        assert_canonical(br, random_algebras.fraction_bracket(L, xf, yf))
-        assert lc.bracket(L, xf, yf) == fraction_form(br)
-        prod = lc.bch_product(L, x, y)
-        assert_canonical(prod, group_law(xf, yf))
-        assert lc.bch_product(L, xf, yf) == fraction_form(prod)
+    for x, y in points(L.dim):
+        assert_fraction_vector(lc.bracket(L, x, y), random_algebras.fraction_bracket(L, x, y))
+        assert_fraction_vector(lc.bch_product(L, x, y), group_law(x, y))
     orbit = ob.standard_orbit(L)
     if not orbit.flat:
         return
     product_polys, alpha_poly = ob.polynomial_law(orbit)
     orbit_law = random_algebras.FractionExactMap(product_polys + (alpha_poly,), orbit.d, bits)
-    for xf, yf in points(orbit.d):
-        x, y = integer_form(xf), integer_form(yf)
-        *product, a = orbit_law(xf, yf)
+    for x, y in points(orbit.d):
+        *product, a = orbit_law(x, y)
         xy, a_xy = ob.product_and_alpha(orbit, x, y)
-        assert_canonical(xy, product)
-        assert a_xy == a == ob.alpha(orbit, x, y)
-        assert ob.product_and_alpha(orbit, xf, yf) == (tuple(product), a)
+        assert_fraction_vector(xy, product)
+        assert type(a_xy) is Fraction and a_xy == a == ob.alpha(orbit, x, y)
 
 
 @pytest.mark.parametrize("name", list(catalog.CORE))
@@ -110,22 +89,6 @@ def test_the_proofs_hold_on_random_algebras(L):
     if orbit.flat:
         assert pm.associativity_defect(orbit._law, orbit.d) == 0
         assert pm.ray_defect(orbit._law, orbit.d) == 0
-
-
-def test_equal_vectors_compare_equal_once_canonical():
-    # A canonical form is unique, so comparing the forms the kernels return
-    # never reports two equal vectors as different.
-    L = catalog.heisenberg3()
-    orbit = catalog.flat_orbits()["h3"]
-    x, y = (3, (1, -2, 0)), (2, (1, 1, 4))
-    for k in (2, 6, 35):
-        scaled = (3 * k, tuple(k * a for a in x[1]))
-        assert scaled != x and canonical(*scaled) == x
-        assert lc.bch_product(L, scaled, y) == lc.bch_product(L, x, y)
-        assert lc.bracket(L, y, scaled) == lc.bracket(L, y, x)
-        assert (ob.product_and_alpha(orbit, (3 * k, (k, -2 * k)), (2, (1, 1)))
-                == ob.product_and_alpha(orbit, (3, (1, -2)), (2, (1, 1))))
-    assert canonical(4, (0, 0, 0)) == (1, (0, 0, 0))
 
 
 def perturb(law, first, n, bits, monkeypatch):
@@ -210,8 +173,8 @@ def test_a_faulty_bracket_kernel_fails_jacobi(monkeypatch):
 
     monkeypatch.setattr(lc, "_cross_sums", symmetric)
     L = catalog.core_algebras()["nonhomog"]
-    x, y = (1, (1, 2) + (0,) * (L.dim - 2)), (1, (3, 1) + (0,) * (L.dim - 2))
-    assert lc.bracket(L, x, y) == lc.bracket(L, y, x) != (1, (0,) * L.dim)
+    x, y = (1, 2) + (0,) * (L.dim - 2), (3, 1) + (0,) * (L.dim - 2)
+    assert lc.bracket(L, x, y) == lc.bracket(L, y, x) != (0,) * L.dim
     failed = failed_checks(verify.exact_suite(0))
     assert {name for name in failed if name.startswith("jacobi_exact")} == {
         "jacobi_exact[nonhomog]", "jacobi_exact[ext_g0st_1_1]", "jacobi_exact[ext_triangle]",
