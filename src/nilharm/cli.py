@@ -42,7 +42,7 @@ def _load_algebra_arg(ref: str) -> lc.LieAlgebra:
 def _orbit_arg(algebra: str, xi0: str | None) -> ob.OrbitData:
     """The orbit of --xi0 under the Jordan-Holder flag, else the standard orbit."""
     L = _load_algebra_arg(algebra)
-    if not xi0:
+    if xi0 is None:
         return ob.standard_orbit(L)
     return ob.jump_indices(L, lc.jordan_holder_flag(L),
                            ob.Functional(parse_vector(xi0)))
@@ -58,7 +58,7 @@ def _parse_grid(text: str) -> Grid:
 def _symbol_arg(args, opt: str, grid: Grid, default) -> SampledSymbol:
     """The symbol file of --symbol or --symbol2, which must lie on --grid;
     without one, ``default`` sampled on the grid."""
-    if not getattr(args, opt):
+    if getattr(args, opt) is None:
         return funcs.sample(grid, default)
     sym = fileio.load_symbol(getattr(args, opt))
     if sym.grid != grid:
@@ -222,7 +222,7 @@ def cmd_catalog(args) -> int:
 def cmd_orbit(args) -> int:
     seed = master_seed(args.seed)
     rep = Report(command=f"orbit {args.algebra}"
-                 + (f" --xi0 {args.xi0}" if args.xi0 else ""), seed=seed)
+                 + (f" --xi0 {args.xi0}" if args.xi0 is not None else ""), seed=seed)
     orbit = _orbit_arg(args.algebra, args.xi0)
     rep.measure("jump_set", list(orbit.jump_set))
     rep.measure("orbit_dim", orbit.d)
@@ -257,7 +257,7 @@ def cmd_twist(args) -> int:
         rep.check_bound("l2_submultiplicativity_slack",
                         eng.symbol_norm(out) / (scale if scale > 0 else 1.0),
                         verify.TOLERANCES["l2_submultiplicativity_slack"])
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w") as fh:
                 json.dump(fileio.symbol_to_dict(out), fh)
     elif args.action == "delta":
@@ -270,7 +270,7 @@ def cmd_twist(args) -> int:
                         abs(lp_norm(out, 2) / norm_a - 1.0) if norm_a > 0
                         else lp_norm(out, 2),
                         verify.TOLERANCES["delta_action_norm_preservation"])
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w") as fh:
                 json.dump(fileio.symbol_to_dict(out), fh)
     elif args.action == "pedersen":
@@ -300,7 +300,8 @@ def cmd_cz(args) -> int:
     if args.action != "kernel-check":
         f = _symbol_arg(args, "symbol", grid, funcs.smooth_bump((0.0, 0.0), 1.5, 4.0))
     if args.action in ("cover", "decompose"):
-        level = float(args.alpha) if args.alpha else 0.1 * float(np.max(np.abs(f.values)))
+        level = (float(args.alpha) if args.alpha is not None
+                 else 0.1 * float(np.max(np.abs(f.values))))
     if args.action == "cover":
         covering = cz.cz_cover(f, level, pdist)
         rep.measure("n_balls", len(covering.balls))
@@ -319,7 +320,7 @@ def cmd_cz(args) -> int:
                         verify.TOLERANCES["twisted_mean_zero_rel"])
     elif args.action == "kernel-check":
         k_eval = funcs.truncated_power(3.0, 1.0, 5.0)
-        c2 = float(args.c2) if args.c2 else 4.0 * pdist.quasi_constant
+        c2 = float(args.c2) if args.c2 is not None else 4.0 * pdist.quasi_constant
         est = cz.hormander_twist_estimate(k_eval, pdist, twist, c2, grid,
                                           u_grid=Grid(2, grid.half_width, 32))
         rep.measure("hormander_estimate", est["estimate"])

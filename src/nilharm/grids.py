@@ -39,10 +39,15 @@ class Grid:
         if not (math.isfinite(self.half_width) and self.half_width > 0
                 and math.isfinite(self.h)):
             raise ValueError("half width must be finite and positive")
-        # h ** dim would raise OverflowError; a product of floats overflows to inf.
-        if not math.isfinite(math.prod([self.h] * self.dim)):
+        # h ** dim would raise OverflowError; a product of floats overflows to
+        # inf, or underflows to 0.0.
+        cell = math.prod([self.h] * self.dim)
+        if not math.isfinite(cell):
             raise ValueError(f"the box L = {self.half_width:g}, N = {self.points} has a "
                              f"cell volume h^{self.dim} past the largest double")
+        if cell == 0.0:
+            raise ValueError(f"the box L = {self.half_width:g}, N = {self.points} has a "
+                             f"cell volume h^{self.dim} that underflows to zero")
         # Squared norms of node offsets reach the squared diagonal dim*(2L)^2.
         side = 2.0 * self.half_width
         if not math.isfinite(self.dim * (side * side)):
@@ -162,9 +167,13 @@ def offset_values(values: np.ndarray, axes) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSymbol:
-    """Complex grid function: its values at the nodes of one grid."""
+    """Complex grid function: its values at the nodes of one grid.
+
+    A symbol equals and hashes as itself only, so it can key a mapping,
+    such as the operators ``pedersen`` holds for the symbols a caller has
+    transformed; two symbols with equal values are two keys."""
 
     grid: Grid
     values: np.ndarray
@@ -179,6 +188,9 @@ class SampledSymbol:
 
     def at_origin(self) -> complex:
         return complex(self.values[self.grid.origin_index])
+
+    def __sub__(self, other: "SampledSymbol") -> "SampledSymbol":
+        return SampledSymbol(self.grid, self.values - other.values)
 
 
 def lp_norm(sym: SampledSymbol, p: float, density: float = 1.0) -> float:

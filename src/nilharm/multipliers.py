@@ -40,7 +40,8 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
     phi * psi and the norms ||phi||_p do not depend on u; they are computed
     once for all multipliers.
 
-    Each operator is built once and handed on to every product that reads it:
+    Each operator is built once, held under its symbol in the ``held``
+    mapping of ``pedersen``, and handed on to every product that reads it:
     T(phi) and T(psi) for all multipliers, and per u, T(u) and T(u * phi),
     which the identity report and the right commutation's products share.
     T(psi) is read only where phi * psi and u * phi * psi take the operator
@@ -49,34 +50,32 @@ def multiplier_checks(engine: HeisenbergRealization, us: list[SampledSymbol],
     if len(psis) != len(phis):
         raise ValueError(f"need one psi per phi, got {len(psis)} psis "
                          f"for {len(phis)} phis")
-    held = engine.hold((*phis, *psis))
+    held = {s: engine.transform(s) for s in (*phis, *psis)}
     phi_psis = [engine.convolve(phi, psi, held) for phi, psi in zip(phis, psis)]
     ps = (1.25, 1.5, 2.0)
     phi_norms = [{p: lp_norm(phi, p, density=engine.density) for p in ps} for phi in phis]
 
     def report_for(u: SampledSymbol) -> dict:
         cphis = tw.twisted_convolve(engine.twist, u, phis, density=engine.density)
-        ops = {**held, **engine.hold([u])}
+        ops = {**held, u: engine.transform(u)}
         lhss = engine.convolve_each(u, phi_psis, ops)
         # Built after the products u * (phi * psi), whose sweep they would
         # otherwise add to.
-        ops.update(engine.hold(cphis))
+        ops.update({c: engine.transform(c) for c in cphis})
         idrep = engine.identity_report([], [(u, phi) for phi in phis], cphis, ops)
         report: dict = {"intertwining_hs": idrep["homomorphism_hs"],
                         "intertwining_rel": idrep["homomorphism"], "right_commutation_l2": [],
                         "identity_gap": [], "lp_ratios": {p: [] for p in ps}}
         for phi, cphi, norms in zip(phis, cphis, phi_norms):
             report["identity_gap"].append(
-                engine.symbol_norm(SampledSymbol(cphi.grid, cphi.values - phi.values))
-                / engine.symbol_norm(phi))
+                engine.symbol_norm(cphi - phi) / engine.symbol_norm(phi))
             for p in ps:
                 denom = norms[p]
                 report["lp_ratios"][p].append(
                     lp_norm(cphi, p, density=engine.density) / denom if denom else 0.0)
         for cphi, lhs, psi in zip(cphis, lhss, psis):
             rhs = engine.convolve(cphi, psi, ops)
-            diff = SampledSymbol(lhs.grid, lhs.values - rhs.values)
-            report["right_commutation_l2"].append(engine.symbol_norm(diff))
+            report["right_commutation_l2"].append(engine.symbol_norm(lhs - rhs))
         return report
 
     return [report_for(u) for u in us]

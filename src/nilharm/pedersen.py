@@ -60,11 +60,12 @@ diagonals, one N x N product with the exp(-i q x_j) table, which is
 conj(phases[:, ::2]) bit for bit and is derived per call, and one
 elementwise multiply.  No operator is cached.  A caller that holds
 transforms hands them to ``identity_report`` and ``convolve_each`` as
-``held``, the mapping ``hold`` builds, and they read those instead of
-transforming the symbol again; an operator lives as long as the caller's
-mapping.  So the twist and multiplier suites make 25 and 21 transforms at
-N = 128, where they made 50 and 43 when each product transformed its own
-operands.
+``held``, a mapping {s: transform(s)} keyed by the symbol itself (a
+``SampledSymbol`` compares and hashes by identity), and they read those
+instead of transforming the symbol again; an operator lives as long as the
+caller's mapping.  So the twist and multiplier suites make 25 and 21
+transforms at N = 128, where they made 50 and 43 when each product
+transformed its own operands.
 
 The checks that compare a product with operator composition never take it
 from the operator route, where the product is inverse(T(a) . T(b)) and the
@@ -197,8 +198,9 @@ def _grid_tables(grid: Grid) -> tuple:
     return phases, kernel_index, half_phases, diagonal_index, density
 
 
-# id(s) -> (s, transform(s)) for symbols s a caller holds (``hold``).
-Held = dict[int, tuple[SampledSymbol, DiscretizedOperator]]
+# s -> transform(s) for the symbols s a caller holds: keys are compared by
+# identity (``SampledSymbol``), so an operator serves its own symbol only.
+Held = dict[SampledSymbol, DiscretizedOperator]
 
 
 class HeisenbergRealization:
@@ -259,13 +261,6 @@ class HeisenbergRealization:
 
     # -- convolution and norms ---------------------------------------------
 
-    def hold(self, symbols: Iterable[SampledSymbol]) -> Held:
-        """{id(s): (s, transform(s))} for the symbols: the ``held`` mapping
-        that ``convolve_each`` and ``identity_report`` read.  Each entry keeps
-        its symbol, and is read only for that symbol object, so an id that a
-        freed symbol's successor reuses finds no operator."""
-        return {id(s): (s, self.transform(s)) for s in symbols}
-
     def convolve(self, a: SampledSymbol, b: SampledSymbol,
                  held: Held | None = None) -> SampledSymbol:
         return self.convolve_each(a, [b], held)[0]
@@ -279,8 +274,8 @@ class HeisenbergRealization:
         with transform(a) built once per call.  The other products share one
         FFT sweep of a's offset blocks.  The route depends on a and that b
         alone, so each result is the one that bs = [b] gives.  The operator
-        route reads the operators of a and b from ``held`` (``hold``) when it
-        has them, instead of transforming again."""
+        route reads the operators of a and b from ``held`` when it has them,
+        instead of transforming again."""
         bs = list(bs)
         grid = self.symbol_grid
         n = grid.points
@@ -297,21 +292,9 @@ class HeisenbergRealization:
         swept = iter(twisted_convolve(self.twist, a, fft_bs, density=self.density)
                      if fft_bs else ())
         held = held or {}
-        Ta = self._operator(a, held) if any(dense) else None
-        return [self.inverse(Ta.compose(self._operator(b, held))) if d else next(swept)
-                for b, d in zip(bs, dense)]
-
-    def _operator(self, b: SampledSymbol, held: Held,
-                  store: bool = False) -> DiscretizedOperator:
-        """transform(b): the operator ``held`` has for b itself, else a new
-        one, which ``store`` adds to ``held``."""
-        entry = held.get(id(b))
-        if entry is not None and entry[0] is b:
-            return entry[1]
-        T = self.transform(b)
-        if store:
-            held[id(b)] = (b, T)
-        return T
+        Ta = (held.get(a) or self.transform(a)) if any(dense) else None
+        return [self.inverse(Ta.compose(held.get(b) or self.transform(b))) if d
+                else next(swept) for b, d in zip(bs, dense)]
 
     def symbol_norm(self, b: SampledSymbol) -> float:
         """L^2 norm in the calibrated measure (density * Lebesgue)."""
@@ -335,18 +318,18 @@ class HeisenbergRealization:
         pair comes up, so a generator holds one at a time.
 
         Each symbol and pair operand is transformed once per call, and not at
-        all when ``held`` (``hold``) has its operator; a product is
-        transformed unless ``held`` has it.
-        The twist suite hands in the transforms of both families, which its
-        later products read too, and the multiplier checks T(u), T(phi) and
-        T(u * phi)."""
+        all when ``held`` has its operator; a product is transformed unless
+        ``held`` has it.  The operators this call makes go into a copy of
+        ``held``, never into the caller's mapping.  The twist suite hands in
+        the transforms of both families, which its later products read too,
+        and the multiplier checks T(u), T(phi) and T(u * phi)."""
         report: dict = {"density": self.density, "trace": [], "adjoint": [],
                         "hs_isometry": [], "pairing": [], "inversion": [], "homomorphism": [],
                         "homomorphism_hs": [], "submultiplicativity": []}
         # The held operators and those of this call's symbols and pair operands.
         ops = dict(held or {})
         for b in symbols:
-            T = self._operator(b, ops, store=True)
+            T = ops[b] = ops.get(b) or self.transform(b)
             b0 = b.at_origin()
             report["trace"].append(abs(T.trace() - b0) / (1.0 + abs(b0)))
             report["adjoint"].append(
@@ -355,14 +338,14 @@ class HeisenbergRealization:
             scale = nb if nb > 0 else 1.0
             report["hs_isometry"].append(abs(T.hs_norm() - nb) / scale)
             back = self.inverse(T)
-            diff = SampledSymbol(b.grid, back.values - b.values)
-            report["inversion"].append(self.symbol_norm(diff) / scale)
+            report["inversion"].append(self.symbol_norm(back - b) / scale)
         if products is None:
             products = (twisted_convolve(self.twist, a, [b], density=self.density)[0]
                         for a, b in pairs)
         for (a, b), conv in zip(pairs, products, strict=True):
-            Ta, Tb = self._operator(a, ops, store=True), self._operator(b, ops, store=True)
-            resid = (self._operator(conv, ops) - Ta.compose(Tb)).hs_norm()
+            Ta = ops[a] = ops.get(a) or self.transform(a)
+            Tb = ops[b] = ops.get(b) or self.transform(b)
+            resid = ((ops.get(conv) or self.transform(conv)) - Ta.compose(Tb)).hs_norm()
             scale = self.symbol_norm(a) * self.symbol_norm(b)
             if scale == 0.0:
                 scale = 1.0

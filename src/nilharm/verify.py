@@ -258,7 +258,7 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     pairs = list(zip(gsyms, symbols))
     # The transforms of both families, built once and handed on to the
     # identity report and to the operator route of the products below.
-    held = eng.hold((*symbols, *gsyms))
+    held = {s: eng.transform(s) for s in (*symbols, *gsyms)}
     # Each g_k * h_k is the exact product under the twist's own cocycle matrix,
     # so the homomorphism residual compares T and compose with the integral.
     # identity_report samples them one at a time, as it reaches each pair.
@@ -326,8 +326,7 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     for a, b, c in triples:
         ab, right = eng.convolve_each(a, [b, eng.convolve(b, c, held)], held)
         left = eng.convolve(ab, c, held)
-        num = lp_norm(SampledSymbol(grid, left.values - right.values), 2,
-                      density=eng.density)
+        num = lp_norm(left - right, 2, density=eng.density)
         den = (eng.symbol_norm(a) * eng.symbol_norm(b) * eng.symbol_norm(c))
         assoc_worst = max(assoc_worst, num / den)
     rep.check_bound("twisted_convolution_associativity", assoc_worst,
@@ -338,7 +337,7 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
     out = eng.convolve(gsyms[0], delta)
     rep.check_bound(
         "approximate_identity_rel_l2",
-        lp_norm(SampledSymbol(grid, out.values - gsyms[0].values), 2)
+        lp_norm(out - gsyms[0], 2)
         / lp_norm(gsyms[0], 2), TOLERANCES["approximate_identity_rel_l2"])
 
     # The lattice vector nearest (1, 0), at least one step: exactly (1, 0)
@@ -361,7 +360,7 @@ def twist_suite(seed: int = 0, half_width: float = 8.0, points: int = 128) -> Re
         np.zeros((2, 2)), 1.0, first, second))
     rep.check_bound(
         "untwisted_gaussian_closed_form_rel_l2",
-        lp_norm(SampledSymbol(grid, plain.values - closed.values), 2)
+        lp_norm(plain - closed, 2)
         / lp_norm(closed, 2), TOLERANCES["untwisted_gaussian_closed_form_rel_l2"])
     return rep
 

@@ -532,6 +532,17 @@ def test_cell_volume_past_the_largest_double_exits_2(action):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("action", ["cover", "decompose", "weak11", "kernel-check"])
+def test_cell_volume_that_underflows_exits_2(action):
+    # h = 6.25e-302 is positive, h^2 underflows to 0.0.
+    out = run_cli("cz", action, "--grid", "1e-300,32")
+    assert out.returncode == 2
+    assert ("the box L = 1e-300, N = 32 has a cell volume h^2 that underflows to zero"
+            in out.stderr)
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("command", [("twist", "conv"), ("twist", "pedersen"),
                                      ("twist", "delta"), ("cz", "multiplier"),
                                      ("cz", "kernel-check"), ("cz", "weak11")])
@@ -543,6 +554,31 @@ def test_squared_diagonal_past_the_largest_double_exits_2(command, half_width):
     assert out.returncode == 2
     assert (f"the box L = {float(half_width):g}, N = 16 has a squared diagonal "
             "2*(2L)^2 past the largest double" in out.stderr)
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("cz", "decompose", "--grid", "8,32", "--alpha", ""), "could not convert string to float"),
+    (("cz", "kernel-check", "--grid", "8,32", "--c2", ""), "could not convert string to float"),
+    (("orbit", "--algebra", "h3", "--xi0", ""), "not a rational"),
+])
+def test_empty_option_value_exits_2(args, message):
+    # An empty value is parsed, not taken for the option's absence.
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert message in out.stderr
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("args", [("twist", "conv", "--symbol", ""),
+                                  ("twist", "conv", "--symbol2", ""),
+                                  ("twist", "delta", "--out", "")])
+def test_empty_path_exits_3(args):
+    out = run_cli(*args, "--grid", "8,32")
+    assert out.returncode == 3
+    assert "No such file or directory: ''" in out.stderr
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
 
@@ -561,10 +597,14 @@ def test_c2_whose_products_overflow_warns_nothing():
                                      ("twist", "conv"), ("twist", "delta"),
                                      ("cz", "multiplier")])
 def test_grid_that_cannot_calibrate_exits_2(command):
-    # h = 6.25e-302: the Gaussian probe's raw trace underflows to zero.
+    # h = 6.25e-302: the Gaussian probe's raw trace, about (2L)^2, would
+    # underflow to zero, but the cell volume h^2 underflows first, and the
+    # grid is refused before any calibration.  No box of N = 8-128 with a
+    # nonzero cell volume has a zero raw trace.
     out = run_cli(*command, "--grid", "1e-300,32")
     assert out.returncode == 2
-    assert "L = 1e-300, N = 32 cannot calibrate the operator transform" in out.stderr
+    assert ("the box L = 1e-300, N = 32 has a cell volume h^2 that underflows to zero"
+            in out.stderr)
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
 

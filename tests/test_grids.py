@@ -93,6 +93,21 @@ def test_symbol_shape_and_finiteness(grid32):
         SampledSymbol(grid32, bad)
 
 
+def test_symbol_is_a_key_by_identity(grid32):
+    sym = funcs.sample(grid32, funcs.gaussian())
+    twin = SampledSymbol(grid32, sym.values)
+    assert sym == sym and hash(sym) == hash(sym)
+    assert sym != twin
+    keyed = {sym: 1, twin: 2}
+    assert keyed[sym] == 1 and keyed[twin] == 2
+
+
+def test_symbol_difference_is_the_difference_of_values(grid32):
+    a, b = funcs.gaussian_family(grid32, 2)
+    diff = a - b
+    assert diff.grid == a.grid and np.array_equal(diff.values, a.values - b.values)
+
+
 def test_lp_norm_scaling(grid32):
     sym = funcs.sample(grid32, funcs.gaussian())
     doubled = SampledSymbol(grid32, 2.0 * sym.values)

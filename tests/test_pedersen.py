@@ -245,7 +245,9 @@ def test_cached_tables_are_read_only(engine64):
 
 
 def test_grid_that_cannot_calibrate_is_a_value_error(h3_twist):
-    with pytest.raises(ValueError, match="L = 1e-300, N = 32"):
+    # The probe's raw trace would underflow, but Grid refuses the box first:
+    # its cell volume underflows sooner (tests/test_cli.py).
+    with pytest.raises(ValueError, match="L = 1e-300, N = 32 has a cell volume h"):
         pe.HeisenbergRealization(h3_twist, Grid(2, 1e-300, 32))
 
 
@@ -312,14 +314,13 @@ def test_each_product_takes_its_own_route(engine64):
 
 def test_held_operators_serve_only_their_own_symbols(monkeypatch, engine64):
     # convolve and identity_report read a held operator for its own symbol
-    # object and give the bits they give without it.  An entry under g's id
-    # that holds another symbol, as a freed symbol's reused id would, is
-    # passed over and g is transformed.
+    # object and give the bits they give without it.  A symbol with g's
+    # values that is not in the mapping is transformed, and identity_report
+    # adds nothing to the caller's mapping.
     grid = engine64.symbol_grid
     a, g = funcs.gaussian_family(grid, 2)
-    h = funcs.hermite_family(grid, 2)[1]
-    held = engine64.hold([a, g])
-    stale = {id(a): held[id(a)], id(g): (h, engine64.transform(h))}
+    twin = SampledSymbol(grid, g.values)
+    held = {a: engine64.transform(a), g: engine64.transform(g)}
     plain = engine64.convolve(a, g).values
     report = engine64.identity_report([a], [(a, g)])
     transform = pe.HeisenbergRealization.transform
@@ -327,11 +328,13 @@ def test_held_operators_serve_only_their_own_symbols(monkeypatch, engine64):
     monkeypatch.setattr(pe.HeisenbergRealization, "transform",
                         lambda self, b: calls.append(b) or transform(self, b))
     assert np.array_equal(engine64.convolve(a, g, held).values, plain) and calls == []
-    assert np.array_equal(engine64.convolve(a, g, stale).values, plain) and calls == [g]
+    assert np.array_equal(engine64.convolve(a, twin, held).values, plain)
+    assert calls == [twin]
     calls.clear()
     # The product and the involution of a are transformed, not a or g.
     assert engine64.identity_report([a], [(a, g)], None, held) == report
     assert len(calls) == 2 and not any(b is a or b is g for b in calls)
+    assert list(held) == [a, g]
 
 
 def _operands(grid, density) -> dict:
