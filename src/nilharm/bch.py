@@ -24,11 +24,12 @@ The table is algebra-independent and cached per truncation degree.  Summing
 the series costs one right-nested bracket per word, shared across words
 through their common suffixes.
 
-The sum runs over any commutative ring.  With ``polymap.Packed`` variables
-as coordinates it compiles an algebra's group law (and a flat orbit's
-reduced product and cocycle) into exact polynomials once, which
-``polymap.ExactMap`` then evaluates in integer arithmetic; with Fraction
-coordinates it is the independent reference for those compiled maps.
+The walk takes the bracket as an argument, so it reads no structure table
+and runs over any commutative ring that bracket does.  On ``polymap.Packed``
+variables, with the bracket's kernel (``lie_core.dynkin_series``), it
+compiles the group and flat-orbit laws into exact polynomials once, for
+``polymap.ExactMap``; on Fractions, with the tests' own bracket, it is the
+independent reference for those compiled maps.
 """
 
 from __future__ import annotations
@@ -103,41 +104,27 @@ def _words_by_length(max_degree: int) -> list[Word]:
 # ---------------------------------------------------------------------------
 
 
-def bch_apply_generic(fraction_entries, dim: int, step: int, x, y, zero):
+def bch_apply_generic(bracket, step: int, x, y):
     """x * y truncated at the nilpotency step, coordinates in any commutative ring.
 
-    Ring elements must support +, -, * between themselves, * by Fraction,
-    and truthiness as a zero test.  ``fraction_entries`` carries exact
-    structure constants (i, j, ((k, Fraction), ...)).
-    """
+    ``bracket(u, v)`` is the list of coordinates of [u, v].  Ring elements
+    must support + and * by Fraction, and truthiness as a zero test."""
     coeffs = word_coefficients(step)
-
-    def bracket(u, v):
-        w = [zero] * dim
-        hit = False
-        for i, j, terms in fraction_entries:
-            cross = u[i] * v[j] - u[j] * v[i]
-            if cross:
-                hit = True
-                for k, c in terms:
-                    w[k] = w[k] + cross * c
-        return w if hit else None
-
     letters = {0: x, 1: y}
-    vals: dict[Word, list | None] = {(0,): list(x), (1,): list(y)}
+    # The nonzero brackets of the words seen so far; a word whose bracket
+    # is zero is absent, and so are its extensions.
+    vals: dict[Word, list] = {(0,): list(x), (1,): list(y)}
     result = [a + b for a, b in zip(x, y)]
     for w in _words_by_length(step):
-        tail = vals[w[1:]]
+        tail = vals.get(w[1:])
         if tail is None:
-            vals[w] = None
             continue
         val = bracket(letters[w[0]], tail)
-        vals[w] = val
-        if val is None:
-            continue
-        c = coeffs.get(w)
-        if c is not None:
-            for k, a in enumerate(val):
-                if a:
-                    result[k] = result[k] + a * c
+        if any(val):
+            vals[w] = val
+            c = coeffs.get(w)
+            if c is not None:
+                for k, a in enumerate(val):
+                    if a:
+                        result[k] = result[k] + a * c
     return result

@@ -23,7 +23,7 @@ from . import symplectic as sp
 from . import twist as tw
 from . import verify
 from .grids import Grid, GridMismatch, SampledSymbol, lp_norm
-from .rationals import format_rational, parse_rational, parse_vector
+from .rationals import parse_rational, parse_vector
 from .reports import Report
 from .seeds import master_seed
 
@@ -138,24 +138,22 @@ def cmd_algebra(args) -> int:
         rep.measure("series_dims", list(L.series_dims))
         center = lc.center(L)
         rep.measure("center_dim", len(center))
-        rep.data["center"] = [[format_rational(a) for a in v] for v in center]
+        rep.data["center"] = center
     elif args.action == "flag":
         flag = lc.jordan_holder_flag(L)    # FlagSequence raises on a violation
         rep.check_true("flag_invariants", True)
-        rep.data["flag"] = [[format_rational(a) for a in v] for v in flag.vectors]
+        rep.data["flag"] = flag.vectors
     elif args.action == "derivations":
         ders = lc.derivation_space(L)
         rep.measure("derivation_dim", len(ders.basis))
-        rep.data["basis"] = [[[format_rational(a) for a in row] for row in D]
-                             for D in ders.basis]
+        rep.data["basis"] = ders.basis
     elif args.action == "charnilp":
         cert = lc.is_characteristically_nilpotent(lc.derivation_space(L))
         rep.check_true("characteristically_nilpotent", cert.success,
                        value="SUCCESS" if cert.success else
                        f"FAILURE at stage {cert.failed_stage}")
         if cert.flag:
-            rep.data["engel_flag"] = [[format_rational(a) for a in v]
-                                      for v in cert.flag]
+            rep.data["engel_flag"] = cert.flag
     return _emit(rep, args)
 
 
@@ -227,9 +225,8 @@ def cmd_orbit(args) -> int:
     rep.measure("jump_set", list(orbit.jump_set))
     rep.measure("orbit_dim", orbit.d)
     rep.measure("flat", orbit.flat)
-    rep.data["isotropy_basis"] = [[format_rational(a) for a in v]
-                                  for v in orbit.isotropy_basis]
-    rep.data["xi0"] = [format_rational(a) for a in orbit.xi0.coords]
+    rep.data["isotropy_basis"] = orbit.isotropy_basis
+    rep.data["xi0"] = orbit.xi0.coords
     return _emit(rep, args)
 
 

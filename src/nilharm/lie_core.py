@@ -16,7 +16,7 @@ and once on the way out.
 
 ``jacobi_sweep`` is the Jacobi check of ``validate`` and, on a central
 extension's table, the 2-cocycle test; ``jacobi_defect`` proves the same
-identity as a polynomial over the integer table that ``bracket`` reads.
+identity on ``_cross_sums``, the kernel that ``bracket`` and the laws run.
 ``_ascending_flag`` is the one common-flag construction: over ad(X_1), ...,
 ad(X_n) it builds the Jordan-Holder flag, over a basis of the derivations
 the Engel certificate.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import lcm
 
 from . import bch as _bch
@@ -169,9 +169,9 @@ def _normalize_entries(dim: int, brackets) -> tuple[Entry, ...]:
 
 
 def _cross_sums(dim: int, table, X, Y) -> list:
-    """The cross products of X and Y against the integer constants of
-    ``table``: D [x, y] times dx dy for x = X/dx and y = Y/dy.  X and Y
-    hold ints, or ``Packed`` polynomials for ``jacobi_defect``."""
+    """The cross products of X and Y, ints, Fractions or ``Packed``
+    polynomials, against the int or Fraction constants of ``table``: over
+    the integer table, D [x, y] times dx dy for x = X/dx and y = Y/dy."""
     out = [0] * dim
     for i, j, terms in table:
         cross = X[i] * Y[j] - X[j] * Y[i]
@@ -235,11 +235,7 @@ def jacobi_defect(L: LieAlgebra) -> int:
     kernel of ``bracket`` run on ``Packed`` variables over the integer
     table it reads.  0 is a proof of Jacobi."""
     n = L.dim
-    _, table = L._integer_form
-
-    def br(u, v) -> list:
-        return _cross_sums(n, table, u, v)
-
+    br = partial(_cross_sums, n, L._integer_form[1])
     vs = Packed.variables(3 * n, 2)
     x, y, z = vs[:n], vs[n:2 * n], vs[2 * n:]
     return sum(map(bool, map(Packed.total, zip(br(x, br(y, z)), br(y, br(z, x)),
@@ -309,11 +305,11 @@ class FlagSequence:
     def __post_init__(self):
         object.__setattr__(self, "_inverse", _invert_flag(self.algebra, self.vectors))
 
-    def coordinates(self, w, zero=_ZERO) -> tuple:
+    def coordinates(self, w) -> tuple:
         """Ambient vector -> flag coordinates (c_1..c_n with w = sum c_j X_j),
-        in any ring whose elements multiply Fractions; ``zero`` is that
-        ring's zero."""
-        return tuple(sum((wt * c for wt, c in zip(w, row) if wt and c), zero)
+        over the Fractions or ``Packed`` polynomials; a coordinate with no
+        term is ``Fraction(0)``."""
+        return tuple(sum((wt * c for wt, c in zip(w, row) if wt and c), _ZERO)
                      for row in self._inverse)
 
 
@@ -400,13 +396,20 @@ def _central_flag(L: LieAlgebra, preferred_first: Vector | None) -> FlagSequence
     return FlagSequence(algebra=L, vectors=tuple(flag))
 
 
+def dynkin_series(L: LieAlgebra, x, y) -> list:
+    """x * y by the Dynkin series truncated at the step, coordinates all
+    Fractions or all ``Packed`` polynomials: the walk of ``bch`` on the
+    kernel of ``bracket``, ``_cross_sums`` over the exact constants."""
+    return _bch.bch_apply_generic(partial(_cross_sums, L.dim, L.entries), L.step, x, y)
+
+
 def polynomial_group_law(L: LieAlgebra) -> list[Packed]:
     """Exact polynomials for the group law, as functions of
     (x_1..x_n, y_1..y_n) packed in fields of ``L.law_bits`` bits: the
     truncated Dynkin series of the variables."""
     n = L.dim
     xy = Packed.variables(2 * n, L.law_bits)
-    return _bch.bch_apply_generic(L.entries, n, L.step, xy[:n], xy[n:], Packed())
+    return dynkin_series(L, xy[:n], xy[n:])
 
 
 def bch_product(L: LieAlgebra, x: Vector, y: Vector) -> Vector:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from . import bch as _bch
 from . import exactlinalg as ela
 from . import lie_core as lc
 from .polymap import ExactMap, Packed
@@ -72,10 +71,10 @@ class OrbitData:
         product_polys, alpha_poly = polynomial_law(self)
         return ExactMap(product_polys + (alpha_poly,), self.d, self.algebra.law_bits)
 
-    def embed(self, x, zero=Fraction(0)) -> tuple:
-        """Predual coordinates -> ambient coordinates, in any ring whose
-        elements multiply Fractions; ``zero`` is that ring's zero."""
-        out = [zero] * self.algebra.dim
+    def embed(self, x) -> tuple:
+        """Predual coordinates -> ambient coordinates, over the Fractions or
+        ``Packed`` polynomials; a coordinate with no term is ``Fraction(0)``."""
+        out = [Fraction(0)] * self.algebra.dim
         for xa, pa in zip(x, self.predual_basis):
             if xa:
                 for t, p in enumerate(pa):
@@ -83,13 +82,13 @@ class OrbitData:
                         out[t] = out[t] + xa * p
         return tuple(out)
 
-    def split(self, w, zero=Fraction(0)) -> tuple[tuple, object]:
-        """Ambient vector -> (predual coordinates, central coordinate), in the
-        ring of ``embed``: the flag coordinates, rotated."""
+    def split(self, w) -> tuple[tuple, object]:
+        """Ambient vector -> (predual coordinates, central coordinate), over
+        the rings of ``embed``: the flag coordinates, rotated."""
         if not self.flat:
             raise NotFlat("central splitting requires a flat orbit")
         # A flat orbit's predual is X_2..X_n and its centre X_1.
-        x = self.flag.coordinates(w, zero)
+        x = self.flag.coordinates(w)
         return x[1:], x[0]
 
 
@@ -160,12 +159,12 @@ def polynomial_law(orbit: OrbitData) -> tuple[tuple[Packed, ...], Packed]:
     fields of ``law_bits`` bits."""
     if not orbit.flat:
         raise NotFlat("polynomial twist data requires a flat orbit")
-    L = orbit.algebra
-    zero = Packed()
-    xy = Packed.variables(2 * orbit.d, L.law_bits)
-    w = _bch.bch_apply_generic(L.entries, L.dim, L.step, orbit.embed(xy[:orbit.d], zero),
-                               orbit.embed(xy[orbit.d:], zero), zero)
-    product, central = orbit.split(w, zero)
+    L, d = orbit.algebra, orbit.d
+    xy = Packed.variables(2 * d, L.law_bits)
+    # embed leaves a coordinate that no predual vector reaches at Fraction(0),
+    # and the walk's letters must be polynomials: scalar - Packed is undefined.
+    x, y = ([Packed() + c for c in orbit.embed(v)] for v in (xy[:d], xy[d:]))
+    product, central = orbit.split(lc.dynkin_series(L, x, y))
     return product, central * orbit.xi0.pair(orbit.flag.vectors[0])
 
 

@@ -52,10 +52,13 @@ class Packed(dict):
     fields of ``bits`` bits (``Packed.variables``), so multiplying monomials
     adds their ints; that is exact while every exponent stays below
     2**bits.  The ring structure that the BCH walk, ``ExactMap`` and the
-    bracket kernel need: + and - (an int on either side of +), * by a Packed
-    or by a scalar (an int or a Fraction) on either side, += in place, and
-    ``total``.  A coefficient that cancels to 0 stays in the dict; truth
-    tests the coefficients."""
+    bracket kernel need: + and - (a scalar on either side of +), * by a
+    Packed or by a scalar (an int or a Fraction) on either side, += in
+    place, and ``total``.  A zero scalar is nothing: adding it adds no
+    term and multiplying by it gives the empty polynomial, so the int zeros
+    of the bracket kernel and ``Fraction(0)`` are zeros of this ring too.
+    A coefficient that cancels to 0 stays in the dict; truth tests the
+    coefficients."""
 
     __slots__ = ()
 
@@ -76,7 +79,7 @@ class Packed(dict):
 
     def __mul__(self, other):
         if not isinstance(other, Packed):
-            return Packed({m: c * other for m, c in self.items()})
+            return Packed({m: c * other for m, c in self.items()} if other else ())
         out = Packed()
         get = out.get
         for m1, c1 in self.items():
@@ -89,8 +92,10 @@ class Packed(dict):
         return self * other
 
     def __iadd__(self, other):
+        if not isinstance(other, Packed):
+            other = {0: other} if other else {}
         get = self.get
-        for m, c in other.items() if isinstance(other, Packed) else ((0, other),):
+        for m, c in other.items():
             self[m] = get(m, 0) + c
         return self
 
@@ -99,20 +104,21 @@ class Packed(dict):
         out += other
         return out
 
-    def __radd__(self, other: int):
+    def __radd__(self, other):
         return self + other
 
     def __sub__(self, other):
         return self + other * -1
 
 
-def terms(p: Packed, nvars: int, bits: int) -> tuple[tuple[Monomial, Fraction], ...]:
+def terms(p, nvars: int, bits: int) -> tuple[tuple[Monomial, Fraction], ...]:
     """The nonzero terms of p, a polynomial in ``nvars`` variables packed in
-    fields of ``bits`` bits, as (exponents, Fraction coefficient), sorted by
-    exponents."""
+    fields of ``bits`` bits or a scalar constant, as (exponents, Fraction
+    coefficient), sorted by exponents."""
     mask = (1 << bits) - 1
+    items = p.items() if isinstance(p, Packed) else ((0, p),)
     return tuple(sorted((tuple(m >> (bits * v) & mask for v in range(nvars)), Fraction(c))
-                        for m, c in p.items() if c))
+                        for m, c in items if c))
 
 
 class ExactMap:

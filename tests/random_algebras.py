@@ -64,9 +64,10 @@ def points(n: int):
 
 
 def fraction_bch(L, x, y) -> tuple[Fraction, ...]:
-    """x * y by one walk of the Dynkin series in plain Fraction arithmetic."""
-    return tuple(bch.bch_apply_generic(L.entries, L.dim, max(L.step, 1), x, y,
-                                       Fraction(0)))
+    """x * y by one walk of the Dynkin series in plain Fraction arithmetic,
+    on ``fraction_bracket``."""
+    return tuple(bch.bch_apply_generic(lambda u, v: fraction_bracket(L, u, v),
+                                       max(L.step, 1), x, y))
 
 
 def fraction_poly_value(p, point, bits: int) -> Fraction:

@@ -167,11 +167,11 @@ def test_generic_ring_path_matches_int_path():
     rnd = seeds.stream("bch.generic", 0)
     x = seeds.random_fraction_vector(rnd, 7)
     y = seeds.random_fraction_vector(rnd, 7)
-    # Constant polynomials in no variables: the one monomial is 0.
-    zero = Packed()
-    px = [Packed({0: c}) if c else zero for c in x]
-    py = [Packed({0: c}) if c else zero for c in y]
-    out = bch.bch_apply_generic(L.entries, 7, L.step, px, py, zero)
+    # Constant polynomials in no variables: the one monomial is 0, and a
+    # zero coordinate, by the zero rule, is the empty polynomial.
+    px = [Packed() + c for c in x]
+    py = [Packed() + c for c in y]
+    out = lc.dynkin_series(L, px, py)
     as_fractions = tuple(random_algebras.fraction_poly_value(p, (), 1) for p in out)
     assert as_fractions == lc.bch_product(L, x, y)
 

@@ -49,7 +49,8 @@ def run_cli(*args, env_extra=None):
     """``cli.main(args)`` in this process, with ``env_extra`` added to the
     environment: its (returncode, stdout, stderr), an argparse exit turned
     into its code, and each warning printed to stderr once per place, as a
-    fresh process prints it."""
+    fresh process prints it; a RuntimeWarning is an error, as everywhere
+    else in the tests."""
     stdout, stderr = io.StringIO(), io.StringIO()
 
     def show(message, category, filename, lineno, file=None, line=None):
@@ -58,6 +59,7 @@ def run_cli(*args, env_extra=None):
     with mock.patch.dict(os.environ, env_extra or {}), redirect_stdout(stdout), \
             redirect_stderr(stderr), warnings.catch_warnings():
         warnings.simplefilter("default")
+        warnings.simplefilter("error", RuntimeWarning)
         warnings.showwarning = show
         try:
             code = cli.main(list(args))

@@ -160,18 +160,23 @@ def test_a_perturbed_bracket_table_fails_jacobi(monkeypatch):
     assert list(failed) == ["jacobi_exact[nonhomog]"] and failed["jacobi_exact[nonhomog]"] > 0
 
 
+def symmetric_cross_sums(dim, table, X, Y):
+    """``lc._cross_sums`` with a fault: [x, y] becomes symmetric,
+    X_i Y_j + X_j Y_i."""
+    out = [0] * dim
+    for i, j, terms in table:
+        cross = X[i] * Y[j] + X[j] * Y[i]
+        for k, c in terms:
+            out[k] += cross * c
+    return out
+
+
 def test_a_faulty_bracket_kernel_fails_jacobi(monkeypatch):
     # The proof runs the kernel of lc.bracket itself, so a fault in its code
-    # fails Jacobi: here [x, y] becomes symmetric, X_i Y_j + X_j Y_i.
-    def symmetric(dim, table, X, Y):
-        out = [0] * dim
-        for i, j, terms in table:
-            cross = X[i] * Y[j] + X[j] * Y[i]
-            for k, c in terms:
-                out[k] += cross * c
-        return out
-
-    monkeypatch.setattr(lc, "_cross_sums", symmetric)
+    # fails Jacobi.  The laws compile on that kernel too: warm first, so
+    # that the catalog algebras cache no law compiled under the fault.
+    verify.exact_suite(0)
+    monkeypatch.setattr(lc, "_cross_sums", symmetric_cross_sums)
     L = catalog.core_algebras()["nonhomog"]
     x, y = (1, 2) + (0,) * (L.dim - 2), (3, 1) + (0,) * (L.dim - 2)
     assert lc.bracket(L, x, y) == lc.bracket(L, y, x) != (0,) * L.dim
@@ -179,6 +184,38 @@ def test_a_faulty_bracket_kernel_fails_jacobi(monkeypatch):
     assert {name for name in failed if name.startswith("jacobi_exact")} == {
         "jacobi_exact[nonhomog]", "jacobi_exact[ext_g0st_1_1]", "jacobi_exact[ext_triangle]",
         "jacobi_exact[ext_nonhomog]"}, failed
+
+
+def test_the_laws_compile_on_the_bracket_kernel(monkeypatch):
+    # Jacobi is proved on lc._cross_sums, and the group and orbit laws are
+    # compiled on it: a fault in it changes both.  A fresh h3 each time, so
+    # no catalog algebra caches a law compiled under the fault.
+    def laws():
+        L = lc.validate(3, {(0, 1): {2: 1}})
+        product, alpha_poly = ob.polynomial_law(ob.standard_orbit(L))
+        return ([pm.terms(p, 6, L.law_bits) for p in lc.polynomial_group_law(L)],
+                [pm.terms(p, 4, L.law_bits) for p in (*product, alpha_poly)])
+
+    group_law, orbit_law = laws()
+    monkeypatch.setattr(lc, "_cross_sums", symmetric_cross_sums)
+    faulty_group_law, faulty_orbit_law = laws()
+    assert faulty_group_law != group_law
+    assert faulty_orbit_law != orbit_law
+
+
+def test_the_jacobi_brackets_hold_no_zero_coefficient():
+    # Packed adds no term for the int zeros _cross_sums starts from, so the
+    # brackets of the Jacobi proof carry only live terms.
+    L = catalog.core_algebras()["ext_nonhomog"]
+    n = L.dim
+    _, table = L._integer_form
+    vs = pm.Packed.variables(3 * n, 2)
+    x, y, z = vs[:n], vs[n:2 * n], vs[2 * n:]
+    inner = lc._cross_sums(n, table, y, z)
+    outer = lc._cross_sums(n, table, x, inner)
+    assert any(outer)
+    for w in inner + outer:
+        assert w == 0 or all(w.values()), w
 
 
 def add_x1_y1_to_the_h3_cocycle(monkeypatch):

@@ -232,13 +232,39 @@ def test_embed_and_split_follow_the_split_basis(L, data):
 
 
 def test_embed_and_split_over_polynomials():
-    # The ring-generic maps over Packed variables: split undoes embed exactly,
-    # with a central part that is the zero polynomial.
+    # The maps over Packed variables: split undoes embed exactly, with a
+    # central part that is zero.
     for name, orbit in cat.flat_orbits().items():
         xs = Packed.variables(orbit.d, 1)
-        x, c = orbit.split(orbit.embed(xs, Packed()), Packed())
+        x, c = orbit.split(orbit.embed(xs))
         assert [terms(p, orbit.d, 1) for p in x] == [terms(v, orbit.d, 1) for v in xs], name
         assert not c, name
+
+
+def test_orbit_law_when_the_predual_misses_a_basis_coordinate():
+    # ext_g0st_1_1 in the basis b_1 = Z + P_1, b_2 = P_1, ..., b_n = P_(n-1)
+    # of its standard orbit: the predual has no b_1 part, so embed leaves
+    # that coordinate at Fraction(0), while the brackets reach it through
+    # Z = b_1 - b_2.  The change of basis maps the one orbit onto the other,
+    # so the two laws agree.
+    orbit = cat.flat_orbits()["ext_g0st_1_1"]
+    L, n = orbit.algebra, orbit.algebra.dim
+    basis = [tuple(z + p for z, p in zip(orbit.flag.vectors[0], orbit.predual_basis[0])),
+             *orbit.predual_basis]
+
+    def coords(v):
+        red, _ = ela.rref([[b[r] for b in basis] + [v[r]] for r in range(n)])
+        return tuple(row[n] for row in red)
+
+    M = lc.validate(n, {(i, j): dict(enumerate(coords(lc.bracket(L, basis[i], basis[j]))))
+                        for i in range(n) for j in range(i + 1, n)})
+    rotated = ob.jump_indices(M, lc.FlagSequence(M, tuple(map(coords, orbit.flag.vectors))),
+                              ob.Functional(tuple(map(orbit.xi0.pair, basis))))
+    assert rotated.flat and not any(p[0] for p in rotated.predual_basis)
+    rnd = seeds.stream("orbits.rotated", 0)
+    for _ in range(3):
+        x, y = (seeds.random_fraction_vector(rnd, orbit.d) for _ in range(2))
+        assert ob.product_and_alpha(rotated, x, y) == ob.product_and_alpha(orbit, x, y)
 
 
 @settings(max_examples=8, deadline=None)

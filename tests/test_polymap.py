@@ -81,3 +81,22 @@ def test_degree_and_zero():
     assert not Packed()
     assert not Packed({1: 0, 1 << BITS: Fraction(0)})
     assert terms(Packed({1: 0, 1 << BITS: Fraction(2)}), 2, BITS) == (((0, 1), Fraction(2)),)
+    # A scalar is a constant.
+    assert terms(Fraction(0), 2, BITS) == terms(0, 2, BITS) == ()
+    assert terms(Fraction(-3, 2), 2, BITS) == (((0, 0), Fraction(-3, 2)),)
+
+
+def test_a_zero_scalar_is_nothing():
+    # The bracket kernel starts each component at int 0 and the exact half's
+    # one zero is Fraction(0): adding either adds no term, multiplying by
+    # either gives the empty polynomial.
+    x, y = Packed.variables(2, BITS)
+    p = x * y + x * -2
+    # Dict equality: no key added, not even one with a zero coefficient.
+    for q in (p + 0, 0 + p, p + Fraction(0), Fraction(0) + p, p - 0):
+        assert q == p
+    q = Packed(p)
+    q += Fraction(0)
+    assert q == p
+    for q in (p * 0, 0 * p, p * Fraction(0), Fraction(0) * p):
+        assert type(q) is Packed and q == {}
